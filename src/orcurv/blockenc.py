@@ -156,15 +156,6 @@ class PermutationSpec:
         if len(self.map) != self.dim or sorted(self.map) != list(range(self.dim)):
             raise ValueError("map is not a bijection on the declared dimension")
 
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        for src, dst in enumerate(self.map):
-            m[dst, src] = 1.0
-        return m
-
-    def as_encoding(self) -> BlockEncoding:
-        return BlockEncoding(op=self.matrix(), subnorm=1.0)
-
     def conjugate_diagonal(self, diag: np.ndarray) -> np.ndarray:
         """Diagonal of P diag(d) P^dagger: entry i moves to map[i]."""
         out = np.empty_like(diag)

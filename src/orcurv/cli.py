@@ -18,23 +18,30 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, OrcError, UnknownFixture
-from .graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
+from .graph import (
+    GeodesicMatrix,
+    Graph,
+    LocalNeighborhood,
+    all_pairs_geodesic,
+    load_graph,
+    neighborhood,
+)
 from .qpipeline import (
     AuditTrail,
     QsimConfig,
-    pq_qsim_from_cost,
+    build_distance_encoding,
+    cost_grid,
     tree_qsim_standard_error,
     w1_pq_qsim,
     w1_tree_qsim,
 )
-from .transport import CurvatureResult, curvature, verify_tree
+from .transport import QSIM_METHODS, CurvatureResult, curvature, verify_tree
 
 _FIXTURES = {
     "appendix_a": (
@@ -59,12 +66,12 @@ class RunConfig:
     qsim_method: str
     edges: list[tuple[int, int]] | None
     all_edges: bool
+    include_endpoints: bool
     numeric: str
     tol: float
     out: str | None
     out_format: str
     trace: str | None
-    workers: int
     qsim: QsimConfig
 
 
@@ -90,9 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
         sp.add_argument("--out-format", choices=["json", "csv"], default="json")
         sp.add_argument("--trace", default=None, help="audit-trace JSON lines path")
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--debug-corrupt-alpha", type=float, default=1.0,
-                        help=argparse.SUPPRESS)
 
     sp_compute = sub.add_parser("compute", help="curvature with one method")
     add_common(sp_compute)
@@ -136,20 +140,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         qsim_method=getattr(args, "qsim_method", "auto"),
         edges=_parse_edges(args.edge),
         all_edges=args.all_edges,
+        include_endpoints=args.include_endpoints,
         numeric=args.numeric,
         tol=getattr(args, "tol", 1e-8),
         out=args.out,
         out_format=args.out_format,
         trace=args.trace,
-        workers=max(1, args.workers),
         qsim=QsimConfig(
             margin=args.margin,
             shots=args.shots,
             seed=args.seed,
             eps=args.eps,
             dim_cap=args.cap,
-            include_endpoints=args.include_endpoints,
-            debug_alpha_scale=args.debug_corrupt_alpha,
         ),
     )
 
@@ -167,9 +169,8 @@ def _config_echo(cfg: RunConfig) -> dict:
         "eps": cfg.qsim.eps,
         "seed": cfg.qsim.seed,
         "shots": cfg.qsim.shots,
-        "include_endpoints": cfg.qsim.include_endpoints,
+        "include_endpoints": cfg.include_endpoints,
         "cap": cfg.qsim.dim_cap,
-        "workers": cfg.workers,
     }
     if cfg.command == "compare":
         echo["qsim_method"] = cfg.qsim_method
@@ -183,10 +184,11 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 @dataclass
 class _Instance:
-    graph: Graph | None
-    dg: object | None
-    nb_fixture: LocalNeighborhood | None
+    dg: GeodesicMatrix | None    # None for a cost-matrix fixture
     is_tree: bool
+    #: the selected edges, each with its neighborhood; a cost-matrix
+    #: fixture is one synthetic record
+    pairs: list[tuple[tuple[int, int], LocalNeighborhood]]
 
 
 def _load_instance(cfg: RunConfig) -> _Instance:
@@ -211,56 +213,55 @@ def _load_instance(cfg: RunConfig) -> _Instance:
             nb = LocalNeighborhood.from_cost(cost, dxy)
         except OrcError as exc:
             raise ConfigError(f"bad cost-matrix fixture: {exc}") from exc
-        return _Instance(graph=None, dg=None, nb_fixture=nb, is_tree=False)
+        return _Instance(dg=None, is_tree=False, pairs=[((-1, -1), nb)])
     try:
         g = load_graph(text, format=cfg.format, numeric=cfg.numeric)
     except OrcError as exc:
         raise ConfigError(f"cannot parse input: {exc}") from exc
-    dg = all_pairs_geodesic(g, workers=cfg.workers)
-    return _Instance(graph=g, dg=dg, nb_fixture=None, is_tree=verify_tree(g))
+    dg = all_pairs_geodesic(g)
+    pairs = []
+    for u, v in _select_edges(cfg, g):
+        try:
+            nb = neighborhood(g, dg, u, v, include_endpoints=cfg.include_endpoints)
+        except OrcError as exc:
+            raise _SolverFailure((u, v), exc) from exc
+        pairs.append(((u, v), nb))
+    return _Instance(dg=dg, is_tree=verify_tree(g), pairs=pairs)
 
 
-def _select_edges(cfg: RunConfig, inst: _Instance) -> list[tuple[int, int]]:
-    if inst.nb_fixture is not None:
-        return [(-1, -1)]  # single synthetic record
+def _select_edges(cfg: RunConfig, g: Graph) -> list[tuple[int, int]]:
     if cfg.all_edges and cfg.edges:
         raise ConfigError("use either --edge or --all-edges, not both")
     if cfg.all_edges:
-        edges = [(u, v) for u, v, _ in inst.graph.edges]
-        if not cfg.qsim.include_endpoints:
+        edges = [(u, v) for u, v, _ in g.edges]
+        if not cfg.include_endpoints:
             # leaf edges have an empty neighborhood on one side; skip them
-            degree = [len(inst.graph.neighbors(v)) for v in range(inst.graph.vertex_count)]
+            degree = [len(g.neighbors(v)) for v in range(g.vertex_count)]
             edges = [(u, v) for u, v in edges if degree[u] > 1 and degree[v] > 1]
         if not edges:
             raise ConfigError("no edges with nonempty neighborhoods to process")
         return edges
     if cfg.edges:
         for u, v in cfg.edges:
-            if not inst.graph.has_edge(u, v):
+            if not g.has_edge(u, v):
                 raise ConfigError(f"({u}, {v}) is not an edge of the input graph")
         return cfg.edges
     raise ConfigError("select edges with --edge u,v or --all-edges")
 
 
-def _validate_method(cfg: RunConfig, inst: _Instance, method: str,
-                     selected: list[tuple[int, int]]) -> None:
-    if inst.nb_fixture is not None:
-        if method in ("tree", "qsim_tree"):
+def _validate_method(cfg: RunConfig, inst: _Instance, method: str) -> None:
+    if method == "qsim_pq" and cfg.qsim.shots is not None:
+        raise ConfigError("method 'qsim_pq' has no shot-noise model; drop --shots")
+    if method in ("tree", "qsim_tree"):
+        if inst.dg is None:
             raise ConfigError(f"method {method!r} needs a graph input, "
                               "not a cost-matrix fixture")
-        nb = inst.nb_fixture
-        if method in ("assignment", "brute_force", "qsim_pq") and nb.p != nb.q:
-            raise ConfigError(f"NotSquare: method {method!r} needs p = q, "
-                              f"got p={nb.p}, q={nb.q}")
-        return
-    if method in ("tree", "qsim_tree") and not inst.is_tree:
-        raise ConfigError(f"NotATree: method {method!r} needs a tree graph")
+        if not inst.is_tree:
+            raise ConfigError(f"NotATree: method {method!r} needs a tree graph")
     if method in ("assignment", "brute_force", "qsim_pq"):
-        for u, v in selected:
-            nb = neighborhood(inst.graph, inst.dg, u, v,
-                              include_endpoints=cfg.qsim.include_endpoints)
+        for edge, nb in inst.pairs:
             if nb.p != nb.q:
-                raise ConfigError(f"NotSquare: edge ({u}, {v}) has "
+                raise ConfigError(f"NotSquare: edge {edge} has "
                                   f"p={nb.p}, q={nb.q} for method {method!r}")
 
 
@@ -268,28 +269,22 @@ def _validate_method(cfg: RunConfig, inst: _Instance, method: str,
 # execution
 # --------------------------------------------------------------------------
 
-def _run_method(cfg: RunConfig, inst: _Instance, method: str,
-                edge: tuple[int, int], audit: AuditTrail | None) -> CurvatureResult:
-    if inst.nb_fixture is not None:
-        nb = inst.nb_fixture
-        if method == "qsim_pq":
-            return pq_qsim_from_cost(nb.cost, nb.dxy, cfg.qsim, audit=audit)
-        return curvature(nb, method=method)
+def _distance_encoding(cfg: RunConfig, inst: _Instance, audit: AuditTrail | None):
+    """The (be, meta) every qsim edge of this run queries, built once."""
+    dist = inst.dg if inst.dg is not None else cost_grid(inst.pairs[0][1].cost)
+    return build_distance_encoding(
+        dist, margin=cfg.qsim.margin, power_mode=cfg.qsim.power_mode,
+        power_degree=cfg.qsim.power_degree,
+        power_eps_target=cfg.qsim.power_eps_target, audit=audit)
+
+
+def _run_method(cfg: RunConfig, method: str, nb: LocalNeighborhood, encoding,
+                audit: AuditTrail | None) -> CurvatureResult:
     if method == "qsim_tree":
-        return w1_tree_qsim(inst.graph, inst.dg, edge, cfg.qsim, audit=audit)
+        return w1_tree_qsim(nb, encoding, cfg.qsim, audit=audit)
     if method == "qsim_pq":
-        return w1_pq_qsim(inst.graph, inst.dg, edge, cfg.qsim, audit=audit)
-    nb = neighborhood(inst.graph, inst.dg, edge[0], edge[1],
-                      include_endpoints=cfg.qsim.include_endpoints)
-    return curvature(nb, method=method, graph=inst.graph)
-
-
-def _shape_of(cfg: RunConfig, inst: _Instance, edge: tuple[int, int]) -> tuple[int, int]:
-    if inst.nb_fixture is not None:
-        return inst.nb_fixture.p, inst.nb_fixture.q
-    nb = neighborhood(inst.graph, inst.dg, edge[0], edge[1],
-                      include_endpoints=cfg.qsim.include_endpoints)
-    return nb.p, nb.q
+        return w1_pq_qsim(nb, encoding, cfg.qsim, audit=audit)
+    return curvature(nb, method=method)
 
 
 def _ser(v):
@@ -298,14 +293,12 @@ def _ser(v):
     return v
 
 
-def _record(cfg: RunConfig, inst: _Instance, edge: tuple[int, int],
-            result: CurvatureResult) -> dict:
-    p, q = _shape_of(cfg, inst, edge)
+def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
     rec = {
         "x": result.x,
         "y": result.y,
-        "p": p,
-        "q": q,
+        "p": nb.p,
+        "q": nb.q,
         "w1": _ser(result.w1),
         "dxy": _ser(result.dxy),
         "curvature": _ser(result.curvature),
@@ -323,27 +316,19 @@ def _record(cfg: RunConfig, inst: _Instance, edge: tuple[int, int],
     return rec
 
 
-def _map_edges(cfg: RunConfig, edges, fn):
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(fn, edges))
-    return [fn(e) for e in edges]
-
-
 def _cmd_compute(cfg: RunConfig) -> tuple[dict, int]:
     inst = _load_instance(cfg)
-    selected = _select_edges(cfg, inst)
-    _validate_method(cfg, inst, cfg.method, selected)
+    _validate_method(cfg, inst, cfg.method)
     audit = AuditTrail() if cfg.trace else None
-
-    def run_one(edge):
+    encoding = (_distance_encoding(cfg, inst, audit)
+                if cfg.method in QSIM_METHODS else None)
+    records = []
+    for edge, nb in inst.pairs:
         try:
-            result = _run_method(cfg, inst, cfg.method, edge, audit)
+            result = _run_method(cfg, cfg.method, nb, encoding, audit)
         except OrcError as exc:
             raise _SolverFailure(edge, exc) from exc
-        return _record(cfg, inst, edge, result)
-
-    records = _map_edges(cfg, selected, run_one)
+        records.append(_record(nb, result))
     report = {
         "meta": {"version": __version__, "config": _config_echo(cfg)},
         "records": records,
@@ -354,28 +339,28 @@ def _cmd_compute(cfg: RunConfig) -> tuple[dict, int]:
 
 def _cmd_compare(cfg: RunConfig) -> tuple[dict, int]:
     inst = _load_instance(cfg)
-    selected = _select_edges(cfg, inst)
     qsim_method = cfg.qsim_method
     if qsim_method == "auto":
         qsim_method = "qsim_tree" if inst.is_tree else "qsim_pq"
     classical = _QSIM_PARTNER[qsim_method]
-    _validate_method(cfg, inst, classical, selected)
-    _validate_method(cfg, inst, qsim_method, selected)
+    _validate_method(cfg, inst, classical)
+    _validate_method(cfg, inst, qsim_method)
     audit = AuditTrail() if cfg.trace else None
-
-    def run_one(edge):
+    encoding = _distance_encoding(cfg, inst, audit)
+    records = []
+    for edge, nb in inst.pairs:
         try:
-            res_c = _run_method(cfg, inst, classical, edge, None)
-            res_q = _run_method(cfg, inst, qsim_method, edge, audit)
+            res_c = _run_method(cfg, classical, nb, None, None)
+            res_q = _run_method(cfg, qsim_method, nb, encoding, audit)
         except OrcError as exc:
             raise _SolverFailure(edge, exc) from exc
         abs_diff = abs(float(res_c.w1) - float(res_q.w1))
         rel_diff = abs_diff / max(abs(float(res_c.w1)), 1e-300)
         tol = cfg.tol
         if cfg.qsim.shots is not None and qsim_method == "qsim_tree":
-            se = tree_qsim_standard_error(inst.graph, inst.dg, edge, cfg.qsim)
+            se = tree_qsim_standard_error(nb, encoding, cfg.qsim)
             tol = max(tol, 5.0 * se)
-        rec = _record(cfg, inst, edge, res_q)
+        rec = _record(nb, res_q)
         rec.update({
             "w1_classical": _ser(res_c.w1),
             "w1_qsim": res_q.w1,
@@ -384,9 +369,7 @@ def _cmd_compare(cfg: RunConfig) -> tuple[dict, int]:
             "tol": tol,
             "within_tol": abs_diff <= tol,
         })
-        return rec
-
-    records = _map_edges(cfg, selected, run_one)
+        records.append(rec)
     max_abs = max((r["abs_diff"] for r in records), default=0.0)
     max_rel = max((r["rel_diff"] for r in records), default=0.0)
     ok = all(r["within_tol"] for r in records)

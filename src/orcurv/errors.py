@@ -121,6 +121,10 @@ class ZeroOverlap(OrcError):
     """Power-iteration start vector is orthogonal to the target eigenspace."""
 
 
+class EstimateOutOfRange(OrcError):
+    """A shot-noise estimate left the range its quantity must lie in."""
+
+
 # --- CLI -----------------------------------------------------------------------
 
 class ConfigError(OrcError):

@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     DuplicateEdge,
     EmptyNeighborhood,
@@ -92,6 +94,7 @@ class Graph:
             normalized.append((u, v, _check_weight(w)))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "_edge_set", frozenset(seen))
 
     @property
     def edge_count(self) -> int:
@@ -116,7 +119,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return any(a == u and b == v for a, b, _ in self.edges)
+        return (u, v) in self._edge_set
 
     def scaled(self, factor: Weight) -> "Graph":
         """New graph with every weight multiplied by factor > 0."""
@@ -144,8 +147,12 @@ class GeodesicMatrix:
     def all_finite(self) -> bool:
         return all(x != INF for row in self.d for x in row)
 
-    def to_float_rows(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.d]
+    @cached_property
+    def float_array(self) -> np.ndarray:
+        """Read-only float64 N x N copy of the distances, built on first use."""
+        arr = np.array([[float(x) for x in row] for row in self.d], dtype=np.float64)
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .errors import (
     DigitOutOfRange,
     DimensionCap,
     DimMismatch,
+    EstimateOutOfRange,
     IndexOutOfRange,
     InfiniteDistance,
     NotATree,
@@ -45,7 +46,7 @@ from .errors import (
     SpectrumOutOfRange,
     ZeroOverlap,
 )
-from .graph import Graph, GeodesicMatrix, neighborhood, verify_tree
+from .graph import GeodesicMatrix, LocalNeighborhood
 from .transport import CurvatureResult
 
 DEFAULT_DIM_CAP = 10 ** 6
@@ -99,10 +100,6 @@ class QsimConfig:
     eps: float = 1e-10                # power-iteration stagnation threshold
     max_iter: int = 100_000
     dim_cap: int = DEFAULT_DIM_CAP
-    include_endpoints: bool = False
-    #: test hook: multiplies the recorded alpha_q to fault-inject the
-    #: recovery scaling (the encoding itself stays correct)
-    debug_alpha_scale: float = 1.0
 
 
 @dataclass
@@ -139,10 +136,9 @@ class AuditTrail:
 
 def _distance_rows(dg) -> np.ndarray:
     if isinstance(dg, GeodesicMatrix):
-        rows = dg.to_float_rows()
+        arr = dg.float_array
     else:
-        rows = [[float(x) for x in row] for row in dg]
-    arr = np.asarray(rows, dtype=np.float64)
+        arr = np.asarray([[float(x) for x in row] for row in dg], dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatch("distance matrix must be square")
     return arr
@@ -153,14 +149,14 @@ def build_distance_encoding(dg, margin: float = 0.05,
                             power_degree: int | None = None,
                             power_eps_target: float = 1e-6,
                             audit: AuditTrail | None = None,
-                            _alpha_q_scale: float = 1.0,
                             ) -> tuple[BlockEncoding, DistanceEncodingMeta]:
     """Diagonal encoding of all pairwise distances over the index grid.
 
     The fourth powers are wrapped at alpha = ((1 + margin) * max_d)^4 and
     the fractional power c = 1/4 brings the entries back to d/alpha_q
     with alpha_q = 2 * alpha^(1/4). Zero distances (the grid diagonal)
-    ride along unchanged.
+    ride along unchanged. Both pipelines query one encoding per graph, so
+    callers build it once and pass it to every edge.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -182,9 +178,7 @@ def build_distance_encoding(dg, margin: float = 0.05,
     kappa_m = alpha / min_d ** 4
     be = bk.be_power(raw, 0.25, kappa_m, mode=power_mode,
                      degree=power_degree, eps_target=power_eps_target)
-    meta = DistanceEncodingMeta(alpha=alpha,
-                                alpha_q=be.subnorm * _alpha_q_scale,
-                                kappa=kappa)
+    meta = DistanceEncodingMeta(alpha=alpha, alpha_q=be.subnorm, kappa=kappa)
     if audit is not None:
         audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
     return be, meta
@@ -243,24 +237,22 @@ def _basis_pair_overlap(be: BlockEncoding, ix: int, iy: int,
     return bk.overlap(embedded, bk.dilated_apply(be, phi), shots=shots, seed=seed)
 
 
-def w1_tree_qsim(g: Graph, dg: GeodesicMatrix, edge: tuple[int, int],
+def w1_tree_qsim(nb: LocalNeighborhood,
+                 encoding: tuple[BlockEncoding, DistanceEncodingMeta],
                  config: QsimConfig = QsimConfig(),
                  audit: AuditTrail | None = None) -> CurvatureResult:
     """Tree-case pipeline: W1 from three overlap estimations.
 
-    Exact-overlap mode reproduces the closed form to float accuracy;
-    shots mode replaces each overlap with a seeded Hadamard-test
-    emulation.
+    `encoding` is the graph's (be, meta) from build_distance_encoding.
+    The caller asserts that the graph is a tree. Exact-overlap mode
+    reproduces the closed form to float accuracy; shots mode replaces
+    each overlap with a seeded Hadamard-test emulation, and raises
+    EstimateOutOfRange when the noisy d(x, y) or W1 leaves its range.
     """
-    if not verify_tree(g):
-        raise NotATree("w1_tree_qsim requires a tree graph")
-    x, y = edge
-    nb = neighborhood(g, dg, x, y, include_endpoints=config.include_endpoints)
-    be, meta = build_distance_encoding(
-        dg, margin=config.margin, power_mode=config.power_mode,
-        power_degree=config.power_degree,
-        power_eps_target=config.power_eps_target,
-        audit=audit, _alpha_q_scale=config.debug_alpha_scale)
+    if nb.x_dists is None or nb.y_dists is None:
+        raise NotATree("tree pipeline needs a graph neighborhood, not a bare cost matrix")
+    be, meta = encoding
+    x, y = nb.x, nb.y
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     p, q = nb.p, nb.q
     ov_x = tree_overlap_sum(be, meta, x, nb.X, shots=config.shots,
@@ -274,11 +266,17 @@ def w1_tree_qsim(g: Graph, dg: GeodesicMatrix, edge: tuple[int, int],
     w1 = x_sum / p + dxy + y_sum / q
     if audit is not None:
         audit.note("tree_recovery", x_sum=x_sum, y_sum=y_sum, dxy=dxy, w1=w1)
+    if not (dxy > 0 and w1 >= 0):
+        raise EstimateOutOfRange(
+            f"edge ({x}, {y}): with {config.shots} shots per overlap the estimates "
+            f"d(x, y) = {dxy!r} and W1 = {w1!r} are out of range "
+            "(need d(x, y) > 0 and W1 >= 0); use more shots")
     return CurvatureResult.from_w1(w1=w1, dxy=dxy, method="qsim_tree",
                                    x=x, y=y)
 
 
-def tree_qsim_standard_error(g: Graph, dg: GeodesicMatrix, edge: tuple[int, int],
+def tree_qsim_standard_error(nb: LocalNeighborhood,
+                             encoding: tuple[BlockEncoding, DistanceEncodingMeta],
                              config: QsimConfig) -> float:
     """Propagated binomial standard error of the shot-noise tree W1.
 
@@ -288,10 +286,7 @@ def tree_qsim_standard_error(g: Graph, dg: GeodesicMatrix, edge: tuple[int, int]
     """
     if config.shots is None:
         return 0.0
-    x, y = edge
-    nb = neighborhood(g, dg, x, y, include_endpoints=config.include_endpoints)
-    _, meta = build_distance_encoding(dg, margin=config.margin)
-    alpha_q = meta.alpha_q
+    alpha_q = encoding[1].alpha_q
     raw_x = sum(float(v) for v in nb.x_dists) / (alpha_q * nb.p)
     raw_y = sum(float(v) for v in nb.y_dists) / (alpha_q * nb.q)
     raw_xy = float(nb.dxy) / alpha_q
@@ -538,20 +533,23 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, eps: float = 1e-10,
     return estimate
 
 
-def _pq_qsim_core(dist_rows, X: Sequence[int], Y: Sequence[int], dxy: float,
-                  config: QsimConfig, x: int | None, y: int | None,
-                  audit: AuditTrail | None) -> CurvatureResult:
-    p = len(X)
-    if p != len(Y):
-        raise NotSquare(f"pipeline needs p = q, got p={len(X)}, q={len(Y)}")
+def w1_pq_qsim(nb: LocalNeighborhood,
+               encoding: tuple[BlockEncoding, DistanceEncodingMeta],
+               config: QsimConfig = QsimConfig(),
+               audit: AuditTrail | None = None) -> CurvatureResult:
+    """Full p = q pipeline for one neighborhood.
+
+    `encoding` is the (be, meta) from build_distance_encoding over the
+    distances that nb's X and Y index: the graph's geodesics, or
+    cost_grid(cost) for a bare cost matrix.
+    """
+    p = nb.p
+    if p != nb.q:
+        raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
     if p ** p > config.dim_cap:
         raise DimensionCap(f"p^p = {p ** p} exceeds cap {config.dim_cap}")
-    be, meta = build_distance_encoding(
-        dist_rows, margin=config.margin, power_mode=config.power_mode,
-        power_degree=config.power_degree,
-        power_eps_target=config.power_eps_target,
-        audit=audit, _alpha_q_scale=config.debug_alpha_scale)
-    local = localize_DG(be, meta, X, Y, audit=audit)
+    be, meta = encoding
+    local = localize_DG(be, meta, nb.X, nb.Y, audit=audit)
     columns = [extract_Di(local, i, audit=audit) for i in range(1, p + 1)]
     dp = build_DP(columns, dim_cap=config.dim_cap, audit=audit)
     pi = build_Pi(p, route="direct", dim_cap=config.dim_cap, audit=audit)
@@ -565,35 +563,31 @@ def _pq_qsim_core(dist_rows, X: Sequence[int], Y: Sequence[int], dxy: float,
                                seed=config.seed, max_iter=config.max_iter,
                                audit=audit)
     w1 = estimate.value * math.factorial(p) * meta.alpha_q
-    return CurvatureResult.from_w1(w1=w1, dxy=dxy, method="qsim_pq",
-                                   x=x, y=y, diagnostics=estimate)
+    return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
+                                   x=nb.x, y=nb.y, diagnostics=estimate)
 
 
-def w1_pq_qsim(g: Graph, dg: GeodesicMatrix, edge: tuple[int, int],
-               config: QsimConfig = QsimConfig(),
-               audit: AuditTrail | None = None) -> CurvatureResult:
-    """Full p = q pipeline for a graph edge."""
-    x, y = edge
-    nb = neighborhood(g, dg, x, y, include_endpoints=config.include_endpoints)
-    if nb.p != nb.q:
-        raise NotSquare(f"edge ({x}, {y}) has p={nb.p}, q={nb.q}")
-    return _pq_qsim_core(dg, nb.X, nb.Y, float(nb.dxy), config, x, y, audit)
+def cost_grid(cost) -> np.ndarray:
+    """Synthetic two-block distance grid whose X-by-Y block is `cost`.
+
+    Rows 0..p-1 stand for X and rows p..p+q-1 for Y, the indices that
+    LocalNeighborhood.from_cost assigns; the within-block entries are
+    never read by the localization.
+    """
+    p, q = len(cost), len(cost[0])
+    rows = np.zeros((p + q, p + q))
+    block = np.array([[float(v) for v in row] for row in cost])
+    rows[:p, p:] = block
+    rows[p:, :p] = block.T
+    return rows
 
 
 def pq_qsim_from_cost(cost, dxy, config: QsimConfig = QsimConfig(),
                       audit: AuditTrail | None = None) -> CurvatureResult:
-    """p = q pipeline on a bare cost matrix.
-
-    Builds a synthetic two-block distance grid whose X-by-Y block is the
-    cost matrix; the within-block entries are never read by the
-    localization.
-    """
-    p = len(cost)
-    if any(len(row) != p for row in cost):
-        raise NotSquare("cost matrix must be square for the p = q pipeline")
-    rows = np.zeros((2 * p, 2 * p))
-    block = np.array([[float(v) for v in row] for row in cost])
-    rows[:p, p:] = block
-    rows[p:, :p] = block.T
-    return _pq_qsim_core(rows, list(range(p)), list(range(p, 2 * p)),
-                         float(dxy), config, None, None, audit)
+    """p = q pipeline on a bare cost matrix, through its cost_grid."""
+    nb = LocalNeighborhood.from_cost(cost, dxy)
+    encoding = build_distance_encoding(
+        cost_grid(nb.cost), margin=config.margin, power_mode=config.power_mode,
+        power_degree=config.power_degree,
+        power_eps_target=config.power_eps_target, audit=audit)
+    return w1_pq_qsim(nb, encoding, config, audit=audit)

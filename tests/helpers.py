@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
+import orcurv.qpipeline
+from orcurv.blockenc import PermutationSpec
 from orcurv.graph import Graph, LocalNeighborhood
 
 INF = math.inf
@@ -64,6 +69,29 @@ def bellman_ford_row(g: Graph, source: int) -> list:
         if not changed:
             break
     return dist
+
+
+def permutation_matrix(perm: PermutationSpec) -> np.ndarray:
+    """Dense matrix P with P[map[i], i] = 1, the conjugation oracle."""
+    m = np.zeros((perm.dim, perm.dim))
+    for src, dst in enumerate(perm.map):
+        m[dst, src] = 1.0
+    return m
+
+
+def corrupt_alpha_q(monkeypatch, module, scale: float) -> None:
+    """Scale the recorded alpha_q of every encoding `module` builds.
+
+    Fault injection for the recovery multiplier: the encoding itself stays
+    correct, only the meta the pipelines recover W1 with is off.
+    """
+    build = orcurv.qpipeline.build_distance_encoding
+
+    def corrupted(*args, **kwargs):
+        be, meta = build(*args, **kwargs)
+        return be, dataclasses.replace(meta, alpha_q=meta.alpha_q * scale)
+
+    monkeypatch.setattr(module, "build_distance_encoding", corrupted)
 
 
 def nwc_plan_cost(cost) -> Fraction:

@@ -33,6 +33,7 @@ from orcurv.cli import main
 from orcurv.graph import all_pairs_geodesic, neighborhood
 from orcurv.qpipeline import (
     QsimConfig,
+    build_distance_encoding,
     build_Pi,
     perm_index,
     pq_qsim_from_cost,
@@ -137,15 +138,16 @@ def test_criterion_05_tree_pipeline():
         n = rng.randint(4, 64)
         g = random_tree(n, rng)
         dg = all_pairs_geodesic(g)
+        encoding = build_distance_encoding(dg)
         for k, (x, y) in enumerate(internal_edges(g)):
             nb = neighborhood(g, dg, x, y)
             closed = float(w1_tree(nb))
-            exact = w1_tree_qsim(g, dg, (x, y), QsimConfig(seed=0))
+            exact = w1_tree_qsim(nb, encoding, QsimConfig(seed=0))
             assert abs(exact.w1 - closed) <= 1e-10
             CURVATURES.append(exact.curvature)
             cfg = QsimConfig(shots=shots, seed=100000 + 977 * t + k)
-            noisy = w1_tree_qsim(g, dg, (x, y), cfg)
-            se = tree_qsim_standard_error(g, dg, (x, y), cfg)
+            noisy = w1_tree_qsim(nb, encoding, cfg)
+            se = tree_qsim_standard_error(nb, encoding, cfg)
             edges_total += 1
             if abs(noisy.w1 - closed) <= 5 * se:
                 shot_hits += 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import permutation_matrix
 from orcurv.blockenc import (
     BlockEncoding,
     PermutationSpec,
@@ -409,7 +410,8 @@ def test_permutation_spec():
     perm = PermutationSpec(dim=3, map=(2, 0, 1))
     diag = np.array([10.0, 20.0, 30.0])
     conj = perm.conjugate_diagonal(diag)
-    assert np.allclose(conj, np.diagonal(perm.matrix() @ np.diag(diag) @ perm.matrix().T))
+    m = permutation_matrix(perm)
+    assert np.allclose(conj, np.diagonal(m @ np.diag(diag) @ m.T))
     with pytest.raises(ValueError):
         PermutationSpec(dim=3, map=(0, 0, 1))
 

@@ -8,6 +8,10 @@ import sys
 
 import pytest
 
+import orcurv.cli
+import orcurv.graph
+import orcurv.qpipeline
+from helpers import corrupt_alpha_q
 from orcurv.cli import main
 
 
@@ -186,9 +190,10 @@ def test_compare_square_fixture(tmp_path, capsys):
     assert report["records"][0]["w1_classical"] == "5/2"
 
 
-def test_compare_corrupted_alpha_fails(path4, capsys):
+def test_compare_corrupted_alpha_fails(path4, capsys, monkeypatch):
+    corrupt_alpha_q(monkeypatch, orcurv.cli, 1.02)
     code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges",
-                            "--seed", "3", "--debug-corrupt-alpha", "1.02"], capsys)
+                            "--seed", "3"], capsys)
     assert code == 1
     report = json.loads(out)
     assert report["summary"]["max_abs_diff"] > 1e-8
@@ -217,17 +222,97 @@ def test_trace_output(path4, tmp_path, capsys):
     assert {"dim", "subnorm", "err", "min_entry", "max_entry"} <= set(record)
 
 
-def test_workers_parallel_matches_serial(tmp_path, capsys):
+def test_trace_is_byte_identical(tmp_path, capsys):
+    graph = tmp_path / "tree.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n")
+    traces = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for trace in traces:
+        code, _, _ = run_cli(["compare", "--input", str(graph), "--all-edges",
+                              "--seed", "9", "--shots", "100000",
+                              "--trace", str(trace), "--out", str(tmp_path / "r.json")],
+                             capsys)
+        assert code == 0
+    assert traces[0].read_bytes() == traces[1].read_bytes()
+    stages = [json.loads(line)["stage"] for line in traces[0].read_text().splitlines()]
+    assert stages.count("distance_encoding") == 1
+    assert stages.count("tree_recovery") == 4
+
+
+def _spy(monkeypatch, module, name):
+    """Count calls of module.name through every orcurv binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (orcurv.cli, orcurv.graph, orcurv.qpipeline):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n", ["--shots", "100000"]),
+    ("".join(f"{u} {v}\n" for u in range(3) for v in range(3, 6)),  # K_{3,3}: p = q = 2
+     ["--qsim-method", "qsim_pq"]),
+], ids=["qsim_tree-shots", "qsim_pq"])
+def test_compare_builds_each_neighborhood_and_encoding_once(tmp_path, capsys, monkeypatch,
+                                                            text, argv):
     graph = tmp_path / "g.txt"
-    graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    run_cli(["compute", "--input", str(graph), "--method", "lp",
-             "--all-edges", "--out", str(a)], capsys)
-    run_cli(["compute", "--input", str(graph), "--method", "lp",
-             "--all-edges", "--workers", "4", "--out", str(b)], capsys)
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    assert ra["records"] == rb["records"]
+    graph.write_text(text)
+    neighborhoods = _spy(monkeypatch, orcurv.graph, "neighborhood")
+    encodings = _spy(monkeypatch, orcurv.qpipeline, "build_distance_encoding")
+    code, out, _ = run_cli(["compare", "--input", str(graph), "--all-edges",
+                            "--seed", "4", *argv], capsys)
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) >= 4
+    assert len(neighborhoods) == len(records)
+    assert len(encodings) == 1
+
+
+def test_qsim_tree_on_non_tree_is_config_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n0 2\n1 3\n2 4\n")
+    code, _, err = run_cli(["compute", "--input", str(graph),
+                            "--method", "qsim_tree", "--edge", "1,2"], capsys)
+    assert code == 2
+    assert "NotATree" in err
+
+
+def test_qsim_pq_refuses_shots(tmp_path, capsys):
+    fixture = tmp_path / "sq.json"
+    fixture.write_text(json.dumps({"cost": [[1, 2], [3, 4]], "dxy": 1}))
+    code, out, err = run_cli(["compute", "--input", str(fixture),
+                              "--format", "cost_matrix", "--method", "qsim_pq",
+                              "--shots", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--shots" in err
+
+
+@pytest.mark.parametrize("route", [[], ["--qsim-method", "qsim_pq"]])
+def test_compare_pq_route_refuses_shots(tmp_path, capsys, route):
+    graph = tmp_path / "cycle.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+    code, out, err = run_cli(["compare", "--input", str(graph), "--all-edges",
+                              "--shots", "10", *route], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--shots" in err
+
+
+def test_out_of_range_shot_estimate_is_solver_error(path4, capsys):
+    # one shot per overlap: each overlap reads +-1, and this seed drives
+    # the d(x, y) estimate negative
+    code, out, err = run_cli(["compute", "--input", str(path4),
+                              "--method", "qsim_tree", "--edge", "1,2",
+                              "--shots", "1", "--seed", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "EstimateOutOfRange" in err and "edge (1, 2)" in err
 
 
 def test_module_entry_point(tmp_path):

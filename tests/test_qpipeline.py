@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import internal_edges, random_cost_matrix, random_tree
+import orcurv.qpipeline
+from helpers import corrupt_alpha_q, internal_edges, random_cost_matrix, random_tree
 from orcurv.blockenc import be_product, be_wrap
 from orcurv.errors import (
     DegenerateAllZero,
@@ -18,7 +19,7 @@ from orcurv.errors import (
     NotSquare,
     SizeMismatch,
 )
-from orcurv.graph import all_pairs_geodesic, load_graph, neighborhood
+from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
 from orcurv.qpipeline import (
     AuditTrail,
     QsimConfig,
@@ -150,17 +151,17 @@ def test_overlap_sum_index_validation():
 def test_tree_qsim_path_fixture():
     g = load_graph("0 1\n1 2\n2 3")
     dg = all_pairs_geodesic(g)
-    res = w1_tree_qsim(g, dg, (1, 2), QsimConfig(seed=0))
+    res = w1_tree_qsim(neighborhood(g, dg, 1, 2), build_distance_encoding(dg),
+                       QsimConfig(seed=0))
     assert res.w1 == pytest.approx(3.0, abs=1e-12)
     assert res.curvature == pytest.approx(-2.0, abs=1e-12)
     assert res.method == "qsim_tree"
 
 
-def test_tree_qsim_requires_tree():
-    g = load_graph("0 1\n1 2\n0 2\n1 3\n2 4")
-    dg = all_pairs_geodesic(g)
+def test_tree_qsim_needs_graph_neighborhood():
+    nb = LocalNeighborhood.from_cost([[1, 2], [3, 4]], 1)
     with pytest.raises(NotATree):
-        w1_tree_qsim(g, dg, (1, 2))
+        w1_tree_qsim(nb, build_distance_encoding(two_block_grid(nb.cost)))
 
 
 def test_tree_qsim_matches_closed_form():
@@ -168,9 +169,10 @@ def test_tree_qsim_matches_closed_form():
     for _ in range(5):
         g = random_tree(rng.randint(6, 40), rng, max_weight=5)
         dg = all_pairs_geodesic(g)
+        encoding = build_distance_encoding(dg)
         for x, y in internal_edges(g):
             nb = neighborhood(g, dg, x, y)
-            res = w1_tree_qsim(g, dg, (x, y), QsimConfig(seed=1))
+            res = w1_tree_qsim(nb, encoding, QsimConfig(seed=1))
             assert abs(res.w1 - float(w1_tree(nb))) <= 1e-10
 
 
@@ -178,12 +180,13 @@ def test_tree_qsim_shot_noise_within_five_se():
     rng = random.Random(7)
     g = random_tree(24, rng)
     dg = all_pairs_geodesic(g)
+    encoding = build_distance_encoding(dg)
     shots = 10 ** 6
     for i, (x, y) in enumerate(internal_edges(g)):
         cfg = QsimConfig(shots=shots, seed=1000 + i)
-        res = w1_tree_qsim(g, dg, (x, y), cfg)
         nb = neighborhood(g, dg, x, y)
-        se = tree_qsim_standard_error(g, dg, (x, y), cfg)
+        res = w1_tree_qsim(nb, encoding, cfg)
+        se = tree_qsim_standard_error(nb, encoding, cfg)
         assert se > 0
         assert abs(res.w1 - float(w1_tree(nb))) <= 5 * se
 
@@ -192,7 +195,8 @@ def test_tree_qsim_audit_exposes_conventions():
     g = load_graph("0 1\n1 2\n2 3")
     dg = all_pairs_geodesic(g)
     audit = AuditTrail()
-    w1_tree_qsim(g, dg, (1, 2), QsimConfig(seed=0), audit=audit)
+    w1_tree_qsim(neighborhood(g, dg, 1, 2), build_distance_encoding(dg, audit=audit),
+                 QsimConfig(seed=0), audit=audit)
     stages = [r["stage"] for r in audit.records]
     assert "distance_encoding" in stages and "tree_recovery" in stages
     ov = next(r for r in audit.records if r["stage"] == "tree_overlap")
@@ -427,8 +431,8 @@ def test_pq_qsim_graph_route():
     # 4-cycle with a chord gives inner edges with p = q
     g = load_graph("0 1\n1 2\n2 3\n3 0")
     dg = all_pairs_geodesic(g)
-    res = w1_pq_qsim(g, dg, (0, 1), QsimConfig(seed=2))
     nb = neighborhood(g, dg, 0, 1)
+    res = w1_pq_qsim(nb, build_distance_encoding(dg), QsimConfig(seed=2))
     expected = float(w1_assignment(nb.cost).cost_value)
     assert abs(res.w1 - expected) <= 1e-8
 
@@ -437,7 +441,7 @@ def test_pq_qsim_rejects_non_square():
     g = load_graph("0 1\n1 2\n2 3\n3 0\n0 4")
     dg = all_pairs_geodesic(g)
     with pytest.raises(NotSquare):
-        w1_pq_qsim(g, dg, (0, 1), QsimConfig())
+        w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg), QsimConfig())
 
 
 def test_pq_qsim_dimension_cap():
@@ -445,10 +449,11 @@ def test_pq_qsim_dimension_cap():
         pq_qsim_from_cost([[1] * 5 for _ in range(5)], 1, QsimConfig(dim_cap=100))
 
 
-def test_pq_qsim_corrupted_alpha_detected():
+def test_pq_qsim_corrupted_alpha_detected(monkeypatch):
     cost = [[1, 2], [3, 4]]
     honest = pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
-    corrupt = pq_qsim_from_cost(cost, 1, QsimConfig(seed=0, debug_alpha_scale=1.01))
+    corrupt_alpha_q(monkeypatch, orcurv.qpipeline, 1.01)
+    corrupt = pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
     assert abs(corrupt.w1 - honest.w1) > 1e-3
 
 
@@ -456,15 +461,16 @@ def test_include_endpoints_variant():
     # inclusive lists turn the path's (1, 2) edge into a 2x2 instance
     g = load_graph("0 1\n1 2\n2 3")
     dg = all_pairs_geodesic(g)
-    cfg = QsimConfig(seed=3, include_endpoints=True)
+    cfg = QsimConfig(seed=3)
     nb = neighborhood(g, dg, 1, 2, include_endpoints=True)
     assert (nb.p, nb.q) == (2, 2)
     expected = float(w1_assignment(nb.cost).cost_value)
     assert expected == 2.0
-    res = w1_pq_qsim(g, dg, (1, 2), cfg)
+    encoding = build_distance_encoding(dg)
+    res = w1_pq_qsim(nb, encoding, cfg)
     assert abs(res.w1 - expected) <= 1e-8
     # decomposable costs keep the closed form valid on the extended lists
-    tree_res = w1_tree_qsim(g, dg, (1, 2), cfg)
+    tree_res = w1_tree_qsim(nb, encoding, cfg)
     assert abs(tree_res.w1 - float(w1_tree(nb))) <= 1e-10
 
 
