@@ -19,6 +19,7 @@ from .blockenc import (
     be_tensor,
     be_wrap,
     dilated_apply,
+    dilated_overlap,
     overlap,
 )
 from .graph import (

@@ -30,6 +30,7 @@ from .errors import (
     BadFactor,
     BadFactorization,
     DimMismatch,
+    IndexOutOfRange,
     InexactEncoding,
     NotDiagonal,
     SpectrumOutOfRange,
@@ -50,6 +51,11 @@ def _as_operator(m) -> np.ndarray:
             raise DimMismatch(f"operator must be square, got {arr.shape}")
         return arr.astype(np.complex128)
     raise DimMismatch(f"operator must be 1-D (diagonal) or 2-D, got ndim={arr.ndim}")
+
+
+def _check_unit_norm(amps: np.ndarray) -> None:
+    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > 1e-12:
+        raise ValueError("state vector is not unit norm")
 
 
 def _operator_norm(op: np.ndarray) -> float:
@@ -116,8 +122,7 @@ class StateVector:
     def __post_init__(self) -> None:
         arr = np.asarray(self.amps, dtype=np.complex128).ravel()
         object.__setattr__(self, "amps", arr)
-        if abs(float(np.sum(np.abs(arr) ** 2)) - 1.0) > 1e-12:
-            raise ValueError("state vector is not unit norm")
+        _check_unit_norm(arr)
 
     @property
     def dim(self) -> int:
@@ -266,14 +271,18 @@ def rescaled_representation(b: BlockEncoding, factor: float) -> BlockEncoding:
 # spectral functions on diagonal encodings
 # --------------------------------------------------------------------------
 
+def _real_entries(values: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(values):
+        if np.max(np.abs(values.imag)) > 1e-12:
+            raise SpectrumOutOfRange("diagonal entries must be real")
+        return values.real.astype(np.float64)
+    return values.astype(np.float64)
+
+
 def _real_diagonal(b: BlockEncoding) -> np.ndarray:
     if not b.is_diagonal:
         raise NotDiagonal("operation restricted to diagonal encodings")
-    if np.iscomplexobj(b.op):
-        if np.max(np.abs(b.op.imag)) > 1e-12:
-            raise SpectrumOutOfRange("diagonal entries must be real")
-        return b.op.real.astype(np.float64)
-    return b.op.astype(np.float64)
+    return _real_entries(b.op)
 
 
 def _check_window(values: np.ndarray, lo: float, hi: float, what: str) -> None:
@@ -460,6 +469,38 @@ def dilated_apply(b: BlockEncoding, phi: StateVector) -> StateVector:
     return StateVector(u @ vec)
 
 
+def dilated_overlap(b: BlockEncoding, support: Sequence[int], amps,
+                    shots: int | None = None, seed=None) -> float:
+    """Re<(phi, 0)| U_b |(phi, 0)> for a state phi living on `support`.
+
+    phi has amplitude amps[k] at index support[k] and zero elsewhere;
+    U_b is the dilated unitary of the diagonal encoding b. Only the
+    entries b.op[support] are read, so the cost is O(len(support)) at
+    any dimension. Agrees with overlap(embedded phi, dilated_apply(b,
+    phi)), the full-vector route kept for verification, and emulates
+    shots through the same seeded Hadamard-test draw.
+    """
+    if not b.is_diagonal:
+        raise NotDiagonal("support-only overlap restricted to diagonal encodings")
+    idx = np.asarray(support)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise IndexOutOfRange("support must be a flat sequence of integer indices")
+    idx = idx.astype(np.intp)
+    if np.unique(idx).size != idx.size:
+        raise IndexOutOfRange("support indices must be distinct")
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= b.dim):
+        raise IndexOutOfRange(f"support indices must lie in [0, {b.dim})")
+    phi = np.asarray(amps, dtype=np.complex128).ravel()
+    if phi.shape[0] != idx.size:
+        raise DimMismatch(f"{phi.shape[0]} amplitudes for {idx.size} support indices")
+    _check_unit_norm(phi)
+    encoded = _real_entries(b.op[idx]) / b.subnorm
+    main = encoded * phi
+    garbage = np.sqrt(np.clip(1.0 - encoded ** 2, 0.0, None)) * phi
+    _check_unit_norm(np.concatenate([main, garbage]))
+    return _hadamard_test(float(np.real(np.vdot(phi, main))), shots, seed)
+
+
 def overlap(a: StateVector, b: StateVector, shots: int | None = None,
             seed=None) -> float:
     """Re<a|b>, exactly or through a Hadamard-test shot emulation.
@@ -470,7 +511,11 @@ def overlap(a: StateVector, b: StateVector, shots: int | None = None,
     """
     if a.dim != b.dim:
         raise DimMismatch(f"state dims differ: {a.dim} vs {b.dim}")
-    value = float(np.real(np.vdot(a.amps, b.amps)))
+    return _hadamard_test(float(np.real(np.vdot(a.amps, b.amps))), shots, seed)
+
+
+def _hadamard_test(value: float, shots: int | None, seed) -> float:
+    """value itself, or its seeded Hadamard-test estimate from `shots` draws."""
     if shots is None:
         return value
     if shots < 1:

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -131,7 +132,26 @@ def _parse_edges(raw: list[str] | None) -> list[tuple[int, int]] | None:
     return edges
 
 
+def _check_numeric_options(args: argparse.Namespace) -> None:
+    """Refuse out-of-range numeric options before any work starts."""
+    tol = getattr(args, "tol", 0.0)    # compare only
+    bounds = [
+        ("--shots", args.shots, args.shots is None or args.shots >= 1, "an integer >= 1"),
+        ("--seed", args.seed, args.seed is None or args.seed >= 0, "an integer >= 0"),
+        ("--cap", args.cap, args.cap >= 1, "an integer >= 1"),
+        ("--margin", args.margin, math.isfinite(args.margin) and args.margin >= 0,
+         "a finite number >= 0"),
+        ("--eps", args.eps, math.isfinite(args.eps) and args.eps > 0,
+         "a finite number > 0"),
+        ("--tol", tol, math.isfinite(tol) and tol >= 0, "a finite number >= 0"),
+    ]
+    for option, value, ok, expected in bounds:
+        if not ok:
+            raise ConfigError(f"{option} must be {expected}, got {value!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    _check_numeric_options(args)
     return RunConfig(
         command=args.command,
         input_path=args.input,
@@ -200,19 +220,11 @@ def _load_instance(cfg: RunConfig) -> _Instance:
         parse_float = float if cfg.numeric == "float" else Fraction
         try:
             obj = json.loads(text, parse_float=parse_float)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # JSONDecodeError, or an over-long integer
             raise ConfigError(f"invalid cost-matrix JSON: {exc}") from exc
         if not isinstance(obj, dict) or "cost" not in obj or "dxy" not in obj:
             raise ConfigError('cost-matrix input must be {"cost": [[...]], "dxy": r}')
-        cost = obj["cost"]
-        dxy = obj["dxy"]
-        if cfg.numeric == "float":
-            cost = [[float(v) for v in row] for row in cost]
-            dxy = float(dxy)
-        try:
-            nb = LocalNeighborhood.from_cost(cost, dxy)
-        except OrcError as exc:
-            raise ConfigError(f"bad cost-matrix fixture: {exc}") from exc
+        nb = _cost_fixture(obj["cost"], obj["dxy"], cfg.numeric)
         return _Instance(dg=None, is_tree=False, pairs=[((-1, -1), nb)])
     try:
         g = load_graph(text, format=cfg.format, numeric=cfg.numeric)
@@ -227,6 +239,26 @@ def _load_instance(cfg: RunConfig) -> _Instance:
             raise _SolverFailure((u, v), exc) from exc
         pairs.append(((u, v), nb))
     return _Instance(dg=dg, is_tree=verify_tree(g), pairs=pairs)
+
+
+def _cost_fixture(cost, dxy, numeric: str) -> LocalNeighborhood:
+    """Neighborhood of a cost-matrix fixture whose entries are all numbers."""
+    if not isinstance(cost, list) or not all(isinstance(row, list) for row in cost):
+        raise ConfigError(f'"cost" must be a list of rows, got {type(cost).__name__}')
+    for v in [*(v for row in cost for v in row), dxy]:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
+            raise ConfigError(f"cost-matrix value {v!r} is not a number")
+        if v < 0:
+            raise ConfigError(f"cost-matrix value {v!r} is negative")
+    try:
+        if numeric == "float":
+            cost = [[float(v) for v in row] for row in cost]
+            dxy = float(dxy)
+        return LocalNeighborhood.from_cost(cost, dxy)
+    except OverflowError as exc:
+        raise ConfigError(f"cost-matrix entry too large for float mode: {exc}") from exc
+    except OrcError as exc:
+        raise ConfigError(f"bad cost-matrix fixture: {exc}") from exc
 
 
 def _select_edges(cfg: RunConfig, g: Graph) -> list[tuple[int, int]]:

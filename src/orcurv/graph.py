@@ -230,6 +230,16 @@ def _parse_weight_token(tok: str, numeric: str) -> Weight:
     return w
 
 
+def _float_weight(w):
+    """float(w) for a number; anything else is left for _check_weight to refuse."""
+    if isinstance(w, bool) or not isinstance(w, (int, Fraction, float)):
+        return w
+    try:
+        return float(w)
+    except OverflowError as exc:
+        raise InvalidWeight(f"weight {w!r} does not fit a float") from exc
+
+
 def load_graph(source: Union[bytes, str, IO], format: str = "edge_list",
                numeric: str = "auto") -> Graph:
     """Parse a graph from an edge-list or JSON byte stream.
@@ -285,20 +295,22 @@ def _load_json(text: str, numeric: str) -> Graph:
     parse_float = float if numeric == "float" else Fraction
     try:
         obj = json.loads(text, parse_float=parse_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('JSON graph must be {"n": N, "edges": [...]}')
     n = obj["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(obj["edges"], list):
+        raise ParseError(f'"edges" must be a list, got {type(obj["edges"]).__name__}')
     edges = []
     for e in obj["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
             raise ParseError(f"edge {e!r} must be [u, v] or [u, v, w]")
         u, v = e[0], e[1]
         if len(e) == 3:
-            w = float(e[2]) if numeric == "float" else e[2]
+            w = _float_weight(e[2]) if numeric == "float" else e[2]
         else:
             w = 1.0 if numeric == "float" else 1
         edges.append((u, v, w))

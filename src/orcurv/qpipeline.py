@@ -202,7 +202,8 @@ def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
     """Overlap encoding the neighbor-distance sum around `center`.
 
     Prepares |i_x> (x) sum_i |nbrs[i]> with unit amplitude 1/sqrt(p),
-    applies the dilated encoding, and returns the overlap rescaled to the
+    reads its overlap with the dilated encoding from the p grid entries
+    it touches (bk.dilated_overlap), and returns it rescaled to the
     (p+1) convention that the recovery multiplier expects:
     sum_i d(center, nbrs[i]) / (alpha_q * (p + 1)). The audit trail
     records both the unit-state overlap and the rescaled one.
@@ -215,10 +216,8 @@ def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
         raise IndexOutOfRange("neighbor indices must be distinct")
     if not (0 <= center < n) or any(not 0 <= v < n for v in nbrs):
         raise IndexOutOfRange(f"indices must lie in [0, {n})")
-    phi = StateVector.uniform(n * n, [center * n + v for v in nbrs])
-    embedded = StateVector(np.concatenate([phi.amps, np.zeros(n * n)]))
-    out = bk.dilated_apply(be, phi)
-    raw = bk.overlap(embedded, out, shots=shots, seed=seed)
+    raw = bk.dilated_overlap(be, [center * n + v for v in nbrs],
+                             np.full(p, 1.0 / math.sqrt(p)), shots=shots, seed=seed)
     rescaled = raw * p / (p + 1)
     if audit is not None:
         audit.note("tree_overlap", center=center, p=p,
@@ -232,9 +231,7 @@ def _basis_pair_overlap(be: BlockEncoding, ix: int, iy: int,
     n = _grid_side(be)
     if not (0 <= ix < n and 0 <= iy < n):
         raise IndexOutOfRange(f"indices must lie in [0, {n})")
-    phi = StateVector.basis(n * n, ix * n + iy)
-    embedded = StateVector(np.concatenate([phi.amps, np.zeros(n * n)]))
-    return bk.overlap(embedded, bk.dilated_apply(be, phi), shots=shots, seed=seed)
+    return bk.dilated_overlap(be, [ix * n + iy], [1.0], shots=shots, seed=seed)
 
 
 def w1_tree_qsim(nb: LocalNeighborhood,

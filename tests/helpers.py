@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 import orcurv.qpipeline
-from orcurv.blockenc import PermutationSpec
+from orcurv.blockenc import PermutationSpec, StateVector, dilated_apply, overlap
 from orcurv.graph import Graph, LocalNeighborhood
 
 INF = math.inf
@@ -77,6 +77,16 @@ def permutation_matrix(perm: PermutationSpec) -> np.ndarray:
     for src, dst in enumerate(perm.map):
         m[dst, src] = 1.0
     return m
+
+
+def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:
+    """The dilated_overlap oracle: embed phi in all b.dim entries and
+    dilate the whole vector, as the tree pipeline once did per overlap."""
+    raw = np.zeros(b.dim, dtype=np.complex128)
+    raw[list(support)] = amps
+    phi = StateVector(raw)
+    embedded = StateVector(np.concatenate([phi.amps, np.zeros(b.dim)]))
+    return overlap(embedded, dilated_apply(b, phi), shots=shots, seed=seed)
 
 
 def corrupt_alpha_q(monkeypatch, module, scale: float) -> None:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import permutation_matrix
+from helpers import full_route_overlap, permutation_matrix
 from orcurv.blockenc import (
     BlockEncoding,
     PermutationSpec,
@@ -22,12 +22,14 @@ from orcurv.blockenc import (
     be_wrap,
     default_power_degree,
     dilated_apply,
+    dilated_overlap,
     overlap,
 )
 from orcurv.errors import (
     BadFactor,
     BadFactorization,
     DimMismatch,
+    IndexOutOfRange,
     InexactEncoding,
     NotDiagonal,
     SpectrumOutOfRange,
@@ -360,6 +362,57 @@ def test_garbage_orthogonality():
         main = np.concatenate([out.amps[:6], np.zeros(6)])
         garbage = np.concatenate([np.zeros(6), out.amps[6:]])
         assert abs(np.vdot(main, garbage)) <= 1e-12
+
+
+# --- support-only overlaps ----------------------------------------------------------
+
+def test_dilated_overlap_matches_full_route():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        dim = int(rng.integers(1, 40))
+        vals = rng.uniform(-1.0, 1.0, dim)
+        if trial % 3 == 0:
+            vals = vals + 0j    # complex storage with a zero imaginary part
+        b = be_wrap(vals, float(rng.uniform(1.0, 2.0)))
+        k = int(rng.integers(1, dim + 1))
+        support = rng.permutation(dim)[:k]
+        amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        amps /= np.linalg.norm(amps)
+        assert abs(dilated_overlap(b, support, amps)
+                   - full_route_overlap(b, support, amps)) <= 1e-15
+
+
+def test_dilated_overlap_draws_the_full_route_shots():
+    # dyadic entries and amplitudes: both routes compute the same value
+    # exactly, so a shared seed must give the same Bernoulli count
+    b = be_wrap(np.array([0.25, -0.5, 0.75, 0.125, 0.0, 0.5]), 1.0)
+    cases = [([3], [1.0]), ([0, 2, 3, 5], [0.5, -0.5, 0.5j, 0.5]), ([4, 1], [0.6, 0.8])]
+    for support, amps in cases:
+        exact = full_route_overlap(b, support, amps)
+        assert dilated_overlap(b, support, amps) == exact
+        for seed in (0, 1, 42):
+            for shots in (1, 37, 10 ** 5):
+                assert dilated_overlap(b, support, amps, shots=shots, seed=seed) == \
+                    full_route_overlap(b, support, amps, shots=shots, seed=seed)
+
+
+def test_dilated_overlap_refuses_what_the_full_route_refuses():
+    b = be_wrap(np.array([0.1, 0.2, 0.3, 0.4]), 1.0)
+    with pytest.raises(NotDiagonal):
+        dilated_overlap(be_wrap(np.eye(4) * 0.5, 1.0), [0], [1.0])
+    with pytest.raises(IndexOutOfRange):
+        dilated_overlap(b, [1, 1], [0.6, 0.8])
+    for bad in ([4], [-1], [0, 7], [0.5], [[0, 1]]):
+        with pytest.raises(IndexOutOfRange):
+            dilated_overlap(b, bad, np.full(len(bad), 1 / math.sqrt(len(bad))))
+    with pytest.raises(ValueError, match="unit norm"):
+        dilated_overlap(b, [0, 1], [1.0, 1.0])
+    with pytest.raises(DimMismatch):
+        dilated_overlap(b, [0, 1], [1.0])
+    with pytest.raises(SpectrumOutOfRange):
+        dilated_overlap(BlockEncoding(op=np.array([0.1, 0.5j]), subnorm=1.0), [1], [1.0])
+    with pytest.raises(ValueError, match="shots"):
+        dilated_overlap(b, [0], [1.0], shots=0)
 
 
 # --- overlaps ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import orcurv.blockenc
 import orcurv.cli
 import orcurv.graph
 import orcurv.qpipeline
@@ -313,6 +314,90 @@ def test_out_of_range_shot_estimate_is_solver_error(path4, capsys):
     assert code == 3
     assert out == ""
     assert "EstimateOutOfRange" in err and "edge (1, 2)" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--shots", "0"), ("--shots", "-5"),
+    ("--margin", "-1"), ("--margin", "nan"), ("--margin", "inf"),
+    ("--seed", "-1"),
+    ("--eps", "0"), ("--eps", "-0.5"), ("--eps", "nan"),
+    ("--cap", "0"),
+    ("--tol", "-1"), ("--tol", "nan"),
+])
+def test_out_of_range_numeric_option_is_config_error(path4, capsys, option, value):
+    code, out, err = run_cli(["compare", "--input", str(path4), "--all-edges",
+                              option, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"config error: {option} must be" in err
+
+
+def test_negative_seed_refused_for_qsim_pq(tmp_path, capsys):
+    square = tmp_path / "sq.json"
+    square.write_text(json.dumps({"cost": [[1, 2], [3, 4]], "dxy": 1}))
+    code, out, err = run_cli(["compute", "--input", str(square), "--format", "cost_matrix",
+                              "--method", "qsim_pq", "--seed", "-1"], capsys)
+    assert code == 2
+    assert "--seed must be" in err
+
+
+@pytest.mark.parametrize("fixture", [
+    {"cost": [["a", 2]], "dxy": 1},
+    {"cost": [[1, 2]], "dxy": "x"},
+    {"cost": 5, "dxy": 1},
+    {"cost": [5, 6], "dxy": 1},
+    {"cost": [[1, 2], [3]], "dxy": 1},
+    {"cost": [[True, 2]], "dxy": 1},
+    {"cost": [[1, 2]], "dxy": False},
+    {"cost": [[1, -2]], "dxy": 1},
+    {"cost": [[1, 2]], "dxy": None},
+], ids=["str-entry", "str-dxy", "int-cost", "flat-rows", "ragged", "bool-entry",
+        "bool-dxy", "negative-entry", "null-dxy"])
+@pytest.mark.parametrize("numeric", ["rational", "float"])
+def test_malformed_cost_matrix_is_config_error(tmp_path, capsys, fixture, numeric):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(fixture))
+    code, out, err = run_cli(["compute", "--input", str(path), "--format", "cost_matrix",
+                              "--method", "lp", "--numeric", numeric], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 3, "edges": 5},
+    {"n": 3, "edges": {"0": 1}},
+    {"n": True, "edges": [[0, 1]]},
+    {"n": 3, "edges": [[0, 1, "w"]]},
+], ids=["int-edges", "dict-edges", "bool-n", "str-weight"])
+@pytest.mark.parametrize("numeric", ["rational", "float"])
+def test_malformed_json_graph_is_config_error(tmp_path, capsys, graph, numeric):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(["compute", "--input", str(path), "--format", "json",
+                              "--edge", "0,1", "--numeric", numeric], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot parse input" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--shots", "100000"]], ids=["exact", "shots"])
+def test_tree_compare_never_dilates_a_full_vector(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree pipeline built a full-dimension state")
+
+    monkeypatch.setattr(orcurv.blockenc, "dilated_apply", refuse)
+    monkeypatch.setattr(orcurv.blockenc, "overlap", refuse)
+    monkeypatch.setattr(orcurv.blockenc.StateVector, "uniform", classmethod(refuse))
+    monkeypatch.setattr(orcurv.blockenc.StateVector, "basis", classmethod(refuse))
+    graph = tmp_path / "tree.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n")
+    code, out, _ = run_cli(["compare", "--input", str(graph), "--all-edges",
+                            "--seed", "9", *argv], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"]["qsim_method"] == "qsim_tree"
+    assert len(report["records"]) == 4
 
 
 def test_module_entry_point(tmp_path):

@@ -1,0 +1,152 @@
+"""Property tests: ingest never raises outside OrcError; solver identities.
+
+Derandomized and bounded, so the suite stays deterministic and quick.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import internal_edges
+from orcurv.cli import main
+from orcurv.errors import OrcError
+from orcurv.graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
+from orcurv.transport import curvature, lp_vertex_oracle, w1_lp
+
+BOUNDED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+#: characters that matter to the parsers, plus a few unicode look-alikes
+#: (an Arabic-Indic digit, a no-break space, a line separator, a BOM, NUL);
+#: a fixed alphabet also spares hypothesis its unicode tables
+ALPHABET = list("0123456789 -+.eE/#\n\t{}[]\":,nNaIfxy\u0663\u00a0\u2028\ufeff\x00")
+texts = st.text(alphabet=ALPHABET, max_size=60)
+
+json_scalars = (st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(alphabet=ALPHABET, max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(alphabet=ALPHABET, max_size=4), inner, max_size=3)),
+    max_leaves=12)
+small_numbers = (st.integers(-3, 12) | st.floats(-1.0, 1e3) | st.booleans()
+                 | st.just(float("nan")) | st.just(float("inf"))
+                 | st.text(alphabet=ALPHABET, max_size=2))
+
+
+@st.composite
+def json_graphs(draw):
+    """Text shaped like a JSON graph, well-formed or not."""
+    edge = st.lists(small_numbers, min_size=0, max_size=4)
+    n = draw(st.integers(0, 8) if draw(st.booleans()) else small_numbers)
+    edges = draw(st.sampled_from([st.lists(edge, max_size=6), st.lists(json_values, max_size=3),
+                                  json_scalars, json_values]))
+    return json.dumps({"n": n, "edges": draw(edges)})
+
+
+@st.composite
+def edge_lists(draw):
+    """Text shaped like an edge list: lines of tokens, well-formed or not."""
+    token = (st.integers(-2, 9).map(str) | st.sampled_from(["1.5", "2/3", "0", "-1", "nan",
+                                                            "inf", "1e400", "x", "#", "1/0"])
+             | st.text(alphabet=ALPHABET, max_size=3))
+    lines = st.lists(st.lists(token, max_size=4).map(" ".join), max_size=8)
+    return "\n".join(draw(lines))
+
+
+@st.composite
+def cost_fixtures(draw):
+    """Text shaped like a cost-matrix fixture, well-formed or not."""
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cost = draw(st.lists(st.lists(small_numbers, min_size=q, max_size=q), min_size=p,
+                         max_size=p) | json_values)
+    obj = {"cost": cost, "dxy": draw(small_numbers)}
+    if draw(st.booleans()):
+        obj = draw(st.sampled_from([{"cost": cost}, [cost]]) | json_values)
+    return json.dumps(obj)
+
+
+@BOUNDED
+@given(texts | edge_lists(), st.sampled_from(["auto", "rational", "float"]))
+def test_edge_list_ingest_succeeds_or_raises_orc_error(text, numeric):
+    try:
+        g = load_graph(text, format="edge_list", numeric=numeric)
+    except OrcError:
+        return
+    assert g.edge_count >= 1
+
+
+@BOUNDED
+@given(texts | json_graphs() | json_values.map(json.dumps),
+       st.sampled_from(["auto", "rational", "float"]))
+def test_json_ingest_succeeds_or_raises_orc_error(text, numeric):
+    try:
+        g = load_graph(text, format="json", numeric=numeric)
+    except OrcError:
+        return
+    assert g.vertex_count >= 1
+
+
+@pytest.fixture(scope="module")
+def fixture_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fixture.json"
+
+
+@BOUNDED
+@given(text=texts | cost_fixtures(),
+       numeric=st.sampled_from(["rational", "float"]))
+def test_cost_matrix_cli_exits_0_2_or_3(fixture_path, text, numeric):
+    fixture_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", "--input", str(fixture_path), "--format", "cost_matrix",
+                     "--numeric", numeric])
+    assert code in (0, 2, 3)
+    assert (out.getvalue() != "") == (code == 0)
+
+
+@st.composite
+def cost_blocks(draw):
+    p = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 9 - p))
+    cost = draw(st.lists(st.lists(st.integers(0, 20), min_size=q, max_size=q),
+                         min_size=p, max_size=p))
+    return LocalNeighborhood.from_cost(cost, draw(st.integers(1, 5)))
+
+
+@settings(BOUNDED, max_examples=80)
+@given(cost_blocks())
+def test_w1_lp_equals_vertex_oracle(nb):
+    assert w1_lp(nb).cost_value == lp_vertex_oracle(nb)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A connected integer-weighted graph: a random tree plus a few chords."""
+    n = draw(st.integers(3, 9))
+    weight = st.integers(1, 9)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=6)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), draw(weight))
+    return Graph(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
+
+
+@settings(BOUNDED, max_examples=60)
+@given(weighted_graphs(), st.integers(1, 12), st.integers(1, 5))
+def test_scaling_weights_scales_w1_and_keeps_curvature(g, num, den):
+    k = Fraction(num, den)
+    scaled = g.scaled(k)
+    dg, dg_k = all_pairs_geodesic(g), all_pairs_geodesic(scaled)
+    for x, y in internal_edges(g):
+        base = curvature(neighborhood(g, dg, x, y), method="lp")
+        big = curvature(neighborhood(scaled, dg_k, x, y), method="lp")
+        assert big.w1 == k * base.w1
+        assert big.curvature == base.curvature

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import orcurv.qpipeline
-from helpers import corrupt_alpha_q, internal_edges, random_cost_matrix, random_tree
+from helpers import (
+    corrupt_alpha_q,
+    full_route_overlap,
+    internal_edges,
+    random_cost_matrix,
+    random_tree,
+)
 from orcurv.blockenc import be_product, be_wrap
 from orcurv.errors import (
     DegenerateAllZero,
@@ -137,6 +143,29 @@ def test_overlap_sum_random_recovery():
         ov = tree_overlap_sum(be, meta, x, nb.X)
         recovered = ov * meta.alpha_q * (nb.p + 1)
         assert recovered == pytest.approx(sum(float(v) for v in nb.x_dists), abs=1e-10)
+
+
+def test_tree_overlaps_match_full_vector_route():
+    # the support-only overlaps against the N^2-vector dilation they replace
+    rng = random.Random(23)
+    g = random_tree(30, rng, max_weight=3)
+    dg = all_pairs_geodesic(g)
+    be, meta = build_distance_encoding(dg)
+    n = g.vertex_count
+    pair_overlap = orcurv.qpipeline._basis_pair_overlap
+    for x, y in internal_edges(g):
+        nb = neighborhood(g, dg, x, y)
+        for center, nbrs in ((x, nb.X), (y, nb.Y)):
+            p = len(nbrs)
+            support, amps = [center * n + v for v in nbrs], np.full(p, 1 / math.sqrt(p))
+            unit = full_route_overlap(be, support, amps)
+            assert abs(tree_overlap_sum(be, meta, center, nbrs) - unit * p / (p + 1)) <= 1e-15
+            drawn = full_route_overlap(be, support, amps, shots=1000, seed=center)
+            assert tree_overlap_sum(be, meta, center, nbrs, shots=1000, seed=center) == \
+                drawn * p / (p + 1)
+        assert pair_overlap(be, x, y) == full_route_overlap(be, [x * n + y], [1.0])
+        assert pair_overlap(be, x, y, shots=1000, seed=x) == \
+            full_route_overlap(be, [x * n + y], [1.0], shots=1000, seed=x)
 
 
 def test_overlap_sum_index_validation():
