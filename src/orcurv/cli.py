@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, OrcError, UnknownFixture
+from .errors import ConfigError, InvalidWeight, OrcError, UnknownFixture
 from .graph import (
     GeodesicMatrix,
     Graph,
@@ -32,6 +32,7 @@ from .graph import (
     all_pairs_geodesic,
     load_graph,
     neighborhood,
+    parse_fraction,
 )
 from .qpipeline import (
     AuditTrail,
@@ -217,10 +218,11 @@ def _load_instance(cfg: RunConfig) -> _Instance:
     except OSError as exc:
         raise ConfigError(f"cannot read input {cfg.input_path!r}: {exc}") from exc
     if cfg.format == "cost_matrix":
-        parse_float = float if cfg.numeric == "float" else Fraction
+        parse_float = float if cfg.numeric == "float" else parse_fraction
         try:
             obj = json.loads(text, parse_float=parse_float)
-        except ValueError as exc:    # JSONDecodeError, or an over-long integer
+        except (ValueError, InvalidWeight) as exc:
+            # JSONDecodeError, an over-long integer, or an over-long exponent
             raise ConfigError(f"invalid cost-matrix JSON: {exc}") from exc
         if not isinstance(obj, dict) or "cost" not in obj or "dxy" not in obj:
             raise ConfigError('cost-matrix input must be {"cost": [[...]], "dxy": r}')

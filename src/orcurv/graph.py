@@ -40,6 +40,11 @@ INF = math.inf
 #: densities above this (for N <= 512) switch the APSP to Floyd-Warshall
 _DENSE_THRESHOLD = 0.5
 
+#: largest decimal exponent magnitude a rational weight may carry. It is
+#: three times float range, yet Fraction("1e1000") expands in microseconds,
+#: where an unbounded exponent (1e999999999) would stall on a 10^9-digit int.
+MAX_DECIMAL_EXPONENT = 1000
+
 
 def _is_rational(value: Weight) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
@@ -216,6 +221,26 @@ class LocalNeighborhood:
 # ingestion
 # --------------------------------------------------------------------------
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond MAX_DECIMAL_EXPONENT.
+
+    The exponent is read before the number is expanded, so a refusal
+    costs no more than reading the text. Raises InvalidWeight for a large
+    exponent and ValueError (or ZeroDivisionError) for text that is not a
+    number.
+    """
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            magnitude = abs(int(exponent))
+        except ValueError:
+            magnitude = 0    # not an exponent: Fraction refuses the text below
+        if magnitude > MAX_DECIMAL_EXPONENT:
+            raise InvalidWeight(f"exponent of {text[:40]!r} is beyond "
+                                f"+-{MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
+
+
 def _parse_weight_token(tok: str, numeric: str) -> Weight:
     try:
         if numeric == "float":
@@ -224,7 +249,7 @@ def _parse_weight_token(tok: str, numeric: str) -> Weight:
             try:
                 w = int(tok)
             except ValueError:
-                w = Fraction(tok)
+                w = parse_fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidWeight(f"cannot parse weight {tok!r}") from exc
     return w
@@ -247,7 +272,8 @@ def load_graph(source: Union[bytes, str, IO], format: str = "edge_list",
     Edge list: one "u v [w]" per line, '#' comments, weights default to 1.
     JSON: {"n": N, "edges": [[u, v, w], ...]} with w optional per edge.
     numeric is "auto" (exact rationals for integer/decimal input),
-    "rational", or "float".
+    "rational", or "float". In the exact modes a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT is refused with InvalidWeight.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -292,7 +318,7 @@ def _load_edge_list(text: str, numeric: str) -> Graph:
 
 
 def _load_json(text: str, numeric: str) -> Graph:
-    parse_float = float if numeric == "float" else Fraction
+    parse_float = float if numeric == "float" else parse_fraction
     try:
         obj = json.loads(text, parse_float=parse_float)
     except ValueError as exc:    # JSONDecodeError, or an over-long integer
@@ -346,14 +372,17 @@ def _floyd_warshall(adj, n: int) -> list[tuple[Weight, ...]]:
             if w < d[u][v]:
                 d[u][v] = w
     for k in range(n):
-        dk = d[k]
+        # INF + anything is never shorter, and an exact weight beyond float
+        # range cannot be added to the float INF at all: skip row k's INF
+        # entries once per k, not once per (i, j)
+        finite_k = [(j, dkj) for j, dkj in enumerate(d[k]) if dkj != INF]
         for i in range(n):
             dik = d[i][k]
             if dik == INF:
                 continue
             di = d[i]
-            for j in range(n):
-                alt = dik + dk[j]
+            for j, dkj in finite_k:
+                alt = dik + dkj
                 if alt < di[j]:
                     di[j] = alt
     return [tuple(row) for row in d]

@@ -134,11 +134,20 @@ class AuditTrail:
 # distance encoding (shared by both cases)
 # --------------------------------------------------------------------------
 
+def _float_grid(rows) -> np.ndarray:
+    """float64 copy of exact distances; one beyond float range is refused."""
+    try:
+        if isinstance(rows, GeodesicMatrix):
+            return rows.float_array
+        return np.asarray([[float(x) for x in row] for row in rows], dtype=np.float64)
+    except OverflowError as exc:
+        raise InfiniteDistance(
+            "a distance is beyond float range; the simulated pipelines run in "
+            "float64 (the classical methods stay exact)") from exc
+
+
 def _distance_rows(dg) -> np.ndarray:
-    if isinstance(dg, GeodesicMatrix):
-        arr = dg.float_array
-    else:
-        arr = np.asarray([[float(x) for x in row] for row in dg], dtype=np.float64)
+    arr = _float_grid(dg)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatch("distance matrix must be square")
     return arr
@@ -573,7 +582,7 @@ def cost_grid(cost) -> np.ndarray:
     """
     p, q = len(cost), len(cost[0])
     rows = np.zeros((p + q, p + q))
-    block = np.array([[float(v) for v in row] for row in cost])
+    block = _float_grid(cost)
     rows[:p, p:] = block
     rows[p:, :p] = block.T
     return rows

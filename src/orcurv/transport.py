@@ -1,14 +1,21 @@
 """Exact Wasserstein-1 solvers and curvature assembly.
 
-Every solver here runs its combinatorial core in exact rational
-arithmetic: float inputs are lifted to Fractions (floats are dyadic
-rationals, so this is lossless), solved exactly, and converted back on
-output. That makes the cross-solver identities equality-based.
+Every solver here runs its combinatorial core in exact arithmetic:
+float inputs are read as the dyadic rationals they are (losslessly),
+solved exactly, and converted back on output. That makes the
+cross-solver identities equality-based.
 
 Solvers:
-  w1_lp           general transport LP as an integral min-cost flow
-                  (supplies/demands scaled by p*q, successive shortest
-                  augmenting paths with potentials)
+  w1_lp           general transport LP on the complete bipartite graph
+                  K_{p,q}: supplies 1/p and demands 1/q are scaled by p*q
+                  to the integers q and p, and the cost block is lifted to
+                  integers over one common denominator (a float through
+                  float.as_integer_ratio, never one Fraction per entry).
+                  Successive shortest paths with potentials return an
+                  integer flow. TransportPlan checks its marginals in
+                  ints and builds gamma = flow / (p*q) only when read; the
+                  final potentials are a dual certificate, checked in
+                  ints, that the plan is optimal.
   w1_tree         decomposable-cost closed form for tree graphs
   w1_assignment   exact Hungarian assignment for the p = q case
   w1_bruteforce   exhaustive permutation minimum (oracle, p <= 9)
@@ -19,12 +26,12 @@ Solvers:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import (
@@ -35,7 +42,7 @@ from .errors import (
     NotATree,
     TooLarge,
 )
-from .graph import Graph, LocalNeighborhood, Weight, verify_tree
+from .graph import Graph, LocalNeighborhood, Weight, _is_rational, verify_tree
 
 CLASSICAL_METHODS = ("lp", "tree", "assignment", "brute_force")
 QSIM_METHODS = ("qsim_tree", "qsim_pq")
@@ -51,22 +58,35 @@ _VERTEX_ORACLE_CAP = 9
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Optimal transport plan gamma with uniform marginals 1/p and 1/q."""
+    """Optimal transport plan as an integer flow on the p*q-scaled LP.
+
+    flow[i][j] = p*q * gamma[i][j]: every row sums to q, every column to
+    p, and no entry is negative. The marginals are checked on these
+    integers; gamma, the plan with marginals 1/p and 1/q as Fractions, is
+    built only when read.
+    """
 
     p: int
     q: int
-    gamma: tuple[tuple[Fraction, ...], ...]
+    flow: tuple[tuple[int, ...], ...]
     cost_value: Weight
 
     def __post_init__(self) -> None:
-        for i in range(self.p):
-            if sum(self.gamma[i]) != Fraction(1, self.p):
+        if len(self.flow) != self.p or any(len(row) != self.q for row in self.flow):
+            raise AssertionError("flow shape does not match p x q")
+        for i, row in enumerate(self.flow):
+            if sum(row) != self.q:
                 raise AssertionError(f"row {i} marginal violated")
-        for j in range(self.q):
-            if sum(row[j] for row in self.gamma) != Fraction(1, self.q):
+        for j, col in enumerate(zip(*self.flow)):
+            if sum(col) != self.p:
                 raise AssertionError(f"column {j} marginal violated")
-        if any(x < 0 for row in self.gamma for x in row):
+        if any(x < 0 for row in self.flow for x in row):
             raise AssertionError("negative transport mass")
+
+    @cached_property
+    def gamma(self) -> tuple[tuple[Fraction, ...], ...]:
+        n = self.p * self.q
+        return tuple(tuple(Fraction(f, n) for f in row) for row in self.flow)
 
 
 @dataclass(frozen=True)
@@ -141,121 +161,164 @@ def _emit(value: Fraction | int, rational: bool) -> Weight:
     return value if rational else float(value)
 
 
-def _lcm_denominator(rows: list[list[Fraction | int]]) -> int:
-    den = 1
-    for row in rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-    return den
+def _lift_block(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int, bool]:
+    """One pass over a cost block: (integer block, common denominator, rational).
 
-
-# --------------------------------------------------------------------------
-# min-cost flow (general LP route)
-# --------------------------------------------------------------------------
-
-class _MinCostFlow:
-    """Successive shortest augmenting paths with Johnson potentials.
-
-    Integer capacities and costs only; with nonnegative costs the
-    potentials keep all reduced costs nonnegative, so plain Dijkstra
-    applies and the arithmetic stays exact.
+    block[i][j] / den == cost[i][j] exactly. A float enters through
+    float.as_integer_ratio(), whose denominator is a power of two, so no
+    entry becomes a Fraction. rational is False when any entry is a float
+    (or otherwise not an int or Fraction).
     """
+    if all(type(x) is int for row in cost for x in row):
+        return [list(row) for row in cost], 1, True
+    ratios = []
+    rational = True
+    for row in cost:
+        out = []
+        for x in row:
+            if isinstance(x, float):
+                if not math.isfinite(x):
+                    raise InfiniteCost(f"cost entry {x!r} is not finite")
+                rational = False
+                out.append(x.as_integer_ratio())
+            else:
+                rational = rational and _is_rational(x)
+                out.append((x.numerator, x.denominator))
+        ratios.append(out)
+    den = math.lcm(*{d for row in ratios for _, d in row})
+    return [[n * (den // d) for n, d in row] for row in ratios], den, rational
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
 
-    def add(self, u: int, v: int, cap: int, cost: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return idx
+# --------------------------------------------------------------------------
+# bipartite transport (general LP route)
+# --------------------------------------------------------------------------
 
-    def run(self, s: int, t: int, target_flow: int) -> int:
-        n = self.n
-        potential = [0] * n
-        flow = 0
-        total_cost = 0
-        while flow < target_flow:
-            dist = [None] * n
-            dist[s] = 0
-            prev_arc = [-1] * n
-            heap = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if dist[u] is not None and d > dist[u]:
+def _transport(c: list[list[int]], p: int, q: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Integral min-cost transport on K_{p,q}: supply q per row, demand p per column.
+
+    Successive shortest paths with Johnson potentials. Every row with
+    supply left is a Dijkstra source at distance 0 (such rows keep
+    potential 0) and the first column settled with demand left is the
+    sink; every column with demand left keeps one common potential, so
+    no explicit source or sink node is needed. Forward arcs row -> column
+    are scanned for every column; reverse arcs column -> row only where
+    the flow is positive. After each search every potential grows by
+    min(dist, dist[sink]), which keeps all reduced costs nonnegative.
+
+    Returns the flow matrix and the final row and column potentials.
+    """
+    inf = math.inf
+    flow = [[0] * q for _ in range(p)]
+    used: list[dict[int, int]] = [{} for _ in range(q)]   # used[j][i] = flow[i][j] > 0
+    supply = [q] * p
+    demand = [p] * q
+    pot_r = [0] * p
+    pot_c = [0] * q
+    cols = range(q)
+    left = p * q
+    while left:
+        # heap entries are (distance, i) for row i and (distance, ~j) for column j
+        dist_r = [inf] * p
+        dist_c = [inf] * q
+        prev_r = [-1] * p    # column whose reverse arc reached the row; -1 for a source
+        prev_c = [0] * q     # row whose forward arc reached the column
+        heap = [(0, i) for i in range(p) if supply[i]]
+        for _, i in heap:
+            dist_r[i] = 0
+        sink = 0
+        while heap:
+            d, v = heappop(heap)
+            if v >= 0:
+                if d > dist_r[v]:
                     continue
-                for idx in self.head[u]:
-                    if self.cap[idx] <= 0:
-                        continue
-                    v = self.to[idx]
-                    nd = d + self.cost[idx] + potential[u] - potential[v]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v] = nd
-                        prev_arc[v] = idx
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] is None:
-                raise InfiniteCost("flow network disconnected")  # pragma: no cover
-            for v in range(n):
-                if dist[v] is not None:
-                    potential[v] += dist[v]
-            push = target_flow - flow
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                push = min(push, self.cap[idx])
-                v = self.to[idx ^ 1]
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                self.cap[idx] -= push
-                self.cap[idx ^ 1] += push
-                total_cost += push * self.cost[idx]
-                v = self.to[idx ^ 1]
-            flow += push
-        return total_cost
+                base = d + pot_r[v]
+                for j, cij, pj, dj in zip(cols, c[v], pot_c, dist_c):
+                    nd = base + cij - pj
+                    if nd < dj:
+                        dist_c[j] = nd
+                        prev_c[j] = v
+                        heappush(heap, (nd, ~j))
+            else:
+                j = ~v
+                if d > dist_c[j]:
+                    continue
+                if demand[j]:
+                    sink = j
+                    break
+                base = d + pot_c[j]
+                for i in used[j]:
+                    nd = base - c[i][j] - pot_r[i]
+                    if nd < dist_r[i]:
+                        dist_r[i] = nd
+                        prev_r[i] = j
+                        heappush(heap, (nd, i))
+        # every column is one arc from a source row, so a sink is always found
+        top = dist_c[sink]
+        pot_r = [pr + (d if d < top else top) for pr, d in zip(pot_r, dist_r)]
+        pot_c = [pc + (d if d < top else top) for pc, d in zip(pot_c, dist_c)]
+        # bottleneck along the path sink <- row <- column <- ... <- source row
+        push = demand[sink]
+        j = sink
+        while True:
+            i = prev_c[j]
+            if prev_r[i] < 0:
+                push = min(push, supply[i])
+                break
+            j = prev_r[i]
+            push = min(push, flow[i][j])
+        demand[sink] -= push
+        j = sink
+        while True:
+            i = prev_c[j]
+            flow[i][j] += push
+            used[j][i] = flow[i][j]
+            if prev_r[i] < 0:
+                supply[i] -= push
+                break
+            j = prev_r[i]
+            flow[i][j] -= push
+            if flow[i][j]:
+                used[j][i] = flow[i][j]
+            else:
+                del used[j][i]
+        left -= push
+    return flow, pot_r, pot_c
+
+
+def _check_dual(c: list[list[int]], flow: list[list[int]],
+                pot_r: list[int], pot_c: list[int]) -> None:
+    """Optimality certificate, in integers.
+
+    Every reduced cost c_ij + pot_r[i] - pot_c[j] is nonnegative, and it
+    is zero wherever flow[i][j] > 0. With a feasible flow this is
+    complementary slackness: the potentials are a dual solution of equal
+    value, so no plan costs less.
+    """
+    for i, (row, frow) in enumerate(zip(c, flow)):
+        pi = pot_r[i]
+        for cij, f, pj in zip(row, frow, pot_c):
+            reduced = cij + pi - pj
+            if reduced < 0 or (f and reduced):
+                raise AssertionError(f"dual certificate violated in row {i}")
 
 
 def w1_lp(nb: LocalNeighborhood) -> TransportPlan:
     """Globally optimal transport plan for the uniform-marginal LP.
 
-    Supplies 1/p and demands 1/q are scaled by p*q to integers, solved as
-    a min-cost flow, and divided back, so the optimum is exact.
+    Supplies 1/p and demands 1/q are scaled by p*q to the integers q and
+    p, the cost block is lifted to integers over one common denominator,
+    and the bipartite solver returns an integer flow whose optimality its
+    final potentials certify. Dividing back gives the exact optimum.
     """
     p, q = nb.p, nb.q
-    if any(x == math.inf for row in nb.cost for x in row):
-        raise InfiniteCost("cost matrix contains +inf")
-    exact_cost = _exact_matrix(nb.cost)
-    den = _lcm_denominator(exact_cost)
-    int_cost = [[int(x * den) for x in row] for row in exact_cost]
-
-    s, t = 0, p + q + 1
-    mcf = _MinCostFlow(p + q + 2)
-    for i in range(p):
-        mcf.add(s, 1 + i, q, 0)
-    mid_arcs = [[mcf.add(1 + i, 1 + p + j, q, int_cost[i][j]) for j in range(q)]
-                for i in range(p)]
-    for j in range(q):
-        mcf.add(1 + p + j, t, p, 0)
-    total = mcf.run(s, t, p * q)
-
-    gamma = tuple(
-        tuple(Fraction(q - mcf.cap[mid_arcs[i][j]], p * q) for j in range(q))
-        for i in range(p)
-    )
+    c, den, rational = _lift_block(nb.cost)
+    flow, pot_r, pot_c = _transport(c, p, q)
+    _check_dual(c, flow, pot_r, pot_c)
+    total = sum(f * cij for row, frow in zip(c, flow) for cij, f in zip(row, frow))
     value = Fraction(total, den * p * q)
-    return TransportPlan(p=p, q=q, gamma=gamma,
-                         cost_value=_emit(value, nb.rational))
+    rational = rational and _is_rational(nb.dxy)
+    return TransportPlan(p=p, q=q, flow=tuple(map(tuple, flow)),
+                         cost_value=_emit(value, rational))
 
 
 # --------------------------------------------------------------------------
@@ -497,11 +560,7 @@ def lp_vertex_oracle(nb: LocalNeighborhood) -> Weight:
     p, q = nb.p, nb.q
     if p + q > _VERTEX_ORACLE_CAP:
         raise TooLarge(f"vertex oracle capped at p + q <= {_VERTEX_ORACLE_CAP}")
-    if any(x == math.inf for row in nb.cost for x in row):
-        raise InfiniteCost("cost matrix contains +inf")
-    exact_cost = _exact_matrix(nb.cost)
-    den = _lcm_denominator(exact_cost)
-    int_cost = [[int(x * den) for x in row] for row in exact_cost]
+    int_cost, den, _ = _lift_block(nb.cost)
     solutions, _ = _basic_solutions(p, q)
     best = min(sum(f * int_cost[i][j] for i, j, f in sol) for sol in solutions)
     return _emit(Fraction(best, den * p * q), nb.rational)

@@ -381,6 +381,51 @@ def test_malformed_json_graph_is_config_error(tmp_path, capsys, graph, numeric):
     assert "cannot parse input" in err
 
 
+@pytest.mark.parametrize("method", ["lp", "tree", "assignment", "brute_force"])
+def test_weight_beyond_float_range_is_exact(tmp_path, capsys, method):
+    # a dense path (Floyd-Warshall) whose one weight no float can hold
+    path = tmp_path / "big.txt"
+    path.write_text("0 1 1e400\n1 2\n2 3\n")
+    code, out, err = run_cli(["compute", "--input", str(path), "--method", method,
+                              "--edge", "1,2"], capsys)
+    assert code == 0, err
+    rec = json.loads(out)["records"][0]
+    assert rec["w1"] == 10 ** 400 + 2
+    assert rec["curvature"] == -(10 ** 400) - 1
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["compute", "--method", "qsim_tree", "--edge", "1,2"], "0 1 1e400\n1 2\n2 3\n"),
+    (["compute", "--method", "qsim_pq", "--edge", "1,2"], "0 1 1e400\n1 2\n2 3\n"),
+    (["compare", "--edge", "1,2"], "0 1 1e400\n1 2\n2 3\n"),
+    (["compute", "--method", "qsim_pq", "--format", "cost_matrix"],
+     '{"cost": [[1e400, 2], [1, 1]], "dxy": 1}'),
+], ids=["qsim_tree", "qsim_pq", "compare", "qsim_pq-cost-matrix"])
+def test_weight_beyond_float_range_refused_by_qsim(tmp_path, capsys, argv, text):
+    path = tmp_path / "big.in"
+    path.write_text(text)
+    code, out, err = run_cli(argv + ["--input", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "InfiniteDistance" in err and "float range" in err
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("edge_list", "0 1 1e999999999\n1 2\n"),
+    ("json", '{"n": 3, "edges": [[0, 1, 1e999999999], [1, 2]]}'),
+    ("cost_matrix", '{"cost": [[1e999999999, 2]], "dxy": 1}'),
+    ("cost_matrix", '{"cost": [[1, 2]], "dxy": 1e-999999999}'),
+], ids=["edge_list", "json", "cost_matrix", "cost_matrix-dxy"])
+def test_huge_decimal_exponent_is_config_error(tmp_path, capsys, fmt, text):
+    path = tmp_path / "huge.in"
+    path.write_text(text)
+    code, out, err = run_cli(["compute", "--input", str(path), "--format", fmt,
+                              "--edge", "0,1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exponent" in err
+
+
 @pytest.mark.parametrize("argv", [[], ["--shots", "100000"]], ids=["exact", "shots"])
 def test_tree_compare_never_dilates_a_full_vector(tmp_path, capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):

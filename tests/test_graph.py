@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from orcurv.errors import (
     SelfLoop,
 )
 from orcurv.graph import (
+    MAX_DECIMAL_EXPONENT,
     Graph,
     LocalNeighborhood,
     all_pairs_geodesic,
@@ -169,6 +171,37 @@ def test_dijkstra_equals_floyd_warshall():
         a = all_pairs_geodesic(g, algorithm="dijkstra")
         b = all_pairs_geodesic(g, algorithm="floyd_warshall")
         assert a.d == b.d
+
+
+@pytest.mark.parametrize("algorithm", ["dijkstra", "floyd_warshall"])
+def test_weight_beyond_float_range_stays_exact(algorithm):
+    g = load_graph("0 1 1e400\n1 2\n2 3\n")
+    dg = all_pairs_geodesic(g, algorithm=algorithm)
+    assert dg.d[0][3] == 10 ** 400 + 2
+    assert dg.d[3][0] == 10 ** 400 + 2
+    assert dg.d[1][3] == 2
+
+
+@pytest.mark.parametrize("text, fmt", [
+    ("0 1 1e1000000\n", "edge_list"),
+    ("0 1 1e999999999\n", "edge_list"),
+    ("0 1 2.5E-999999999\n", "edge_list"),
+    ('{"n": 2, "edges": [[0, 1, 1e999999999]]}', "json"),
+], ids=["1e1000000", "1e999999999", "negative-exponent", "json"])
+def test_huge_decimal_exponent_refused_quickly(text, fmt):
+    start = time.perf_counter()
+    with pytest.raises(InvalidWeight, match="exponent"):
+        load_graph(text, format=fmt)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_decimal_exponent_limit_is_inclusive():
+    limit = MAX_DECIMAL_EXPONENT
+    g = load_graph(f"0 1 1e{limit}\n1 2 1e-{limit}\n")
+    assert g.edges[0][2] == 10 ** limit
+    assert g.edges[1][2] == Fraction(1, 10 ** limit)
+    with pytest.raises(InvalidWeight):
+        load_graph(f"0 1 1e{limit + 1}\n")
 
 
 def test_parallel_identical():

@@ -4,8 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import orcurv.transport
 from helpers import (
     internal_edges,
     nwc_plan_cost,
@@ -18,6 +20,7 @@ from helpers import (
 from orcurv.errors import InfiniteCost, MethodMismatch, NonSquare, NotATree, TooLarge
 from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
 from orcurv.transport import (
+    TransportPlan,
     curvature,
     lp_vertex_oracle,
     spanning_tree_count,
@@ -73,6 +76,79 @@ def test_lp_marginals_exact_random():
             assert sum(plan.gamma[i]) == Fraction(1, p)
         for j in range(q):
             assert sum(row[j] for row in plan.gamma) == Fraction(1, q)
+
+
+def test_lp_gamma_is_flow_over_pq():
+    rng = random.Random(3)
+    for _ in range(20):
+        p, q = rng.randint(1, 7), rng.randint(1, 7)
+        plan = w1_lp(random_neighborhood(p, q, rng, denominators=(1, 2, 9)))
+        assert all(isinstance(f, int) for row in plan.flow for f in row)
+        assert plan.gamma == tuple(tuple(Fraction(f, p * q) for f in row)
+                                   for row in plan.flow)
+
+
+@pytest.mark.parametrize("flow, problem", [
+    (((2, 1), (1, 1)), "row 0 marginal"),
+    (((2, 0), (2, 0)), "column 0 marginal"),
+    (((3, -1), (-1, 3)), "negative transport mass"),
+    (((1, 1),), "shape"),
+], ids=["row-sum", "column-sum", "negative", "shape"])
+def test_transport_plan_refuses_bad_flow(flow, problem):
+    # p = q = 2: rows must sum to q = 2 and columns to p = 2
+    with pytest.raises(AssertionError, match=problem):
+        TransportPlan(p=2, q=2, flow=flow, cost_value=0)
+
+
+@pytest.mark.parametrize("flow, pot_c", [
+    ([[0, 2], [2, 0]], [0, 0]),
+    ([[2, 0], [0, 2]], [0, 6]),
+], ids=["suboptimal-flow", "negative-reduced-cost"])
+def test_lp_dual_certificate_refuses(monkeypatch, flow, pot_c):
+    # a feasible but costlier flow with zero potentials has positive flow
+    # where the reduced cost is positive; the optimal flow with potentials
+    # that leave a reduced cost below zero proves nothing either
+    nb = LocalNeighborhood.from_cost([[0, 5], [5, 0]], 1)
+    assert w1_lp(nb).cost_value == 0
+    monkeypatch.setattr(orcurv.transport, "_transport",
+                        lambda c, p, q: (flow, [0, 0], pot_c))
+    with pytest.raises(AssertionError, match="dual certificate"):
+        w1_lp(nb)
+
+
+def test_lp_matches_scipy_linprog_on_float_blocks():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random(47)
+    for p, q in [(1, 40), (40, 1), (7, 11), (23, 17), (31, 40), (40, 38)]:
+        cost = [[rng.uniform(0.5, 10.0) for _ in range(q)] for _ in range(p)]
+        value = w1_lp(LocalNeighborhood.from_cost(cost, 1.0)).cost_value
+        # gamma[i][j] at index i*q + j; row sums 1/p, column sums 1/q
+        a_eq = np.zeros((p + q, p * q))
+        for i in range(p):
+            a_eq[i, i * q:(i + 1) * q] = 1.0
+        for j in range(q):
+            a_eq[p + j, j::q] = 1.0
+        b_eq = [1.0 / p] * p + [1.0 / q] * q
+        ref = linprog(np.ravel(cost), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs")
+        assert ref.status == 0
+        assert isinstance(value, float)
+        assert abs(value - ref.fun) <= 1e-9 * max(1.0, ref.fun)
+
+
+@pytest.mark.parametrize("block", [
+    [[4] * 4 for _ in range(3)],
+    [[3, 1, 2, 1]] * 4,
+    [[0] * 3 for _ in range(5)],
+    [[1, 1, 2], [1, 1, 2], [2, 2, 1], [2, 2, 1]],
+    [[(i + j) % 2 for j in range(4)] for i in range(4)],
+    [[1, 2, 3, 4, 5, 6, 7, 8]],
+], ids=["all-equal", "repeated-row", "all-zero", "paired-ties", "checkerboard", "single-row"])
+def test_lp_equals_vertex_oracle_on_degenerate_blocks(block):
+    nb = LocalNeighborhood.from_cost(block, 1)
+    assert w1_lp(nb).cost_value == lp_vertex_oracle(nb)
+    transposed = LocalNeighborhood.from_cost([list(col) for col in zip(*block)], 1)
+    assert w1_lp(transposed).cost_value == lp_vertex_oracle(nb)
 
 
 def test_lp_float_mode_consistency():
