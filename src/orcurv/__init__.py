@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from . import errors
 from .blockenc import (
     BlockEncoding,
-    PermutationSpec,
     StateVector,
     be_density,
     be_dilate,

@@ -1,11 +1,14 @@
 """Desk-scale simulator of block-encoding algebra.
 
-A BlockEncoding tracks (operator, subnormalization, error bound, ancilla
+A BlockEncoding tracks (operator, subnormalization, error, ancilla
 size) instead of gate sequences. `op` is the operator the simulated
 device actually realizes (for polynomial modes that is the polynomial
 image, not the ideal target); the encoded block is op/subnorm and `err`
-upper-bounds the distance between the encoded block and its mathematical
-target. Composition rules follow fixed bookkeeping formulas:
+tracks the distance between the encoded block and its mathematical
+target. Exact stages add nothing to `err`; a Chebyshev stage adds the
+sup error of its interpolant sampled on a grid (_chebyshev_approx), so
+in Chebyshev mode `err` is an estimate, not a proven bound. Composition
+rules follow fixed bookkeeping formulas:
 
   product / tensor   subnorm multiplies, err = a1*e2 + a2*e1
   uniform LCU        encoded value sum(+-A_i)/m, err = sum(e_i/a_i)
@@ -69,7 +72,9 @@ class BlockEncoding:
     """Simulated block encoding: encoded block is op/subnorm.
 
     op with ndim == 1 is the diagonal-vector representation; ndim == 2 is
-    dense. err never decreases under composition. ancilla_dim is pure
+    dense. err is the accumulated deviation from the ideal target: 0 for
+    exact stages, and a sampled (not proven) sup error for each Chebyshev
+    stage. It never decreases under composition. ancilla_dim is pure
     bookkeeping of the |0> register size.
     """
 
@@ -147,25 +152,6 @@ class StateVector:
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(arr / norm)
-
-
-@dataclass(frozen=True)
-class PermutationSpec:
-    """Bijection on {0, ..., dim-1} with helpers for conjugation."""
-
-    dim: int
-    map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "map", tuple(int(v) for v in self.map))
-        if len(self.map) != self.dim or sorted(self.map) != list(range(self.dim)):
-            raise ValueError("map is not a bijection on the declared dimension")
-
-    def conjugate_diagonal(self, diag: np.ndarray) -> np.ndarray:
-        """Diagonal of P diag(d) P^dagger: entry i moves to map[i]."""
-        out = np.empty_like(diag)
-        out[list(self.map)] = diag
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -256,17 +242,6 @@ def be_scale(b: BlockEncoding, factor: float) -> BlockEncoding:
                    ancilla_dim=b.ancilla_dim * 2)
 
 
-def rescaled_representation(b: BlockEncoding, factor: float) -> BlockEncoding:
-    """Same encoded block, with op and subnorm both multiplied by factor.
-
-    Pure bookkeeping change used to keep `op` equal to the raw intended
-    operator after an LCU renormalization.
-    """
-    if not factor > 0:
-        raise BadFactor(f"representation factor must be positive, got {factor}")
-    return replace(b, op=b.op * factor, subnorm=b.subnorm * factor)
-
-
 # --------------------------------------------------------------------------
 # spectral functions on diagonal encodings
 # --------------------------------------------------------------------------
@@ -330,7 +305,8 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float,
     (op^c). Nonzero encoded entries must lie in [1/kappa_m, 1]; exact
     zeros are preserved (the power acts on the support only). Chebyshev
     mode applies a degree-d interpolant of x^c on [1/kappa_m, 1] and adds
-    its sampled sup-norm error to err.
+    its sup-norm error, sampled on a grid and so an estimate rather than
+    a bound, to err.
     """
     if not 0 < c < 1:
         raise ValueError(f"exponent must be in (0, 1), got {c}")
@@ -366,7 +342,8 @@ def be_invert(b: BlockEncoding, kappa_a: float,
     Zero eigenvalues are preserved (pseudoinverse on the support).
     Nonzero encoded eigenvalues must lie within [1/kappa_a, 1] in
     magnitude. Chebyshev mode (diagonal only) approximates 1/x on the
-    positive window and adds the encoded-block deviation to err.
+    positive window and adds the encoded-block deviation, a sampled sup
+    error and so an estimate rather than a bound, to err.
     """
     if kappa_a < 1:
         raise ValueError(f"kappa_a must be >= 1, got {kappa_a}")

@@ -13,6 +13,7 @@ seed): timing goes to stderr, never into the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -321,9 +322,27 @@ def _run_method(cfg: RunConfig, method: str, nb: LocalNeighborhood, encoding,
     return curvature(nb, method=method)
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int/str digit limit (4300) while exact results become
+    text; ingest keeps it, so parsing stays cheap."""
+    if not hasattr(sys, "set_int_max_str_digits"):    # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _ser(v):
     if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
+        if v.denominator == 1:
+            return int(v)
+        with _unlimited_int_digits():
+            return str(v)
     return v
 
 
@@ -461,10 +480,11 @@ def _report_to_csv(report: dict) -> str:
 
 
 def _emit_report(cfg: RunConfig, report: dict) -> None:
-    if cfg.out_format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _report_to_csv(report)
+    with _unlimited_int_digits():
+        if cfg.out_format == "json":
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        else:
+            text = _report_to_csv(report)
     if cfg.out:
         Path(cfg.out).write_text(text, encoding="utf-8")
     else:

@@ -142,13 +142,6 @@ class GeodesicMatrix:
         i, j = pair
         return self.d[i][j]
 
-    @property
-    def rational(self) -> bool:
-        return all(_is_rational(x) for row in self.d for x in row if x != INF)
-
-    def max_finite(self) -> Weight:
-        return max(x for row in self.d for x in row if x != INF)
-
     def all_finite(self) -> bool:
         return all(x != INF for row in self.d for x in row)
 

@@ -6,11 +6,12 @@ subnormalization alpha, then a fractional power c = 1/4), neighbor sums
 are read off as overlaps of the dilated encoding, and the closed-form W1
 is reassembled from the recovered sums.
 
-Case 2 (p = q): the grid encoding is localized to the p^2 cost block by
-permutation and SWAP conjugation, split into columns D_i, combined into
-the p^p-dimensional tensor sum D_P, masked by the permutation projector,
-pseudo-inverted, and fed to a power iteration whose dominant eigenvalue
-yields the minimum permutation sum, hence W1.
+Case 2 (p = q): the grid encoding is localized to the p^2 cost block
+(on a diagonal, the permutation and SWAP conjugation is a gather),
+split into columns D_i, summed by broadcasting into the p^p-dimensional
+tensor sum D_P, masked by the permutation projector, pseudo-inverted,
+and fed to a power iteration whose dominant eigenvalue yields the
+minimum permutation sum, hence W1.
 
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import blockenc as bk
-from .blockenc import BlockEncoding, PermutationSpec, StateVector
+from .blockenc import BlockEncoding, StateVector
 from .errors import (
     DegenerateAllZero,
     DigitOutOfRange,
@@ -204,6 +205,22 @@ def _grid_side(be: BlockEncoding) -> int:
     return n
 
 
+def _grid_indices(be: BlockEncoding, rows: Sequence[int],
+                  cols: Sequence[int]) -> np.ndarray:
+    """Flat grid indices r * n + c, shape (len(rows), len(cols)).
+
+    The one place that knows the grid layout. rows and cols must each
+    hold distinct integers in [0, n), else IndexOutOfRange.
+    """
+    n = _grid_side(be)
+    for seq in (rows, cols):
+        if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in seq):
+            raise IndexOutOfRange(f"indices must be integers in [0, {n})")
+        if len(set(seq)) != len(seq):
+            raise IndexOutOfRange("indices must be distinct")
+    return np.array([[r * n + c for c in cols] for r in rows], dtype=np.intp)
+
+
 def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
                      center: int, nbrs: Sequence[int],
                      shots: int | None = None, seed=None,
@@ -217,15 +234,10 @@ def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
     sum_i d(center, nbrs[i]) / (alpha_q * (p + 1)). The audit trail
     records both the unit-state overlap and the rescaled one.
     """
-    n = _grid_side(be)
     p = len(nbrs)
     if p < 1:
         raise IndexOutOfRange("need at least one neighbor index")
-    if len(set(nbrs)) != p:
-        raise IndexOutOfRange("neighbor indices must be distinct")
-    if not (0 <= center < n) or any(not 0 <= v < n for v in nbrs):
-        raise IndexOutOfRange(f"indices must lie in [0, {n})")
-    raw = bk.dilated_overlap(be, [center * n + v for v in nbrs],
+    raw = bk.dilated_overlap(be, _grid_indices(be, [center], nbrs)[0],
                              np.full(p, 1.0 / math.sqrt(p)), shots=shots, seed=seed)
     rescaled = raw * p / (p + 1)
     if audit is not None:
@@ -237,10 +249,8 @@ def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
 
 def _basis_pair_overlap(be: BlockEncoding, ix: int, iy: int,
                         shots: int | None = None, seed=None) -> float:
-    n = _grid_side(be)
-    if not (0 <= ix < n and 0 <= iy < n):
-        raise IndexOutOfRange(f"indices must lie in [0, {n})")
-    return bk.dilated_overlap(be, [ix * n + iy], [1.0], shots=shots, seed=seed)
+    return bk.dilated_overlap(be, _grid_indices(be, [ix], [iy])[0], [1.0],
+                              shots=shots, seed=seed)
 
 
 def w1_tree_qsim(nb: LocalNeighborhood,
@@ -307,45 +317,20 @@ def tree_qsim_standard_error(nb: LocalNeighborhood,
 # case 2: p = q
 # --------------------------------------------------------------------------
 
-def _completion_permutation(n: int, targets: Sequence[int]) -> PermutationSpec:
-    """Permutation sending targets[i] -> i, remaining indices ascending."""
-    mapping = [-1] * n
-    used_dst = set(range(len(targets)))
-    for i, src in enumerate(targets):
-        mapping[src] = i
-    free_dst = iter(sorted(set(range(n)) - used_dst))
-    for src in range(n):
-        if mapping[src] < 0:
-            mapping[src] = next(free_dst)
-    return PermutationSpec(dim=n, map=tuple(mapping))
-
-
 def localize_DG(be: BlockEncoding, meta: DistanceEncodingMeta,
                 X: Sequence[int], Y: Sequence[int],
                 audit: AuditTrail | None = None) -> BlockEncoding:
     """Localize the grid encoding to the p^2 cost block, in (j, i) order.
 
-    Conjugates by the relabeling permutation (X -> 0..p-1 on the row
-    register, Y -> 0..p-1 on the column register), selects the top-left
-    block, and SWAP-conjugates so the entry at index j*p + i is
-    d(X[i], Y[j]) / alpha_q.
+    Relabeling X and Y to 0..p-1, selecting the top-left block and
+    SWAPping the registers is, on a diagonal, a gather: entry j*p + i is
+    op[X[i]*n + Y[j]], i.e. d(X[i], Y[j]) / alpha_q once encoded.
     """
     if len(X) != len(Y):
         raise SizeMismatch(f"|X| = {len(X)} but |Y| = {len(Y)}")
     p = len(X)
-    n = _grid_side(be)
-    for v in list(X) + list(Y):
-        if not 0 <= v < n:
-            raise IndexOutOfRange(f"index {v} outside [0, {n})")
-    perm_rows = _completion_permutation(n, X)
-    perm_cols = _completion_permutation(n, Y)
-    grid_map = tuple(perm_rows.map[a] * n + perm_cols.map[b]
-                     for a in range(n) for b in range(n))
-    grid_perm = PermutationSpec(dim=n * n, map=grid_map)
-    relabeled = grid_perm.conjugate_diagonal(np.real(be.op))
-    block = relabeled.reshape(n, n)[:p, :p]
-    swapped = block.T.ravel().copy()
-    out = BlockEncoding(op=swapped, subnorm=be.subnorm, err=be.err,
+    block = np.real(be.op)[_grid_indices(be, X, Y).T.ravel()]
+    out = BlockEncoding(op=block, subnorm=be.subnorm, err=be.err,
                         ancilla_dim=be.ancilla_dim)
     if audit is not None:
         audit.record("localize_DG", out, p=p)
@@ -374,9 +359,10 @@ def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
              audit: AuditTrail | None = None) -> BlockEncoding:
     """Tensor sum D_P over dimension p^p, encoded as D_P / (p * alpha_q).
 
-    Each term is I^(i-1) (x) D_i (x) I^(p-i) via the tensor rule, and the
-    uniform LCU divides by p; the representation is rescaled afterwards
-    so op stays the raw sum operator. p = 1 degenerates to D_1 itself.
+    D_P is the uniform LCU of the terms I^(i-1) (x) D_i (x) I^(p-i),
+    rescaled so op stays the raw sum operator: a broadcast sum over a
+    (p,)*p grid, with subnorm, err and ancilla_dim by the be_tensor /
+    be_lcu formulas. p = 1 degenerates to D_1 itself.
     """
     p = len(ds)
     if p < 1:
@@ -390,17 +376,15 @@ def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
         if audit is not None:
             audit.record("build_DP", out)
         return out
-    subnorm = ds[0].subnorm
-    terms = []
-    for i, d_i in enumerate(ds):
-        term = d_i
-        if i > 0:
-            term = bk.be_tensor(bk.be_identity(p ** i), term)
-        if i < p - 1:
-            term = bk.be_tensor(term, bk.be_identity(p ** (p - 1 - i)))
-        terms.append(term)
-    combined = bk.be_lcu(terms, [1] * p)
-    out = bk.rescaled_representation(combined, subnorm)
+    acc = np.zeros((p,) * p)
+    for i, d_i in enumerate(ds):    # in LCU order, which fixes the rounding
+        acc = acc + (d_i.op / d_i.subnorm).reshape((1,) * i + (p,) + (1,) * (p - 1 - i))
+    a = ds[0].subnorm
+    # 2p - 2 identity factors of ancilla_dim 2: one beside each end term,
+    # two beside each inner term
+    out = BlockEncoding(op=acc.ravel() * a, subnorm=p * a,
+                        err=sum(b.err / b.subnorm for b in ds),
+                        ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
     if audit is not None:
         audit.record("build_DP", out)
     return out

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 import orcurv.qpipeline
-from orcurv.blockenc import PermutationSpec, StateVector, dilated_apply, overlap
+from orcurv.blockenc import StateVector, dilated_apply, overlap
 from orcurv.graph import Graph, LocalNeighborhood
 
 INF = math.inf
@@ -69,14 +69,6 @@ def bellman_ford_row(g: Graph, source: int) -> list:
         if not changed:
             break
     return dist
-
-
-def permutation_matrix(perm: PermutationSpec) -> np.ndarray:
-    """Dense matrix P with P[map[i], i] = 1, the conjugation oracle."""
-    m = np.zeros((perm.dim, perm.dim))
-    for src, dst in enumerate(perm.map):
-        m[dst, src] = 1.0
-    return m
 
 
 def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import full_route_overlap, permutation_matrix
+from helpers import full_route_overlap
 from orcurv.blockenc import (
     BlockEncoding,
-    PermutationSpec,
     StateVector,
     be_density,
     be_dilate,
@@ -457,16 +456,6 @@ def test_err_monotone_under_composition():
         assert out.err >= max(b1.subnorm * b2.err, b2.subnorm * b1.err)
     scaled = be_scale(b1, 2.0)
     assert scaled.err >= b1.err
-
-
-def test_permutation_spec():
-    perm = PermutationSpec(dim=3, map=(2, 0, 1))
-    diag = np.array([10.0, 20.0, 30.0])
-    conj = perm.conjugate_diagonal(diag)
-    m = permutation_matrix(perm)
-    assert np.allclose(conj, np.diagonal(m @ np.diag(diag) @ m.T))
-    with pytest.raises(ValueError):
-        PermutationSpec(dim=3, map=(0, 0, 1))
 
 
 def test_state_vector_validation():

@@ -426,6 +426,31 @@ def test_huge_decimal_exponent_is_config_error(tmp_path, capsys, fmt, text):
     assert "exponent" in err
 
 
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_result_beyond_int_digit_limit_is_written(tmp_path, capsys, out_format):
+    # d(0, 3) = 10^4300 + 3 has 4301 digits, one past Python's default
+    # int/str limit; the curvature -10^4300/3 is a Fraction of that size
+    path = tmp_path / "long.txt"
+    path.write_text("0 1 " + "9" * 4300 + "\n1 2 3\n2 3\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["compute", "--input", str(path), "--method", "lp",
+                              "--edge", "1,2", "--out-format", out_format], capsys)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    w1 = "1" + "0" * 4299 + "3"
+    curv = "-1" + "0" * 4300 + "/3"
+    if out_format == "json":
+        assert f'"w1": {w1},' in out
+        assert f'"curvature": "{curv}",' in out
+    else:
+        assert out.splitlines()[1] == f"1,2,1,1,{w1},3,{curv},lp"
+    # ingest keeps the limit: a weight token past it is still refused
+    path.write_text("0 1 " + "9" * 4301 + "\n1 2\n")
+    code, out, err = run_cli(["compute", "--input", str(path), "--method", "lp",
+                              "--edge", "0,1", "--out-format", out_format], capsys)
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("argv", [[], ["--shots", "100000"]], ids=["exact", "shots"])
 def test_tree_compare_never_dilates_a_full_vector(tmp_path, capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):

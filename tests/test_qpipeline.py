@@ -1,7 +1,9 @@
 """Quantum-pipeline simulation: stages, recovery scaling, oracles."""
 
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,14 @@ from helpers import (
     random_cost_matrix,
     random_tree,
 )
-from orcurv.blockenc import be_product, be_wrap
+from orcurv.blockenc import (
+    BlockEncoding,
+    be_identity,
+    be_lcu,
+    be_product,
+    be_tensor,
+    be_wrap,
+)
 from orcurv.errors import (
     DegenerateAllZero,
     DigitOutOfRange,
@@ -262,6 +271,68 @@ def test_localize_size_mismatch():
         localize_DG(be, meta, [0], [2, 3])
 
 
+def test_localize_refuses_bad_indices():
+    grid = two_block_grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    be, meta = build_distance_encoding(grid)
+    for X, Y in [([0, 0], [3, 4]), ([0, 1], [4, 4]), ([0, 6], [3, 4]),
+                 ([-1, 1], [3, 4]), ([0.0, 1.0], [3, 4]), ([[0, 1]], [[3, 4]])]:
+        with pytest.raises(IndexOutOfRange):
+            localize_DG(be, meta, X, Y)
+
+
+def completion_permutation_matrix(n, targets):
+    """Dense P sending basis index targets[i] to i and the remaining
+    indices, ascending, to len(targets), len(targets) + 1, ..."""
+    rest = [v for v in range(n) if v not in targets]
+    m = np.zeros((n, n))
+    for dst, src in enumerate(list(targets) + rest):
+        m[dst, src] = 1.0
+    return m
+
+
+def localize_by_conjugation(be, X, Y):
+    """The paper's localization with explicit matrices: conjugate the grid
+    diagonal by P_X (x) P_Y, keep the top-left p x p block, conjugate by
+    the SWAP of the two p-dimensional registers."""
+    n, p = math.isqrt(be.dim), len(X)
+    perm = np.kron(completion_permutation_matrix(n, X), completion_permutation_matrix(n, Y))
+    relabeled = np.diagonal(perm @ np.diag(be.op) @ perm.T)
+    block = relabeled.reshape(n, n)[:p, :p].ravel()
+    swap = np.zeros((p * p, p * p))
+    for i in range(p):
+        for j in range(p):
+            swap[j * p + i, i * p + j] = 1.0
+    return np.diagonal(swap @ np.diag(block) @ swap.T)
+
+
+def test_localize_matches_dense_permutation_conjugation():
+    rng = np.random.default_rng(11)
+    for n, X, Y in [(4, [2], [0]), (5, [3, 0], [1, 4]), (6, [1, 4, 2], [4, 0, 1]),
+                    (6, [5, 2, 3], [5, 2, 3]), (7, [6, 0, 3, 1], [2, 5, 6, 0])]:
+        # an asymmetric grid, so a row/column mix-up cannot hide
+        dist = rng.integers(1, 20, size=(n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+        be, meta = build_distance_encoding(dist)
+        local = localize_DG(be, meta, X, Y)
+        assert np.array_equal(local.op, localize_by_conjugation(be, X, Y))
+        assert (local.subnorm, local.err, local.ancilla_dim) == \
+            (be.subnorm, be.err, be.ancilla_dim)
+
+
+def test_localize_reads_only_the_block():
+    n = 300
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    be, meta = build_distance_encoding(dist)
+    tracemalloc.start()
+    try:
+        local = localize_DG(be, meta, [3, 70, 150, 299], [0, 5, 200, 298])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert local.op[1 * 4 + 2] == pytest.approx(145.0)   # d(X[2], Y[1])
+    assert peak < 64 * 1024
+
+
 def test_extract_columns():
     local, meta = localized_for([[1, 2], [3, 4]])
     d1 = extract_Di(local, 1)
@@ -320,6 +391,57 @@ def test_build_dp_dimension_cap():
     ds = [extract_Di(local, i) for i in (1, 2)]
     with pytest.raises(DimensionCap):
         build_DP(ds, dim_cap=3)
+
+
+def tensor_sum_by_composition(ds):
+    """D_P through the block-encoding algebra: the p terms I (x) D_i (x) I,
+    their uniform LCU, and the rescale by alpha_q that makes op raw."""
+    p = len(ds)
+    terms = []
+    for i, d_i in enumerate(ds):
+        term = d_i
+        if i > 0:
+            term = be_tensor(be_identity(p ** i), term)
+        if i < p - 1:
+            term = be_tensor(term, be_identity(p ** (p - 1 - i)))
+        terms.append(term)
+    lcu = be_lcu(terms, [1] * p)
+    a = ds[0].subnorm
+    return dataclasses.replace(lcu, op=lcu.op * a, subnorm=lcu.subnorm * a)
+
+
+def assert_same_encoding(got, want):
+    assert got.op.dtype == want.op.dtype
+    assert np.array_equal(got.op, want.op)
+    assert (got.subnorm, got.err, got.ancilla_dim) == \
+        (want.subnorm, want.err, want.ancilla_dim)
+
+
+@pytest.mark.parametrize("power_mode", ["exact", "chebyshev"])
+def test_build_dp_equals_tensor_lcu_composition(power_mode):
+    rng = random.Random(17)
+    for p in range(1, 6):
+        cost = random_cost_matrix(p, p, rng, max_value=4)
+        be, meta = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        local = localize_DG(be, meta, list(range(p)), list(range(p, 2 * p)))
+        ds = [extract_Di(local, i) for i in range(1, p + 1)]
+        assert (ds[0].err > 0) == (power_mode == "chebyshev")
+        dp = build_DP(ds)
+        if p == 1:
+            assert dp is ds[0]
+        else:
+            assert_same_encoding(dp, tensor_sum_by_composition(ds))
+
+
+def test_build_dp_composition_with_unequal_columns():
+    # columns with their own subnorm, err and ancilla size exercise every
+    # term of the composition formulas
+    rng = np.random.default_rng(23)
+    for p in range(2, 6):
+        ds = [BlockEncoding(op=rng.uniform(0.0, 1.0, p), subnorm=rng.uniform(1.0, 3.0),
+                            err=rng.uniform(0.0, 1e-3), ancilla_dim=int(rng.integers(1, 5)))
+              for _ in range(p)]
+        assert_same_encoding(build_DP(ds), tensor_sum_by_composition(ds))
 
 
 def test_perm_index_values():
