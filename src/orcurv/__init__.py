@@ -41,7 +41,6 @@ from .qpipeline import (
     extract_Di,
     localize_DG,
     min_eigen_power,
-    perm_index,
     pq_qsim_from_cost,
     tree_overlap_sum,
     w1_pq_qsim,

@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--numeric", choices=["rational", "float"], default="rational")
         sp.add_argument("--margin", type=float, default=0.05)
         sp.add_argument("--eps", type=float, default=1e-10)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--shots", type=int, default=None)
         sp.add_argument("--include-endpoints", action="store_true")
         sp.add_argument("--cap", type=int, default=10 ** 6)
@@ -139,7 +139,7 @@ def _check_numeric_options(args: argparse.Namespace) -> None:
     tol = getattr(args, "tol", 0.0)    # compare only
     bounds = [
         ("--shots", args.shots, args.shots is None or args.shots >= 1, "an integer >= 1"),
-        ("--seed", args.seed, args.seed is None or args.seed >= 0, "an integer >= 0"),
+        ("--seed", args.seed, args.seed >= 0, "an integer >= 0"),
         ("--cap", args.cap, args.cap >= 1, "an integer >= 1"),
         ("--margin", args.margin, math.isfinite(args.margin) and args.margin >= 0,
          "a finite number >= 0"),

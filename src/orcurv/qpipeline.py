@@ -8,10 +8,11 @@ is reassembled from the recovered sums.
 
 Case 2 (p = q): the grid encoding is localized to the p^2 cost block
 (on a diagonal, the permutation and SWAP conjugation is a gather),
-split into columns D_i, summed by broadcasting into the p^p-dimensional
-tensor sum D_P, masked by the permutation projector, pseudo-inverted,
-and fed to a power iteration whose dominant eigenvalue yields the
-minimum permutation sum, hence W1.
+split into columns D_i, summed into the tensor sum D_P, masked by the
+permutation projector, pseudo-inverted, and fed to a power iteration
+whose dominant eigenvalue yields the minimum permutation sum, hence W1.
+The device dimension is p^p (what --cap bounds and the ledger records),
+but only the p! permutation entries that the projector keeps are built.
 
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
@@ -25,6 +26,8 @@ alpha_q, never the bare fourth root.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -32,10 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from . import blockenc as bk
-from .blockenc import BlockEncoding, StateVector
+from .blockenc import BlockEncoding
 from .errors import (
     DegenerateAllZero,
-    DigitOutOfRange,
     DimensionCap,
     DimMismatch,
     EstimateOutOfRange,
@@ -97,7 +99,7 @@ class QsimConfig:
     power_degree: int | None = None   # None -> default degree rule
     power_eps_target: float = 1e-6
     shots: int | None = None
-    seed: int | None = None
+    seed: int | None = None           # None -> fresh OS entropy, not reproducible
     eps: float = 1e-10                # power-iteration stagnation threshold
     max_iter: int = 100_000
     dim_cap: int = DEFAULT_DIM_CAP
@@ -355,14 +357,27 @@ def extract_Di(dg_local: BlockEncoding, i: int,
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based permutation digits, shape (p!, p), in lexicographic order,
+    and their flat indices into the (p,)*p grid, which that order sorts
+    ascending. Built once per p, read-only."""
+    digits = np.array(list(itertools.permutations(range(p))), dtype=np.intp)
+    flat = digits @ p ** np.arange(p - 1, -1, -1)
+    digits.flags.writeable = flat.flags.writeable = False
+    return digits, flat
+
+
 def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
              audit: AuditTrail | None = None) -> BlockEncoding:
-    """Tensor sum D_P over dimension p^p, encoded as D_P / (p * alpha_q).
+    """Tensor sum D_P on its p! permutation entries, encoded as D_P / (p * alpha_q).
 
-    D_P is the uniform LCU of the terms I^(i-1) (x) D_i (x) I^(p-i),
-    rescaled so op stays the raw sum operator: a broadcast sum over a
-    (p,)*p grid, with subnorm, err and ancilla_dim by the be_tensor /
-    be_lcu formulas. p = 1 degenerates to D_1 itself.
+    D_P is the uniform LCU of the terms I^(i-1) (x) D_i (x) I^(p-i) over
+    dimension p^p; only the entries the projector keeps are built, in
+    _permutations order. Entry sigma sums d_i / a_i at digit sigma_i in
+    LCU order, scaled by a = ds[0].subnorm so op stays the raw operator:
+    bit for bit the p^p entry. subnorm, err and ancilla_dim follow the
+    be_tensor / be_lcu formulas. p = 1 degenerates to D_1 itself.
     """
     p = len(ds)
     if p < 1:
@@ -373,89 +388,52 @@ def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
         raise DimensionCap(f"p^p = {p ** p} exceeds cap {dim_cap}")
     if p == 1:
         out = ds[0]
-        if audit is not None:
-            audit.record("build_DP", out)
-        return out
-    acc = np.zeros((p,) * p)
-    for i, d_i in enumerate(ds):    # in LCU order, which fixes the rounding
-        acc = acc + (d_i.op / d_i.subnorm).reshape((1,) * i + (p,) + (1,) * (p - 1 - i))
-    a = ds[0].subnorm
-    # 2p - 2 identity factors of ancilla_dim 2: one beside each end term,
-    # two beside each inner term
-    out = BlockEncoding(op=acc.ravel() * a, subnorm=p * a,
-                        err=sum(b.err / b.subnorm for b in ds),
-                        ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
+    else:
+        digits, _ = _permutations(p)
+        acc = np.zeros(len(digits))
+        for i, d_i in enumerate(ds):    # in LCU order, which fixes the rounding
+            acc = acc + (d_i.op / d_i.subnorm)[digits[:, i]]
+        a = ds[0].subnorm
+        # 2p - 2 identity factors of ancilla_dim 2: one beside each end term,
+        # two beside each inner term
+        out = BlockEncoding(op=acc * a, subnorm=p * a,
+                            err=sum(b.err / b.subnorm for b in ds),
+                            ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
     if audit is not None:
-        audit.record("build_DP", out)
+        audit.record("build_DP", out, dim=p ** p, support=math.factorial(p))
     return out
 
 
-def perm_index(digits: Sequence[int], p: int) -> int:
-    """Zero-based diagonal index of the digit tuple (i_1, ..., i_p).
-
-    k0 = sum_j (i_j - 1) * p^(p-j); bijective with one-based digit
-    tuples over [1, p]^p.
-    """
-    if len(digits) != p:
-        raise DigitOutOfRange(f"expected {p} digits, got {len(digits)}")
-    k = 0
-    for d in digits:
-        if not 1 <= d <= p:
-            raise DigitOutOfRange(f"digit {d} outside [1, {p}]")
-        k = k * p + (d - 1)
-    return k
-
-
-def _distinct_digit_mask(p: int) -> np.ndarray:
-    idx = np.arange(p ** p)
-    powers = p ** np.arange(p - 1, -1, -1)
-    digits = (idx[:, None] // powers) % p
-    sorted_digits = np.sort(digits, axis=1)
-    if p == 1:
-        return np.ones(1, dtype=bool)
-    return np.all(np.diff(sorted_digits, axis=1) != 0, axis=1)
-
-
-def build_Pi(p: int, route: str = "direct", dim_cap: int = DEFAULT_DIM_CAP,
+def build_Pi(p: int, dim_cap: int = DEFAULT_DIM_CAP,
              audit: AuditTrail | None = None) -> BlockEncoding:
-    """Projector onto all-distinct digit tuples, encoded as Pi / p!.
+    """Projector onto the all-distinct digit tuples, encoded as Pi / p!.
 
-    The direct route wraps the 0/1 diagonal at subnorm p!; the purified
-    route prepares the uniform copy state over the p! permutation
-    indices and takes its reduced density matrix, which equals the
-    direct route.
+    Over dimension p^p, Pi is the 0/1 diagonal on the p! permutation
+    indices; on that support, where build_DP lives, it is ones(p!) at
+    subnorm p!.
     """
     if p < 1:
         raise SizeMismatch("p must be >= 1")
     if p ** p > dim_cap:
         raise DimensionCap(f"p^p = {p ** p} exceeds cap {dim_cap}")
-    mask = _distinct_digit_mask(p)
-    if route == "direct":
-        out = BlockEncoding(op=mask.astype(np.float64),
-                            subnorm=float(math.factorial(p)))
-    elif route == "purified":
-        if p > 4:
-            raise DimensionCap("purified route capped at p <= 4")
-        dim = p ** p
-        support = np.flatnonzero(mask)
-        amps = np.zeros(dim * dim)
-        amps[support * dim + support] = 1.0 / math.sqrt(len(support))
-        out = bk.be_density(StateVector(amps), dim_a=dim, dim_b=dim)
-    else:
-        raise ValueError(f"unknown projector route {route!r}")
+    rank = math.factorial(p)
+    out = BlockEncoding(op=np.ones(rank), subnorm=float(rank))
     if audit is not None:
-        audit.record(f"build_Pi[{route}]", out, rank=int(np.count_nonzero(mask)))
+        audit.record("build_Pi[direct]", out, dim=p ** p, support=rank, rank=rank)
     return out
 
 
 def min_eigen_power(be: BlockEncoding, kappa_a: float, eps: float = 1e-10,
                     seed=None, max_iter: int = 100_000,
-                    audit: AuditTrail | None = None) -> EigenEstimate:
+                    audit: AuditTrail | None = None,
+                    start: np.ndarray | None = None) -> EigenEstimate:
     """Minimum nonzero eigenvalue of a diagonal encoding via power method.
 
-    Forms the pseudoinverse encoding, runs power iteration from a seeded
-    random unit vector restricted to the support, and stops when
-    successive Rayleigh quotients differ by less than eps. Failure to
+    Forms the pseudoinverse encoding, runs power iteration from a random
+    unit vector restricted to the support, and stops when successive
+    Rayleigh quotients differ by less than eps. The random vector is
+    `start` when given (length be.dim), else a standard normal draw from
+    the seeded generator (seed None draws from OS entropy). Failure to
     converge within max_iter is reported through converged=False, not
     raised.
     """
@@ -468,8 +446,11 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, eps: float = 1e-10,
     inv = bk.be_invert(be, kappa_a, mode="exact")
     a = np.real(inv.encoded)
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(be.dim) * support
+    if start is None:
+        start = np.random.default_rng(seed).standard_normal(be.dim)
+    elif np.shape(start) != (be.dim,):
+        raise DimMismatch(f"start vector of shape {np.shape(start)} for dimension {be.dim}")
+    x = start * support
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         raise ZeroOverlap("start vector vanished on the support")
@@ -531,7 +512,9 @@ def w1_pq_qsim(nb: LocalNeighborhood,
 
     `encoding` is the (be, meta) from build_distance_encoding over the
     distances that nb's X and Y index: the graph's geodesics, or
-    cost_grid(cost) for a bare cost matrix.
+    cost_grid(cost) for a bare cost matrix. The power iteration starts
+    from p^p seeded normals gathered at the p! permutation entries. A
+    zero-cost permutation (X = Y) raises SpectrumOutOfRange.
     """
     p = nb.p
     if p != nb.q:
@@ -542,16 +525,22 @@ def w1_pq_qsim(nb: LocalNeighborhood,
     local = localize_DG(be, meta, nb.X, nb.Y, audit=audit)
     columns = [extract_Di(local, i, audit=audit) for i in range(1, p + 1)]
     dp = build_DP(columns, dim_cap=config.dim_cap, audit=audit)
-    pi = build_Pi(p, route="direct", dim_cap=config.dim_cap, audit=audit)
+    pi = build_Pi(p, dim_cap=config.dim_cap, audit=audit)
     composite = bk.be_product(pi, dp)
+    _, flat = _permutations(p)
     if audit is not None:
-        audit.record("composite", composite)
+        audit.record("composite", composite, dim=p ** p, support=len(flat))
     encoded = np.real(composite.encoded)
-    nonzero = encoded[encoded != 0.0]
-    kappa_a = (1 + 1e-9) / float(np.min(nonzero))
+    if np.any(encoded == 0.0):
+        where = "cost matrix" if nb.x is None else f"edge ({nb.x}, {nb.y})"
+        raise SpectrumOutOfRange(
+            f"{where}: a permutation of the cost block sums to 0, "
+            "so W1 = 0 is a zero eigenvalue, which the power stage on the "
+            "pseudoinverse cannot see")
+    kappa_a = (1 + 1e-9) / float(np.min(encoded))
+    start = np.random.default_rng(config.seed).standard_normal(p ** p)[flat]
     estimate = min_eigen_power(composite, kappa_a, eps=config.eps,
-                               seed=config.seed, max_iter=config.max_iter,
-                               audit=audit)
+                               max_iter=config.max_iter, audit=audit, start=start)
     w1 = estimate.value * math.factorial(p) * meta.alpha_q
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)

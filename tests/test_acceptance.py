@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from full_route import build_pi_full, perm_index
 from helpers import (
     internal_edges,
     random_neighborhood,
@@ -34,8 +35,8 @@ from orcurv.graph import all_pairs_geodesic, neighborhood
 from orcurv.qpipeline import (
     QsimConfig,
     build_distance_encoding,
+    _permutations,
     build_Pi,
-    perm_index,
     pq_qsim_from_cost,
     tree_qsim_standard_error,
     w1_tree_qsim,
@@ -233,16 +234,22 @@ def test_criterion_09_projector_and_index():
     t0 = time.monotonic()
     import itertools
     for p in (2, 3, 4):
-        direct = build_Pi(p, route="direct")
+        direct = build_pi_full(p, route="direct")
         support = set(np.flatnonzero(direct.op).tolist())
         expected = {perm_index(perm, p)
                     for perm in itertools.permutations(range(1, p + 1))}
         assert support == expected
         assert len(support) == math.factorial(p)
-        purified = build_Pi(p, route="purified")
+        purified = build_pi_full(p, route="purified")
         assert np.max(np.abs(purified.encoded - direct.encoded)) <= 1e-14
-    _pass(9, "Pi support == permutation tuples (p=2,3,4); purified == direct",
-          t0, 10.0)
+        # the pipeline's projector lives on exactly those indices, ascending
+        _, flat = _permutations(p)
+        assert flat.tolist() == sorted(expected)
+        on_support = build_Pi(p)
+        assert np.array_equal(on_support.encoded, direct.encoded[flat])
+        assert on_support.subnorm == direct.subnorm
+    _pass(9, "Pi support == permutation tuples (p=2,3,4); purified == direct; "
+             "support route == direct at those tuples", t0, 10.0)
 
 
 def test_criterion_10_invariance_properties():

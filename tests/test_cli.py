@@ -316,6 +316,38 @@ def test_out_of_range_shot_estimate_is_solver_error(path4, capsys):
     assert "EstimateOutOfRange" in err and "edge (1, 2)" in err
 
 
+def test_zero_cost_permutation_is_solver_error(tmp_path, capsys):
+    # X = Y makes the minimum permutation sum 0, which the power stage
+    # cannot see; the run fails typed instead of printing the next sum
+    graph = tmp_path / "k4.txt"
+    graph.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run_cli(["compare", "--input", str(graph), "--edge", "0,1",
+                              "--qsim-method", "qsim_pq", "--seed", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "SpectrumOutOfRange" in err and "edge (0, 1)" in err
+    fixture = tmp_path / "swap.json"
+    fixture.write_text(json.dumps({"cost": [[0, 1], [1, 0]], "dxy": 1}))
+    code, out, err = run_cli(["compute", "--input", str(fixture), "--format", "cost_matrix",
+                              "--method", "qsim_pq"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "SpectrumOutOfRange" in err and "sums to 0" in err
+
+
+def test_unseeded_runs_are_reproducible(tmp_path, capsys):
+    fixture = tmp_path / "c3.json"
+    fixture.write_text(json.dumps({"cost": [[1, 2, 3], [2, 1, 3], [3, 3, 1]], "dxy": 1}))
+    outs = []
+    for _ in range(2):
+        code, out, _ = run_cli(["compute", "--input", str(fixture), "--format", "cost_matrix",
+                                "--method", "qsim_pq"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["meta"]["config"]["seed"] == 0
+
+
 @pytest.mark.parametrize("option, value", [
     ("--shots", "0"), ("--shots", "-5"),
     ("--margin", "-1"), ("--margin", "nan"), ("--margin", "inf"),

@@ -1,6 +1,7 @@
 """Quantum-pipeline simulation: stages, recovery scaling, oracles."""
 
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -9,6 +10,13 @@ import numpy as np
 import pytest
 
 import orcurv.qpipeline
+from full_route import (
+    build_dp_full,
+    build_pi_full,
+    distinct_digit_mask,
+    perm_index,
+    w1_pq_qsim_full,
+)
 from helpers import (
     corrupt_alpha_q,
     full_route_overlap,
@@ -28,14 +36,17 @@ from orcurv.errors import (
     DegenerateAllZero,
     DigitOutOfRange,
     DimensionCap,
+    DimMismatch,
     IndexOutOfRange,
     InfiniteDistance,
     NotATree,
     NotSquare,
     SizeMismatch,
+    SpectrumOutOfRange,
 )
 from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
 from orcurv.qpipeline import (
+    _permutations,
     AuditTrail,
     QsimConfig,
     build_distance_encoding,
@@ -44,7 +55,6 @@ from orcurv.qpipeline import (
     extract_Di,
     localize_DG,
     min_eigen_power,
-    perm_index,
     pq_qsim_from_cost,
     tree_overlap_sum,
     tree_qsim_standard_error,
@@ -358,8 +368,12 @@ def test_extract_multiset_covers_cost():
 def test_build_dp_p2_hand_enumeration():
     local, meta = localized_for([[1, 2], [3, 4]])
     ds = [extract_Di(local, i) for i in (1, 2)]
-    dp = build_DP(ds)
+    dp = build_dp_full(ds)
     assert np.allclose(dp.op, [3, 5, 5, 7], atol=1e-12)
+    assert dp.subnorm == pytest.approx(2 * meta.alpha_q)
+    # on the support: the two permutations (1, 2) and (2, 1), indices 1 and 2
+    dp = build_DP(ds)
+    assert np.allclose(dp.op, [5, 5], atol=1e-12)
     assert dp.subnorm == pytest.approx(2 * meta.alpha_q)
 
 
@@ -368,9 +382,17 @@ def test_build_dp_first_nine_block_pattern():
     cost = random_cost_matrix(3, 3, rng, max_value=9)
     c = [[float(v) for v in row] for row in cost]
     local, _ = localized_for(cost)
-    dp = build_DP([extract_Di(local, i) for i in (1, 2, 3)])
+    ds = [extract_Di(local, i) for i in (1, 2, 3)]
+    dp = build_dp_full(ds)
     for k in range(9):
         expected = c[0][0] + c[k // 3][1] + c[k % 3][2]
+        assert dp.op[k] == pytest.approx(expected, abs=1e-10)
+    # on the support, the first nine indices hold the permutations 0 1 2 and 0 2 1
+    dp = build_DP(ds)
+    digits, flat = _permutations(3)
+    assert flat[:2].tolist() == [5, 7]
+    for k in range(2):
+        expected = c[0][0] + c[digits[k, 1]][1] + c[digits[k, 2]][2]
         assert dp.op[k] == pytest.approx(expected, abs=1e-10)
 
 
@@ -379,11 +401,19 @@ def test_build_dp_random_index_decode():
     cost = random_cost_matrix(3, 3, rng)
     c = [[float(v) for v in row] for row in cost]
     local, _ = localized_for(cost)
-    dp = build_DP([extract_Di(local, i) for i in (1, 2, 3)])
+    ds = [extract_Di(local, i) for i in (1, 2, 3)]
+    dp = build_dp_full(ds)
     for k in range(27):
         digits = [(k // 9) % 3 + 1, (k // 3) % 3 + 1, k % 3 + 1]
         expected = sum(c[digits[j] - 1][j] for j in range(3))
         assert dp.op[k] == pytest.approx(expected, abs=1e-10)
+    # on the support, entry m decodes from its flat index the same way
+    dp = build_DP(ds)
+    _, flat = _permutations(3)
+    for m, k in enumerate(flat):
+        digits = [(k // 9) % 3 + 1, (k // 3) % 3 + 1, k % 3 + 1]
+        expected = sum(c[digits[j] - 1][j] for j in range(3))
+        assert dp.op[m] == pytest.approx(expected, abs=1e-10)
 
 
 def test_build_dp_dimension_cap():
@@ -391,6 +421,8 @@ def test_build_dp_dimension_cap():
     ds = [extract_Di(local, i) for i in (1, 2)]
     with pytest.raises(DimensionCap):
         build_DP(ds, dim_cap=3)
+    with pytest.raises(DimensionCap):
+        build_dp_full(ds, dim_cap=3)
 
 
 def tensor_sum_by_composition(ds):
@@ -410,6 +442,11 @@ def tensor_sum_by_composition(ds):
     return dataclasses.replace(lcu, op=lcu.op * a, subnorm=lcu.subnorm * a)
 
 
+def restrict(be, p):
+    """be with its p^p-vector op cut to the p! permutation indices."""
+    return dataclasses.replace(be, op=be.op[_permutations(p)[1]])
+
+
 def assert_same_encoding(got, want):
     assert got.op.dtype == want.op.dtype
     assert np.array_equal(got.op, want.op)
@@ -426,11 +463,15 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
         local = localize_DG(be, meta, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         assert (ds[0].err > 0) == (power_mode == "chebyshev")
-        dp = build_DP(ds)
+        dp = build_dp_full(ds)
+        support = build_DP(ds)
         if p == 1:
             assert dp is ds[0]
+            assert support is ds[0]
         else:
-            assert_same_encoding(dp, tensor_sum_by_composition(ds))
+            composed = tensor_sum_by_composition(ds)
+            assert_same_encoding(dp, composed)
+            assert_same_encoding(support, restrict(composed, p))
 
 
 def test_build_dp_composition_with_unequal_columns():
@@ -441,7 +482,9 @@ def test_build_dp_composition_with_unequal_columns():
         ds = [BlockEncoding(op=rng.uniform(0.0, 1.0, p), subnorm=rng.uniform(1.0, 3.0),
                             err=rng.uniform(0.0, 1e-3), ancilla_dim=int(rng.integers(1, 5)))
               for _ in range(p)]
-        assert_same_encoding(build_DP(ds), tensor_sum_by_composition(ds))
+        composed = tensor_sum_by_composition(ds)
+        assert_same_encoding(build_dp_full(ds), composed)
+        assert_same_encoding(build_DP(ds), restrict(composed, p))
 
 
 def test_perm_index_values():
@@ -461,28 +504,48 @@ def test_perm_index_bijective():
         perm_index((1, 2), 3)
 
 
+def test_permutations_are_the_distinct_digit_indices():
+    for p in range(1, 7):
+        digits, flat = _permutations(p)
+        assert digits.shape == (math.factorial(p), p)
+        assert [tuple(d) for d in digits] == list(itertools.permutations(range(p)))
+        assert flat.tolist() == [perm_index([d + 1 for d in row], p) for row in digits]
+        assert np.array_equal(flat, np.flatnonzero(distinct_digit_mask(p)))
+        assert not digits.flags.writeable and not flat.flags.writeable
+        assert _permutations(p)[1] is flat      # built once per p
+
+
 def test_build_pi_p2_support():
-    pi = build_Pi(2)
+    pi = build_pi_full(2)
     assert np.flatnonzero(pi.op).tolist() == [1, 2]
+    assert pi.subnorm == 2.0
+    # on the support: ones at those two indices
+    pi = build_Pi(2)
+    assert _permutations(2)[1].tolist() == [1, 2]
+    assert pi.op.tolist() == [1.0, 1.0]
     assert pi.subnorm == 2.0
 
 
 def test_build_pi_rank_is_factorial():
     for p in (2, 3, 4):
-        assert int(np.count_nonzero(build_Pi(p).op)) == math.factorial(p)
+        assert int(np.count_nonzero(build_pi_full(p).op)) == math.factorial(p)
+        pi = build_Pi(p)
+        assert pi.dim == int(np.count_nonzero(pi.op)) == math.factorial(p)
 
 
 def test_build_pi_purified_equals_direct():
     for p in (2, 3):
-        direct = build_Pi(p, route="direct")
-        purified = build_Pi(p, route="purified")
+        direct = build_pi_full(p, route="direct")
+        purified = build_pi_full(p, route="purified")
         assert purified.is_diagonal
         assert np.allclose(purified.encoded, direct.encoded, atol=1e-14)
+        flat = _permutations(p)[1]
+        assert np.allclose(build_Pi(p).encoded, purified.encoded[flat], atol=1e-14)
 
 
 def test_build_pi_purified_cap():
     with pytest.raises(DimensionCap):
-        build_Pi(5, route="purified")
+        build_pi_full(5, route="purified")
 
 
 # --- eigen stage -----------------------------------------------------------------------
@@ -507,13 +570,20 @@ def test_min_eigen_matches_bruteforce_scaling():
     for _ in range(5):
         cost = random_cost_matrix(3, 3, rng)
         local, meta = localized_for(cost)
-        dp = build_DP([extract_Di(local, i) for i in (1, 2, 3)])
-        comp = be_product(build_Pi(3), dp)
+        ds = [extract_Di(local, i) for i in (1, 2, 3)]
+        comp = be_product(build_pi_full(3), build_dp_full(ds))
         enc = comp.encoded
         kappa = (1 + 1e-9) / float(np.min(enc[enc != 0]))
         est = min_eigen_power(comp, kappa, eps=1e-12, seed=9)
         got = est.value * math.factorial(3) * 3 * meta.alpha_q
         expected = 3 * float(w1_bruteforce(cost).cost_value)
+        assert got == pytest.approx(expected, abs=1e-8)
+        # on the support, from the same draw gathered at the permutations
+        comp = be_product(build_Pi(3), build_DP(ds))
+        assert float(np.min(comp.encoded)) == float(np.min(enc[enc != 0]))
+        start = np.random.default_rng(9).standard_normal(27)[_permutations(3)[1]]
+        est = min_eigen_power(comp, kappa, eps=1e-12, start=start)
+        got = est.value * math.factorial(3) * 3 * meta.alpha_q
         assert got == pytest.approx(expected, abs=1e-8)
 
 
@@ -534,9 +604,8 @@ def test_projector_masks_exactly_permutation_sums():
     cost = random_cost_matrix(3, 3, rng)
     c = [[float(v) for v in row] for row in cost]
     local, meta = localized_for(cost)
-    dp = build_DP([extract_Di(local, i) for i in (1, 2, 3)])
-    comp = be_product(build_Pi(3), dp)
-    import itertools
+    ds = [extract_Di(local, i) for i in (1, 2, 3)]
+    comp = be_product(build_pi_full(3), build_dp_full(ds))
     sums = {}
     for perm in itertools.permutations(range(1, 4)):
         k = perm_index(perm, 3)
@@ -549,6 +618,14 @@ def test_projector_masks_exactly_permutation_sums():
     min_sum = min(sums.values())
     enc = comp.encoded
     assert float(np.min(enc[enc != 0])) * math.factorial(3) * 3 * meta.alpha_q == \
+        pytest.approx(min_sum, abs=1e-8)
+    # on the support, entry m is the sum of the m-th permutation, none masked
+    support = be_product(build_Pi(3), build_DP(ds))
+    flat = _permutations(3)[1]
+    assert support.dim == len(sums)
+    for m, k in enumerate(flat):
+        assert support.op[m] == pytest.approx(sums[int(k)], abs=1e-9)
+    assert float(np.min(support.encoded)) * math.factorial(3) * 3 * meta.alpha_q == \
         pytest.approx(min_sum, abs=1e-8)
 
 
@@ -625,6 +702,106 @@ def test_include_endpoints_variant():
     assert abs(tree_res.w1 - float(w1_tree(nb))) <= 1e-10
 
 
+# --- the p! support route against the full-length p^p route -------------------------------
+
+@pytest.mark.parametrize("power_mode", ["exact", "chebyshev"])
+def test_build_dp_support_equals_full_route_at_permutations(power_mode):
+    rng = random.Random(29)
+    for p in range(1, 6):
+        cost = random_cost_matrix(p, p, rng)
+        be, meta = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        local = localize_DG(be, meta, list(range(p)), list(range(p, 2 * p)))
+        ds = [extract_Di(local, i) for i in range(1, p + 1)]
+        support, full = build_DP(ds), build_dp_full(ds)
+        flat = _permutations(p)[1]
+        assert support.dim == math.factorial(p) and full.dim == p ** p
+        assert support.op.dtype == full.op.dtype
+        assert np.array_equal(support.op, full.op[flat])      # bit for bit
+        assert (support.subnorm, support.err, support.ancilla_dim) == \
+            (full.subnorm, full.err, full.ancilla_dim)
+
+
+@pytest.mark.parametrize("power_mode", ["exact", "chebyshev"])
+def test_pq_pipeline_matches_full_route(power_mode):
+    # same seeded p^p draw, gathered at the support: the same iteration
+    # count and gap, and W1 up to the rounding of dot products that now
+    # sum fewer zeros
+    rng = random.Random(31)
+    for p in range(1, 6):
+        for _ in range(6):
+            nb = LocalNeighborhood.from_cost(random_cost_matrix(p, p, rng), 1)
+            encoding = build_distance_encoding(two_block_grid(nb.cost), power_mode=power_mode)
+            config = QsimConfig(seed=rng.randint(0, 10 ** 6))
+            got = w1_pq_qsim(nb, encoding, config)
+            want = w1_pq_qsim_full(nb, encoding, config)
+            assert got.diagnostics.iterations == want.diagnostics.iterations
+            assert got.diagnostics.gap_proxy == want.diagnostics.gap_proxy
+            assert got.diagnostics.converged == want.diagnostics.converged
+            assert abs(got.w1 - want.w1) <= 4 * math.ulp(want.w1)
+
+
+def test_pq_qsim_p7_allocates_no_pp_operator():
+    # p^p = 823 543: the full route peaked at 150 MB, the support route
+    # holds p! = 5040 entries per stage and the one p^p normal draw
+    cost = random_cost_matrix(7, 7, random.Random(37))
+    # a first run loads numpy code lazily; clearing the cache keeps the
+    # p! tables in the measured run
+    pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
+    _permutations.cache_clear()
+    tracemalloc.start()
+    try:
+        res = pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(res.w1 - float(w1_assignment(cost).cost_value)) <= 1e-8
+    assert peak < 16 * 1024 * 1024
+
+
+def test_pq_audit_trail_records_every_stage_in_order():
+    p = 3
+    audit = AuditTrail()
+    nb = LocalNeighborhood.from_cost(random_cost_matrix(p, p, random.Random(41)), 1)
+    encoding = build_distance_encoding(two_block_grid(nb.cost))
+    w1_pq_qsim(nb, encoding, QsimConfig(seed=0), audit=audit)
+    stages = [r["stage"] for r in audit.records]
+    assert stages == ["localize_DG", "extract_D1", "extract_D2", "extract_D3",
+                      "build_DP", "build_Pi[direct]", "composite", "min_eigen_power"]
+    by_stage = {r["stage"]: r for r in audit.records}
+    for stage in ("build_DP", "build_Pi[direct]", "composite"):
+        assert by_stage[stage]["dim"] == p ** p
+        assert by_stage[stage]["support"] == math.factorial(p)
+    assert by_stage["build_Pi[direct]"]["rank"] == math.factorial(p)
+    assert by_stage["build_Pi[direct]"]["subnorm"] == math.factorial(p)
+
+
+def test_pq_qsim_refuses_a_zero_cost_permutation():
+    # X = Y: the identity permutation costs 0, a zero eigenvalue that the
+    # pseudoinverse does not see; the full route reports the next sum
+    cost = [[0, 1], [1, 0]]
+    nb = LocalNeighborhood.from_cost(cost, 1)
+    encoding = build_distance_encoding(two_block_grid(cost))
+    assert w1_pq_qsim_full(nb, encoding, QsimConfig(seed=0)).w1 == pytest.approx(1.0)
+    with pytest.raises(SpectrumOutOfRange, match="cost matrix: a permutation"):
+        w1_pq_qsim(nb, encoding, QsimConfig(seed=0))
+    with pytest.raises(SpectrumOutOfRange):
+        pq_qsim_from_cost([[2, 0, 1], [0, 3, 1], [1, 1, 0]], 1, QsimConfig(seed=0))
+    # on a graph, X = Y whenever x and y have the same other neighbors (K4)
+    g = load_graph("0 1\n0 2\n0 3\n1 2\n1 3\n2 3")
+    dg = all_pairs_geodesic(g)
+    with pytest.raises(SpectrumOutOfRange, match=r"edge \(0, 1\)"):
+        w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg), QsimConfig())
+
+
+def test_min_eigen_start_vector():
+    be = be_wrap([0.5, 0.25, 1.0], 1.0)
+    kappa = 4.0 * (1 + 1e-9)
+    start = np.random.default_rng(5).standard_normal(3)
+    assert min_eigen_power(be, kappa, start=start) == min_eigen_power(be, kappa, seed=5)
+    with pytest.raises(DimMismatch):
+        min_eigen_power(be, kappa, start=start[:2])
+
+
 # --- ledger and scaling --------------------------------------------------------------------
 
 def test_subnorm_ledger_stage_by_stage():
@@ -636,8 +813,8 @@ def test_subnorm_ledger_stage_by_stage():
     be, meta = build_distance_encoding(grid, margin=0.0, audit=audit)
     local = localize_DG(be, meta, [0, 1, 2], [3, 4, 5], audit=audit)
     ds = [extract_Di(local, i, audit=audit) for i in (1, 2, 3)]
-    dp = build_DP(ds, audit=audit)
-    pi = build_Pi(3, audit=audit)
+    dp = build_dp_full(ds, audit=audit)
+    pi = build_pi_full(3, audit=audit)
     comp = be_product(pi, dp)
 
     # encoded * subnorm reproduces the intended raw operator at each stage
@@ -649,7 +826,6 @@ def test_subnorm_ledger_stage_by_stage():
                      for k in range(27)])
     assert np.allclose(dp.encoded * dp.subnorm, sums, atol=1e-12)
     mask = np.zeros(27)
-    import itertools
     for perm in itertools.permutations(range(1, 4)):
         mask[perm_index(perm, 3)] = 1.0
     assert np.allclose(pi.encoded * pi.subnorm, mask, atol=1e-12)
@@ -664,6 +840,21 @@ def test_subnorm_ledger_stage_by_stage():
     enc = local.encoded
     assert rec["min_entry"] == pytest.approx(float(np.min(enc[enc != 0])))
     assert rec["max_entry"] == pytest.approx(float(np.max(enc[enc != 0])))
+
+    # on the support, each stage equals its p^p counterpart at the permutations
+    flat = _permutations(3)[1]
+    support_audit = AuditTrail()
+    dp_s = build_DP(ds, audit=support_audit)
+    pi_s = build_Pi(3, audit=support_audit)
+    comp_s = be_product(pi_s, dp_s)
+    assert np.allclose(dp_s.encoded * dp_s.subnorm, sums[flat], atol=1e-12)
+    assert np.allclose(pi_s.encoded * pi_s.subnorm, mask[flat], atol=1e-12)
+    assert np.allclose(comp_s.encoded * comp_s.subnorm, (mask * sums)[flat], atol=1e-12)
+    by_stage = {r["stage"]: r for r in support_audit.records}
+    assert by_stage["build_DP"]["subnorm"] == pytest.approx(3 * meta.alpha_q)
+    assert by_stage["build_DP"]["dim"] == 27
+    assert by_stage["build_DP"]["support"] == 6
+    assert by_stage["build_Pi[direct]"]["subnorm"] == 6.0
 
 
 def test_scale_property():
