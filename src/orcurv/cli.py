@@ -209,14 +209,14 @@ class _Instance:
     dg: GeodesicMatrix | None    # None for a cost-matrix fixture
     is_tree: bool
     #: the selected edges, each with its neighborhood; a cost-matrix
-    #: fixture is one synthetic record
-    pairs: list[tuple[tuple[int, int], LocalNeighborhood]]
+    #: fixture is one record with no edge (None)
+    pairs: list[tuple[tuple[int, int] | None, LocalNeighborhood]]
 
 
 def _load_instance(cfg: RunConfig) -> _Instance:
     try:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input {cfg.input_path!r}: {exc}") from exc
     if cfg.format == "cost_matrix":
         parse_float = float if cfg.numeric == "float" else parse_fraction
@@ -228,7 +228,7 @@ def _load_instance(cfg: RunConfig) -> _Instance:
         if not isinstance(obj, dict) or "cost" not in obj or "dxy" not in obj:
             raise ConfigError('cost-matrix input must be {"cost": [[...]], "dxy": r}')
         nb = _cost_fixture(obj["cost"], obj["dxy"], cfg.numeric)
-        return _Instance(dg=None, is_tree=False, pairs=[((-1, -1), nb)])
+        return _Instance(dg=None, is_tree=False, pairs=[(None, nb)])
     try:
         g = load_graph(text, format=cfg.format, numeric=cfg.numeric)
     except OrcError as exc:
@@ -296,7 +296,8 @@ def _validate_method(cfg: RunConfig, inst: _Instance, method: str) -> None:
     if method in ("assignment", "brute_force", "qsim_pq"):
         for edge, nb in inst.pairs:
             if nb.p != nb.q:
-                raise ConfigError(f"NotSquare: edge {edge} has "
+                where = "the cost matrix" if edge is None else f"edge {edge}"
+                raise ConfigError(f"NotSquare: {where} has "
                                   f"p={nb.p}, q={nb.q} for method {method!r}")
 
 
@@ -458,8 +459,9 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 class _SolverFailure(Exception):
-    def __init__(self, edge: tuple[int, int], cause: OrcError) -> None:
-        super().__init__(f"edge {edge}: {type(cause).__name__}: {cause}")
+    def __init__(self, edge: tuple[int, int] | None, cause: OrcError) -> None:
+        label = "" if edge is None else f"edge {edge}: "
+        super().__init__(f"{label}{type(cause).__name__}: {cause}")
         self.edge = edge
         self.cause = cause
 
@@ -486,7 +488,7 @@ def _emit_report(cfg: RunConfig, report: dict) -> None:
         else:
             text = _report_to_csv(report)
     if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+        _write_file(cfg.out, text, "--out")
     else:
         sys.stdout.write(text)
 
@@ -495,7 +497,14 @@ def _write_trace(cfg: RunConfig, audit: AuditTrail | None) -> None:
     if audit is None or cfg.trace is None:
         return
     lines = [json.dumps(rec, sort_keys=True, default=str) for rec in audit.records]
-    Path(cfg.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(cfg.trace, "\n".join(lines) + "\n", "--trace")
+
+
+def _write_file(path: str, text: str, option: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {option} {path!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,9 @@ Solvers:
                   final potentials are a dual certificate, checked in
                   ints, that the plan is optimal.
   w1_tree         decomposable-cost closed form for tree graphs
-  w1_assignment   exact Hungarian assignment for the p = q case
+  w1_assignment   lexicographically smallest optimal permutation for the
+                  p = q case: the same K_{p,p} core and certificate, on
+                  the lifted block with an integer tie-break term
   w1_bruteforce   exhaustive permutation minimum (oracle, p <= 9)
   lp_vertex_oracle  minimum over all basic feasible solutions of the
                   transportation polytope, via spanning trees of the
@@ -147,14 +149,6 @@ def _exact(v: Weight) -> Fraction | int:
             raise InfiniteCost(f"cost entry {v!r} is not finite")
         return Fraction(v)
     return v
-
-
-def _exact_matrix(cost: Sequence[Sequence[Weight]]) -> list[list[Fraction | int]]:
-    return [[_exact(x) for x in row] for row in cost]
-
-
-def _all_rational(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def _emit(value: Fraction | int, rational: bool) -> Weight:
@@ -346,126 +340,53 @@ def w1_tree(nb: LocalNeighborhood, graph: Graph | None = None) -> Weight:
 # assignment (p = q) routes
 # --------------------------------------------------------------------------
 
-def _hungarian(cost: list[list[Fraction | int]]) -> tuple[list[int], Fraction | int]:
-    """Exact O(n^3) Hungarian over any ordered exact field.
-
-    Returns (pi, total) where pi[j] is the row assigned to column j and
-    total = sum_j cost[pi[j]][j] is minimal.
-    """
-    n = len(cost)
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv: list = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = math.inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    pi = [match[j + 1] - 1 for j in range(n)]
-    total = sum(cost[pi[j]][j] for j in range(n))
-    return pi, total
-
-
-def _lexmin_optimal(cost: list[list[Fraction | int]], total) -> list[int]:
-    """Lexicographically smallest permutation attaining the optimum.
-
-    Fixes columns left to right, testing each candidate row by solving
-    the remaining assignment exactly.
-    """
-    n = len(cost)
-    remaining = list(range(n))
-    pi: list[int] = []
-    fixed = 0
-    for col in range(n):
-        rest_cols = list(range(col + 1, n))
-        for r in remaining:
-            need = total - fixed - cost[r][col]
-            rem_rows = [x for x in remaining if x != r]
-            if not rem_rows:
-                ok = need == 0
-            else:
-                sub = [[cost[rr][cc] for cc in rest_cols] for rr in rem_rows]
-                _, sub_total = _hungarian(sub)
-                ok = sub_total == need
-            if ok:
-                pi.append(r)
-                fixed += cost[r][col]
-                remaining.remove(r)
-                break
-        else:  # pragma: no cover - optimum always completable
-            raise AssertionError("no optimal completion found")
-    return pi
-
-
-def _square_exact(cost: Sequence[Sequence[Weight]]) -> list[list[Fraction | int]]:
-    p = len(cost)
-    if any(len(row) != p for row in cost):
+def _lift_square(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int, bool]:
+    """_lift_block of a cost matrix that must be square."""
+    if any(len(row) != len(cost) for row in cost):
         raise NonSquare("cost matrix must be square")
-    if any(isinstance(x, float) and not math.isfinite(x) for row in cost for x in row):
-        raise InfiniteCost("cost matrix contains non-finite entries")
-    return _exact_matrix(cost)
+    return _lift_block(cost)
 
 
 def w1_assignment(cost: Sequence[Sequence[Weight]]) -> AssignmentSolution:
-    """Exact linear assignment via the Hungarian algorithm (p = q route).
+    """Exact linear assignment on the bipartite transport core (p = q route).
 
-    Ties between optimal permutations are broken toward the
-    lexicographically smallest one.
+    Ties go to the lexicographically smallest optimal permutation. The
+    lifted block c is solved as c'[r][j] = c[r][j] * p^p + r * p^(p-1-j):
+    pi's tie term is pi read as a base-p number, at most p^p - 1 < p^p,
+    so it orders only permutations of equal cost, lexicographically, and
+    c' has one optimum. Every push is p, so the flow is p times pi's
+    permutation matrix; the dual certificate proves it optimal.
     """
-    exact_cost = _square_exact(cost)
-    p = len(exact_cost)
-    _, total = _hungarian(exact_cost)
-    pi = _lexmin_optimal(exact_cost, total)
-    rational = _all_rational([x for row in cost for x in row])
-    return AssignmentSolution(p=p, pi=tuple(pi),
-                              cost_value=_emit(Fraction(total, p), rational))
+    c, den, rational = _lift_square(cost)
+    p = len(c)
+    scale = p ** p
+    tie = [p ** (p - 1 - j) for j in range(p)]
+    tied = [[cij * scale + r * t for cij, t in zip(row, tie)] for r, row in enumerate(c)]
+    flow, pot_r, pot_c = _transport(tied, p, p)
+    _check_dual(tied, flow, pot_r, pot_c)
+    cols = list(zip(*flow))
+    if any(sorted(col) != [0] * (p - 1) + [p] for col in cols):
+        raise AssertionError("assignment flow is not p times a permutation matrix")
+    pi = tuple(col.index(p) for col in cols)
+    total = sum(c[i][j] for j, i in enumerate(pi))
+    return AssignmentSolution(p=p, pi=pi, cost_value=_emit(Fraction(total, den * p), rational))
 
 
 def w1_bruteforce(cost: Sequence[Sequence[Weight]]) -> AssignmentSolution:
-    """Exhaustive assignment minimum over all p! permutations (p <= 9)."""
-    exact_cost = _square_exact(cost)
-    p = len(exact_cost)
+    """Exhaustive assignment minimum over all p! permutations (p <= 9).
+
+    The first minimum in lexicographic order wins ties; independent of
+    the transport core, it is the oracle for w1_assignment.
+    """
+    c, den, rational = _lift_square(cost)
+    p = len(c)
     if p > _BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force capped at p <= {_BRUTE_FORCE_CAP}, got {p}")
-    best_pi = None
-    best = None
-    for perm in itertools.permutations(range(p)):
-        total = sum(exact_cost[perm[j]][j] for j in range(p))
-        if best is None or total < best:
-            best = total
-            best_pi = perm
-    rational = _all_rational([x for row in cost for x in row])
-    return AssignmentSolution(p=p, pi=tuple(best_pi),
-                              cost_value=_emit(Fraction(best, p), rational))
+    def total(perm):
+        return sum(c[i][j] for j, i in enumerate(perm))
+
+    pi = min(itertools.permutations(range(p)), key=total)
+    return AssignmentSolution(p=p, pi=pi, cost_value=_emit(Fraction(total(pi), den * p), rational))
 
 
 # --------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_criterion_03_assignment_vs_bruteforce():
         p = rng.randint(1, 7)
         cost = [[rng.randint(0, 20) for _ in range(p)] for _ in range(p)]
         assert w1_assignment(cost).cost_value == w1_bruteforce(cost).cost_value
-    _pass(3, "500 integer instances, Hungarian == brute force exactly", t0, 30.0)
+    _pass(3, "500 integer instances, w1_assignment == brute force exactly", t0, 30.0)
 
 
 def test_criterion_04_tree_closed_form():
@@ -171,7 +171,7 @@ def test_criterion_06_pq_pipeline():
             assert abs(res.w1 - expected) <= 1e-8
             assert res.diagnostics.converged
             CURVATURES.append(res.curvature)
-    _pass(6, "200 instances per p in {2,3,4,5}, |qsim - Hungarian| <= 1e-8",
+    _pass(6, "200 instances per p in {2,3,4,5}, |qsim - w1_assignment| <= 1e-8",
           t0, 120.0)
 
 

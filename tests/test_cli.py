@@ -92,6 +92,7 @@ def test_qsim_pq_not_square_is_config_error(appendix, capsys):
                             "--format", "cost_matrix", "--method", "qsim_pq"], capsys)
     assert code == 2
     assert "NotSquare" in err
+    assert "(-1, -1)" not in err
 
 
 def test_tree_method_on_cost_matrix_rejected(appendix, capsys):
@@ -105,6 +106,29 @@ def test_missing_input_is_config_error(tmp_path, capsys):
                             "--method", "lp", "--all-edges"], capsys)
     assert code == 2
     assert "config error" in err
+
+
+def test_non_utf8_input_is_config_error(tmp_path, capsys):
+    graph = tmp_path / "latin1.txt"
+    graph.write_bytes(b"0 1\n1 2\xff\n2 3\n")
+    code, out, err = run_cli(["compute", "--input", str(graph), "--edge", "1,2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot read input" in err and str(graph) in err
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--out", ["--method", "lp"]),
+    ("--trace", ["--method", "qsim_tree"]),
+], ids=["out", "trace"])
+def test_unwritable_output_path_is_config_error(path4, tmp_path, capsys, option, argv):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(["compute", "--input", str(path4), "--edge", "1,2", *argv,
+                              option, str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {option}" in err and str(target) in err
+    assert not target.exists()
 
 
 def test_edge_selector_required(path4, capsys):
@@ -333,6 +357,7 @@ def test_zero_cost_permutation_is_solver_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "SpectrumOutOfRange" in err and "sums to 0" in err
+    assert "(-1, -1)" not in err
 
 
 def test_unseeded_runs_are_reproducible(tmp_path, capsys):

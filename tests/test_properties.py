@@ -16,7 +16,7 @@ from helpers import internal_edges
 from orcurv.cli import main
 from orcurv.errors import OrcError
 from orcurv.graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
-from orcurv.transport import curvature, lp_vertex_oracle, w1_lp
+from orcurv.transport import curvature, lp_vertex_oracle, w1_assignment, w1_bruteforce, w1_lp
 
 BOUNDED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -124,6 +124,27 @@ def cost_blocks(draw):
 @given(cost_blocks())
 def test_w1_lp_equals_vertex_oracle(nb):
     assert w1_lp(nb).cost_value == lp_vertex_oracle(nb)
+
+
+@st.composite
+def tied_square_blocks(draw):
+    """A p x p block, p <= 6, of entries in {0, 1, 2} (ints, or floats over 10):
+    optimal permutations tie often."""
+    p = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 1, 2])
+    if draw(st.booleans()):
+        entry = entry.map(lambda v: v / 10)
+    return draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=p, max_size=p))
+
+
+@settings(BOUNDED, max_examples=120)
+@given(tied_square_blocks())
+def test_w1_assignment_equals_bruteforce_and_lp(cost):
+    a, b = w1_assignment(cost), w1_bruteforce(cost)
+    assert a.pi == b.pi
+    assert a.cost_value == b.cost_value
+    assert type(a.cost_value) is type(b.cost_value)
+    assert a.cost_value == w1_lp(LocalNeighborhood.from_cost(cost, 1)).cost_value
 
 
 @st.composite

@@ -107,13 +107,17 @@ def test_transport_plan_refuses_bad_flow(flow, problem):
 def test_lp_dual_certificate_refuses(monkeypatch, flow, pot_c):
     # a feasible but costlier flow with zero potentials has positive flow
     # where the reduced cost is positive; the optimal flow with potentials
-    # that leave a reduced cost below zero proves nothing either
+    # that leave a reduced cost below zero proves nothing either; both
+    # flows are also 2 x a permutation matrix, as an assignment flow is
     nb = LocalNeighborhood.from_cost([[0, 5], [5, 0]], 1)
     assert w1_lp(nb).cost_value == 0
+    assert w1_assignment(nb.cost).cost_value == 0
     monkeypatch.setattr(orcurv.transport, "_transport",
                         lambda c, p, q: (flow, [0, 0], pot_c))
     with pytest.raises(AssertionError, match="dual certificate"):
         w1_lp(nb)
+    with pytest.raises(AssertionError, match="dual certificate"):
+        w1_assignment(nb.cost)
 
 
 def test_lp_matches_scipy_linprog_on_float_blocks():
@@ -262,6 +266,31 @@ def test_bruteforce_trivia():
 def test_bruteforce_cap():
     with pytest.raises(TooLarge):
         w1_bruteforce([[1] * 10 for _ in range(10)])
+
+
+def test_assignment_runs_the_transport_core_once(monkeypatch):
+    calls = []
+    solve = orcurv.transport._transport
+
+    def counted(c, p, q):
+        calls.append((p, q))
+        return solve(c, p, q)
+
+    monkeypatch.setattr(orcurv.transport, "_transport", counted)
+    rng = random.Random(41)
+    for p in range(1, 7):
+        w1_assignment(random_cost_matrix(p, p, rng, max_value=2))
+        assert calls == [(p, p)]
+        calls.clear()
+
+
+def test_assignment_refuses_a_flow_that_is_not_a_permutation(monkeypatch):
+    # zero potentials certify this flow (its one positive entry has reduced
+    # cost 0), but column 1 receives nothing, so it is no assignment
+    monkeypatch.setattr(orcurv.transport, "_transport",
+                        lambda c, p, q: ([[2, 0], [0, 0]], [0, 0], [0, 0]))
+    with pytest.raises(AssertionError, match="permutation matrix"):
+        w1_assignment([[0, 5], [5, 0]])
 
 
 def test_assignment_matches_bruteforce():
