@@ -228,6 +228,10 @@ def _load_instance(cfg: RunConfig) -> _Instance:
         if not isinstance(obj, dict) or "cost" not in obj or "dxy" not in obj:
             raise ConfigError('cost-matrix input must be {"cost": [[...]], "dxy": r}')
         nb = _cost_fixture(obj["cost"], obj["dxy"], cfg.numeric)
+        for option, given in (("--edge", cfg.edges), ("--all-edges", cfg.all_edges),
+                              ("--include-endpoints", cfg.include_endpoints)):
+            if given:
+                raise ConfigError(f"{option} needs a graph input, not a cost-matrix fixture")
         return _Instance(dg=None, is_tree=False, pairs=[(None, nb)])
     try:
         g = load_graph(text, format=cfg.format, numeric=cfg.numeric)
@@ -448,8 +452,11 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
         raise UnknownFixture(f"unknown fixture {name!r}")
     filename, content = _FIXTURES[name]
     path = Path(args.dir) / filename
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --dir {args.dir!r}: {exc}") from exc
     print(str(path))
     return 0
 

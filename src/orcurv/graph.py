@@ -7,8 +7,8 @@ mode everything runs in 64-bit floats. Disconnected pairs are encoded as
 +inf; downstream transport code refuses to consume infinite costs.
 
 Shortest paths use per-source Dijkstra with a binary heap, optionally
-fanned out over a thread pool (the result is bit-identical regardless of
-worker count), with a Floyd-Warshall fallback for dense graphs.
+fanned out over a thread pool (bit-identical for any worker count); dense
+float graphs run a numpy Floyd-Warshall instead.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ Weight = Union[int, Fraction, float]
 
 INF = math.inf
 
-#: densities above this (for N <= 512) switch the APSP to Floyd-Warshall
+#: float graphs with N <= 512 and at least this density run Floyd-Warshall
 _DENSE_THRESHOLD = 0.5
 
 #: largest decimal exponent magnitude a rational weight may carry. It is
@@ -356,55 +356,45 @@ def _dijkstra_row(adj, n: int, source: int) -> tuple[Weight, ...]:
     return tuple(dist)
 
 
-def _floyd_warshall(adj, n: int) -> list[tuple[Weight, ...]]:
-    d: list[list[Weight]] = [[INF] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = 0
-    for u in range(n):
-        for v, w in adj[u]:
-            if w < d[u][v]:
-                d[u][v] = w
-    for k in range(n):
-        # INF + anything is never shorter, and an exact weight beyond float
-        # range cannot be added to the float INF at all: skip row k's INF
-        # entries once per k, not once per (i, j)
-        finite_k = [(j, dkj) for j, dkj in enumerate(d[k]) if dkj != INF]
-        for i in range(n):
-            dik = d[i][k]
-            if dik == INF:
-                continue
-            di = d[i]
-            for j, dkj in finite_k:
-                alt = dik + dkj
-                if alt < di[j]:
-                    di[j] = alt
-    return [tuple(row) for row in d]
+def _floyd_warshall_float(g: Graph) -> list[tuple[Weight, ...]]:
+    """Float64 Floyd-Warshall, bit-identical to the scalar triple loop.
 
-
-def all_pairs_geodesic(g: Graph, algorithm: str = "auto",
-                       workers: int | None = None) -> GeodesicMatrix:
-    """Exact shortest-path distance matrix.
-
-    algorithm is "auto", "dijkstra", or "floyd_warshall"; auto picks
-    Floyd-Warshall for dense graphs with N <= 512. workers > 1 fans the
-    per-source Dijkstra runs over a thread pool; output does not depend
-    on the schedule.
+    Row k and column k do not change during step k when weights are
+    nonnegative, so one vectorized minimum per k takes the values the
+    scalar loop takes (the tests keep that loop as the oracle).
     """
     n = g.vertex_count
+    d = np.full((n, n), INF)
+    for u, v, w in g.edges:
+        d[u, v] = d[v, u] = w
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    rows = d.tolist()
+    for i, row in enumerate(rows):
+        row[i] = 0    # an int zero on the diagonal, as Dijkstra's source gets
+    return [tuple(row) for row in rows]
+
+
+def all_pairs_geodesic(g: Graph, workers: int | None = None) -> GeodesicMatrix:
+    """Exact shortest-path distance matrix.
+
+    Dense graphs with a float weight (N <= 512, density >=
+    _DENSE_THRESHOLD) run a numpy float64 Floyd-Warshall; every other
+    graph runs per-source Dijkstra, so exact distances keep their int /
+    Fraction type. workers > 1 fans the Dijkstra runs over a thread pool;
+    output does not depend on the schedule.
+    """
+    n = g.vertex_count
+    density = 2 * g.edge_count / (n * (n - 1)) if n > 1 else 0.0
     adj = g._adjacency
-    if algorithm == "auto":
-        density = 2 * g.edge_count / (n * (n - 1)) if n > 1 else 0.0
-        algorithm = "floyd_warshall" if (n <= 512 and density >= _DENSE_THRESHOLD) else "dijkstra"
-    if algorithm == "floyd_warshall":
-        rows = _floyd_warshall(adj, n)
-    elif algorithm == "dijkstra":
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda s: _dijkstra_row(adj, n, s), range(n)))
-        else:
-            rows = [_dijkstra_row(adj, n, s) for s in range(n)]
+    if n <= 512 and density >= _DENSE_THRESHOLD and not g.rational:
+        rows = _floyd_warshall_float(g)
+    elif workers and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(lambda s: _dijkstra_row(adj, n, s), range(n)))
     else:
-        raise ParseError(f"unknown APSP algorithm {algorithm!r}")
+        rows = [_dijkstra_row(adj, n, s) for s in range(n)]
     return GeodesicMatrix(n, tuple(rows))
 
 

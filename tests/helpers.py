@@ -71,6 +71,37 @@ def bellman_ford_row(g: Graph, source: int) -> list:
     return dist
 
 
+def floyd_warshall_rows(g: Graph) -> list[tuple]:
+    """Scalar O(N^3) Floyd-Warshall in the weights' own arithmetic, the
+    oracle of the numpy kernel: exact for int / Fraction weights, and for
+    float weights the value every entry of that kernel must equal bit for
+    bit."""
+    adj = g._adjacency
+    n = g.vertex_count
+    d: list[list] = [[INF] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = 0
+    for u in range(n):
+        for v, w in adj[u]:
+            if w < d[u][v]:
+                d[u][v] = w
+    for k in range(n):
+        # INF + anything is never shorter, and an exact weight beyond float
+        # range cannot be added to the float INF at all: skip row k's INF
+        # entries once per k, not once per (i, j)
+        finite_k = [(j, dkj) for j, dkj in enumerate(d[k]) if dkj != INF]
+        for i in range(n):
+            dik = d[i][k]
+            if dik == INF:
+                continue
+            di = d[i]
+            for j, dkj in finite_k:
+                alt = dik + dkj
+                if alt < di[j]:
+                    di[j] = alt
+    return [tuple(row) for row in d]
+
+
 def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:
     """The dilated_overlap oracle: embed phi in all b.dim entries and
     dilate the whole vector, as the tree pipeline once did per overlap."""

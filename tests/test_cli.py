@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +131,29 @@ def test_unwritable_output_path_is_config_error(path4, tmp_path, capsys, option,
     assert out == ""
     assert f"cannot write {option}" in err and str(target) in err
     assert not target.exists()
+
+
+def test_fixture_dir_that_cannot_be_created_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = blocker / "sub"
+    code, out, err = run_cli(["fixture", "path4", "--dir", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot write --dir" in err and str(target) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--edge", "0,1"], ["--all-edges"], ["--include-endpoints"]],
+                         ids=["edge", "all-edges", "include-endpoints"])
+def test_graph_options_refused_for_cost_matrix(tmp_path, capsys, argv):
+    fixture = tmp_path / "c.json"
+    fixture.write_text(json.dumps({"cost": [[1, 2], [2, 1]], "dxy": 1}))
+    code, out, err = run_cli(["compute", "--format", "cost_matrix", "--method", "lp",
+                              "--input", str(fixture), *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]} needs a graph input" in err
 
 
 def test_edge_selector_required(path4, capsys):
@@ -530,9 +555,14 @@ def test_tree_compare_never_dilates_a_full_vector(tmp_path, capsys, monkeypatch,
 def test_module_entry_point(tmp_path):
     fixture = tmp_path / "p.txt"
     fixture.write_text("0 1\n1 2\n2 3\n")
+    # the child imports orcurv from where this process did, also when only
+    # pytest's `pythonpath` setting put src/ on sys.path
+    src = str(Path(orcurv.cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "orcurv", "compute", "--input", str(fixture),
          "--method", "tree", "--edge", "1,2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"][0]["curvature"] == -2

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bellman_ford_row, random_connected_graph
+import orcurv.graph
+from helpers import bellman_ford_row, floyd_warshall_rows, random_connected_graph
 from orcurv.errors import (
     DuplicateEdge,
     EmptyNeighborhood,
@@ -18,7 +19,9 @@ from orcurv.errors import (
     SelfLoop,
 )
 from orcurv.graph import (
+    _DENSE_THRESHOLD,
     MAX_DECIMAL_EXPONENT,
+    GeodesicMatrix,
     Graph,
     LocalNeighborhood,
     all_pairs_geodesic,
@@ -168,18 +171,80 @@ def test_dijkstra_equals_floyd_warshall():
     rng = random.Random(3)
     for trial in range(5):
         g = random_connected_graph(rng.randint(4, 20), extra=10, rng=rng)
-        a = all_pairs_geodesic(g, algorithm="dijkstra")
-        b = all_pairs_geodesic(g, algorithm="floyd_warshall")
-        assert a.d == b.d
+        a = all_pairs_geodesic(g)
+        b = floyd_warshall_rows(g)
+        assert list(a.d) == b
 
 
 @pytest.mark.parametrize("algorithm", ["dijkstra", "floyd_warshall"])
 def test_weight_beyond_float_range_stays_exact(algorithm):
     g = load_graph("0 1 1e400\n1 2\n2 3\n")
-    dg = all_pairs_geodesic(g, algorithm=algorithm)
-    assert dg.d[0][3] == 10 ** 400 + 2
-    assert dg.d[3][0] == 10 ** 400 + 2
-    assert dg.d[1][3] == 2
+    d = all_pairs_geodesic(g).d if algorithm == "dijkstra" else floyd_warshall_rows(g)
+    assert d[0][3] == 10 ** 400 + 2
+    assert d[3][0] == 10 ** 400 + 2
+    assert d[1][3] == 2
+
+
+def _dense_float_graph(rng: random.Random) -> Graph:
+    """A float graph of density >= 0.5 whose last `split` vertices form a
+    second component (split = 0: one component, 1: an isolated vertex)."""
+    while True:
+        n = rng.randint(2, 60)
+        split = rng.choice([0, 0, 1, 2, 3]) if n > 4 else 0
+        keep = rng.uniform(0.5, 1.0)
+        edges = [(u, v, rng.random() * 10 ** rng.randint(-3, 3))
+                 for u in range(n) for v in range(u + 1, n)
+                 if (u < n - split) == (v < n - split) and rng.random() < keep]
+        if 2 * len(edges) >= n * (n - 1) * _DENSE_THRESHOLD:
+            return Graph(n, edges)
+
+
+def test_dense_float_apsp_equals_floyd_warshall_oracle():
+    rng = random.Random(8)
+    disconnected = 0
+    for trial in range(80):
+        g = _dense_float_graph(rng)
+        d = all_pairs_geodesic(g).d
+        oracle = floyd_warshall_rows(g)
+        assert list(d) == oracle    # float equality: bit for bit, inf included
+        assert [[type(x) for x in row] for row in d] == \
+            [[type(x) for x in row] for row in oracle]
+        assert all(type(d[i][i]) is int and d[i][i] == 0 for i in range(g.vertex_count))
+        disconnected += not GeodesicMatrix(g.vertex_count, d).all_finite()
+    assert disconnected >= 10
+
+
+@pytest.mark.parametrize("kind", ["int-beyond-2^53", "fraction"])
+def test_dense_exact_apsp_stays_exact(kind):
+    rng = random.Random(9)
+    n = 14
+    weight = ((lambda: 2 ** 60 + rng.randint(0, 1000)) if kind == "int-beyond-2^53"
+              else (lambda: Fraction(rng.randint(1, 50), rng.randint(1, 7))))
+    g = Graph(n, [(u, v, weight()) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < 0.7])
+    assert 2 * g.edge_count >= n * (n - 1) * _DENSE_THRESHOLD and g.rational
+    dg = all_pairs_geodesic(g)
+    for s in range(n):
+        assert list(dg.d[s]) == bellman_ford_row(g, s)
+    exact = int if kind == "int-beyond-2^53" else (int, Fraction)
+    assert all(isinstance(x, exact) and not isinstance(x, bool)
+               for row in dg.d for x in row)
+
+
+@pytest.mark.parametrize("rational, extra, route", [
+    (False, 300, "floyd_warshall"),
+    (True, 300, "dijkstra"),
+    (False, 20, "dijkstra"),
+], ids=["dense-float", "dense-exact", "sparse-float"])
+def test_apsp_route_is_chosen_from_the_input(monkeypatch, rational, extra, route):
+    g = random_connected_graph(30, extra=extra, rng=random.Random(11), rational=rational)
+    calls = []
+    for name, label in (("_dijkstra_row", "dijkstra"), ("_floyd_warshall_float", "floyd_warshall")):
+        real = getattr(orcurv.graph, name)
+        monkeypatch.setattr(orcurv.graph, name,
+                            lambda *a, real=real, label=label: calls.append(label) or real(*a))
+    all_pairs_geodesic(g)
+    assert calls == [route] * (30 if route == "dijkstra" else 1)
 
 
 @pytest.mark.parametrize("text, fmt", [
@@ -208,8 +273,8 @@ def test_parallel_identical():
     rng = random.Random(5)
     for rational in (True, False):
         g = random_connected_graph(30, extra=25, rng=rng, rational=rational)
-        serial = all_pairs_geodesic(g, algorithm="dijkstra", workers=1)
-        parallel = all_pairs_geodesic(g, algorithm="dijkstra", workers=4)
+        serial = all_pairs_geodesic(g, workers=1)
+        parallel = all_pairs_geodesic(g, workers=4)
         assert serial.d == parallel.d  # bit-identical, float mode included
 
 
