@@ -3,8 +3,12 @@
 compute runs one curvature method over selected edges and writes a JSON
 or CSV report; compare runs a classical/quantum-simulation pair per edge
 and fails (exit 1) when the difference exceeds the tolerance; fixture
-writes small named input files. Exit codes: 0 ok, 1 comparison failure,
-2 configuration error, 3 solver error.
+writes small named input files. compute and compare share one run loop,
+`_run`, and read their options straight from the argparse namespace; a
+report echoes only the options its subcommand has. An option the run
+cannot use is refused, never ignored: `--shots` off the `qsim_tree`
+route, `--trace` when no qsim route runs. Exit codes: 0 ok, 1 comparison
+failure, 2 configuration error, 3 solver error.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
@@ -25,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, InvalidWeight, OrcError, UnknownFixture
+from .errors import ConfigError, InvalidWeight, OrcError
 from .graph import (
     GeodesicMatrix,
     Graph,
@@ -44,7 +48,7 @@ from .qpipeline import (
     w1_pq_qsim,
     w1_tree_qsim,
 )
-from .transport import QSIM_METHODS, CurvatureResult, curvature, verify_tree
+from .transport import ALL_METHODS, QSIM_METHODS, CurvatureResult, curvature, verify_tree
 
 _FIXTURES = {
     "appendix_a": (
@@ -57,25 +61,9 @@ _FIXTURES = {
 
 _QSIM_PARTNER = {"qsim_tree": "tree", "qsim_pq": "assignment"}
 
-
-@dataclass
-class RunConfig:
-    """Validated CLI options plus the loaded instance."""
-
-    command: str
-    input_path: str | None
-    format: str
-    method: str
-    qsim_method: str
-    edges: list[tuple[int, int]] | None
-    all_edges: bool
-    include_endpoints: bool
-    numeric: str
-    tol: float
-    out: str | None
-    out_format: str
-    trace: str | None
-    qsim: QsimConfig
+#: options a report echoes under meta.config, each where its subcommand has it
+_ECHOED = ("command", "input", "format", "method", "qsim_method", "numeric", "all_edges",
+           "include_endpoints", "margin", "eps", "seed", "shots", "cap", "tol")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,14 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp_compute = sub.add_parser("compute", help="curvature with one method")
     add_common(sp_compute)
-    sp_compute.add_argument(
-        "--method", default="lp",
-        choices=["lp", "tree", "assignment", "brute_force", "qsim_tree", "qsim_pq"])
+    sp_compute.add_argument("--method", default="lp", choices=ALL_METHODS)
 
     sp_compare = sub.add_parser("compare", help="classical vs quantum-sim per edge")
     add_common(sp_compare)
-    sp_compare.add_argument("--qsim-method", default="auto",
-                            choices=["auto", "qsim_tree", "qsim_pq"])
+    sp_compare.add_argument("--qsim-method", default="auto", choices=("auto", *QSIM_METHODS))
     sp_compare.add_argument("--tol", type=float, default=1e-8)
 
     sp_fixture = sub.add_parser("fixture", help="write a named fixture file")
@@ -152,51 +137,18 @@ def _check_numeric_options(args: argparse.Namespace) -> None:
             raise ConfigError(f"{option} must be {expected}, got {value!r}")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the options, parse --edge in place and add the one QsimConfig."""
     _check_numeric_options(args)
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        format=args.format,
-        method=getattr(args, "method", "lp"),
-        qsim_method=getattr(args, "qsim_method", "auto"),
-        edges=_parse_edges(args.edge),
-        all_edges=args.all_edges,
-        include_endpoints=args.include_endpoints,
-        numeric=args.numeric,
-        tol=getattr(args, "tol", 1e-8),
-        out=args.out,
-        out_format=args.out_format,
-        trace=args.trace,
-        qsim=QsimConfig(
-            margin=args.margin,
-            shots=args.shots,
-            seed=args.seed,
-            eps=args.eps,
-            dim_cap=args.cap,
-        ),
-    )
+    args.edge = _parse_edges(args.edge)
+    args.qsim = QsimConfig(margin=args.margin, shots=args.shots, seed=args.seed,
+                           eps=args.eps, dim_cap=args.cap)
+    return args
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = {
-        "command": cfg.command,
-        "input": cfg.input_path,
-        "format": cfg.format,
-        "method": cfg.method,
-        "numeric": cfg.numeric,
-        "edges": [list(e) for e in cfg.edges] if cfg.edges else None,
-        "all_edges": cfg.all_edges,
-        "margin": cfg.qsim.margin,
-        "eps": cfg.qsim.eps,
-        "seed": cfg.qsim.seed,
-        "shots": cfg.qsim.shots,
-        "include_endpoints": cfg.include_endpoints,
-        "cap": cfg.qsim.dim_cap,
-    }
-    if cfg.command == "compare":
-        echo["qsim_method"] = cfg.qsim_method
-        echo["tol"] = cfg.tol
+def _config_echo(args: argparse.Namespace) -> dict:
+    echo = {name: getattr(args, name) for name in _ECHOED if hasattr(args, name)}
+    echo["edges"] = args.edge
     return echo
 
 
@@ -213,13 +165,13 @@ class _Instance:
     pairs: list[tuple[tuple[int, int] | None, LocalNeighborhood]]
 
 
-def _load_instance(cfg: RunConfig) -> _Instance:
+def _load_instance(args: argparse.Namespace) -> _Instance:
     try:
-        text = Path(cfg.input_path).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read input {cfg.input_path!r}: {exc}") from exc
-    if cfg.format == "cost_matrix":
-        parse_float = float if cfg.numeric == "float" else parse_fraction
+        raise ConfigError(f"cannot read input {args.input!r}: {exc}") from exc
+    if args.format == "cost_matrix":
+        parse_float = float if args.numeric == "float" else parse_fraction
         try:
             obj = json.loads(text, parse_float=parse_float)
         except (ValueError, InvalidWeight) as exc:
@@ -227,21 +179,21 @@ def _load_instance(cfg: RunConfig) -> _Instance:
             raise ConfigError(f"invalid cost-matrix JSON: {exc}") from exc
         if not isinstance(obj, dict) or "cost" not in obj or "dxy" not in obj:
             raise ConfigError('cost-matrix input must be {"cost": [[...]], "dxy": r}')
-        nb = _cost_fixture(obj["cost"], obj["dxy"], cfg.numeric)
-        for option, given in (("--edge", cfg.edges), ("--all-edges", cfg.all_edges),
-                              ("--include-endpoints", cfg.include_endpoints)):
+        nb = _cost_fixture(obj["cost"], obj["dxy"], args.numeric)
+        for option, given in (("--edge", args.edge), ("--all-edges", args.all_edges),
+                              ("--include-endpoints", args.include_endpoints)):
             if given:
                 raise ConfigError(f"{option} needs a graph input, not a cost-matrix fixture")
         return _Instance(dg=None, is_tree=False, pairs=[(None, nb)])
     try:
-        g = load_graph(text, format=cfg.format, numeric=cfg.numeric)
+        g = load_graph(text, format=args.format, numeric=args.numeric)
     except OrcError as exc:
         raise ConfigError(f"cannot parse input: {exc}") from exc
     dg = all_pairs_geodesic(g)
     pairs = []
-    for u, v in _select_edges(cfg, g):
+    for u, v in _select_edges(args, g):
         try:
-            nb = neighborhood(g, dg, u, v, include_endpoints=cfg.include_endpoints)
+            nb = neighborhood(g, dg, u, v, include_endpoints=args.include_endpoints)
         except OrcError as exc:
             raise _SolverFailure((u, v), exc) from exc
         pairs.append(((u, v), nb))
@@ -268,29 +220,27 @@ def _cost_fixture(cost, dxy, numeric: str) -> LocalNeighborhood:
         raise ConfigError(f"bad cost-matrix fixture: {exc}") from exc
 
 
-def _select_edges(cfg: RunConfig, g: Graph) -> list[tuple[int, int]]:
-    if cfg.all_edges and cfg.edges:
+def _select_edges(args: argparse.Namespace, g: Graph) -> list[tuple[int, int]]:
+    if args.all_edges and args.edge:
         raise ConfigError("use either --edge or --all-edges, not both")
-    if cfg.all_edges:
+    if args.all_edges:
         edges = [(u, v) for u, v, _ in g.edges]
-        if not cfg.include_endpoints:
+        if not args.include_endpoints:
             # leaf edges have an empty neighborhood on one side; skip them
             degree = [len(g.neighbors(v)) for v in range(g.vertex_count)]
             edges = [(u, v) for u, v in edges if degree[u] > 1 and degree[v] > 1]
         if not edges:
             raise ConfigError("no edges with nonempty neighborhoods to process")
         return edges
-    if cfg.edges:
-        for u, v in cfg.edges:
+    if args.edge:
+        for u, v in args.edge:
             if not g.has_edge(u, v):
                 raise ConfigError(f"({u}, {v}) is not an edge of the input graph")
-        return cfg.edges
+        return args.edge
     raise ConfigError("select edges with --edge u,v or --all-edges")
 
 
-def _validate_method(cfg: RunConfig, inst: _Instance, method: str) -> None:
-    if method == "qsim_pq" and cfg.qsim.shots is not None:
-        raise ConfigError("method 'qsim_pq' has no shot-noise model; drop --shots")
+def _validate_method(inst: _Instance, method: str) -> None:
     if method in ("tree", "qsim_tree"):
         if inst.dg is None:
             raise ConfigError(f"method {method!r} needs a graph input, "
@@ -309,21 +259,21 @@ def _validate_method(cfg: RunConfig, inst: _Instance, method: str) -> None:
 # execution
 # --------------------------------------------------------------------------
 
-def _distance_encoding(cfg: RunConfig, inst: _Instance, audit: AuditTrail | None):
+def _distance_encoding(qsim: QsimConfig, inst: _Instance, audit: AuditTrail | None):
     """The (be, meta) every qsim edge of this run queries, built once."""
     dist = inst.dg if inst.dg is not None else cost_grid(inst.pairs[0][1].cost)
     return build_distance_encoding(
-        dist, margin=cfg.qsim.margin, power_mode=cfg.qsim.power_mode,
-        power_degree=cfg.qsim.power_degree,
-        power_eps_target=cfg.qsim.power_eps_target, audit=audit)
+        dist, margin=qsim.margin, power_mode=qsim.power_mode,
+        power_degree=qsim.power_degree,
+        power_eps_target=qsim.power_eps_target, audit=audit)
 
 
-def _run_method(cfg: RunConfig, method: str, nb: LocalNeighborhood, encoding,
+def _run_method(qsim: QsimConfig, method: str, nb: LocalNeighborhood, encoding,
                 audit: AuditTrail | None) -> CurvatureResult:
     if method == "qsim_tree":
-        return w1_tree_qsim(nb, encoding, cfg.qsim, audit=audit)
+        return w1_tree_qsim(nb, encoding, qsim, audit=audit)
     if method == "qsim_pq":
-        return w1_pq_qsim(nb, encoding, cfg.qsim, audit=audit)
+        return w1_pq_qsim(nb, encoding, qsim, audit=audit)
     return curvature(nb, method=method)
 
 
@@ -374,83 +324,74 @@ def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
     return rec
 
 
-def _cmd_compute(cfg: RunConfig) -> tuple[dict, int]:
-    inst = _load_instance(cfg)
-    _validate_method(cfg, inst, cfg.method)
-    audit = AuditTrail() if cfg.trace else None
-    encoding = (_distance_encoding(cfg, inst, audit)
-                if cfg.method in QSIM_METHODS else None)
-    records = []
-    for edge, nb in inst.pairs:
-        try:
-            result = _run_method(cfg, cfg.method, nb, encoding, audit)
-        except OrcError as exc:
-            raise _SolverFailure(edge, exc) from exc
-        records.append(_record(nb, result))
-    report = {
-        "meta": {"version": __version__, "config": _config_echo(cfg)},
-        "records": records,
+def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, encoding,
+                res_c: CurvatureResult, res_q: CurvatureResult) -> dict:
+    """The compare fields of one edge's record."""
+    abs_diff = abs(float(res_c.w1) - float(res_q.w1))
+    tol = args.tol
+    if args.shots is not None:    # only the tree route accepts --shots
+        tol = max(tol, 5.0 * tree_qsim_standard_error(nb, encoding, args.qsim))
+    return {
+        "w1_classical": _ser(res_c.w1),
+        "w1_qsim": res_q.w1,
+        "abs_diff": abs_diff,
+        "rel_diff": abs_diff / max(abs(float(res_c.w1)), 1e-300),
+        "tol": tol,
+        "within_tol": abs_diff <= tol,
     }
-    _write_trace(cfg, audit)
-    return report, 0
 
 
-def _cmd_compare(cfg: RunConfig) -> tuple[dict, int]:
-    inst = _load_instance(cfg)
-    qsim_method = cfg.qsim_method
-    if qsim_method == "auto":
-        qsim_method = "qsim_tree" if inst.is_tree else "qsim_pq"
-    classical = _QSIM_PARTNER[qsim_method]
-    _validate_method(cfg, inst, classical)
-    _validate_method(cfg, inst, qsim_method)
-    audit = AuditTrail() if cfg.trace else None
-    encoding = _distance_encoding(cfg, inst, audit)
+def _run(args: argparse.Namespace) -> tuple[dict, int]:
+    """compute runs one method per edge; compare runs the classical partner
+    and the qsim route per edge and adds the comparison fields."""
+    inst = _load_instance(args)
+    if args.command == "compute":
+        methods = (args.method,)
+    else:
+        route = args.qsim_method
+        if route == "auto":
+            route = "qsim_tree" if inst.is_tree else "qsim_pq"
+        methods = (_QSIM_PARTNER[route], route)
+    route = methods[-1]
+    if args.shots is not None and route != "qsim_tree":
+        raise ConfigError(f"method {route!r} has no shot-noise model; drop --shots")
+    if args.trace is not None and route not in QSIM_METHODS:
+        raise ConfigError(f"method {route!r} writes no audit trace; drop --trace")
+    for method in methods:
+        _validate_method(inst, method)
+    audit = AuditTrail() if args.trace else None
+    encoding = _distance_encoding(args.qsim, inst, audit) if route in QSIM_METHODS else None
     records = []
     for edge, nb in inst.pairs:
         try:
-            res_c = _run_method(cfg, classical, nb, None, None)
-            res_q = _run_method(cfg, qsim_method, nb, encoding, audit)
+            results = [_run_method(args.qsim, m, nb, encoding, audit) for m in methods]
         except OrcError as exc:
             raise _SolverFailure(edge, exc) from exc
-        abs_diff = abs(float(res_c.w1) - float(res_q.w1))
-        rel_diff = abs_diff / max(abs(float(res_c.w1)), 1e-300)
-        tol = cfg.tol
-        if cfg.qsim.shots is not None and qsim_method == "qsim_tree":
-            se = tree_qsim_standard_error(nb, encoding, cfg.qsim)
-            tol = max(tol, 5.0 * se)
-        rec = _record(nb, res_q)
-        rec.update({
-            "w1_classical": _ser(res_c.w1),
-            "w1_qsim": res_q.w1,
-            "abs_diff": abs_diff,
-            "rel_diff": rel_diff,
-            "tol": tol,
-            "within_tol": abs_diff <= tol,
-        })
+        rec = _record(nb, results[-1])
+        if args.command == "compare":
+            rec.update(_comparison(args, nb, encoding, *results))
         records.append(rec)
-    max_abs = max((r["abs_diff"] for r in records), default=0.0)
-    max_rel = max((r["rel_diff"] for r in records), default=0.0)
-    ok = all(r["within_tol"] for r in records)
     report = {
-        "meta": {"version": __version__, "config": _config_echo(cfg)},
-        "summary": {
-            "classical_method": classical,
-            "qsim_method": qsim_method,
-            "max_abs_diff": max_abs,
-            "max_rel_diff": max_rel,
-            "within_tol": ok,
-        },
+        "meta": {"version": __version__, "config": _config_echo(args)},
         "records": records,
     }
-    _write_trace(cfg, audit)
-    return report, 0 if ok else 1
+    code = 0
+    if args.command == "compare":
+        ok = all(r["within_tol"] for r in records)
+        report["summary"] = {
+            "classical_method": methods[0],
+            "qsim_method": route,
+            "max_abs_diff": max((r["abs_diff"] for r in records), default=0.0),
+            "max_rel_diff": max((r["rel_diff"] for r in records), default=0.0),
+            "within_tol": ok,
+        }
+        code = 0 if ok else 1
+    _write_trace(args, audit)
+    return report, code
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    name = args.name
-    if name not in _FIXTURES:
-        raise UnknownFixture(f"unknown fixture {name!r}")
-    filename, content = _FIXTURES[name]
+    filename, content = _FIXTURES[args.name]
     path = Path(args.dir) / filename
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -488,23 +429,23 @@ def _report_to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _emit_report(cfg: RunConfig, report: dict) -> None:
+def _emit_report(args: argparse.Namespace, report: dict) -> None:
     with _unlimited_int_digits():
-        if cfg.out_format == "json":
+        if args.out_format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:
             text = _report_to_csv(report)
-    if cfg.out:
-        _write_file(cfg.out, text, "--out")
+    if args.out:
+        _write_file(args.out, text, "--out")
     else:
         sys.stdout.write(text)
 
 
-def _write_trace(cfg: RunConfig, audit: AuditTrail | None) -> None:
-    if audit is None or cfg.trace is None:
+def _write_trace(args: argparse.Namespace, audit: AuditTrail | None) -> None:
+    if audit is None:
         return
     lines = [json.dumps(rec, sort_keys=True, default=str) for rec in audit.records]
-    _write_file(cfg.trace, "\n".join(lines) + "\n", "--trace")
+    _write_file(args.trace, "\n".join(lines) + "\n", "--trace")
 
 
 def _write_file(path: str, text: str, option: str) -> None:
@@ -524,18 +465,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "fixture":
             return _cmd_fixture(args)
-        cfg = _config_from_args(args)
-        if args.command == "compute":
-            report, code = _cmd_compute(cfg)
-        else:
-            report, code = _cmd_compare(cfg)
-        _emit_report(cfg, report)
+        args = _config_from_args(args)
+        report, code = _run(args)
+        _emit_report(args, report)
         return code
     except ConfigError as exc:
         print(f"orc: config error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownFixture as exc:
-        print(f"orc: {exc}", file=sys.stderr)
         return 2
     except _SolverFailure as exc:
         print(f"orc: solver error: {exc}", file=sys.stderr)

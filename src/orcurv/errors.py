@@ -45,8 +45,8 @@ class NotATree(OrcError):
     """Tree-only routine invoked on a graph that is not a tree."""
 
 
-class NonSquare(OrcError):
-    """Assignment routine needs a square cost matrix."""
+class NotSquare(OrcError):
+    """An assignment route, classical or the p = q pipeline, needs p = q."""
 
 
 class TooLarge(OrcError):
@@ -113,10 +113,6 @@ class DigitOutOfRange(OrcError):
     """A base-p digit lies outside [1, p]."""
 
 
-class NotSquare(OrcError):
-    """The p = q pipeline needs equally sized neighborhoods."""
-
-
 class ZeroOverlap(OrcError):
     """Power-iteration start vector is orthogonal to the target eigenspace."""
 
@@ -129,7 +125,3 @@ class EstimateOutOfRange(OrcError):
 
 class ConfigError(OrcError):
     """Command-line configuration is inconsistent or incomplete."""
-
-
-class UnknownFixture(OrcError):
-    """Requested fixture name is not defined."""

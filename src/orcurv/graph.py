@@ -138,10 +138,6 @@ class GeodesicMatrix:
     n: int
     d: tuple[tuple[Weight, ...], ...]
 
-    def __getitem__(self, pair: tuple[int, int]) -> Weight:
-        i, j = pair
-        return self.d[i][j]
-
     def all_finite(self) -> bool:
         return all(x != INF for row in self.d for x in row)
 

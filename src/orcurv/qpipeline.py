@@ -168,7 +168,8 @@ def build_distance_encoding(dg, margin: float = 0.05,
     the fractional power c = 1/4 brings the entries back to d/alpha_q
     with alpha_q = 2 * alpha^(1/4). Zero distances (the grid diagonal)
     ride along unchanged. Both pipelines query one encoding per graph, so
-    callers build it once and pass it to every edge.
+    callers build it once and pass it to every edge. InfiniteDistance if
+    alpha, (min d)^4 or their ratio leaves float64 range.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -183,11 +184,19 @@ def build_distance_encoding(dg, margin: float = 0.05,
     nonzero = dist[dist > 0.0]
     min_d = float(np.min(nonzero))
 
-    alpha = ((1.0 + margin) * max_d) ** 4
-    kappa = (max_d / min_d) ** 4
+    try:
+        alpha = ((1.0 + margin) * max_d) ** 4
+        kappa = (max_d / min_d) ** 4
+        kappa_m = alpha / min_d ** 4    # ZeroDivisionError when (min d)^4 underflows
+        if not (math.isfinite(kappa) and math.isfinite(kappa_m)):
+            raise OverflowError("kappa is not finite")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InfiniteDistance(
+            f"distances {min_d!r}..{max_d!r} at margin {margin!r} leave the float range "
+            "of the fourth-power encoding: ((1 + margin) * max d)^4, (min d)^4 and "
+            "their ratio must all lie in float64's (0, 1.8e308]") from exc
     fourth = dist.ravel() ** 4
     raw = BlockEncoding(op=fourth, subnorm=alpha)
-    kappa_m = alpha / min_d ** 4
     be = bk.be_power(raw, 0.25, kappa_m, mode=power_mode,
                      degree=power_degree, eps_target=power_eps_target)
     meta = DistanceEncodingMeta(alpha=alpha, alpha_q=be.subnorm, kappa=kappa)

@@ -40,8 +40,8 @@ from .errors import (
     EmptyNeighborhood,
     InfiniteCost,
     MethodMismatch,
-    NonSquare,
     NotATree,
+    NotSquare,
     TooLarge,
 )
 from .graph import Graph, LocalNeighborhood, Weight, _is_rational, verify_tree
@@ -343,7 +343,7 @@ def w1_tree(nb: LocalNeighborhood, graph: Graph | None = None) -> Weight:
 def _lift_square(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int, bool]:
     """_lift_block of a cost matrix that must be square."""
     if any(len(row) != len(cost) for row in cost):
-        raise NonSquare("cost matrix must be square")
+        raise NotSquare("cost matrix must be square")
     return _lift_block(cost)
 
 

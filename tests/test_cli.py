@@ -207,6 +207,15 @@ def test_report_roundtrip_schema(path4, capsys):
         assert {"x", "y", "p", "q", "w1", "dxy", "curvature", "method"} <= set(rec)
 
 
+def test_compare_echoes_only_its_own_options(path4, capsys):
+    code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges"], capsys)
+    assert code == 0
+    config = json.loads(out)["meta"]["config"]
+    assert "method" not in config
+    assert config["qsim_method"] == "auto"
+    assert config["tol"] == 1e-8
+
+
 def test_csv_output(path4, capsys):
     code, out, _ = run_cli(["compute", "--input", str(path4),
                             "--method", "tree", "--edge", "1,2",
@@ -354,6 +363,20 @@ def test_compare_pq_route_refuses_shots(tmp_path, capsys, route):
     assert "--shots" in err
 
 
+@pytest.mark.parametrize("option", ["--shots", "--trace"])
+@pytest.mark.parametrize("method", ["lp", "tree", "assignment", "brute_force"])
+def test_classical_compute_refuses_qsim_options(path4, tmp_path, capsys, method, option):
+    # every method runs on path4's edge (1, 2); none of them reads these options
+    trace = tmp_path / "t.jsonl"
+    value = "10" if option == "--shots" else str(trace)
+    code, out, err = run_cli(["compute", "--input", str(path4), "--method", method,
+                              "--edge", "1,2", option, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"config error: method {method!r}" in err and f"drop {option}" in err
+    assert not trace.exists()
+
+
 def test_out_of_range_shot_estimate_is_solver_error(path4, capsys):
     # one shot per overlap: each overlap reads +-1, and this seed drives
     # the d(x, y) estimate negative
@@ -482,7 +505,15 @@ def test_weight_beyond_float_range_is_exact(tmp_path, capsys, method):
     (["compare", "--edge", "1,2"], "0 1 1e400\n1 2\n2 3\n"),
     (["compute", "--method", "qsim_pq", "--format", "cost_matrix"],
      '{"cost": [[1e400, 2], [1, 1]], "dxy": 1}'),
-], ids=["qsim_tree", "qsim_pq", "compare", "qsim_pq-cost-matrix"])
+    # each distance fits a float, but a fourth power of the encoding does not
+    (["compute", "--method", "qsim_tree", "--edge", "1,2", "--margin", "1e100"],
+     "0 1\n1 2\n2 3\n"),
+    (["compute", "--method", "qsim_tree", "--edge", "1,2"], "0 1 1e80\n1 2\n2 3\n"),
+    (["compute", "--method", "qsim_tree", "--edge", "1,2"], "0 1 1e-90\n1 2\n2 3\n"),
+    (["compute", "--method", "qsim_tree", "--edge", "1,2"],    # (min d)^4 underflows to 0
+     "0 1 1e-90\n1 2 1e-80\n2 3 1e-80\n"),
+], ids=["qsim_tree", "qsim_pq", "compare", "qsim_pq-cost-matrix", "encoding-margin",
+        "encoding-large-weight", "encoding-weight-ratio", "encoding-small-weights"])
 def test_weight_beyond_float_range_refused_by_qsim(tmp_path, capsys, argv, text):
     path = tmp_path / "big.in"
     path.write_text(text)

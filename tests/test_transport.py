@@ -17,7 +17,7 @@ from helpers import (
     scale_nb,
     to_float_nb,
 )
-from orcurv.errors import InfiniteCost, MethodMismatch, NonSquare, NotATree, TooLarge
+from orcurv.errors import InfiniteCost, MethodMismatch, NotATree, NotSquare, TooLarge
 from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
 from orcurv.transport import (
     TransportPlan,
@@ -246,7 +246,7 @@ def test_assignment_constant_matrix():
 
 
 def test_assignment_non_square():
-    with pytest.raises(NonSquare):
+    with pytest.raises(NotSquare):
         w1_assignment([[1, 2, 3], [4, 5, 6]])
 
 
