@@ -7,15 +7,11 @@ from . import errors
 from .blockenc import (
     BlockEncoding,
     StateVector,
-    be_density,
     be_dilate,
-    be_identity,
     be_invert,
-    be_lcu,
     be_power,
     be_product,
     be_scale,
-    be_tensor,
     be_wrap,
     dilated_apply,
     dilated_overlap,
@@ -51,7 +47,6 @@ from .transport import (
     CurvatureResult,
     TransportPlan,
     curvature,
-    lp_vertex_oracle,
     w1_assignment,
     w1_bruteforce,
     w1_lp,

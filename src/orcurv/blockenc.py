@@ -10,11 +10,13 @@ sup error of its interpolant sampled on a grid (_chebyshev_approx), so
 in Chebyshev mode `err` is an estimate, not a proven bound. Composition
 rules follow fixed bookkeeping formulas:
 
-  product / tensor   subnorm multiplies, err = a1*e2 + a2*e1
-  uniform LCU        encoded value sum(+-A_i)/m, err = sum(e_i/a_i)
+  product            subnorm multiplies, err = a1*e2 + a2*e1
   scaling            subnorm multiplied by the factor
   fractional power   encoded value A^c/2 (the 1/2 becomes subnorm doubling)
   inversion          encoded value pinv(A)/kappa
+
+The tensor and uniform-LCU rules that qpipeline.build_DP follows are
+kept in the tests (tests/reference.py), as build_DP's oracle.
 
 Diagonal operators are stored as 1-D vectors and all compositions keep
 diagonality; the dense path (and the explicit unitary dilation) exists
@@ -31,7 +33,6 @@ import numpy as np
 
 from .errors import (
     BadFactor,
-    BadFactorization,
     DimMismatch,
     IndexOutOfRange,
     InexactEncoding,
@@ -43,6 +44,8 @@ from .errors import (
 
 _NORM_SLACK = 1e-9
 _MAX_POLY_DEGREE = 5000
+#: accuracy the default Chebyshev degree rules aim at
+_EPS_TARGET = 1e-6
 
 
 def _as_operator(m) -> np.ndarray:
@@ -158,18 +161,13 @@ class StateVector:
 # constructors and composition rules
 # --------------------------------------------------------------------------
 
-def be_wrap(m, subnorm: float, ancilla_dim: int = 2) -> BlockEncoding:
+def be_wrap(m, subnorm: float) -> BlockEncoding:
     """Exact encoding of m at the declared subnormalization (err = 0)."""
     op = _as_operator(m)
     norm = _operator_norm(op)
     if float(subnorm) < norm * (1 - _NORM_SLACK):
         raise SubnormTooSmall(f"subnorm {subnorm} < operator norm {norm}")
-    return BlockEncoding(op=op, subnorm=max(float(subnorm), norm),
-                         err=0.0, ancilla_dim=ancilla_dim)
-
-
-def be_identity(dim: int) -> BlockEncoding:
-    return BlockEncoding(op=np.ones(dim), subnorm=1.0)
+    return BlockEncoding(op=op, subnorm=max(float(subnorm), norm), err=0.0)
 
 
 def _binary_op_arrays(b1: BlockEncoding, b2: BlockEncoding):
@@ -189,48 +187,6 @@ def be_product(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
         subnorm=b1.subnorm * b2.subnorm,
         err=b1.subnorm * b2.err + b2.subnorm * b1.err,
         ancilla_dim=b1.ancilla_dim * b2.ancilla_dim,
-    )
-
-
-def be_tensor(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
-    """Encoding of the Kronecker product b1.op (x) b2.op."""
-    if b1.is_diagonal and b2.is_diagonal:
-        op = np.kron(b1.op, b2.op)
-    else:
-        op = np.kron(b1.to_dense(), b2.to_dense())
-    return BlockEncoding(
-        op=op,
-        subnorm=b1.subnorm * b2.subnorm,
-        err=b1.subnorm * b2.err + b2.subnorm * b1.err,
-        ancilla_dim=b1.ancilla_dim * b2.ancilla_dim,
-    )
-
-
-def be_lcu(bs: Sequence[BlockEncoding], signs: Sequence[int] | None = None) -> BlockEncoding:
-    """Uniform linear combination: encoded value sum(+-encoded_i) / m."""
-    if not bs:
-        raise DimMismatch("LCU needs at least one encoding")
-    m = len(bs)
-    if signs is None:
-        signs = [1] * m
-    if len(signs) != m or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be a list of +-1 matching the encodings")
-    dim = bs[0].dim
-    if any(b.dim != dim for b in bs):
-        raise DimMismatch("LCU operands must share one dimension")
-    diag = all(b.is_diagonal for b in bs)
-    acc = np.zeros(dim if diag else (dim, dim),
-                   dtype=np.complex128 if any(np.iscomplexobj(b.op) for b in bs) else np.float64)
-    for s, b in zip(signs, bs):
-        acc = acc + s * (b.op if diag else b.to_dense()) / b.subnorm
-    ancilla = m
-    for b in bs:
-        ancilla *= b.ancilla_dim
-    return BlockEncoding(
-        op=acc,
-        subnorm=float(m),
-        err=float(sum(b.err / b.subnorm for b in bs)),
-        ancilla_dim=ancilla,
     )
 
 
@@ -296,8 +252,7 @@ def _chebyshev_approx(fn, lo: float, hi: float, degree: int):
 
 
 def be_power(b: BlockEncoding, c: float, kappa_m: float,
-             mode: str = "exact", degree: int | None = None,
-             eps_target: float = 1e-6) -> BlockEncoding:
+             mode: str = "exact", degree: int | None = None) -> BlockEncoding:
     """Fractional power of a nonnegative diagonal encoding.
 
     Encoded output is (encoded block)^c / 2; the 1/2 is realized as a
@@ -306,7 +261,7 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float,
     zeros are preserved (the power acts on the support only). Chebyshev
     mode applies a degree-d interpolant of x^c on [1/kappa_m, 1] and adds
     its sup-norm error, sampled on a grid and so an estimate rather than
-    a bound, to err.
+    a bound, to err. degree None takes default_power_degree(kappa_m, 1e-6).
     """
     if not 0 < c < 1:
         raise ValueError(f"exponent must be in (0, 1), got {c}")
@@ -324,7 +279,7 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float,
         new_op = np.where(support, np.abs(diag) ** c, 0.0)
     elif mode == "chebyshev":
         if degree is None:
-            degree = default_power_degree(kappa_m, eps_target)
+            degree = default_power_degree(kappa_m, _EPS_TARGET)
         poly, sup = _chebyshev_approx(lambda x: x ** c, 1.0 / kappa_m, 1.0, degree)
         new_op = np.where(support, poly(encoded) * b.subnorm ** c, 0.0)
         new_err = b.err + sup
@@ -335,15 +290,15 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float,
 
 
 def be_invert(b: BlockEncoding, kappa_a: float,
-              mode: str = "exact", degree: int | None = None,
-              eps_target: float = 1e-6) -> BlockEncoding:
+              mode: str = "exact", degree: int | None = None) -> BlockEncoding:
     """Pseudoinverse encoding: encoded value pinv(encoded block)/kappa_a.
 
     Zero eigenvalues are preserved (pseudoinverse on the support).
     Nonzero encoded eigenvalues must lie within [1/kappa_a, 1] in
     magnitude. Chebyshev mode (diagonal only) approximates 1/x on the
     positive window and adds the encoded-block deviation, a sampled sup
-    error and so an estimate rather than a bound, to err.
+    error and so an estimate rather than a bound, to err. degree None
+    takes default_inverse_degree(kappa_a, 1e-6).
     """
     if kappa_a < 1:
         raise ValueError(f"kappa_a must be >= 1, got {kappa_a}")
@@ -360,7 +315,7 @@ def be_invert(b: BlockEncoding, kappa_a: float,
             if float(np.min(encoded)) < 0:
                 raise SpectrumOutOfRange("chebyshev inversion needs a nonnegative diagonal")
             if degree is None:
-                degree = default_inverse_degree(kappa_a, eps_target)
+                degree = default_inverse_degree(kappa_a, _EPS_TARGET)
             poly, sup = _chebyshev_approx(lambda x: 1.0 / x, 1.0 / kappa_a, 1.0, degree)
             new_op = np.where(support, poly(encoded) / kappa_a * new_subnorm, 0.0)
             new_err = b.err + sup / kappa_a
@@ -381,27 +336,8 @@ def be_invert(b: BlockEncoding, kappa_a: float,
 
 
 # --------------------------------------------------------------------------
-# density-matrix encoding, dilation, overlaps
+# dilation and overlaps
 # --------------------------------------------------------------------------
-
-def be_density(phi: StateVector, dim_a: int, dim_b: int) -> BlockEncoding:
-    """Encoding of the reduced density matrix Tr_A |phi><phi|.
-
-    The result has subnorm 1 and err 0; when the partial trace comes out
-    exactly diagonal it is stored in the diagonal representation.
-    """
-    if dim_a < 1 or dim_b < 1 or dim_a * dim_b != phi.dim:
-        raise BadFactorization(
-            f"factor dims {dim_a} x {dim_b} do not match state dim {phi.dim}")
-    c = phi.amps.reshape(dim_a, dim_b)
-    rho = c.T @ c.conj()
-    rho = (rho + rho.conj().T) / 2
-    off = rho - np.diag(np.diagonal(rho))
-    if not np.any(off):
-        return BlockEncoding(op=np.diagonal(rho).real.copy(), subnorm=1.0,
-                             err=0.0, ancilla_dim=dim_a)
-    return BlockEncoding(op=rho, subnorm=1.0, err=0.0, ancilla_dim=dim_a)
-
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
@@ -409,16 +345,16 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def be_dilate(b: BlockEncoding, max_dim: int = 64) -> np.ndarray:
+def be_dilate(b: BlockEncoding) -> np.ndarray:
     """Explicit unitary of dimension 2*dim whose top-left block encodes b.
 
     Standard contraction dilation [[A, sqrt(I-AA*)], [sqrt(I-A*A), -A*]];
-    requires err = 0 and dim <= max_dim.
+    requires err = 0 and dim <= 64.
     """
     if b.err != 0.0:
         raise InexactEncoding("dilation requires an exact encoding (err = 0)")
-    if b.dim > max_dim:
-        raise TooLarge(f"dilation capped at dim <= {max_dim}, got {b.dim}")
+    if b.dim > 64:
+        raise TooLarge(f"dilation capped at dim <= 64, got {b.dim}")
     a = b.encoded_dense().astype(np.complex128)
     eye = np.eye(b.dim)
     s1 = _psd_sqrt(eye - a @ a.conj().T)

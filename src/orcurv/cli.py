@@ -6,8 +6,9 @@ and fails (exit 1) when the difference exceeds the tolerance; fixture
 writes small named input files. compute and compare share one run loop,
 `_run`, and read their options straight from the argparse namespace; a
 report echoes only the options its subcommand has. An option the run
-cannot use is refused, never ignored: `--shots` off the `qsim_tree`
-route, `--trace` when no qsim route runs. Exit codes: 0 ok, 1 comparison
+cannot use is refused, never ignored: `_QSIM_OPTIONS` names the methods
+that read each qsim option, and giving one to a run none of whose methods
+reads it is a configuration error. Exit codes: 0 ok, 1 comparison
 failure, 2 configuration error, 3 solver error.
 
 Reports are byte-identical for identical configuration (including the
@@ -40,6 +41,7 @@ from .graph import (
     parse_fraction,
 )
 from .qpipeline import (
+    DEFAULT_DIM_CAP,
     AuditTrail,
     QsimConfig,
     build_distance_encoding,
@@ -61,6 +63,16 @@ _FIXTURES = {
 
 _QSIM_PARTNER = {"qsim_tree": "tree", "qsim_pq": "assignment"}
 
+#: option -> (methods that read it, why others cannot, default when not given)
+_QSIM_OPTIONS = {
+    "--shots": (("qsim_tree",), "has no shot-noise model", None),
+    "--trace": (QSIM_METHODS, "writes no audit trace", None),
+    "--margin": (QSIM_METHODS, "builds no distance encoding", 0.05),
+    "--seed": (QSIM_METHODS, "draws no random numbers", 0),
+    "--eps": (("qsim_pq",), "runs no power iteration", 1e-10),
+    "--cap": (("qsim_pq",), "has no dimension cap", DEFAULT_DIM_CAP),
+}
+
 #: options a report echoes under meta.config, each where its subcommand has it
 _ECHOED = ("command", "input", "format", "method", "qsim_method", "numeric", "all_edges",
            "include_endpoints", "margin", "eps", "seed", "shots", "cap", "tol")
@@ -79,12 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="edge selector, repeatable")
         sp.add_argument("--all-edges", action="store_true")
         sp.add_argument("--numeric", choices=["rational", "float"], default="rational")
-        sp.add_argument("--margin", type=float, default=0.05)
-        sp.add_argument("--eps", type=float, default=1e-10)
-        sp.add_argument("--seed", type=int, default=0)
+        # None is "not given"; _run puts in the _QSIM_OPTIONS defaults
+        sp.add_argument("--margin", type=float, default=None)
+        sp.add_argument("--eps", type=float, default=None)
+        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--shots", type=int, default=None)
         sp.add_argument("--include-endpoints", action="store_true")
-        sp.add_argument("--cap", type=int, default=10 ** 6)
+        sp.add_argument("--cap", type=int, default=None)
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
         sp.add_argument("--out-format", choices=["json", "csv"], default="json")
         sp.add_argument("--trace", default=None, help="audit-trace JSON lines path")
@@ -120,30 +133,20 @@ def _parse_edges(raw: list[str] | None) -> list[tuple[int, int]] | None:
 
 
 def _check_numeric_options(args: argparse.Namespace) -> None:
-    """Refuse out-of-range numeric options before any work starts."""
+    """Refuse out-of-range numeric options (None: not given) before any work starts."""
     tol = getattr(args, "tol", 0.0)    # compare only
     bounds = [
-        ("--shots", args.shots, args.shots is None or args.shots >= 1, "an integer >= 1"),
-        ("--seed", args.seed, args.seed >= 0, "an integer >= 0"),
-        ("--cap", args.cap, args.cap >= 1, "an integer >= 1"),
-        ("--margin", args.margin, math.isfinite(args.margin) and args.margin >= 0,
+        ("--shots", args.shots, lambda v: v >= 1, "an integer >= 1"),
+        ("--seed", args.seed, lambda v: v >= 0, "an integer >= 0"),
+        ("--cap", args.cap, lambda v: v >= 1, "an integer >= 1"),
+        ("--margin", args.margin, lambda v: math.isfinite(v) and v >= 0,
          "a finite number >= 0"),
-        ("--eps", args.eps, math.isfinite(args.eps) and args.eps > 0,
-         "a finite number > 0"),
-        ("--tol", tol, math.isfinite(tol) and tol >= 0, "a finite number >= 0"),
+        ("--eps", args.eps, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+        ("--tol", tol, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
     ]
     for option, value, ok, expected in bounds:
-        if not ok:
+        if value is not None and not ok(value):
             raise ConfigError(f"{option} must be {expected}, got {value!r}")
-
-
-def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Check the options, parse --edge in place and add the one QsimConfig."""
-    _check_numeric_options(args)
-    args.edge = _parse_edges(args.edge)
-    args.qsim = QsimConfig(margin=args.margin, shots=args.shots, seed=args.seed,
-                           eps=args.eps, dim_cap=args.cap)
-    return args
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -262,10 +265,7 @@ def _validate_method(inst: _Instance, method: str) -> None:
 def _distance_encoding(qsim: QsimConfig, inst: _Instance, audit: AuditTrail | None):
     """The (be, meta) every qsim edge of this run queries, built once."""
     dist = inst.dg if inst.dg is not None else cost_grid(inst.pairs[0][1].cost)
-    return build_distance_encoding(
-        dist, margin=qsim.margin, power_mode=qsim.power_mode,
-        power_degree=qsim.power_degree,
-        power_eps_target=qsim.power_eps_target, audit=audit)
+    return build_distance_encoding(dist, margin=qsim.margin, audit=audit)
 
 
 def _run_method(qsim: QsimConfig, method: str, nb: LocalNeighborhood, encoding,
@@ -353,10 +353,13 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             route = "qsim_tree" if inst.is_tree else "qsim_pq"
         methods = (_QSIM_PARTNER[route], route)
     route = methods[-1]
-    if args.shots is not None and route != "qsim_tree":
-        raise ConfigError(f"method {route!r} has no shot-noise model; drop --shots")
-    if args.trace is not None and route not in QSIM_METHODS:
-        raise ConfigError(f"method {route!r} writes no audit trace; drop --trace")
+    for option, (readers, reason, default) in _QSIM_OPTIONS.items():
+        if getattr(args, option[2:]) is None:
+            setattr(args, option[2:], default)
+        elif not set(methods) & set(readers):
+            raise ConfigError(f"method {route!r} {reason}; drop {option}")
+    args.qsim = QsimConfig(margin=args.margin, shots=args.shots, seed=args.seed,
+                           eps=args.eps, dim_cap=args.cap)
     for method in methods:
         _validate_method(inst, method)
     audit = AuditTrail() if args.trace else None
@@ -465,7 +468,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "fixture":
             return _cmd_fixture(args)
-        args = _config_from_args(args)
+        _check_numeric_options(args)
+        args.edge = _parse_edges(args.edge)
         report, code = _run(args)
         _emit_report(args, report)
         return code

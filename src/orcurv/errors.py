@@ -79,10 +79,6 @@ class NotDiagonal(OrcError):
     """Operation is restricted to diagonal encodings."""
 
 
-class BadFactorization(OrcError):
-    """Declared tensor factor dimensions do not match the state."""
-
-
 class InexactEncoding(OrcError):
     """Unitary dilation requires an error-free encoding."""
 
@@ -107,10 +103,6 @@ class SizeMismatch(OrcError):
 
 class DimensionCap(OrcError):
     """p^p exceeds the configured dimension cap."""
-
-
-class DigitOutOfRange(OrcError):
-    """A base-p digit lies outside [1, p]."""
 
 
 class ZeroOverlap(OrcError):

@@ -1,14 +1,13 @@
 """Weighted undirected graphs and exact all-pairs geodesic distances.
 
-Two numeric modes are supported. In rational mode (the default for
-integer/decimal input) weights are kept as int / Fraction and every
-distance is exact, which makes the golden tests equality-based. In float
-mode everything runs in 64-bit floats. Disconnected pairs are encoded as
-+inf; downstream transport code refuses to consume infinite costs.
+Two numeric modes are supported. In rational mode (the default) weights
+are kept as int / Fraction and every distance is exact, which makes the
+golden tests equality-based. In float mode everything runs in 64-bit
+floats. Disconnected pairs are encoded as +inf; downstream transport
+code refuses to consume infinite costs.
 
-Shortest paths use per-source Dijkstra with a binary heap, optionally
-fanned out over a thread pool (bit-identical for any worker count); dense
-float graphs run a numpy Floyd-Warshall instead.
+Shortest paths use per-source Dijkstra with a binary heap, one source
+after another; dense float graphs run a numpy Floyd-Warshall instead.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -138,16 +136,6 @@ class GeodesicMatrix:
     n: int
     d: tuple[tuple[Weight, ...], ...]
 
-    def all_finite(self) -> bool:
-        return all(x != INF for row in self.d for x in row)
-
-    @cached_property
-    def float_array(self) -> np.ndarray:
-        """Read-only float64 N x N copy of the distances, built on first use."""
-        arr = np.array([[float(x) for x in row] for row in self.d], dtype=np.float64)
-        arr.flags.writeable = False
-        return arr
-
 
 @dataclass(frozen=True)
 class LocalNeighborhood:
@@ -255,14 +243,14 @@ def _float_weight(w):
 
 
 def load_graph(source: Union[bytes, str, IO], format: str = "edge_list",
-               numeric: str = "auto") -> Graph:
+               numeric: str = "rational") -> Graph:
     """Parse a graph from an edge-list or JSON byte stream.
 
     Edge list: one "u v [w]" per line, '#' comments, weights default to 1.
     JSON: {"n": N, "edges": [[u, v, w], ...]} with w optional per edge.
-    numeric is "auto" (exact rationals for integer/decimal input),
-    "rational", or "float". In the exact modes a decimal exponent beyond
-    MAX_DECIMAL_EXPONENT is refused with InvalidWeight.
+    numeric is "rational" (exact int / Fraction weights) or "float". In
+    rational mode a decimal exponent beyond MAX_DECIMAL_EXPONENT is
+    refused with InvalidWeight.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -270,7 +258,7 @@ def load_graph(source: Union[bytes, str, IO], format: str = "edge_list",
         text = source.decode("utf-8")
     else:
         text = source
-    if numeric not in ("auto", "rational", "float"):
+    if numeric not in ("rational", "float"):
         raise ParseError(f"unknown numeric mode {numeric!r}")
     if format == "edge_list":
         return _load_edge_list(text, numeric)
@@ -378,17 +366,16 @@ def all_pairs_geodesic(g: Graph, workers: int | None = None) -> GeodesicMatrix:
     Dense graphs with a float weight (N <= 512, density >=
     _DENSE_THRESHOLD) run a numpy float64 Floyd-Warshall; every other
     graph runs per-source Dijkstra, so exact distances keep their int /
-    Fraction type. workers > 1 fans the Dijkstra runs over a thread pool;
-    output does not depend on the schedule.
+    Fraction type. workers may only be None or 1: every route runs on
+    one thread.
     """
+    if workers not in (None, 1):
+        raise ValueError(f"workers must be None or 1, got {workers!r}")
     n = g.vertex_count
     density = 2 * g.edge_count / (n * (n - 1)) if n > 1 else 0.0
     adj = g._adjacency
     if n <= 512 and density >= _DENSE_THRESHOLD and not g.rational:
         rows = _floyd_warshall_float(g)
-    elif workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: _dijkstra_row(adj, n, s), range(n)))
     else:
         rows = [_dijkstra_row(adj, n, s) for s in range(n)]
     return GeodesicMatrix(n, tuple(rows))

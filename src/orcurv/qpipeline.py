@@ -53,6 +53,8 @@ from .graph import GeodesicMatrix, LocalNeighborhood
 from .transport import CurvatureResult
 
 DEFAULT_DIM_CAP = 10 ** 6
+#: power iterations min_eigen_power runs before it reports converged=False
+MAX_POWER_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ class EigenEstimate:
     initial_overlap: float
     gap_proxy: float
     converged: bool
-    residual: float
     rayleigh_trace: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -92,16 +93,13 @@ class EigenEstimate:
 
 @dataclass(frozen=True)
 class QsimConfig:
-    """Tunables of the simulated pipelines."""
+    """Tunables of the simulated pipelines: one field per `orc` option,
+    `--margin`, `--shots`, `--seed`, `--eps` and `--cap`."""
 
     margin: float = 0.05
-    power_mode: str = "exact"         # "exact" | "chebyshev"
-    power_degree: int | None = None   # None -> default degree rule
-    power_eps_target: float = 1e-6
-    shots: int | None = None
+    shots: int | None = None          # None -> exact overlaps
     seed: int | None = None           # None -> fresh OS entropy, not reproducible
     eps: float = 1e-10                # power-iteration stagnation threshold
-    max_iter: int = 100_000
     dim_cap: int = DEFAULT_DIM_CAP
 
 
@@ -138,10 +136,11 @@ class AuditTrail:
 # --------------------------------------------------------------------------
 
 def _float_grid(rows) -> np.ndarray:
-    """float64 copy of exact distances; one beyond float range is refused."""
+    """float64 copy of exact distances (a GeodesicMatrix or rows of
+    numbers); one beyond float range is refused."""
+    if isinstance(rows, GeodesicMatrix):
+        rows = rows.d
     try:
-        if isinstance(rows, GeodesicMatrix):
-            return rows.float_array
         return np.asarray([[float(x) for x in row] for row in rows], dtype=np.float64)
     except OverflowError as exc:
         raise InfiniteDistance(
@@ -149,17 +148,8 @@ def _float_grid(rows) -> np.ndarray:
             "float64 (the classical methods stay exact)") from exc
 
 
-def _distance_rows(dg) -> np.ndarray:
-    arr = _float_grid(dg)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimMismatch("distance matrix must be square")
-    return arr
-
-
 def build_distance_encoding(dg, margin: float = 0.05,
                             power_mode: str = "exact",
-                            power_degree: int | None = None,
-                            power_eps_target: float = 1e-6,
                             audit: AuditTrail | None = None,
                             ) -> tuple[BlockEncoding, DistanceEncodingMeta]:
     """Diagonal encoding of all pairwise distances over the index grid.
@@ -173,7 +163,9 @@ def build_distance_encoding(dg, margin: float = 0.05,
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    dist = _distance_rows(dg)
+    dist = _float_grid(dg)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise DimMismatch("distance matrix must be square")
     if not np.all(np.isfinite(dist)):
         raise InfiniteDistance("distance matrix contains non-finite entries")
     if np.any(dist < 0):
@@ -197,8 +189,7 @@ def build_distance_encoding(dg, margin: float = 0.05,
             "their ratio must all lie in float64's (0, 1.8e308]") from exc
     fourth = dist.ravel() ** 4
     raw = BlockEncoding(op=fourth, subnorm=alpha)
-    be = bk.be_power(raw, 0.25, kappa_m, mode=power_mode,
-                     degree=power_degree, eps_target=power_eps_target)
+    be = bk.be_power(raw, 0.25, kappa_m, mode=power_mode)
     meta = DistanceEncodingMeta(alpha=alpha, alpha_q=be.subnorm, kappa=kappa)
     if audit is not None:
         audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
@@ -432,18 +423,16 @@ def build_Pi(p: int, dim_cap: int = DEFAULT_DIM_CAP,
     return out
 
 
-def min_eigen_power(be: BlockEncoding, kappa_a: float, eps: float = 1e-10,
-                    seed=None, max_iter: int = 100_000,
-                    audit: AuditTrail | None = None,
-                    start: np.ndarray | None = None) -> EigenEstimate:
+def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
+                    eps: float = 1e-10,
+                    audit: AuditTrail | None = None) -> EigenEstimate:
     """Minimum nonzero eigenvalue of a diagonal encoding via power method.
 
-    Forms the pseudoinverse encoding, runs power iteration from a random
-    unit vector restricted to the support, and stops when successive
-    Rayleigh quotients differ by less than eps. The random vector is
-    `start` when given (length be.dim), else a standard normal draw from
-    the seeded generator (seed None draws from OS entropy). Failure to
-    converge within max_iter is reported through converged=False, not
+    Forms the pseudoinverse encoding, runs power iteration from `start`
+    (a vector of length be.dim, typically random) restricted to the
+    support and normalized, and stops when the residual or the change of
+    successive Rayleigh quotients falls below eps. Failure to converge
+    within MAX_POWER_ITERATIONS is reported through converged=False, not
     raised.
     """
     diag = np.real(be.encoded) if be.is_diagonal else None
@@ -455,9 +444,7 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, eps: float = 1e-10,
     inv = bk.be_invert(be, kappa_a, mode="exact")
     a = np.real(inv.encoded)
 
-    if start is None:
-        start = np.random.default_rng(seed).standard_normal(be.dim)
-    elif np.shape(start) != (be.dim,):
+    if np.shape(start) != (be.dim,):
         raise DimMismatch(f"start vector of shape {np.shape(start)} for dimension {be.dim}")
     x = start * support
     norm = float(np.linalg.norm(x))
@@ -474,20 +461,17 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, eps: float = 1e-10,
     trace: list[float] = []
     r_prev = None
     converged = False
-    residual = math.inf
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_ITERATIONS):
         y = a * x
         r = float(x @ y)
         iterations += 1
         trace.append(r)
-        residual = float(np.linalg.norm(y - r * x))
-        if residual <= eps * max(1.0, abs(r)):
+        if float(np.linalg.norm(y - r * x)) <= eps * max(1.0, abs(r)):
             converged = True
             break
         if r_prev is not None and abs(r - r_prev) < eps:
             converged = True
-            residual = abs(r - r_prev)
             break
         r_prev = r
         x = y / float(np.linalg.norm(y))
@@ -503,7 +487,6 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, eps: float = 1e-10,
         initial_overlap=gamma0,
         gap_proxy=gap_proxy,
         converged=converged,
-        residual=residual,
         rayleigh_trace=tuple(trace),
     )
     if audit is not None:
@@ -528,8 +511,6 @@ def w1_pq_qsim(nb: LocalNeighborhood,
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
-    if p ** p > config.dim_cap:
-        raise DimensionCap(f"p^p = {p ** p} exceeds cap {config.dim_cap}")
     be, meta = encoding
     local = localize_DG(be, meta, nb.X, nb.Y, audit=audit)
     columns = [extract_Di(local, i, audit=audit) for i in range(1, p + 1)]
@@ -548,8 +529,7 @@ def w1_pq_qsim(nb: LocalNeighborhood,
             "pseudoinverse cannot see")
     kappa_a = (1 + 1e-9) / float(np.min(encoded))
     start = np.random.default_rng(config.seed).standard_normal(p ** p)[flat]
-    estimate = min_eigen_power(composite, kappa_a, eps=config.eps,
-                               max_iter=config.max_iter, audit=audit, start=start)
+    estimate = min_eigen_power(composite, kappa_a, start, eps=config.eps, audit=audit)
     w1 = estimate.value * math.factorial(p) * meta.alpha_q
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)
@@ -574,8 +554,5 @@ def pq_qsim_from_cost(cost, dxy, config: QsimConfig = QsimConfig(),
                       audit: AuditTrail | None = None) -> CurvatureResult:
     """p = q pipeline on a bare cost matrix, through its cost_grid."""
     nb = LocalNeighborhood.from_cost(cost, dxy)
-    encoding = build_distance_encoding(
-        cost_grid(nb.cost), margin=config.margin, power_mode=config.power_mode,
-        power_degree=config.power_degree,
-        power_eps_target=config.power_eps_target, audit=audit)
+    encoding = build_distance_encoding(cost_grid(nb.cost), margin=config.margin, audit=audit)
     return w1_pq_qsim(nb, encoding, config, audit=audit)

@@ -21,9 +21,6 @@ Solvers:
                   p = q case: the same K_{p,p} core and certificate, on
                   the lifted block with an integer tie-break term
   w1_bruteforce   exhaustive permutation minimum (oracle, p <= 9)
-  lp_vertex_oracle  minimum over all basic feasible solutions of the
-                  transportation polytope, via spanning trees of the
-                  complete bipartite support graph (oracle, p + q <= 9)
 """
 
 from __future__ import annotations
@@ -32,12 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import (
-    EmptyNeighborhood,
     InfiniteCost,
     MethodMismatch,
     NotATree,
@@ -51,7 +47,6 @@ QSIM_METHODS = ("qsim_tree", "qsim_pq")
 ALL_METHODS = CLASSICAL_METHODS + QSIM_METHODS
 
 _BRUTE_FORCE_CAP = 9
-_VERTEX_ORACLE_CAP = 9
 
 
 # --------------------------------------------------------------------------
@@ -387,104 +382,6 @@ def w1_bruteforce(cost: Sequence[Sequence[Weight]]) -> AssignmentSolution:
 
     pi = min(itertools.permutations(range(p)), key=total)
     return AssignmentSolution(p=p, pi=pi, cost_value=_emit(Fraction(total(pi), den * p), rational))
-
-
-# --------------------------------------------------------------------------
-# transportation-polytope vertex oracle
-# --------------------------------------------------------------------------
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _tree_flows(edges: tuple[tuple[int, int], ...], p: int, q: int) -> list[tuple[int, int, int]] | None:
-    """Integer basic solution on one spanning tree of K_{p,q}.
-
-    Supplies are q per left node and demands p per right node (the LP
-    scaled by p*q). Returns None when any flow would go negative.
-    """
-    n = p + q
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (i, j) in enumerate(edges):
-        adj[i].append((p + j, eid))
-        adj[p + j].append((i, eid))
-    balance = [q] * p + [-p] * q
-    degree = [len(a) for a in adj]
-    removed = [False] * len(edges)
-    flows = [0] * len(edges)
-    leaves = [v for v in range(n) if degree[v] == 1]
-    for _ in range(len(edges)):
-        v = leaves.pop()
-        u, eid = next((u, e) for u, e in adj[v] if not removed[e])
-        f = balance[v] if v < p else -balance[v]
-        if f < 0:
-            return None
-        flows[eid] = f
-        balance[u] += balance[v]
-        balance[v] = 0
-        removed[eid] = True
-        degree[u] -= 1
-        degree[v] -= 1
-        if degree[u] == 1:
-            leaves.append(u)
-    return [(edges[eid][0], edges[eid][1], flows[eid])
-            for eid in range(len(edges)) if flows[eid] > 0]
-
-
-@lru_cache(maxsize=None)
-def _basic_solutions(p: int, q: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], int]:
-    """All feasible basic solutions of the (p, q) transportation polytope.
-
-    Enumerates every spanning tree of K_{p,q} (edge subsets of size
-    p + q - 1 checked with union-find), solves the unique tree flows, and
-    keeps the feasible ones, deduplicated. Also returns the spanning-tree
-    count, which must equal p^(q-1) * q^(p-1).
-    """
-    all_edges = [(i, j) for i in range(p) for j in range(q)]
-    solutions: set[tuple[tuple[int, int, int], ...]] = set()
-    tree_count = 0
-    for subset in itertools.combinations(all_edges, p + q - 1):
-        uf = _UnionFind(p + q)
-        if all(uf.union(i, p + j) for i, j in subset):
-            tree_count += 1
-            flows = _tree_flows(subset, p, q)
-            if flows is not None:
-                solutions.add(tuple(sorted(flows)))
-    return tuple(sorted(solutions)), tree_count
-
-
-def spanning_tree_count(p: int, q: int) -> int:
-    """Number of spanning trees of K_{p,q} seen by the oracle enumerator."""
-    return _basic_solutions(p, q)[1]
-
-
-def lp_vertex_oracle(nb: LocalNeighborhood) -> Weight:
-    """Minimum LP cost over all vertices of the transportation polytope.
-
-    Independent of w1_lp: candidates come from exhaustive spanning-tree
-    enumeration, not from any optimization. Guarded at p + q <= 9.
-    """
-    p, q = nb.p, nb.q
-    if p + q > _VERTEX_ORACLE_CAP:
-        raise TooLarge(f"vertex oracle capped at p + q <= {_VERTEX_ORACLE_CAP}")
-    int_cost, den, _ = _lift_block(nb.cost)
-    solutions, _ = _basic_solutions(p, q)
-    best = min(sum(f * int_cost[i][j] for i, j, f in sol) for sol in solutions)
-    return _emit(Fraction(best, den * p * q), nb.rational)
 
 
 # --------------------------------------------------------------------------

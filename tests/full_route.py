@@ -17,13 +17,7 @@ import numpy as np
 
 from orcurv import blockenc as bk
 from orcurv.blockenc import BlockEncoding, StateVector
-from orcurv.errors import (
-    DigitOutOfRange,
-    DimensionCap,
-    DimMismatch,
-    NotSquare,
-    SizeMismatch,
-)
+from orcurv.errors import DimensionCap, DimMismatch, NotSquare, SizeMismatch
 from orcurv.qpipeline import (
     DEFAULT_DIM_CAP,
     AuditTrail,
@@ -33,6 +27,7 @@ from orcurv.qpipeline import (
     min_eigen_power,
 )
 from orcurv.transport import CurvatureResult
+from reference import DigitOutOfRange, be_density
 
 
 def perm_index(digits: Sequence[int], p: int) -> int:
@@ -118,7 +113,7 @@ def build_pi_full(p: int, route: str = "direct", dim_cap: int = DEFAULT_DIM_CAP,
         support = np.flatnonzero(mask)
         amps = np.zeros(dim * dim)
         amps[support * dim + support] = 1.0 / math.sqrt(len(support))
-        out = bk.be_density(StateVector(amps), dim_a=dim, dim_b=dim)
+        out = be_density(StateVector(amps), dim_a=dim, dim_b=dim)
     else:
         raise ValueError(f"unknown projector route {route!r}")
     if audit is not None:
@@ -128,8 +123,8 @@ def build_pi_full(p: int, route: str = "direct", dim_cap: int = DEFAULT_DIM_CAP,
 
 def w1_pq_qsim_full(nb, encoding, config: QsimConfig = QsimConfig()) -> CurvatureResult:
     """The p = q pipeline on length-p^p vectors: D_P and the projector from
-    the builders above, their product, and min_eigen_power's own seeded
-    p^p draw masked to the nonzero spectrum."""
+    the builders above, their product, and a seeded p^p normal draw as
+    the start vector, which min_eigen_power masks to the nonzero spectrum."""
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
@@ -140,8 +135,8 @@ def w1_pq_qsim_full(nb, encoding, config: QsimConfig = QsimConfig()) -> Curvatur
     composite = bk.be_product(build_pi_full(p, dim_cap=config.dim_cap), dp)
     encoded = np.real(composite.encoded)
     kappa_a = (1 + 1e-9) / float(np.min(encoded[encoded != 0.0]))
-    estimate = min_eigen_power(composite, kappa_a, eps=config.eps,
-                               seed=config.seed, max_iter=config.max_iter)
+    start = np.random.default_rng(config.seed).standard_normal(composite.dim)
+    estimate = min_eigen_power(composite, kappa_a, start, eps=config.eps)
     w1 = estimate.value * math.factorial(p) * meta.alpha_q
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)

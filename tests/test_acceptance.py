@@ -23,10 +23,8 @@ from helpers import (
 from orcurv.blockenc import (
     BlockEncoding,
     be_dilate,
-    be_lcu,
     be_power,
     be_product,
-    be_tensor,
     be_wrap,
     default_power_degree,
 )
@@ -43,12 +41,12 @@ from orcurv.qpipeline import (
 )
 from orcurv.transport import (
     curvature,
-    lp_vertex_oracle,
     w1_assignment,
     w1_bruteforce,
     w1_lp,
     w1_tree,
 )
+from reference import be_lcu, be_tensor, lp_vertex_oracle
 
 #: curvature of every instance generated anywhere in this suite (criterion 10)
 CURVATURES: list[float] = []

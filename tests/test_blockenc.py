@@ -9,15 +9,11 @@ from helpers import full_route_overlap
 from orcurv.blockenc import (
     BlockEncoding,
     StateVector,
-    be_density,
     be_dilate,
-    be_identity,
     be_invert,
-    be_lcu,
     be_power,
     be_product,
     be_scale,
-    be_tensor,
     be_wrap,
     default_power_degree,
     dilated_apply,
@@ -26,7 +22,6 @@ from orcurv.blockenc import (
 )
 from orcurv.errors import (
     BadFactor,
-    BadFactorization,
     DimMismatch,
     IndexOutOfRange,
     InexactEncoding,
@@ -35,6 +30,7 @@ from orcurv.errors import (
     SubnormTooSmall,
     TooLarge,
 )
+from reference import BadFactorization, be_density, be_identity, be_lcu, be_tensor
 
 
 def random_dense(rng, dim, scale=1.0):

@@ -363,18 +363,56 @@ def test_compare_pq_route_refuses_shots(tmp_path, capsys, route):
     assert "--shots" in err
 
 
-@pytest.mark.parametrize("option", ["--shots", "--trace"])
+#: an in-range value of each qsim option
+QSIM_OPTION_VALUES = {"--shots": "10", "--trace": "t.jsonl", "--margin": "5",
+                      "--eps": "0.1", "--seed": "9", "--cap": "3"}
+
+
+def _qsim_option_argv(tmp_path, option):
+    value = QSIM_OPTION_VALUES[option]
+    return [option, str(tmp_path / value) if option == "--trace" else value]
+
+
+@pytest.mark.parametrize("option", list(QSIM_OPTION_VALUES))
 @pytest.mark.parametrize("method", ["lp", "tree", "assignment", "brute_force"])
 def test_classical_compute_refuses_qsim_options(path4, tmp_path, capsys, method, option):
     # every method runs on path4's edge (1, 2); none of them reads these options
-    trace = tmp_path / "t.jsonl"
-    value = "10" if option == "--shots" else str(trace)
     code, out, err = run_cli(["compute", "--input", str(path4), "--method", method,
-                              "--edge", "1,2", option, value], capsys)
+                              "--edge", "1,2", *_qsim_option_argv(tmp_path, option)], capsys)
     assert code == 2
     assert out == ""
     assert f"config error: method {method!r}" in err and f"drop {option}" in err
-    assert not trace.exists()
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [["compute", "--method", "qsim_tree"], ["compare"]],
+                         ids=["compute", "compare"])
+@pytest.mark.parametrize("option", ["--eps", "--cap"])
+def test_tree_route_refuses_power_stage_options(path4, tmp_path, capsys, command, option):
+    # only the p = q route has a power iteration and a p^p dimension cap
+    code, out, err = run_cli([*command, "--input", str(path4), "--edge", "1,2",
+                              *_qsim_option_argv(tmp_path, option)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error: method 'qsim_tree'" in err and f"drop {option}" in err
+
+
+@pytest.mark.parametrize("option", ["--margin", "--seed", "--eps", "--cap"])
+def test_qsim_pq_reads_the_options_it_echoes(tmp_path, capsys, option):
+    square = tmp_path / "sq.json"
+    square.write_text(json.dumps({"cost": [[7]], "dxy": 2}))    # p^p = 1 <= --cap 3
+    argv = ["compute", "--input", str(square), "--format", "cost_matrix",
+            "--method", "qsim_pq"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    defaults = json.loads(out)["meta"]["config"]
+    assert (defaults["margin"], defaults["eps"], defaults["seed"], defaults["cap"]) == \
+        (0.05, 1e-10, 0, 10 ** 6)
+    value = QSIM_OPTION_VALUES[option]
+    code, out, _ = run_cli([*argv, option, value], capsys)
+    assert code == 0
+    assert json.loads(out)["meta"]["config"][option[2:]] == \
+        type(defaults[option[2:]])(value)
 
 
 def test_out_of_range_shot_estimate_is_solver_error(path4, capsys):

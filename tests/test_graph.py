@@ -29,6 +29,7 @@ from orcurv.graph import (
     neighborhood,
     verify_tree,
 )
+from reference import all_finite
 
 INF = math.inf
 
@@ -93,6 +94,14 @@ def test_json_malformed():
         load_graph(json.dumps({"n": 2, "edges": [[0]]}), format="json")
 
 
+def test_auto_numeric_mode_is_refused():
+    # rational is the default; "auto" was a second name for it
+    assert load_graph("0 1 1/2\n1 2").edges[0][2] == Fraction(1, 2)
+    for source, fmt in (("0 1 1/2\n1 2", "edge_list"), ('{"n": 2, "edges": [[0, 1]]}', "json")):
+        with pytest.raises(ParseError, match="numeric mode 'auto'"):
+            load_graph(source, format=fmt, numeric="auto")
+
+
 def test_float_numeric_mode():
     g = load_graph("0 1 2.5\n1 2", numeric="float")
     assert all(isinstance(w, float) for _, _, w in g.edges)
@@ -124,7 +133,7 @@ def test_disconnected_is_inf():
     g = load_graph(json.dumps({"n": 2, "edges": []}), format="json")
     dg = all_pairs_geodesic(g)
     assert dg.d[0][1] == INF
-    assert not dg.all_finite()
+    assert not all_finite(dg)
 
 
 def test_matches_bellman_ford_oracle():
@@ -210,7 +219,7 @@ def test_dense_float_apsp_equals_floyd_warshall_oracle():
         assert [[type(x) for x in row] for row in d] == \
             [[type(x) for x in row] for row in oracle]
         assert all(type(d[i][i]) is int and d[i][i] == 0 for i in range(g.vertex_count))
-        disconnected += not GeodesicMatrix(g.vertex_count, d).all_finite()
+        disconnected += not all_finite(GeodesicMatrix(g.vertex_count, d))
     assert disconnected >= 10
 
 
@@ -270,12 +279,14 @@ def test_decimal_exponent_limit_is_inclusive():
 
 
 def test_parallel_identical():
+    # the thread pool is gone: workers=1 is the default route, and more
+    # workers are refused rather than silently run on one thread
     rng = random.Random(5)
     for rational in (True, False):
         g = random_connected_graph(30, extra=25, rng=rng, rational=rational)
-        serial = all_pairs_geodesic(g, workers=1)
-        parallel = all_pairs_geodesic(g, workers=4)
-        assert serial.d == parallel.d  # bit-identical, float mode included
+        assert all_pairs_geodesic(g, workers=1).d == all_pairs_geodesic(g).d
+        with pytest.raises(ValueError, match="workers"):
+            all_pairs_geodesic(g, workers=4)
 
 
 # --- neighborhoods ------------------------------------------------------------

@@ -16,7 +16,8 @@ from helpers import internal_edges
 from orcurv.cli import main
 from orcurv.errors import OrcError
 from orcurv.graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
-from orcurv.transport import curvature, lp_vertex_oracle, w1_assignment, w1_bruteforce, w1_lp
+from orcurv.transport import curvature, w1_assignment, w1_bruteforce, w1_lp
+from reference import lp_vertex_oracle
 
 BOUNDED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -73,7 +74,7 @@ def cost_fixtures(draw):
 
 
 @BOUNDED
-@given(texts | edge_lists(), st.sampled_from(["auto", "rational", "float"]))
+@given(texts | edge_lists(), st.sampled_from(["rational", "float"]))
 def test_edge_list_ingest_succeeds_or_raises_orc_error(text, numeric):
     try:
         g = load_graph(text, format="edge_list", numeric=numeric)
@@ -84,7 +85,7 @@ def test_edge_list_ingest_succeeds_or_raises_orc_error(text, numeric):
 
 @BOUNDED
 @given(texts | json_graphs() | json_values.map(json.dumps),
-       st.sampled_from(["auto", "rational", "float"]))
+       st.sampled_from(["rational", "float"]))
 def test_json_ingest_succeeds_or_raises_orc_error(text, numeric):
     try:
         g = load_graph(text, format="json", numeric=numeric)

@@ -22,14 +22,13 @@ from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neig
 from orcurv.transport import (
     TransportPlan,
     curvature,
-    lp_vertex_oracle,
-    spanning_tree_count,
     verify_tree,
     w1_assignment,
     w1_bruteforce,
     w1_lp,
     w1_tree,
 )
+from reference import lp_vertex_oracle, spanning_tree_count
 
 APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
 
