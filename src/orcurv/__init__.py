@@ -7,7 +7,6 @@ from . import errors
 from .blockenc import (
     BlockEncoding,
     StateVector,
-    be_dilate,
     be_invert,
     be_power,
     be_product,
@@ -15,7 +14,6 @@ from .blockenc import (
     be_wrap,
     dilated_apply,
     dilated_overlap,
-    overlap,
 )
 from .graph import (
     Graph,

@@ -15,12 +15,13 @@ rules follow fixed bookkeeping formulas:
   fractional power   encoded value A^c/2 (the 1/2 becomes subnorm doubling)
   inversion          encoded value pinv(A)/kappa
 
-The tensor and uniform-LCU rules that qpipeline.build_DP follows are
-kept in the tests (tests/reference.py), as build_DP's oracle.
-
-Diagonal operators are stored as 1-D vectors and all compositions keep
-diagonality; the dense path (and the explicit unitary dilation) exists
-for verification at small dimension.
+Every operator either pipeline encodes is diagonal in the computational
+basis, so `op` is a real 1-D vector and every rule acts entrywise. The
+overlaps read the dilated unitary through its action on a state
+(dilated_overlap, dilated_apply), never as a matrix. The tensor and
+uniform-LCU rules that qpipeline.build_DP follows, the explicit dilation
+and the full-vector overlap are kept in the tests (tests/reference.py),
+as oracles.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .errors import (
     BadFactor,
     DimMismatch,
     IndexOutOfRange,
-    InexactEncoding,
-    NotDiagonal,
     SpectrumOutOfRange,
     SubnormTooSmall,
     TooLarge,
@@ -50,13 +49,11 @@ _EPS_TARGET = 1e-6
 
 def _as_operator(m) -> np.ndarray:
     arr = np.asarray(m)
-    if arr.ndim == 1:
-        return arr.astype(np.complex128) if np.iscomplexobj(arr) else arr.astype(np.float64)
-    if arr.ndim == 2:
-        if arr.shape[0] != arr.shape[1]:
-            raise DimMismatch(f"operator must be square, got {arr.shape}")
-        return arr.astype(np.complex128)
-    raise DimMismatch(f"operator must be 1-D (diagonal) or 2-D, got ndim={arr.ndim}")
+    if arr.ndim != 1:
+        raise DimMismatch(f"operator must be a 1-D diagonal, got ndim={arr.ndim}")
+    if np.iscomplexobj(arr):
+        raise SpectrumOutOfRange("diagonal entries must be real")
+    return arr.astype(np.float64)
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:
@@ -65,20 +62,19 @@ def _check_unit_norm(amps: np.ndarray) -> None:
 
 
 def _operator_norm(op: np.ndarray) -> float:
-    if op.ndim == 1:
-        return float(np.max(np.abs(op))) if op.size else 0.0
-    return float(np.linalg.norm(op, 2))
+    return float(np.max(np.abs(op))) if op.size else 0.0
 
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """Simulated block encoding: encoded block is op/subnorm.
+    """Simulated block encoding: encoded block is diag(op)/subnorm.
 
-    op with ndim == 1 is the diagonal-vector representation; ndim == 2 is
-    dense. err is the accumulated deviation from the ideal target: 0 for
-    exact stages, and a sampled (not proven) sup error for each Chebyshev
-    stage. It never decreases under composition. ancilla_dim is pure
-    bookkeeping of the |0> register size.
+    op is the real diagonal as a 1-D float64 vector; any other shape is
+    DimMismatch and a complex op is SpectrumOutOfRange. err is the
+    accumulated deviation from the ideal target: 0 for exact stages, and
+    a sampled (not proven) sup error for each Chebyshev stage. It never
+    decreases under composition. ancilla_dim is pure bookkeeping of the
+    |0> register size.
     """
 
     op: np.ndarray
@@ -106,19 +102,9 @@ class BlockEncoding:
         return self.op.shape[0]
 
     @property
-    def is_diagonal(self) -> bool:
-        return self.op.ndim == 1
-
-    @property
     def encoded(self) -> np.ndarray:
-        """The encoded block op/subnorm, in the stored representation."""
+        """The diagonal of the encoded block, op/subnorm."""
         return self.op / self.subnorm
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.op) if self.is_diagonal else self.op
-
-    def encoded_dense(self) -> np.ndarray:
-        return self.to_dense() / self.subnorm
 
 
 @dataclass(frozen=True)
@@ -136,26 +122,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amps.shape[0]
 
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "StateVector":
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(amps)
-
-    @classmethod
-    def uniform(cls, dim: int, support: Sequence[int]) -> "StateVector":
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[list(support)] = 1.0 / math.sqrt(len(support))
-        return cls(amps)
-
-    @classmethod
-    def normalized(cls, raw) -> "StateVector":
-        arr = np.asarray(raw, dtype=np.complex128).ravel()
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(arr / norm)
-
 
 # --------------------------------------------------------------------------
 # constructors and composition rules
@@ -170,20 +136,12 @@ def be_wrap(m, subnorm: float) -> BlockEncoding:
     return BlockEncoding(op=op, subnorm=max(float(subnorm), norm), err=0.0)
 
 
-def _binary_op_arrays(b1: BlockEncoding, b2: BlockEncoding):
+def be_product(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
+    """Encoding of the operator product, entrywise on the diagonals."""
     if b1.dim != b2.dim:
         raise DimMismatch(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    if b1.is_diagonal and b2.is_diagonal:
-        return b1.op, b2.op, True
-    return b1.to_dense(), b2.to_dense(), False
-
-
-def be_product(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
-    """Encoding of the operator product b1.op @ b2.op."""
-    a1, a2, diag = _binary_op_arrays(b1, b2)
-    op = a1 * a2 if diag else a1 @ a2
     return BlockEncoding(
-        op=op,
+        op=b1.op * b2.op,
         subnorm=b1.subnorm * b2.subnorm,
         err=b1.subnorm * b2.err + b2.subnorm * b1.err,
         ancilla_dim=b1.ancilla_dim * b2.ancilla_dim,
@@ -201,20 +159,6 @@ def be_scale(b: BlockEncoding, factor: float) -> BlockEncoding:
 # --------------------------------------------------------------------------
 # spectral functions on diagonal encodings
 # --------------------------------------------------------------------------
-
-def _real_entries(values: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(values):
-        if np.max(np.abs(values.imag)) > 1e-12:
-            raise SpectrumOutOfRange("diagonal entries must be real")
-        return values.real.astype(np.float64)
-    return values.astype(np.float64)
-
-
-def _real_diagonal(b: BlockEncoding) -> np.ndarray:
-    if not b.is_diagonal:
-        raise NotDiagonal("operation restricted to diagonal encodings")
-    return _real_entries(b.op)
-
 
 def _check_window(values: np.ndarray, lo: float, hi: float, what: str) -> None:
     if values.size == 0:
@@ -253,7 +197,7 @@ def _chebyshev_approx(fn, lo: float, hi: float, degree: int):
 
 def be_power(b: BlockEncoding, c: float, kappa_m: float,
              mode: str = "exact", degree: int | None = None) -> BlockEncoding:
-    """Fractional power of a nonnegative diagonal encoding.
+    """Fractional power of a nonnegative encoding.
 
     Encoded output is (encoded block)^c / 2; the 1/2 is realized as a
     doubling of the subnormalization, so op keeps its raw meaning
@@ -267,7 +211,7 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float,
         raise ValueError(f"exponent must be in (0, 1), got {c}")
     if kappa_m < 1:
         raise ValueError(f"kappa_m must be >= 1, got {kappa_m}")
-    diag = _real_diagonal(b)
+    diag = b.op
     if float(np.min(diag)) < -1e-12 * b.subnorm:
         raise SpectrumOutOfRange("fractional power needs a nonnegative diagonal")
     encoded = diag / b.subnorm
@@ -295,91 +239,52 @@ def be_invert(b: BlockEncoding, kappa_a: float,
 
     Zero eigenvalues are preserved (pseudoinverse on the support).
     Nonzero encoded eigenvalues must lie within [1/kappa_a, 1] in
-    magnitude. Chebyshev mode (diagonal only) approximates 1/x on the
-    positive window and adds the encoded-block deviation, a sampled sup
-    error and so an estimate rather than a bound, to err. degree None
-    takes default_inverse_degree(kappa_a, 1e-6).
+    magnitude. Chebyshev mode approximates 1/x on the positive window and
+    adds the encoded-block deviation, a sampled sup error and so an
+    estimate rather than a bound, to err. degree None takes
+    default_inverse_degree(kappa_a, 1e-6).
     """
     if kappa_a < 1:
         raise ValueError(f"kappa_a must be >= 1, got {kappa_a}")
-    if b.is_diagonal:
-        diag = _real_diagonal(b)
-        encoded = diag / b.subnorm
-        support = encoded != 0.0
-        _check_window(np.abs(encoded[support]), 1.0 / kappa_a, 1.0, "be_invert spectrum")
-        new_subnorm = kappa_a / b.subnorm
-        if mode == "exact":
-            new_op = np.where(support, 1.0 / np.where(support, diag, 1.0), 0.0)
-            new_err = b.err
-        elif mode == "chebyshev":
-            if float(np.min(encoded)) < 0:
-                raise SpectrumOutOfRange("chebyshev inversion needs a nonnegative diagonal")
-            if degree is None:
-                degree = default_inverse_degree(kappa_a, _EPS_TARGET)
-            poly, sup = _chebyshev_approx(lambda x: 1.0 / x, 1.0 / kappa_a, 1.0, degree)
-            new_op = np.where(support, poly(encoded) / kappa_a * new_subnorm, 0.0)
-            new_err = b.err + sup / kappa_a
-        else:
-            raise ValueError(f"unknown inversion mode {mode!r}")
-        return BlockEncoding(op=new_op, subnorm=new_subnorm, err=new_err,
-                             ancilla_dim=b.ancilla_dim * 2)
-    if mode != "exact":
-        raise NotDiagonal("chebyshev inversion restricted to diagonal encodings")
-    dense = b.to_dense()
-    encoded = dense / b.subnorm
-    sing = np.linalg.svd(encoded, compute_uv=False)
-    nonzero = sing[sing > 1e-14]
-    _check_window(nonzero, 1.0 / kappa_a, 1.0, "be_invert spectrum")
-    pinv = np.linalg.pinv(dense, rcond=1e-14)
-    return BlockEncoding(op=pinv, subnorm=kappa_a / b.subnorm, err=b.err,
+    diag = b.op
+    encoded = diag / b.subnorm
+    support = encoded != 0.0
+    _check_window(np.abs(encoded[support]), 1.0 / kappa_a, 1.0, "be_invert spectrum")
+    new_subnorm = kappa_a / b.subnorm
+    if mode == "exact":
+        new_op = np.where(support, 1.0 / np.where(support, diag, 1.0), 0.0)
+        new_err = b.err
+    elif mode == "chebyshev":
+        if float(np.min(encoded)) < 0:
+            raise SpectrumOutOfRange("chebyshev inversion needs a nonnegative diagonal")
+        if degree is None:
+            degree = default_inverse_degree(kappa_a, _EPS_TARGET)
+        poly, sup = _chebyshev_approx(lambda x: 1.0 / x, 1.0 / kappa_a, 1.0, degree)
+        new_op = np.where(support, poly(encoded) / kappa_a * new_subnorm, 0.0)
+        new_err = b.err + sup / kappa_a
+    else:
+        raise ValueError(f"unknown inversion mode {mode!r}")
+    return BlockEncoding(op=new_op, subnorm=new_subnorm, err=new_err,
                          ancilla_dim=b.ancilla_dim * 2)
 
 
 # --------------------------------------------------------------------------
-# dilation and overlaps
+# overlaps with the dilated unitary
 # --------------------------------------------------------------------------
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def be_dilate(b: BlockEncoding) -> np.ndarray:
-    """Explicit unitary of dimension 2*dim whose top-left block encodes b.
-
-    Standard contraction dilation [[A, sqrt(I-AA*)], [sqrt(I-A*A), -A*]];
-    requires err = 0 and dim <= 64.
-    """
-    if b.err != 0.0:
-        raise InexactEncoding("dilation requires an exact encoding (err = 0)")
-    if b.dim > 64:
-        raise TooLarge(f"dilation capped at dim <= 64, got {b.dim}")
-    a = b.encoded_dense().astype(np.complex128)
-    eye = np.eye(b.dim)
-    s1 = _psd_sqrt(eye - a @ a.conj().T)
-    s2 = _psd_sqrt(eye - a.conj().T @ a)
-    top = np.hstack([a, s1])
-    bottom = np.hstack([s2, -a.conj().T])
-    return np.vstack([top, bottom])
-
 
 def dilated_apply(b: BlockEncoding, phi: StateVector) -> StateVector:
     """Action of the dilated unitary on (|0>, |phi|): [A|phi>; garbage].
 
-    For diagonal encodings this avoids materializing the 2*dim unitary,
-    so it works at any dimension; dense encodings go through be_dilate.
+    The dilation [[A, sqrt(I-A^2)], [sqrt(I-A^2), -A]] of the diagonal
+    A = b.encoded is applied entrywise, so the 2*dim unitary is never
+    built and any dimension works.
     """
     if phi.dim != b.dim:
         raise DimMismatch(f"state dim {phi.dim} != encoding dim {b.dim}")
-    if b.is_diagonal:
-        encoded = _real_diagonal(b) / b.subnorm
-        main = encoded * phi.amps
-        garbage = np.sqrt(np.clip(1.0 - encoded ** 2, 0.0, None)) * phi.amps
-        return StateVector(np.concatenate([main, garbage]))
-    u = be_dilate(b)
-    vec = np.concatenate([phi.amps, np.zeros(b.dim, dtype=np.complex128)])
-    return StateVector(u @ vec)
+    encoded = b.encoded
+    main = encoded * phi.amps
+    garbage = np.sqrt(np.clip(1.0 - encoded ** 2, 0.0, None)) * phi.amps
+    return StateVector(np.concatenate([main, garbage]))
 
 
 def dilated_overlap(b: BlockEncoding, support: Sequence[int], amps,
@@ -387,14 +292,13 @@ def dilated_overlap(b: BlockEncoding, support: Sequence[int], amps,
     """Re<(phi, 0)| U_b |(phi, 0)> for a state phi living on `support`.
 
     phi has amplitude amps[k] at index support[k] and zero elsewhere;
-    U_b is the dilated unitary of the diagonal encoding b. Only the
-    entries b.op[support] are read, so the cost is O(len(support)) at
-    any dimension. Agrees with overlap(embedded phi, dilated_apply(b,
-    phi)), the full-vector route kept for verification, and emulates
-    shots through the same seeded Hadamard-test draw.
+    U_b is the dilated unitary of b. Only the entries b.op[support] are
+    read, so the cost is O(len(support)) at any dimension. With shots,
+    the value is replaced by the mean of `shots` Hadamard-test draws,
+    deterministic under a fixed seed. The tests check it against the
+    overlap of the embedded phi with dilated_apply(b, phi), which dilates
+    the whole vector.
     """
-    if not b.is_diagonal:
-        raise NotDiagonal("support-only overlap restricted to diagonal encodings")
     idx = np.asarray(support)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise IndexOutOfRange("support must be a flat sequence of integer indices")
@@ -407,28 +311,17 @@ def dilated_overlap(b: BlockEncoding, support: Sequence[int], amps,
     if phi.shape[0] != idx.size:
         raise DimMismatch(f"{phi.shape[0]} amplitudes for {idx.size} support indices")
     _check_unit_norm(phi)
-    encoded = _real_entries(b.op[idx]) / b.subnorm
+    encoded = b.op[idx] / b.subnorm
     main = encoded * phi
     garbage = np.sqrt(np.clip(1.0 - encoded ** 2, 0.0, None)) * phi
     _check_unit_norm(np.concatenate([main, garbage]))
-    return _hadamard_test(float(np.real(np.vdot(phi, main))), shots, seed)
-
-
-def overlap(a: StateVector, b: StateVector, shots: int | None = None,
-            seed=None) -> float:
-    """Re<a|b>, exactly or through a Hadamard-test shot emulation.
-
-    With shots, the estimate is the mean of `shots` Bernoulli draws with
-    success probability (1 + Re<a|b>)/2, mapped back to [-1, 1];
-    deterministic under a fixed seed.
-    """
-    if a.dim != b.dim:
-        raise DimMismatch(f"state dims differ: {a.dim} vs {b.dim}")
-    return _hadamard_test(float(np.real(np.vdot(a.amps, b.amps))), shots, seed)
+    return _hadamard_test(float(np.vdot(phi, main).real), shots, seed)
 
 
 def _hadamard_test(value: float, shots: int | None, seed) -> float:
-    """value itself, or its seeded Hadamard-test estimate from `shots` draws."""
+    """value itself, or its seeded Hadamard-test estimate: the mean of
+    `shots` Bernoulli draws with success probability (1 + value)/2,
+    mapped back to [-1, 1]."""
     if shots is None:
         return value
     if shots < 1:

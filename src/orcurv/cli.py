@@ -8,8 +8,10 @@ writes small named input files. compute and compare share one run loop,
 report echoes only the options its subcommand has. An option the run
 cannot use is refused, never ignored: `_QSIM_OPTIONS` names the methods
 that read each qsim option, and giving one to a run none of whose methods
-reads it is a configuration error. Exit codes: 0 ok, 1 comparison
-failure, 2 configuration error, 3 solver error.
+reads it is a configuration error, and so is --seed on a qsim_tree run
+without --shots, which draws nothing. A per-edge solver error is
+prefixed with its edge here; the library messages do not name it. Exit
+codes: 0 ok, 1 comparison failure, 2 configuration error, 3 solver error.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
@@ -353,6 +355,9 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             route = "qsim_tree" if inst.is_tree else "qsim_pq"
         methods = (_QSIM_PARTNER[route], route)
     route = methods[-1]
+    if route == "qsim_tree" and args.seed is not None and args.shots is None:
+        raise ConfigError("method 'qsim_tree' draws no random numbers without --shots; "
+                          "drop --seed")
     for option, (readers, reason, default) in _QSIM_OPTIONS.items():
         if getattr(args, option[2:]) is None:
             setattr(args, option[2:], default)

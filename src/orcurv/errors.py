@@ -75,14 +75,6 @@ class SpectrumOutOfRange(OrcError):
     """Encoded eigenvalues violate the declared spectral window."""
 
 
-class NotDiagonal(OrcError):
-    """Operation is restricted to diagonal encodings."""
-
-
-class InexactEncoding(OrcError):
-    """Unitary dilation requires an error-free encoding."""
-
-
 # --- quantum pipeline ----------------------------------------------------------
 
 class InfiniteDistance(OrcError):

@@ -397,7 +397,7 @@ def neighborhood(g: Graph, dg: GeodesicMatrix, x: int, y: int,
         X = sorted(X + [x])
         Y = sorted(Y + [y])
     if not X or not Y:
-        raise EmptyNeighborhood(f"edge ({x}, {y}): p={len(X)}, q={len(Y)}")
+        raise EmptyNeighborhood(f"p={len(X)}, q={len(Y)}: an endpoint has no other neighbor")
     cost = tuple(tuple(dg.d[a][b] for b in Y) for a in X)
     return LocalNeighborhood(
         x=x,

@@ -110,12 +110,8 @@ class AuditTrail:
     records: list[dict] = field(default_factory=list)
 
     def record(self, stage: str, be: BlockEncoding, **extra) -> None:
-        if be.is_diagonal:
-            encoded = np.real(be.encoded)
-            nonzero = encoded[encoded != 0.0]
-        else:
-            encoded = np.real(np.diagonal(be.encoded))
-            nonzero = encoded[encoded != 0.0]
+        encoded = be.encoded
+        nonzero = encoded[encoded != 0.0]
         rec = {
             "stage": stage,
             "dim": be.dim,
@@ -286,7 +282,7 @@ def w1_tree_qsim(nb: LocalNeighborhood,
         audit.note("tree_recovery", x_sum=x_sum, y_sum=y_sum, dxy=dxy, w1=w1)
     if not (dxy > 0 and w1 >= 0):
         raise EstimateOutOfRange(
-            f"edge ({x}, {y}): with {config.shots} shots per overlap the estimates "
+            f"with {config.shots} shots per overlap the estimates "
             f"d(x, y) = {dxy!r} and W1 = {w1!r} are out of range "
             "(need d(x, y) > 0 and W1 >= 0); use more shots")
     return CurvatureResult.from_w1(w1=w1, dxy=dxy, method="qsim_tree",
@@ -319,8 +315,7 @@ def tree_qsim_standard_error(nb: LocalNeighborhood,
 # case 2: p = q
 # --------------------------------------------------------------------------
 
-def localize_DG(be: BlockEncoding, meta: DistanceEncodingMeta,
-                X: Sequence[int], Y: Sequence[int],
+def localize_DG(be: BlockEncoding, X: Sequence[int], Y: Sequence[int],
                 audit: AuditTrail | None = None) -> BlockEncoding:
     """Localize the grid encoding to the p^2 cost block, in (j, i) order.
 
@@ -331,7 +326,7 @@ def localize_DG(be: BlockEncoding, meta: DistanceEncodingMeta,
     if len(X) != len(Y):
         raise SizeMismatch(f"|X| = {len(X)} but |Y| = {len(Y)}")
     p = len(X)
-    block = np.real(be.op)[_grid_indices(be, X, Y).T.ravel()]
+    block = be.op[_grid_indices(be, X, Y).T.ravel()]
     out = BlockEncoding(op=block, subnorm=be.subnorm, err=be.err,
                         ancilla_dim=be.ancilla_dim)
     if audit is not None:
@@ -349,7 +344,7 @@ def extract_Di(dg_local: BlockEncoding, i: int,
     p = _grid_side(dg_local)
     if not 1 <= i <= p:
         raise IndexOutOfRange(f"column index {i} outside [1, {p}]")
-    sl = np.real(dg_local.op)[(i - 1) * p: i * p].copy()
+    sl = dg_local.op[(i - 1) * p: i * p].copy()
     out = BlockEncoding(op=sl, subnorm=dg_local.subnorm, err=dg_local.err,
                         ancilla_dim=dg_local.ancilla_dim)
     if audit is not None:
@@ -426,7 +421,7 @@ def build_Pi(p: int, dim_cap: int = DEFAULT_DIM_CAP,
 def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
                     eps: float = 1e-10,
                     audit: AuditTrail | None = None) -> EigenEstimate:
-    """Minimum nonzero eigenvalue of a diagonal encoding via power method.
+    """Minimum nonzero eigenvalue of an encoding via power method.
 
     Forms the pseudoinverse encoding, runs power iteration from `start`
     (a vector of length be.dim, typically random) restricted to the
@@ -435,14 +430,12 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     within MAX_POWER_ITERATIONS is reported through converged=False, not
     raised.
     """
-    diag = np.real(be.encoded) if be.is_diagonal else None
-    if diag is None:
-        raise SpectrumOutOfRange("power stage expects a diagonal composite")
+    diag = be.encoded
     support = diag != 0.0
     if not np.any(support):
         raise SpectrumOutOfRange("composite has no nonzero spectrum")
     inv = bk.be_invert(be, kappa_a, mode="exact")
-    a = np.real(inv.encoded)
+    a = inv.encoded
 
     if np.shape(start) != (be.dim,):
         raise DimMismatch(f"start vector of shape {np.shape(start)} for dimension {be.dim}")
@@ -512,7 +505,7 @@ def w1_pq_qsim(nb: LocalNeighborhood,
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
     be, meta = encoding
-    local = localize_DG(be, meta, nb.X, nb.Y, audit=audit)
+    local = localize_DG(be, nb.X, nb.Y, audit=audit)
     columns = [extract_Di(local, i, audit=audit) for i in range(1, p + 1)]
     dp = build_DP(columns, dim_cap=config.dim_cap, audit=audit)
     pi = build_Pi(p, dim_cap=config.dim_cap, audit=audit)
@@ -520,11 +513,10 @@ def w1_pq_qsim(nb: LocalNeighborhood,
     _, flat = _permutations(p)
     if audit is not None:
         audit.record("composite", composite, dim=p ** p, support=len(flat))
-    encoded = np.real(composite.encoded)
+    encoded = composite.encoded
     if np.any(encoded == 0.0):
-        where = "cost matrix" if nb.x is None else f"edge ({nb.x}, {nb.y})"
         raise SpectrumOutOfRange(
-            f"{where}: a permutation of the cost block sums to 0, "
+            "a permutation of the cost block sums to 0, "
             "so W1 = 0 is a zero eigenvalue, which the power stage on the "
             "pseudoinverse cannot see")
     kappa_a = (1 + 1e-9) / float(np.min(encoded))

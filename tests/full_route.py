@@ -129,11 +129,11 @@ def w1_pq_qsim_full(nb, encoding, config: QsimConfig = QsimConfig()) -> Curvatur
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
     be, meta = encoding
-    local = localize_DG(be, meta, nb.X, nb.Y)
+    local = localize_DG(be, nb.X, nb.Y)
     dp = build_dp_full([extract_Di(local, i) for i in range(1, p + 1)],
                        dim_cap=config.dim_cap)
     composite = bk.be_product(build_pi_full(p, dim_cap=config.dim_cap), dp)
-    encoded = np.real(composite.encoded)
+    encoded = composite.encoded
     kappa_a = (1 + 1e-9) / float(np.min(encoded[encoded != 0.0]))
     start = np.random.default_rng(config.seed).standard_normal(composite.dim)
     estimate = min_eigen_power(composite, kappa_a, start, eps=config.eps)

@@ -10,8 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 import orcurv.qpipeline
-from orcurv.blockenc import StateVector, dilated_apply, overlap
+from orcurv.blockenc import StateVector, dilated_apply
 from orcurv.graph import Graph, LocalNeighborhood
+from reference import overlap
 
 INF = math.inf
 

@@ -4,20 +4,28 @@ Independent oracles and composition rules that the program itself never
 runs: the transportation-polytope vertex enumeration (oracle of w1_lp),
 the Kronecker and uniform-LCU block-encoding rules (oracle of
 qpipeline.build_DP), the density-matrix encoding (the purified
-projector route in full_route.py) and a finiteness check on geodesics.
+projector route in full_route.py), the explicit unitary dilation and the
+full-vector overlap (oracles of blockenc.dilated_apply and
+dilated_overlap) and a finiteness check on geodesics.
+
+The program's BlockEncoding holds a real diagonal only. The dilation
+and the density-matrix encoding also take or give dense operators,
+which DenseEncoding holds here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from orcurv.blockenc import BlockEncoding, StateVector
-from orcurv.errors import DimMismatch, OrcError, TooLarge
+from orcurv.blockenc import BlockEncoding, StateVector, _hadamard_test
+from orcurv.errors import DimMismatch, OrcError, SubnormTooSmall, TooLarge
 from orcurv.graph import INF, GeodesicMatrix, LocalNeighborhood, Weight
 from orcurv.transport import _emit, _lift_block
 
@@ -30,6 +38,10 @@ class DigitOutOfRange(OrcError):
 
 class BadFactorization(OrcError):
     """Declared tensor factor dimensions do not match the state."""
+
+
+class InexactEncoding(OrcError):
+    """Unitary dilation requires an error-free encoding."""
 
 
 def all_finite(dg: GeodesicMatrix) -> bool:
@@ -139,18 +151,43 @@ def lp_vertex_oracle(nb: LocalNeighborhood) -> Weight:
 # block-encoding composition rules: identity, tensor, uniform LCU, density
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DenseEncoding:
+    """Block encoding of a square, possibly complex operator: encoded
+    block op/subnorm, with BlockEncoding's bookkeeping fields."""
+
+    op: np.ndarray
+    subnorm: float
+    err: float = 0.0
+    ancilla_dim: int = 2
+
+    def __post_init__(self) -> None:
+        op = np.asarray(self.op, dtype=np.complex128)
+        if op.ndim != 2 or op.shape[0] != op.shape[1]:
+            raise DimMismatch(f"operator must be square, got shape {op.shape}")
+        object.__setattr__(self, "op", op)
+        norm = float(np.linalg.norm(op, 2))
+        if norm > self.subnorm * (1 + 1e-9):
+            raise SubnormTooSmall(f"operator norm {norm} exceeds subnorm {self.subnorm}")
+
+    @property
+    def dim(self) -> int:
+        return self.op.shape[0]
+
+
+def dense(b: BlockEncoding | DenseEncoding) -> np.ndarray:
+    """The encoded block of either representation as a matrix."""
+    return np.diag(b.encoded) if isinstance(b, BlockEncoding) else b.op / b.subnorm
+
+
 def be_identity(dim: int) -> BlockEncoding:
     return BlockEncoding(op=np.ones(dim), subnorm=1.0)
 
 
 def be_tensor(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
     """Encoding of the Kronecker product b1.op (x) b2.op."""
-    if b1.is_diagonal and b2.is_diagonal:
-        op = np.kron(b1.op, b2.op)
-    else:
-        op = np.kron(b1.to_dense(), b2.to_dense())
     return BlockEncoding(
-        op=op,
+        op=np.kron(b1.op, b2.op),
         subnorm=b1.subnorm * b2.subnorm,
         err=b1.subnorm * b2.err + b2.subnorm * b1.err,
         ancilla_dim=b1.ancilla_dim * b2.ancilla_dim,
@@ -169,11 +206,9 @@ def be_lcu(bs: Sequence[BlockEncoding], signs: Sequence[int] | None = None) -> B
     dim = bs[0].dim
     if any(b.dim != dim for b in bs):
         raise DimMismatch("LCU operands must share one dimension")
-    diag = all(b.is_diagonal for b in bs)
-    acc = np.zeros(dim if diag else (dim, dim),
-                   dtype=np.complex128 if any(np.iscomplexobj(b.op) for b in bs) else np.float64)
+    acc = np.zeros(dim)
     for s, b in zip(signs, bs):
-        acc = acc + s * (b.op if diag else b.to_dense()) / b.subnorm
+        acc = acc + s * b.op / b.subnorm
     ancilla = m
     for b in bs:
         ancilla *= b.ancilla_dim
@@ -185,11 +220,11 @@ def be_lcu(bs: Sequence[BlockEncoding], signs: Sequence[int] | None = None) -> B
     )
 
 
-def be_density(phi: StateVector, dim_a: int, dim_b: int) -> BlockEncoding:
+def be_density(phi: StateVector, dim_a: int, dim_b: int) -> BlockEncoding | DenseEncoding:
     """Encoding of the reduced density matrix Tr_A |phi><phi|.
 
-    The result has subnorm 1 and err 0; when the partial trace comes out
-    exactly diagonal it is stored in the diagonal representation.
+    The result has subnorm 1 and err 0: a BlockEncoding when the partial
+    trace comes out exactly diagonal, a DenseEncoding otherwise.
     """
     if dim_a < 1 or dim_b < 1 or dim_a * dim_b != phi.dim:
         raise BadFactorization(
@@ -201,4 +236,60 @@ def be_density(phi: StateVector, dim_a: int, dim_b: int) -> BlockEncoding:
     if not np.any(off):
         return BlockEncoding(op=np.diagonal(rho).real.copy(), subnorm=1.0,
                              err=0.0, ancilla_dim=dim_a)
-    return BlockEncoding(op=rho, subnorm=1.0, err=0.0, ancilla_dim=dim_a)
+    return DenseEncoding(op=rho, subnorm=1.0, err=0.0, ancilla_dim=dim_a)
+
+
+# --------------------------------------------------------------------------
+# explicit dilation and full-vector states
+# --------------------------------------------------------------------------
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def be_dilate(b: BlockEncoding | DenseEncoding) -> np.ndarray:
+    """Explicit unitary of dimension 2*dim whose top-left block encodes b.
+
+    Standard contraction dilation [[A, sqrt(I-AA*)], [sqrt(I-A*A), -A*]];
+    requires err = 0 and dim <= 64.
+    """
+    if b.err != 0.0:
+        raise InexactEncoding("dilation requires an exact encoding (err = 0)")
+    if b.dim > 64:
+        raise TooLarge(f"dilation capped at dim <= 64, got {b.dim}")
+    a = dense(b).astype(np.complex128)
+    eye = np.eye(b.dim)
+    s1 = _psd_sqrt(eye - a @ a.conj().T)
+    s2 = _psd_sqrt(eye - a.conj().T @ a)
+    return np.block([[a, s1], [s2, -a.conj().T]])
+
+
+def basis(dim: int, index: int) -> StateVector:
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(amps)
+
+
+def uniform(dim: int, support: Sequence[int]) -> StateVector:
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[list(support)] = 1.0 / math.sqrt(len(support))
+    return StateVector(amps)
+
+
+def normalized(raw) -> StateVector:
+    arr = np.asarray(raw, dtype=np.complex128).ravel()
+    norm = float(np.linalg.norm(arr))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return StateVector(arr / norm)
+
+
+def overlap(a: StateVector, b: StateVector, shots: int | None = None,
+            seed=None) -> float:
+    """Re<a|b>, exactly or through the Hadamard-test shot emulation that
+    blockenc.dilated_overlap uses."""
+    if a.dim != b.dim:
+        raise DimMismatch(f"state dims differ: {a.dim} vs {b.dim}")
+    return _hadamard_test(float(np.real(np.vdot(a.amps, b.amps))), shots, seed)

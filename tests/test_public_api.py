@@ -11,11 +11,11 @@ def test_public_names_and_qsim_config_fields():
         "AssignmentSolution", "AuditTrail", "BlockEncoding", "CurvatureResult",
         "DistanceEncodingMeta", "EigenEstimate", "GeodesicMatrix", "Graph",
         "LocalNeighborhood", "QsimConfig", "StateVector", "TransportPlan",
-        "all_pairs_geodesic", "be_dilate", "be_invert", "be_power", "be_product",
+        "all_pairs_geodesic", "be_invert", "be_power", "be_product",
         "be_scale", "be_wrap", "blockenc", "build_DP", "build_Pi",
         "build_distance_encoding", "curvature", "dilated_apply", "dilated_overlap",
         "errors", "extract_Di", "graph", "load_graph", "localize_DG",
-        "min_eigen_power", "neighborhood", "overlap", "pq_qsim_from_cost",
+        "min_eigen_power", "neighborhood", "pq_qsim_from_cost",
         "qpipeline", "transport", "tree_overlap_sum", "verify_tree", "w1_assignment",
         "w1_bruteforce", "w1_lp", "w1_pq_qsim", "w1_tree", "w1_tree_qsim",
     ]

@@ -72,7 +72,7 @@ def localized_for(cost, margin=0.0):
     p = len(cost)
     grid = two_block_grid(cost)
     be, meta = build_distance_encoding(grid, margin=margin)
-    local = localize_DG(be, meta, list(range(p)), list(range(p, 2 * p)))
+    local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
     return local, meta
 
 
@@ -261,26 +261,26 @@ def test_localize_ji_order():
 def test_localize_preserves_spectrum_multiset():
     cost = [[1, 2, 5], [3, 4, 6], [7, 8, 9]]
     grid = two_block_grid(cost)
-    be, meta = build_distance_encoding(grid, margin=0.0)
-    local = localize_DG(be, meta, [0, 1, 2], [3, 4, 5])
+    be, _ = build_distance_encoding(grid, margin=0.0)
+    local = localize_DG(be, [0, 1, 2], [3, 4, 5])
     got = sorted(np.round(local.op, 9))
     assert got == sorted(float(v) for row in cost for v in row)
 
 
 def test_localize_size_mismatch():
     grid = two_block_grid([[1, 2], [3, 4]])
-    be, meta = build_distance_encoding(grid)
+    be, _ = build_distance_encoding(grid)
     with pytest.raises(SizeMismatch):
-        localize_DG(be, meta, [0], [2, 3])
+        localize_DG(be, [0], [2, 3])
 
 
 def test_localize_refuses_bad_indices():
     grid = two_block_grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    be, meta = build_distance_encoding(grid)
+    be, _ = build_distance_encoding(grid)
     for X, Y in [([0, 0], [3, 4]), ([0, 1], [4, 4]), ([0, 6], [3, 4]),
                  ([-1, 1], [3, 4]), ([0.0, 1.0], [3, 4]), ([[0, 1]], [[3, 4]])]:
         with pytest.raises(IndexOutOfRange):
-            localize_DG(be, meta, X, Y)
+            localize_DG(be, X, Y)
 
 
 def completion_permutation_matrix(n, targets):
@@ -315,8 +315,8 @@ def test_localize_matches_dense_permutation_conjugation():
         # an asymmetric grid, so a row/column mix-up cannot hide
         dist = rng.integers(1, 20, size=(n, n)).astype(float)
         np.fill_diagonal(dist, 0.0)
-        be, meta = build_distance_encoding(dist)
-        local = localize_DG(be, meta, X, Y)
+        be, _ = build_distance_encoding(dist)
+        local = localize_DG(be, X, Y)
         assert np.array_equal(local.op, localize_by_conjugation(be, X, Y))
         assert (local.subnorm, local.err, local.ancilla_dim) == \
             (be.subnorm, be.err, be.ancilla_dim)
@@ -325,10 +325,10 @@ def test_localize_matches_dense_permutation_conjugation():
 def test_localize_reads_only_the_block():
     n = 300
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
-    be, meta = build_distance_encoding(dist)
+    be, _ = build_distance_encoding(dist)
     tracemalloc.start()
     try:
-        local = localize_DG(be, meta, [3, 70, 150, 299], [0, 5, 200, 298])
+        local = localize_DG(be, [3, 70, 150, 299], [0, 5, 200, 298])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -452,8 +452,8 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
     rng = random.Random(17)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng, max_value=4)
-        be, meta = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
-        local = localize_DG(be, meta, list(range(p)), list(range(p, 2 * p)))
+        be, _ = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         assert (ds[0].err > 0) == (power_mode == "chebyshev")
         dp = build_dp_full(ds)
@@ -530,7 +530,7 @@ def test_build_pi_purified_equals_direct():
     for p in (2, 3):
         direct = build_pi_full(p, route="direct")
         purified = build_pi_full(p, route="purified")
-        assert purified.is_diagonal
+        assert purified.op.ndim == 1
         assert np.allclose(purified.encoded, direct.encoded, atol=1e-14)
         flat = _permutations(p)[1]
         assert np.allclose(build_Pi(p).encoded, purified.encoded[flat], atol=1e-14)
@@ -706,8 +706,8 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
     rng = random.Random(29)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng)
-        be, meta = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
-        local = localize_DG(be, meta, list(range(p)), list(range(p, 2 * p)))
+        be, _ = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         support, full = build_DP(ds), build_dp_full(ds)
         flat = _permutations(p)[1]
@@ -779,14 +779,14 @@ def test_pq_qsim_refuses_a_zero_cost_permutation():
     nb = LocalNeighborhood.from_cost(cost, 1)
     encoding = build_distance_encoding(two_block_grid(cost))
     assert w1_pq_qsim_full(nb, encoding, QsimConfig(seed=0)).w1 == pytest.approx(1.0)
-    with pytest.raises(SpectrumOutOfRange, match="cost matrix: a permutation"):
+    with pytest.raises(SpectrumOutOfRange, match="a permutation of the cost block sums to 0"):
         w1_pq_qsim(nb, encoding, QsimConfig(seed=0))
     with pytest.raises(SpectrumOutOfRange):
         pq_qsim_from_cost([[2, 0, 1], [0, 3, 1], [1, 1, 0]], 1, QsimConfig(seed=0))
     # on a graph, X = Y whenever x and y have the same other neighbors (K4)
     g = load_graph("0 1\n0 2\n0 3\n1 2\n1 3\n2 3")
     dg = all_pairs_geodesic(g)
-    with pytest.raises(SpectrumOutOfRange, match=r"edge \(0, 1\)"):
+    with pytest.raises(SpectrumOutOfRange, match="a permutation of the cost block sums to 0"):
         w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg), QsimConfig())
 
 
@@ -807,7 +807,7 @@ def test_subnorm_ledger_stage_by_stage():
     grid = two_block_grid(cost)
     audit = AuditTrail()
     be, meta = build_distance_encoding(grid, margin=0.0, audit=audit)
-    local = localize_DG(be, meta, [0, 1, 2], [3, 4, 5], audit=audit)
+    local = localize_DG(be, [0, 1, 2], [3, 4, 5], audit=audit)
     ds = [extract_Di(local, i, audit=audit) for i in (1, 2, 3)]
     dp = build_dp_full(ds, audit=audit)
     pi = build_pi_full(3, audit=audit)
