@@ -26,9 +26,7 @@ from .graph import (
 )
 from .qpipeline import (
     AuditTrail,
-    DistanceEncodingMeta,
     EigenEstimate,
-    QsimConfig,
     build_distance_encoding,
     build_DP,
     build_Pi,

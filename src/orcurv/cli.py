@@ -32,6 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+from .blockenc import BlockEncoding
 from .errors import ConfigError, InvalidWeight, OrcError
 from .graph import (
     GeodesicMatrix,
@@ -41,18 +42,18 @@ from .graph import (
     load_graph,
     neighborhood,
     parse_fraction,
+    verify_tree,
 )
 from .qpipeline import (
     DEFAULT_DIM_CAP,
     AuditTrail,
-    QsimConfig,
     build_distance_encoding,
     cost_grid,
     tree_qsim_standard_error,
     w1_pq_qsim,
     w1_tree_qsim,
 )
-from .transport import ALL_METHODS, QSIM_METHODS, CurvatureResult, curvature, verify_tree
+from .transport import ALL_METHODS, QSIM_METHODS, CurvatureResult, curvature
 
 _FIXTURES = {
     "appendix_a": (
@@ -138,7 +139,9 @@ def _check_numeric_options(args: argparse.Namespace) -> None:
     """Refuse out-of-range numeric options (None: not given) before any work starts."""
     tol = getattr(args, "tol", 0.0)    # compare only
     bounds = [
-        ("--shots", args.shots, lambda v: v >= 1, "an integer >= 1"),
+        # numpy's binomial draw takes an int64 count
+        ("--shots", args.shots, lambda v: 1 <= v <= 2 ** 63 - 1,
+         "an integer in [1, 2^63 - 1]"),
         ("--seed", args.seed, lambda v: v >= 0, "an integer >= 0"),
         ("--cap", args.cap, lambda v: v >= 1, "an integer >= 1"),
         ("--margin", args.margin, lambda v: math.isfinite(v) and v >= 0,
@@ -206,12 +209,15 @@ def _load_instance(args: argparse.Namespace) -> _Instance:
 
 
 def _cost_fixture(cost, dxy, numeric: str) -> LocalNeighborhood:
-    """Neighborhood of a cost-matrix fixture whose entries are all numbers."""
+    """Neighborhood of a cost-matrix fixture whose entries are all finite
+    non-negative numbers."""
     if not isinstance(cost, list) or not all(isinstance(row, list) for row in cost):
         raise ConfigError(f'"cost" must be a list of rows, got {type(cost).__name__}')
     for v in [*(v for row in cost for v in row), dxy]:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
             raise ConfigError(f"cost-matrix value {v!r} is not a number")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"cost-matrix value {v!r} is not finite")
         if v < 0:
             raise ConfigError(f"cost-matrix value {v!r} is negative")
     try:
@@ -264,18 +270,20 @@ def _validate_method(inst: _Instance, method: str) -> None:
 # execution
 # --------------------------------------------------------------------------
 
-def _distance_encoding(qsim: QsimConfig, inst: _Instance, audit: AuditTrail | None):
-    """The (be, meta) every qsim edge of this run queries, built once."""
+def _distance_encoding(args: argparse.Namespace, inst: _Instance,
+                       audit: AuditTrail | None) -> BlockEncoding:
+    """The encoding every qsim edge of this run queries, built once."""
     dist = inst.dg if inst.dg is not None else cost_grid(inst.pairs[0][1].cost)
-    return build_distance_encoding(dist, margin=qsim.margin, audit=audit)
+    return build_distance_encoding(dist, margin=args.margin, audit=audit)
 
 
-def _run_method(qsim: QsimConfig, method: str, nb: LocalNeighborhood, encoding,
-                audit: AuditTrail | None) -> CurvatureResult:
+def _run_method(args: argparse.Namespace, method: str, nb: LocalNeighborhood,
+                be: BlockEncoding | None, audit: AuditTrail | None) -> CurvatureResult:
     if method == "qsim_tree":
-        return w1_tree_qsim(nb, encoding, qsim, audit=audit)
+        return w1_tree_qsim(nb, be, shots=args.shots, seed=args.seed, audit=audit)
     if method == "qsim_pq":
-        return w1_pq_qsim(nb, encoding, qsim, audit=audit)
+        return w1_pq_qsim(nb, be, seed=args.seed, eps=args.eps, dim_cap=args.cap,
+                          audit=audit)
     return curvature(nb, method=method)
 
 
@@ -326,13 +334,13 @@ def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
     return rec
 
 
-def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, encoding,
+def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: BlockEncoding,
                 res_c: CurvatureResult, res_q: CurvatureResult) -> dict:
     """The compare fields of one edge's record."""
     abs_diff = abs(float(res_c.w1) - float(res_q.w1))
     tol = args.tol
     if args.shots is not None:    # only the tree route accepts --shots
-        tol = max(tol, 5.0 * tree_qsim_standard_error(nb, encoding, args.qsim))
+        tol = max(tol, 5.0 * tree_qsim_standard_error(nb, be, args.shots))
     return {
         "w1_classical": _ser(res_c.w1),
         "w1_qsim": res_q.w1,
@@ -363,21 +371,19 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             setattr(args, option[2:], default)
         elif not set(methods) & set(readers):
             raise ConfigError(f"method {route!r} {reason}; drop {option}")
-    args.qsim = QsimConfig(margin=args.margin, shots=args.shots, seed=args.seed,
-                           eps=args.eps, dim_cap=args.cap)
     for method in methods:
         _validate_method(inst, method)
     audit = AuditTrail() if args.trace else None
-    encoding = _distance_encoding(args.qsim, inst, audit) if route in QSIM_METHODS else None
+    be = _distance_encoding(args, inst, audit) if route in QSIM_METHODS else None
     records = []
     for edge, nb in inst.pairs:
         try:
-            results = [_run_method(args.qsim, m, nb, encoding, audit) for m in methods]
+            results = [_run_method(args, m, nb, be, audit) for m in methods]
         except OrcError as exc:
             raise _SolverFailure(edge, exc) from exc
         rec = _record(nb, results[-1])
         if args.command == "compare":
-            rec.update(_comparison(args, nb, encoding, *results))
+            rec.update(_comparison(args, nb, be, *results))
         records.append(rec)
     report = {
         "meta": {"version": __version__, "config": _config_echo(args)},

@@ -20,8 +20,8 @@ optional audit trail records {stage, dim, subnorm, err, min_entry,
 max_entry} per stage so the ledger can be checked from outside.
 
 The factor 2 introduced by the fractional-power stage is absorbed into
-alpha_q = 2 * alpha^(1/4); all recovery multipliers use the recorded
-alpha_q, never the bare fourth root.
+the distance encoding's subnorm, 2 * alpha^(1/4); the recovery
+multipliers use the encoding's subnorm, never the bare fourth root.
 """
 
 from __future__ import annotations
@@ -58,20 +58,6 @@ MAX_POWER_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
-class DistanceEncodingMeta:
-    """Subnormalization bookkeeping of the distance encoding.
-
-    alpha divides the fourth-power operator, alpha_q = 2 * alpha^(1/4)
-    divides the distance operator after the fourth-root stage, and kappa
-    is the max/min ratio of the nonzero fourth-power entries.
-    """
-
-    alpha: float
-    alpha_q: float
-    kappa: float
-
-
-@dataclass(frozen=True)
 class EigenEstimate:
     """Minimum-nonzero-eigenvalue estimate from the power-method stage."""
 
@@ -89,18 +75,6 @@ class EigenEstimate:
             raise AssertionError("iterations must be >= 1")
         if not 0.0 <= self.initial_overlap <= 1.0 + 1e-12:
             raise AssertionError("initial overlap outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class QsimConfig:
-    """Tunables of the simulated pipelines: one field per `orc` option,
-    `--margin`, `--shots`, `--seed`, `--eps` and `--cap`."""
-
-    margin: float = 0.05
-    shots: int | None = None          # None -> exact overlaps
-    seed: int | None = None           # None -> fresh OS entropy, not reproducible
-    eps: float = 1e-10                # power-iteration stagnation threshold
-    dim_cap: int = DEFAULT_DIM_CAP
 
 
 @dataclass
@@ -146,14 +120,15 @@ def _float_grid(rows) -> np.ndarray:
 
 def build_distance_encoding(dg, margin: float = 0.05,
                             power_mode: str = "exact",
-                            audit: AuditTrail | None = None,
-                            ) -> tuple[BlockEncoding, DistanceEncodingMeta]:
+                            audit: AuditTrail | None = None) -> BlockEncoding:
     """Diagonal encoding of all pairwise distances over the index grid.
 
     The fourth powers are wrapped at alpha = ((1 + margin) * max_d)^4 and
-    the fractional power c = 1/4 brings the entries back to d/alpha_q
-    with alpha_q = 2 * alpha^(1/4). Zero distances (the grid diagonal)
-    ride along unchanged. Both pipelines query one encoding per graph, so
+    the fractional power c = 1/4 brings the entries back to d/alpha_q,
+    where alpha_q = 2 * alpha^(1/4) is the returned encoding's subnorm.
+    Zero distances (the grid diagonal) ride along unchanged. The audit
+    record also holds alpha and kappa, the max/min ratio of the nonzero
+    fourth powers. Both pipelines query one encoding per graph, so
     callers build it once and pass it to every edge. InfiniteDistance if
     alpha, (min d)^4 or their ratio leaves float64 range.
     """
@@ -186,10 +161,9 @@ def build_distance_encoding(dg, margin: float = 0.05,
     fourth = dist.ravel() ** 4
     raw = BlockEncoding(op=fourth, subnorm=alpha)
     be = bk.be_power(raw, 0.25, kappa_m, mode=power_mode)
-    meta = DistanceEncodingMeta(alpha=alpha, alpha_q=be.subnorm, kappa=kappa)
     if audit is not None:
         audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
-    return be, meta
+    return be
 
 
 # --------------------------------------------------------------------------
@@ -219,8 +193,7 @@ def _grid_indices(be: BlockEncoding, rows: Sequence[int],
     return np.array([[r * n + c for c in cols] for r in rows], dtype=np.intp)
 
 
-def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
-                     center: int, nbrs: Sequence[int],
+def tree_overlap_sum(be: BlockEncoding, center: int, nbrs: Sequence[int],
                      shots: int | None = None, seed=None,
                      audit: AuditTrail | None = None) -> float:
     """Overlap encoding the neighbor-distance sum around `center`.
@@ -229,7 +202,7 @@ def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
     reads its overlap with the dilated encoding from the p grid entries
     it touches (bk.dilated_overlap), and returns it rescaled to the
     (p+1) convention that the recovery multiplier expects:
-    sum_i d(center, nbrs[i]) / (alpha_q * (p + 1)). The audit trail
+    sum_i d(center, nbrs[i]) / (be.subnorm * (p + 1)). The audit trail
     records both the unit-state overlap and the rescaled one.
     """
     p = len(nbrs)
@@ -241,7 +214,7 @@ def tree_overlap_sum(be: BlockEncoding, meta: DistanceEncodingMeta,
     if audit is not None:
         audit.note("tree_overlap", center=center, p=p,
                    overlap_unit=raw, overlap_p1=rescaled,
-                   recovered_sum=rescaled * meta.alpha_q * (p + 1))
+                   recovered_sum=rescaled * be.subnorm * (p + 1))
     return rescaled
 
 
@@ -251,63 +224,60 @@ def _basis_pair_overlap(be: BlockEncoding, ix: int, iy: int,
                               shots=shots, seed=seed)
 
 
-def w1_tree_qsim(nb: LocalNeighborhood,
-                 encoding: tuple[BlockEncoding, DistanceEncodingMeta],
-                 config: QsimConfig = QsimConfig(),
+def w1_tree_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
+                 shots: int | None = None, seed: int | None = None,
                  audit: AuditTrail | None = None) -> CurvatureResult:
     """Tree-case pipeline: W1 from three overlap estimations.
 
-    `encoding` is the graph's (be, meta) from build_distance_encoding.
-    The caller asserts that the graph is a tree. Exact-overlap mode
-    reproduces the closed form to float accuracy; shots mode replaces
-    each overlap with a seeded Hadamard-test emulation, and raises
-    EstimateOutOfRange when the noisy d(x, y) or W1 leaves its range.
+    `be` is the graph's encoding from build_distance_encoding. The
+    caller asserts that the graph is a tree. shots=None gives exact
+    overlaps, which reproduce the closed form to float accuracy; an
+    integer replaces each overlap with a Hadamard-test emulation seeded
+    by `seed` (None: fresh OS entropy), and raises EstimateOutOfRange
+    when the noisy d(x, y) or W1 leaves its range.
     """
     if nb.x_dists is None or nb.y_dists is None:
         raise NotATree("tree pipeline needs a graph neighborhood, not a bare cost matrix")
-    be, meta = encoding
     x, y = nb.x, nb.y
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    seeds = np.random.SeedSequence(seed).spawn(3)
     p, q = nb.p, nb.q
-    ov_x = tree_overlap_sum(be, meta, x, nb.X, shots=config.shots,
-                            seed=seeds[0], audit=audit)
-    ov_y = tree_overlap_sum(be, meta, y, nb.Y, shots=config.shots,
-                            seed=seeds[1], audit=audit)
-    ov_xy = _basis_pair_overlap(be, x, y, shots=config.shots, seed=seeds[2])
-    x_sum = ov_x * meta.alpha_q * (p + 1)
-    y_sum = ov_y * meta.alpha_q * (q + 1)
-    dxy = ov_xy * meta.alpha_q
+    ov_x = tree_overlap_sum(be, x, nb.X, shots=shots, seed=seeds[0], audit=audit)
+    ov_y = tree_overlap_sum(be, y, nb.Y, shots=shots, seed=seeds[1], audit=audit)
+    ov_xy = _basis_pair_overlap(be, x, y, shots=shots, seed=seeds[2])
+    x_sum = ov_x * be.subnorm * (p + 1)
+    y_sum = ov_y * be.subnorm * (q + 1)
+    dxy = ov_xy * be.subnorm
     w1 = x_sum / p + dxy + y_sum / q
     if audit is not None:
         audit.note("tree_recovery", x_sum=x_sum, y_sum=y_sum, dxy=dxy, w1=w1)
     if not (dxy > 0 and w1 >= 0):
         raise EstimateOutOfRange(
-            f"with {config.shots} shots per overlap the estimates "
+            f"with {shots} shots per overlap the estimates "
             f"d(x, y) = {dxy!r} and W1 = {w1!r} are out of range "
             "(need d(x, y) > 0 and W1 >= 0); use more shots")
     return CurvatureResult.from_w1(w1=w1, dxy=dxy, method="qsim_tree",
                                    x=x, y=y)
 
 
-def tree_qsim_standard_error(nb: LocalNeighborhood,
-                             encoding: tuple[BlockEncoding, DistanceEncodingMeta],
-                             config: QsimConfig) -> float:
+def tree_qsim_standard_error(nb: LocalNeighborhood, be: BlockEncoding,
+                             shots: int | None) -> float:
     """Propagated binomial standard error of the shot-noise tree W1.
 
     With raw unit-state overlaps v_x, v_xy, v_y the recovered W1 equals
-    alpha_q * (v_x + v_xy + v_y), so the standard error is alpha_q times
-    the root sum of the three Bernoulli variances 4 p (1 - p) / shots.
+    alpha_q * (v_x + v_xy + v_y), alpha_q = be.subnorm, so the standard
+    error is alpha_q times the root sum of the three Bernoulli variances
+    4 p (1 - p) / shots. shots=None (exact overlaps) gives 0.
     """
-    if config.shots is None:
+    if shots is None:
         return 0.0
-    alpha_q = encoding[1].alpha_q
+    alpha_q = be.subnorm
     raw_x = sum(float(v) for v in nb.x_dists) / (alpha_q * nb.p)
     raw_y = sum(float(v) for v in nb.y_dists) / (alpha_q * nb.q)
     raw_xy = float(nb.dxy) / alpha_q
     var = 0.0
     for raw in (raw_x, raw_y, raw_xy):
         prob = (1.0 + raw) / 2.0
-        var += 4.0 * prob * (1.0 - prob) / config.shots
+        var += 4.0 * prob * (1.0 - prob) / shots
     return alpha_q * math.sqrt(var)
 
 
@@ -418,17 +388,24 @@ def build_Pi(p: int, dim_cap: int = DEFAULT_DIM_CAP,
     return out
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D vector, by np.linalg.norm's own formula
+    but without its dispatch: the power loop takes two per iteration."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
                     eps: float = 1e-10,
                     audit: AuditTrail | None = None) -> EigenEstimate:
     """Minimum nonzero eigenvalue of an encoding via power method.
 
-    Forms the pseudoinverse encoding, runs power iteration from `start`
-    (a vector of length be.dim, typically random) restricted to the
-    support and normalized, and stops when the residual or the change of
-    successive Rayleigh quotients falls below eps. Failure to converge
-    within MAX_POWER_ITERATIONS is reported through converged=False, not
-    raised.
+    Forms the pseudoinverse encoding A and runs power iteration from
+    `start` (a vector of length be.dim, typically random) restricted to
+    the support and normalized. With x the unit iterate and r = x.Ax its
+    Rayleigh quotient, the loop stops when ||Ax - r x|| <= eps * max(1, |r|),
+    or when successive Rayleigh quotients differ by less than eps
+    (absolute). Failure to converge within MAX_POWER_ITERATIONS is
+    reported through converged=False, not raised.
     """
     diag = be.encoded
     support = diag != 0.0
@@ -440,14 +417,14 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     if np.shape(start) != (be.dim,):
         raise DimMismatch(f"start vector of shape {np.shape(start)} for dimension {be.dim}")
     x = start * support
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     if norm == 0.0:
         raise ZeroOverlap("start vector vanished on the support")
     x /= norm
 
     a_max = float(np.max(a))
     target = a >= a_max * (1 - 1e-12)
-    gamma0 = float(np.linalg.norm(x[target]))
+    gamma0 = _norm(x[target])
     if gamma0 == 0.0:
         raise ZeroOverlap("start vector orthogonal to the target eigenspace")
 
@@ -460,14 +437,14 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
         r = float(x @ y)
         iterations += 1
         trace.append(r)
-        if float(np.linalg.norm(y - r * x)) <= eps * max(1.0, abs(r)):
+        if _norm(y - r * x) <= eps * max(1.0, abs(r)):
             converged = True
             break
         if r_prev is not None and abs(r - r_prev) < eps:
             converged = True
             break
         r_prev = r
-        x = y / float(np.linalg.norm(y))
+        x = y / _norm(y)
 
     nz = np.sort(diag[support])
     lam1 = float(nz[0])
@@ -489,26 +466,28 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     return estimate
 
 
-def w1_pq_qsim(nb: LocalNeighborhood,
-               encoding: tuple[BlockEncoding, DistanceEncodingMeta],
-               config: QsimConfig = QsimConfig(),
+def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
+               seed: int | None = None, eps: float = 1e-10,
+               dim_cap: int = DEFAULT_DIM_CAP,
                audit: AuditTrail | None = None) -> CurvatureResult:
     """Full p = q pipeline for one neighborhood.
 
-    `encoding` is the (be, meta) from build_distance_encoding over the
-    distances that nb's X and Y index: the graph's geodesics, or
-    cost_grid(cost) for a bare cost matrix. The power iteration starts
-    from p^p seeded normals gathered at the p! permutation entries. A
+    `be` is the encoding from build_distance_encoding over the distances
+    that nb's X and Y index: the graph's geodesics, or cost_grid(cost)
+    for a bare cost matrix. The power iteration starts from p^p normals
+    drawn with `seed` (None: fresh OS entropy) and gathered at the p!
+    permutation entries; it stops when ||Ax - r x|| <= eps * max(1, |r|)
+    or when successive Rayleigh quotients r differ by less than eps
+    (absolute), see min_eigen_power. DimensionCap when p^p > dim_cap. A
     zero-cost permutation (X = Y) raises SpectrumOutOfRange.
     """
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
-    be, meta = encoding
     local = localize_DG(be, nb.X, nb.Y, audit=audit)
     columns = [extract_Di(local, i, audit=audit) for i in range(1, p + 1)]
-    dp = build_DP(columns, dim_cap=config.dim_cap, audit=audit)
-    pi = build_Pi(p, dim_cap=config.dim_cap, audit=audit)
+    dp = build_DP(columns, dim_cap=dim_cap, audit=audit)
+    pi = build_Pi(p, dim_cap=dim_cap, audit=audit)
     composite = bk.be_product(pi, dp)
     _, flat = _permutations(p)
     if audit is not None:
@@ -520,9 +499,9 @@ def w1_pq_qsim(nb: LocalNeighborhood,
             "so W1 = 0 is a zero eigenvalue, which the power stage on the "
             "pseudoinverse cannot see")
     kappa_a = (1 + 1e-9) / float(np.min(encoded))
-    start = np.random.default_rng(config.seed).standard_normal(p ** p)[flat]
-    estimate = min_eigen_power(composite, kappa_a, start, eps=config.eps, audit=audit)
-    w1 = estimate.value * math.factorial(p) * meta.alpha_q
+    start = np.random.default_rng(seed).standard_normal(p ** p)[flat]
+    estimate = min_eigen_power(composite, kappa_a, start, eps=eps, audit=audit)
+    w1 = estimate.value * math.factorial(p) * be.subnorm
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)
 
@@ -542,9 +521,10 @@ def cost_grid(cost) -> np.ndarray:
     return rows
 
 
-def pq_qsim_from_cost(cost, dxy, config: QsimConfig = QsimConfig(),
+def pq_qsim_from_cost(cost, dxy, *, margin: float = 0.05, seed: int | None = None,
+                      eps: float = 1e-10, dim_cap: int = DEFAULT_DIM_CAP,
                       audit: AuditTrail | None = None) -> CurvatureResult:
     """p = q pipeline on a bare cost matrix, through its cost_grid."""
     nb = LocalNeighborhood.from_cost(cost, dxy)
-    encoding = build_distance_encoding(cost_grid(nb.cost), margin=config.margin, audit=audit)
-    return w1_pq_qsim(nb, encoding, config, audit=audit)
+    be = build_distance_encoding(cost_grid(nb.cost), margin=margin, audit=audit)
+    return w1_pq_qsim(nb, be, seed=seed, eps=eps, dim_cap=dim_cap, audit=audit)

@@ -40,7 +40,7 @@ from .errors import (
     NotSquare,
     TooLarge,
 )
-from .graph import Graph, LocalNeighborhood, Weight, _is_rational, verify_tree
+from .graph import LocalNeighborhood, Weight, _is_rational
 
 CLASSICAL_METHODS = ("lp", "tree", "assignment", "brute_force")
 QSIM_METHODS = ("qsim_tree", "qsim_pq")
@@ -314,15 +314,12 @@ def w1_lp(nb: LocalNeighborhood) -> TransportPlan:
 # tree closed form
 # --------------------------------------------------------------------------
 
-def w1_tree(nb: LocalNeighborhood, graph: Graph | None = None) -> Weight:
+def w1_tree(nb: LocalNeighborhood) -> Weight:
     """Closed-form W1 for decomposable costs (graph is a tree).
 
-    Returns mean(d(x_i, x)) + d(x, y) + mean(d(y, y_j)). When a graph is
-    supplied it is verified to be a tree first; otherwise the caller
-    asserts treeness.
+    Returns mean(d(x_i, x)) + d(x, y) + mean(d(y, y_j)). The caller
+    asserts treeness (`verify_tree`).
     """
-    if graph is not None and not verify_tree(graph):
-        raise NotATree("w1_tree invoked on a graph that is not a tree")
     if nb.x_dists is None or nb.y_dists is None:
         raise NotATree("tree closed form needs center-to-neighbor distances")
     xs = [_exact(v) for v in nb.x_dists]
@@ -388,13 +385,12 @@ def w1_bruteforce(cost: Sequence[Sequence[Weight]]) -> AssignmentSolution:
 # curvature assembly
 # --------------------------------------------------------------------------
 
-def curvature(nb: LocalNeighborhood, method: str = "lp",
-              graph: Graph | None = None) -> CurvatureResult:
+def curvature(nb: LocalNeighborhood, method: str = "lp") -> CurvatureResult:
     """Edge curvature via the chosen classical W1 route.
 
-    method is one of "lp", "tree", "assignment", "brute_force"; shape
-    compatibility (square cost for the assignment routes, tree graph for
-    the closed form) is validated up front.
+    method is one of "lp", "tree", "assignment", "brute_force". A square
+    cost for the assignment routes is validated up front; for "tree" the
+    caller asserts that the graph is a tree (`verify_tree`).
     """
     if method not in CLASSICAL_METHODS:
         raise MethodMismatch(
@@ -402,7 +398,7 @@ def curvature(nb: LocalNeighborhood, method: str = "lp",
     if method == "lp":
         w1 = w1_lp(nb).cost_value
     elif method == "tree":
-        w1 = w1_tree(nb, graph=graph)
+        w1 = w1_tree(nb)
     elif method in ("assignment", "brute_force"):
         if nb.p != nb.q:
             raise MethodMismatch(

@@ -21,7 +21,6 @@ from orcurv.errors import DimensionCap, DimMismatch, NotSquare, SizeMismatch
 from orcurv.qpipeline import (
     DEFAULT_DIM_CAP,
     AuditTrail,
-    QsimConfig,
     extract_Di,
     localize_DG,
     min_eigen_power,
@@ -121,22 +120,22 @@ def build_pi_full(p: int, route: str = "direct", dim_cap: int = DEFAULT_DIM_CAP,
     return out
 
 
-def w1_pq_qsim_full(nb, encoding, config: QsimConfig = QsimConfig()) -> CurvatureResult:
+def w1_pq_qsim_full(nb, be: BlockEncoding, *, seed: int | None = None, eps: float = 1e-10,
+                    dim_cap: int = DEFAULT_DIM_CAP) -> CurvatureResult:
     """The p = q pipeline on length-p^p vectors: D_P and the projector from
     the builders above, their product, and a seeded p^p normal draw as
     the start vector, which min_eigen_power masks to the nonzero spectrum."""
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
-    be, meta = encoding
     local = localize_DG(be, nb.X, nb.Y)
     dp = build_dp_full([extract_Di(local, i) for i in range(1, p + 1)],
-                       dim_cap=config.dim_cap)
-    composite = bk.be_product(build_pi_full(p, dim_cap=config.dim_cap), dp)
+                       dim_cap=dim_cap)
+    composite = bk.be_product(build_pi_full(p, dim_cap=dim_cap), dp)
     encoded = composite.encoded
     kappa_a = (1 + 1e-9) / float(np.min(encoded[encoded != 0.0]))
-    start = np.random.default_rng(config.seed).standard_normal(composite.dim)
-    estimate = min_eigen_power(composite, kappa_a, start, eps=config.eps)
-    w1 = estimate.value * math.factorial(p) * meta.alpha_q
+    start = np.random.default_rng(seed).standard_normal(composite.dim)
+    estimate = min_eigen_power(composite, kappa_a, start, eps=eps)
+    w1 = estimate.value * math.factorial(p) * be.subnorm
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)

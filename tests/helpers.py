@@ -113,17 +113,18 @@ def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:
     return overlap(embedded, dilated_apply(b, phi), shots=shots, seed=seed)
 
 
-def corrupt_alpha_q(monkeypatch, module, scale: float) -> None:
-    """Scale the recorded alpha_q of every encoding `module` builds.
+def corrupt_encoding(monkeypatch, module, scale: float) -> None:
+    """Scale the op of every distance encoding `module` builds, keeping its
+    subnorm.
 
-    Fault injection for the recovery multiplier: the encoding itself stays
-    correct, only the meta the pipelines recover W1 with is off.
+    Fault injection for the recovery multiplier: the encoded entries, and
+    so every W1 a pipeline recovers through the subnorm, are off by `scale`.
     """
     build = orcurv.qpipeline.build_distance_encoding
 
     def corrupted(*args, **kwargs):
-        be, meta = build(*args, **kwargs)
-        return be, dataclasses.replace(meta, alpha_q=meta.alpha_q * scale)
+        be = build(*args, **kwargs)
+        return dataclasses.replace(be, op=be.op * scale)
 
     monkeypatch.setattr(module, "build_distance_encoding", corrupted)
 

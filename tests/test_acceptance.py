@@ -30,7 +30,6 @@ from orcurv.blockenc import (
 from orcurv.cli import main
 from orcurv.graph import all_pairs_geodesic, neighborhood
 from orcurv.qpipeline import (
-    QsimConfig,
     build_distance_encoding,
     _permutations,
     build_Pi,
@@ -136,16 +135,15 @@ def test_criterion_05_tree_pipeline():
         n = rng.randint(4, 64)
         g = random_tree(n, rng)
         dg = all_pairs_geodesic(g)
-        encoding = build_distance_encoding(dg)
+        be = build_distance_encoding(dg)
         for k, (x, y) in enumerate(internal_edges(g)):
             nb = neighborhood(g, dg, x, y)
             closed = float(w1_tree(nb))
-            exact = w1_tree_qsim(nb, encoding, QsimConfig(seed=0))
+            exact = w1_tree_qsim(nb, be, seed=0)
             assert abs(exact.w1 - closed) <= 1e-10
             CURVATURES.append(exact.curvature)
-            cfg = QsimConfig(shots=shots, seed=100000 + 977 * t + k)
-            noisy = w1_tree_qsim(nb, encoding, cfg)
-            se = tree_qsim_standard_error(nb, encoding, cfg)
+            noisy = w1_tree_qsim(nb, be, shots=shots, seed=100000 + 977 * t + k)
+            se = tree_qsim_standard_error(nb, be, shots)
             edges_total += 1
             if abs(noisy.w1 - closed) <= 5 * se:
                 shot_hits += 1
@@ -162,8 +160,7 @@ def test_criterion_06_pq_pipeline():
         for i in range(200):
             cost = [[rng.randint(1, 10) for _ in range(p)] for _ in range(p)]
             dxy = rng.randint(1, 4)
-            res = pq_qsim_from_cost(cost, dxy,
-                                    QsimConfig(seed=7000 + i, eps=1e-10))
+            res = pq_qsim_from_cost(cost, dxy, seed=7000 + i, eps=1e-10)
             expected = float(w1_assignment(cost).cost_value)
             assert abs(res.w1 - expected) <= 1e-8
             assert res.diagnostics.converged

@@ -1,6 +1,7 @@
 """CLI integration: exit codes, report formats, determinism."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import orcurv.blockenc
 import orcurv.cli
 import orcurv.graph
 import orcurv.qpipeline
-from helpers import corrupt_alpha_q
+from helpers import corrupt_encoding
 from orcurv.cli import main
 
 
@@ -249,7 +250,7 @@ def test_compare_square_fixture(tmp_path, capsys):
 
 
 def test_compare_corrupted_alpha_fails(path4, capsys, monkeypatch):
-    corrupt_alpha_q(monkeypatch, orcurv.cli, 1.02)
+    corrupt_encoding(monkeypatch, orcurv.cli, 1.02)
     code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges"], capsys)
     assert code == 1
     report = json.loads(out)
@@ -335,6 +336,15 @@ def test_qsim_tree_on_non_tree_is_config_error(tmp_path, capsys):
     graph.write_text("0 1\n1 2\n0 2\n1 3\n2 4\n")
     code, _, err = run_cli(["compute", "--input", str(graph),
                             "--method", "qsim_tree", "--edge", "1,2"], capsys)
+    assert code == 2
+    assert "NotATree" in err
+
+
+def test_tree_on_non_tree_is_config_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n0 2\n1 3\n2 4\n")
+    code, _, err = run_cli(["compute", "--input", str(graph),
+                            "--method", "tree", "--edge", "1,2"], capsys)
     assert code == 2
     assert "NotATree" in err
 
@@ -427,6 +437,20 @@ def test_qsim_pq_reads_the_options_it_echoes(tmp_path, capsys, option):
         type(defaults[option[2:]])(value)
 
 
+def test_qsim_option_defaults_are_the_library_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    cli = {option: spec[2] for option, spec in orcurv.cli._QSIM_OPTIONS.items()}
+    assert cli["--margin"] == default(orcurv.qpipeline.build_distance_encoding, "margin")
+    assert cli["--eps"] == default(orcurv.qpipeline.w1_pq_qsim, "eps")
+    assert cli["--cap"] == default(orcurv.qpipeline.w1_pq_qsim, "dim_cap")
+    # the one exception: `orc` seeds 0 so that a run without --seed is
+    # reproducible, the library's None draws fresh OS entropy
+    assert cli["--seed"] == 0
+    assert default(orcurv.qpipeline.w1_pq_qsim, "seed") is None
+
+
 def test_out_of_range_shot_estimate_is_solver_error(path4, capsys):
     # one shot per overlap: each overlap reads +-1, and this seed drives
     # the d(x, y) estimate negative
@@ -474,7 +498,7 @@ def test_unseeded_runs_are_reproducible(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--shots", "0"), ("--shots", "-5"),
+    ("--shots", "0"), ("--shots", "-5"), ("--shots", str(2 ** 63)),
     ("--margin", "-1"), ("--margin", "nan"), ("--margin", "inf"),
     ("--seed", "-1"),
     ("--eps", "0"), ("--eps", "-0.5"), ("--eps", "nan"),
@@ -514,6 +538,27 @@ def test_negative_seed_refused_for_qsim_pq(tmp_path, capsys):
 def test_malformed_cost_matrix_is_config_error(tmp_path, capsys, fixture, numeric):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(fixture))
+    code, out, err = run_cli(["compute", "--input", str(path), "--format", "cost_matrix",
+                              "--method", "lp", "--numeric", numeric], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("text, numeric", [
+    ('{"cost": [[1, %s], [2, 3]], "dxy": 1}' % v, "rational")
+    for v in ("NaN", "Infinity", "-Infinity")
+] + [
+    ('{"cost": [[1, 2], [2, 3]], "dxy": %s}' % v, "rational")
+    for v in ("NaN", "Infinity", "-Infinity")
+] + [
+    ('{"cost": [[1, 2], [2, 3]], "dxy": 1e400}', "float"),
+    ('{"cost": [[1, 1e400], [2, 3]], "dxy": 1}', "float"),
+], ids=["cost-nan", "cost-inf", "cost-neg-inf", "dxy-nan", "dxy-inf", "dxy-neg-inf",
+        "dxy-1e400-float", "cost-1e400-float"])
+def test_non_finite_cost_matrix_is_config_error(tmp_path, capsys, text, numeric):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
     code, out, err = run_cli(["compute", "--input", str(path), "--format", "cost_matrix",
                               "--method", "lp", "--numeric", numeric], capsys)
     assert code == 2

@@ -18,7 +18,7 @@ from full_route import (
     w1_pq_qsim_full,
 )
 from helpers import (
-    corrupt_alpha_q,
+    corrupt_encoding,
     full_route_overlap,
     internal_edges,
     random_cost_matrix,
@@ -40,7 +40,6 @@ from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neig
 from orcurv.qpipeline import (
     _permutations,
     AuditTrail,
-    QsimConfig,
     build_distance_encoding,
     build_DP,
     build_Pi,
@@ -71,36 +70,38 @@ def two_block_grid(cost):
 def localized_for(cost, margin=0.0):
     p = len(cost)
     grid = two_block_grid(cost)
-    be, meta = build_distance_encoding(grid, margin=margin)
+    be = build_distance_encoding(grid, margin=margin)
     local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
-    return local, meta
+    return local, be
 
 
 # --- distance encoding -----------------------------------------------------------
 
 def test_encoding_constant_distances():
     d = np.array([[0.0, 4.0], [4.0, 0.0]])
-    be, meta = build_distance_encoding(d, margin=0.0)
+    audit = AuditTrail()
+    be = build_distance_encoding(d, margin=0.0, audit=audit)
     encoded = be.encoded
     nonzero = encoded[encoded != 0]
     assert np.allclose(nonzero, 0.5)
-    assert meta.kappa == 1.0
+    assert audit.records[0]["kappa"] == 1.0
 
 
 def test_encoding_two_values():
     d = np.array([[0.0, 1.0], [1.0, 2.0]])  # synthetic; values {1, 2}
-    be, meta = build_distance_encoding(d, margin=0.0)
+    audit = AuditTrail()
+    be = build_distance_encoding(d, margin=0.0, audit=audit)
     encoded = np.sort(np.unique(be.encoded[be.encoded != 0]))
     assert np.allclose(encoded, [0.25, 0.5])
-    assert meta.kappa == pytest.approx(16.0)
-    assert meta.alpha == pytest.approx(16.0)
-    assert meta.alpha_q == pytest.approx(4.0)
+    assert audit.records[0]["kappa"] == pytest.approx(16.0)
+    assert audit.records[0]["alpha"] == pytest.approx(16.0)
+    assert be.subnorm == pytest.approx(4.0)
 
 
 def test_encoding_appendix_distance_set():
     grid = two_block_grid(APPENDIX_COST)
-    be, meta = build_distance_encoding(grid, margin=0.0)
-    assert meta.alpha_q == pytest.approx(6.0)
+    be = build_distance_encoding(grid, margin=0.0)
+    assert be.subnorm == pytest.approx(6.0)
     nz = be.op[be.op != 0]
     flat = grid.ravel()
     assert np.allclose(be.op, flat, atol=1e-12)  # encoded * alpha_q == d
@@ -110,14 +111,14 @@ def test_encoding_appendix_distance_set():
 
 def test_encoding_margin_keeps_spectrum_interior():
     d = np.array([[0.0, 3.0], [3.0, 0.0]])
-    be, _ = build_distance_encoding(d, margin=0.05)
+    be = build_distance_encoding(d, margin=0.05)
     assert float(np.max(be.encoded)) < 0.5
 
 
 def test_encoding_chebyshev_mode_reports_error():
     grid = two_block_grid(APPENDIX_COST)
-    exact, _ = build_distance_encoding(grid, margin=0.0)
-    approx, _ = build_distance_encoding(grid, margin=0.0, power_mode="chebyshev")
+    exact = build_distance_encoding(grid, margin=0.0)
+    approx = build_distance_encoding(grid, margin=0.0, power_mode="chebyshev")
     assert approx.err > 0
     assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
 
@@ -133,27 +134,27 @@ def test_encoding_rejects_bad_input():
 
 def test_overlap_sum_p1_formula():
     d = np.array([[0.0, 5.0], [5.0, 0.0]])
-    be, meta = build_distance_encoding(d, margin=0.0)
-    ov = tree_overlap_sum(be, meta, 0, [1])
-    assert ov == pytest.approx(5.0 / (2 * meta.alpha_q))
+    be = build_distance_encoding(d, margin=0.0)
+    ov = tree_overlap_sum(be, 0, [1])
+    assert ov == pytest.approx(5.0 / (2 * be.subnorm))
 
 
 def test_overlap_sum_p2_formula():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 9.0], [2.0, 9.0, 0.0]])
-    be, meta = build_distance_encoding(d, margin=0.0)
-    ov = tree_overlap_sum(be, meta, 0, [1, 2])
-    assert ov == pytest.approx(3.0 / (3 * meta.alpha_q))
+    be = build_distance_encoding(d, margin=0.0)
+    ov = tree_overlap_sum(be, 0, [1, 2])
+    assert ov == pytest.approx(3.0 / (3 * be.subnorm))
 
 
 def test_overlap_sum_random_recovery():
     rng = random.Random(19)
     g = random_tree(20, rng, max_weight=4)
     dg = all_pairs_geodesic(g)
-    be, meta = build_distance_encoding(dg)
+    be = build_distance_encoding(dg)
     for x, y in internal_edges(g)[:6]:
         nb = neighborhood(g, dg, x, y)
-        ov = tree_overlap_sum(be, meta, x, nb.X)
-        recovered = ov * meta.alpha_q * (nb.p + 1)
+        ov = tree_overlap_sum(be, x, nb.X)
+        recovered = ov * be.subnorm * (nb.p + 1)
         assert recovered == pytest.approx(sum(float(v) for v in nb.x_dists), abs=1e-10)
 
 
@@ -162,7 +163,7 @@ def test_tree_overlaps_match_full_vector_route():
     rng = random.Random(23)
     g = random_tree(30, rng, max_weight=3)
     dg = all_pairs_geodesic(g)
-    be, meta = build_distance_encoding(dg)
+    be = build_distance_encoding(dg)
     n = g.vertex_count
     pair_overlap = orcurv.qpipeline._basis_pair_overlap
     for x, y in internal_edges(g):
@@ -171,9 +172,9 @@ def test_tree_overlaps_match_full_vector_route():
             p = len(nbrs)
             support, amps = [center * n + v for v in nbrs], np.full(p, 1 / math.sqrt(p))
             unit = full_route_overlap(be, support, amps)
-            assert abs(tree_overlap_sum(be, meta, center, nbrs) - unit * p / (p + 1)) <= 1e-15
+            assert abs(tree_overlap_sum(be, center, nbrs) - unit * p / (p + 1)) <= 1e-15
             drawn = full_route_overlap(be, support, amps, shots=1000, seed=center)
-            assert tree_overlap_sum(be, meta, center, nbrs, shots=1000, seed=center) == \
+            assert tree_overlap_sum(be, center, nbrs, shots=1000, seed=center) == \
                 drawn * p / (p + 1)
         assert pair_overlap(be, x, y) == full_route_overlap(be, [x * n + y], [1.0])
         assert pair_overlap(be, x, y, shots=1000, seed=x) == \
@@ -182,18 +183,17 @@ def test_tree_overlaps_match_full_vector_route():
 
 def test_overlap_sum_index_validation():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    be, meta = build_distance_encoding(d)
+    be = build_distance_encoding(d)
     with pytest.raises(IndexOutOfRange):
-        tree_overlap_sum(be, meta, 5, [0])
+        tree_overlap_sum(be, 5, [0])
     with pytest.raises(IndexOutOfRange):
-        tree_overlap_sum(be, meta, 0, [1, 1])
+        tree_overlap_sum(be, 0, [1, 1])
 
 
 def test_tree_qsim_path_fixture():
     g = load_graph("0 1\n1 2\n2 3")
     dg = all_pairs_geodesic(g)
-    res = w1_tree_qsim(neighborhood(g, dg, 1, 2), build_distance_encoding(dg),
-                       QsimConfig(seed=0))
+    res = w1_tree_qsim(neighborhood(g, dg, 1, 2), build_distance_encoding(dg), seed=0)
     assert res.w1 == pytest.approx(3.0, abs=1e-12)
     assert res.curvature == pytest.approx(-2.0, abs=1e-12)
     assert res.method == "qsim_tree"
@@ -210,10 +210,10 @@ def test_tree_qsim_matches_closed_form():
     for _ in range(5):
         g = random_tree(rng.randint(6, 40), rng, max_weight=5)
         dg = all_pairs_geodesic(g)
-        encoding = build_distance_encoding(dg)
+        be = build_distance_encoding(dg)
         for x, y in internal_edges(g):
             nb = neighborhood(g, dg, x, y)
-            res = w1_tree_qsim(nb, encoding, QsimConfig(seed=1))
+            res = w1_tree_qsim(nb, be, seed=1)
             assert abs(res.w1 - float(w1_tree(nb))) <= 1e-10
 
 
@@ -221,13 +221,12 @@ def test_tree_qsim_shot_noise_within_five_se():
     rng = random.Random(7)
     g = random_tree(24, rng)
     dg = all_pairs_geodesic(g)
-    encoding = build_distance_encoding(dg)
+    be = build_distance_encoding(dg)
     shots = 10 ** 6
     for i, (x, y) in enumerate(internal_edges(g)):
-        cfg = QsimConfig(shots=shots, seed=1000 + i)
         nb = neighborhood(g, dg, x, y)
-        res = w1_tree_qsim(nb, encoding, cfg)
-        se = tree_qsim_standard_error(nb, encoding, cfg)
+        res = w1_tree_qsim(nb, be, shots=shots, seed=1000 + i)
+        se = tree_qsim_standard_error(nb, be, shots)
         assert se > 0
         assert abs(res.w1 - float(w1_tree(nb))) <= 5 * se
 
@@ -237,7 +236,7 @@ def test_tree_qsim_audit_exposes_conventions():
     dg = all_pairs_geodesic(g)
     audit = AuditTrail()
     w1_tree_qsim(neighborhood(g, dg, 1, 2), build_distance_encoding(dg, audit=audit),
-                 QsimConfig(seed=0), audit=audit)
+                 seed=0, audit=audit)
     stages = [r["stage"] for r in audit.records]
     assert "distance_encoding" in stages and "tree_recovery" in stages
     ov = next(r for r in audit.records if r["stage"] == "tree_overlap")
@@ -247,21 +246,21 @@ def test_tree_qsim_audit_exposes_conventions():
 # --- localization and extraction ----------------------------------------------------
 
 def test_localize_p1():
-    local, meta = localized_for([[4]])
+    local, be = localized_for([[4]])
     assert local.dim == 1
     assert local.op[0] == pytest.approx(4.0, abs=1e-12)
-    assert local.subnorm == pytest.approx(meta.alpha_q)
+    assert local.subnorm == pytest.approx(be.subnorm)
 
 
 def test_localize_ji_order():
-    local, meta = localized_for([[1, 2], [3, 4]])
+    local, be = localized_for([[1, 2], [3, 4]])
     assert np.allclose(local.op, [1, 3, 2, 4], atol=1e-12)
 
 
 def test_localize_preserves_spectrum_multiset():
     cost = [[1, 2, 5], [3, 4, 6], [7, 8, 9]]
     grid = two_block_grid(cost)
-    be, _ = build_distance_encoding(grid, margin=0.0)
+    be = build_distance_encoding(grid, margin=0.0)
     local = localize_DG(be, [0, 1, 2], [3, 4, 5])
     got = sorted(np.round(local.op, 9))
     assert got == sorted(float(v) for row in cost for v in row)
@@ -269,14 +268,14 @@ def test_localize_preserves_spectrum_multiset():
 
 def test_localize_size_mismatch():
     grid = two_block_grid([[1, 2], [3, 4]])
-    be, _ = build_distance_encoding(grid)
+    be = build_distance_encoding(grid)
     with pytest.raises(SizeMismatch):
         localize_DG(be, [0], [2, 3])
 
 
 def test_localize_refuses_bad_indices():
     grid = two_block_grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    be, _ = build_distance_encoding(grid)
+    be = build_distance_encoding(grid)
     for X, Y in [([0, 0], [3, 4]), ([0, 1], [4, 4]), ([0, 6], [3, 4]),
                  ([-1, 1], [3, 4]), ([0.0, 1.0], [3, 4]), ([[0, 1]], [[3, 4]])]:
         with pytest.raises(IndexOutOfRange):
@@ -315,7 +314,7 @@ def test_localize_matches_dense_permutation_conjugation():
         # an asymmetric grid, so a row/column mix-up cannot hide
         dist = rng.integers(1, 20, size=(n, n)).astype(float)
         np.fill_diagonal(dist, 0.0)
-        be, _ = build_distance_encoding(dist)
+        be = build_distance_encoding(dist)
         local = localize_DG(be, X, Y)
         assert np.array_equal(local.op, localize_by_conjugation(be, X, Y))
         assert (local.subnorm, local.err, local.ancilla_dim) == \
@@ -325,7 +324,7 @@ def test_localize_matches_dense_permutation_conjugation():
 def test_localize_reads_only_the_block():
     n = 300
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
-    be, _ = build_distance_encoding(dist)
+    be = build_distance_encoding(dist)
     tracemalloc.start()
     try:
         local = localize_DG(be, [3, 70, 150, 299], [0, 5, 200, 298])
@@ -337,7 +336,7 @@ def test_localize_reads_only_the_block():
 
 
 def test_extract_columns():
-    local, meta = localized_for([[1, 2], [3, 4]])
+    local, be = localized_for([[1, 2], [3, 4]])
     d1 = extract_Di(local, 1)
     d2 = extract_Di(local, 2)
     assert np.allclose(d1.op, [1, 3], atol=1e-12)
@@ -359,15 +358,15 @@ def test_extract_multiset_covers_cost():
 # --- tensor sum and projector --------------------------------------------------------
 
 def test_build_dp_p2_hand_enumeration():
-    local, meta = localized_for([[1, 2], [3, 4]])
+    local, be = localized_for([[1, 2], [3, 4]])
     ds = [extract_Di(local, i) for i in (1, 2)]
     dp = build_dp_full(ds)
     assert np.allclose(dp.op, [3, 5, 5, 7], atol=1e-12)
-    assert dp.subnorm == pytest.approx(2 * meta.alpha_q)
+    assert dp.subnorm == pytest.approx(2 * be.subnorm)
     # on the support: the two permutations (1, 2) and (2, 1), indices 1 and 2
     dp = build_DP(ds)
     assert np.allclose(dp.op, [5, 5], atol=1e-12)
-    assert dp.subnorm == pytest.approx(2 * meta.alpha_q)
+    assert dp.subnorm == pytest.approx(2 * be.subnorm)
 
 
 def test_build_dp_first_nine_block_pattern():
@@ -452,7 +451,7 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
     rng = random.Random(17)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng, max_value=4)
-        be, _ = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        be = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         assert (ds[0].err > 0) == (power_mode == "chebyshev")
@@ -564,14 +563,14 @@ def test_min_eigen_matches_bruteforce_scaling():
     rng = random.Random(44)
     for _ in range(5):
         cost = random_cost_matrix(3, 3, rng)
-        local, meta = localized_for(cost)
+        local, be = localized_for(cost)
         ds = [extract_Di(local, i) for i in (1, 2, 3)]
         comp = be_product(build_pi_full(3), build_dp_full(ds))
         enc = comp.encoded
         kappa = (1 + 1e-9) / float(np.min(enc[enc != 0]))
         est = min_eigen_power(comp, kappa, eps=1e-12,
                               start=np.random.default_rng(9).standard_normal(comp.dim))
-        got = est.value * math.factorial(3) * 3 * meta.alpha_q
+        got = est.value * math.factorial(3) * 3 * be.subnorm
         expected = 3 * float(w1_bruteforce(cost).cost_value)
         assert got == pytest.approx(expected, abs=1e-8)
         # on the support, from the same draw gathered at the permutations
@@ -579,7 +578,7 @@ def test_min_eigen_matches_bruteforce_scaling():
         assert float(np.min(comp.encoded)) == float(np.min(enc[enc != 0]))
         start = np.random.default_rng(9).standard_normal(27)[_permutations(3)[1]]
         est = min_eigen_power(comp, kappa, eps=1e-12, start=start)
-        got = est.value * math.factorial(3) * 3 * meta.alpha_q
+        got = est.value * math.factorial(3) * 3 * be.subnorm
         assert got == pytest.approx(expected, abs=1e-8)
 
 
@@ -600,7 +599,7 @@ def test_projector_masks_exactly_permutation_sums():
     rng = random.Random(50)
     cost = random_cost_matrix(3, 3, rng)
     c = [[float(v) for v in row] for row in cost]
-    local, meta = localized_for(cost)
+    local, be = localized_for(cost)
     ds = [extract_Di(local, i) for i in (1, 2, 3)]
     comp = be_product(build_pi_full(3), build_dp_full(ds))
     sums = {}
@@ -614,7 +613,7 @@ def test_projector_masks_exactly_permutation_sums():
     # min nonzero encoded entry times p! * p * alpha_q is p * W1 = min sum
     min_sum = min(sums.values())
     enc = comp.encoded
-    assert float(np.min(enc[enc != 0])) * math.factorial(3) * 3 * meta.alpha_q == \
+    assert float(np.min(enc[enc != 0])) * math.factorial(3) * 3 * be.subnorm == \
         pytest.approx(min_sum, abs=1e-8)
     # on the support, entry m is the sum of the m-th permutation, none masked
     support = be_product(build_Pi(3), build_DP(ds))
@@ -622,20 +621,20 @@ def test_projector_masks_exactly_permutation_sums():
     assert support.dim == len(sums)
     for m, k in enumerate(flat):
         assert support.op[m] == pytest.approx(sums[int(k)], abs=1e-9)
-    assert float(np.min(support.encoded)) * math.factorial(3) * 3 * meta.alpha_q == \
+    assert float(np.min(support.encoded)) * math.factorial(3) * 3 * be.subnorm == \
         pytest.approx(min_sum, abs=1e-8)
 
 
 # --- end-to-end p = q --------------------------------------------------------------------
 
 def test_pq_qsim_p1_exact():
-    res = pq_qsim_from_cost([[7]], 2, QsimConfig(seed=0))
+    res = pq_qsim_from_cost([[7]], 2, seed=0)
     assert res.w1 == pytest.approx(7.0, abs=1e-10)
     assert res.curvature == pytest.approx(1 - 7.0 / 2.0, abs=1e-10)
 
 
 def test_pq_qsim_p2_hand_example():
-    res = pq_qsim_from_cost([[1, 2], [3, 4]], 1, QsimConfig(seed=0))
+    res = pq_qsim_from_cost([[1, 2], [3, 4]], 1, seed=0)
     assert res.w1 == pytest.approx(2.5, abs=1e-10)
     assert res.diagnostics is not None
     assert res.diagnostics.converged
@@ -646,8 +645,7 @@ def test_pq_qsim_matches_assignment():
     for p in (2, 3, 4):
         for _ in range(8):
             cost = random_cost_matrix(p, p, rng)
-            res = pq_qsim_from_cost(cost, rng.randint(1, 4),
-                                    QsimConfig(seed=rng.randint(0, 10 ** 6)))
+            res = pq_qsim_from_cost(cost, rng.randint(1, 4), seed=rng.randint(0, 10 ** 6))
             expected = float(w1_assignment(cost).cost_value)
             assert abs(res.w1 - expected) <= 1e-8
 
@@ -657,7 +655,7 @@ def test_pq_qsim_graph_route():
     g = load_graph("0 1\n1 2\n2 3\n3 0")
     dg = all_pairs_geodesic(g)
     nb = neighborhood(g, dg, 0, 1)
-    res = w1_pq_qsim(nb, build_distance_encoding(dg), QsimConfig(seed=2))
+    res = w1_pq_qsim(nb, build_distance_encoding(dg), seed=2)
     expected = float(w1_assignment(nb.cost).cost_value)
     assert abs(res.w1 - expected) <= 1e-8
 
@@ -666,19 +664,19 @@ def test_pq_qsim_rejects_non_square():
     g = load_graph("0 1\n1 2\n2 3\n3 0\n0 4")
     dg = all_pairs_geodesic(g)
     with pytest.raises(NotSquare):
-        w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg), QsimConfig())
+        w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg))
 
 
 def test_pq_qsim_dimension_cap():
     with pytest.raises(DimensionCap):
-        pq_qsim_from_cost([[1] * 5 for _ in range(5)], 1, QsimConfig(dim_cap=100))
+        pq_qsim_from_cost([[1] * 5 for _ in range(5)], 1, dim_cap=100)
 
 
 def test_pq_qsim_corrupted_alpha_detected(monkeypatch):
     cost = [[1, 2], [3, 4]]
-    honest = pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
-    corrupt_alpha_q(monkeypatch, orcurv.qpipeline, 1.01)
-    corrupt = pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
+    honest = pq_qsim_from_cost(cost, 1, seed=0)
+    corrupt_encoding(monkeypatch, orcurv.qpipeline, 1.01)
+    corrupt = pq_qsim_from_cost(cost, 1, seed=0)
     assert abs(corrupt.w1 - honest.w1) > 1e-3
 
 
@@ -686,16 +684,15 @@ def test_include_endpoints_variant():
     # inclusive lists turn the path's (1, 2) edge into a 2x2 instance
     g = load_graph("0 1\n1 2\n2 3")
     dg = all_pairs_geodesic(g)
-    cfg = QsimConfig(seed=3)
     nb = neighborhood(g, dg, 1, 2, include_endpoints=True)
     assert (nb.p, nb.q) == (2, 2)
     expected = float(w1_assignment(nb.cost).cost_value)
     assert expected == 2.0
-    encoding = build_distance_encoding(dg)
-    res = w1_pq_qsim(nb, encoding, cfg)
+    be = build_distance_encoding(dg)
+    res = w1_pq_qsim(nb, be, seed=3)
     assert abs(res.w1 - expected) <= 1e-8
     # decomposable costs keep the closed form valid on the extended lists
-    tree_res = w1_tree_qsim(nb, encoding, cfg)
+    tree_res = w1_tree_qsim(nb, be, seed=3)
     assert abs(tree_res.w1 - float(w1_tree(nb))) <= 1e-10
 
 
@@ -706,7 +703,7 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
     rng = random.Random(29)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng)
-        be, _ = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        be = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         support, full = build_DP(ds), build_dp_full(ds)
@@ -727,10 +724,10 @@ def test_pq_pipeline_matches_full_route(power_mode):
     for p in range(1, 6):
         for _ in range(6):
             nb = LocalNeighborhood.from_cost(random_cost_matrix(p, p, rng), 1)
-            encoding = build_distance_encoding(two_block_grid(nb.cost), power_mode=power_mode)
-            config = QsimConfig(seed=rng.randint(0, 10 ** 6))
-            got = w1_pq_qsim(nb, encoding, config)
-            want = w1_pq_qsim_full(nb, encoding, config)
+            be = build_distance_encoding(two_block_grid(nb.cost), power_mode=power_mode)
+            seed = rng.randint(0, 10 ** 6)
+            got = w1_pq_qsim(nb, be, seed=seed)
+            want = w1_pq_qsim_full(nb, be, seed=seed)
             assert got.diagnostics.iterations == want.diagnostics.iterations
             assert got.diagnostics.gap_proxy == want.diagnostics.gap_proxy
             assert got.diagnostics.converged == want.diagnostics.converged
@@ -743,11 +740,11 @@ def test_pq_qsim_p7_allocates_no_pp_operator():
     cost = random_cost_matrix(7, 7, random.Random(37))
     # a first run loads numpy code lazily; clearing the cache keeps the
     # p! tables in the measured run
-    pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
+    pq_qsim_from_cost(cost, 1, seed=0)
     _permutations.cache_clear()
     tracemalloc.start()
     try:
-        res = pq_qsim_from_cost(cost, 1, QsimConfig(seed=0))
+        res = pq_qsim_from_cost(cost, 1, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -759,8 +756,8 @@ def test_pq_audit_trail_records_every_stage_in_order():
     p = 3
     audit = AuditTrail()
     nb = LocalNeighborhood.from_cost(random_cost_matrix(p, p, random.Random(41)), 1)
-    encoding = build_distance_encoding(two_block_grid(nb.cost))
-    w1_pq_qsim(nb, encoding, QsimConfig(seed=0), audit=audit)
+    be = build_distance_encoding(two_block_grid(nb.cost))
+    w1_pq_qsim(nb, be, seed=0, audit=audit)
     stages = [r["stage"] for r in audit.records]
     assert stages == ["localize_DG", "extract_D1", "extract_D2", "extract_D3",
                       "build_DP", "build_Pi[direct]", "composite", "min_eigen_power"]
@@ -777,17 +774,26 @@ def test_pq_qsim_refuses_a_zero_cost_permutation():
     # pseudoinverse does not see; the full route reports the next sum
     cost = [[0, 1], [1, 0]]
     nb = LocalNeighborhood.from_cost(cost, 1)
-    encoding = build_distance_encoding(two_block_grid(cost))
-    assert w1_pq_qsim_full(nb, encoding, QsimConfig(seed=0)).w1 == pytest.approx(1.0)
+    be = build_distance_encoding(two_block_grid(cost))
+    assert w1_pq_qsim_full(nb, be, seed=0).w1 == pytest.approx(1.0)
     with pytest.raises(SpectrumOutOfRange, match="a permutation of the cost block sums to 0"):
-        w1_pq_qsim(nb, encoding, QsimConfig(seed=0))
+        w1_pq_qsim(nb, be, seed=0)
     with pytest.raises(SpectrumOutOfRange):
-        pq_qsim_from_cost([[2, 0, 1], [0, 3, 1], [1, 1, 0]], 1, QsimConfig(seed=0))
+        pq_qsim_from_cost([[2, 0, 1], [0, 3, 1], [1, 1, 0]], 1, seed=0)
     # on a graph, X = Y whenever x and y have the same other neighbors (K4)
     g = load_graph("0 1\n0 2\n0 3\n1 2\n1 3\n2 3")
     dg = all_pairs_geodesic(g)
     with pytest.raises(SpectrumOutOfRange, match="a permutation of the cost block sums to 0"):
-        w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg), QsimConfig())
+        w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg))
+
+
+def test_power_loop_norm_is_numpy_norm_bit_for_bit():
+    # the loop's norm repeats np.linalg.norm's formula for a real 1-D
+    # vector, so the power iteration and its reports keep their bits
+    rng = np.random.default_rng(12)
+    for n in (1, 6, 24, 120, 720, 5040, 46656):
+        v = rng.standard_normal(n)
+        assert orcurv.qpipeline._norm(v) == float(np.linalg.norm(v))
 
 
 def test_min_eigen_start_vector():
@@ -806,7 +812,7 @@ def test_subnorm_ledger_stage_by_stage():
     c = np.array([[float(v) for v in row] for row in cost])
     grid = two_block_grid(cost)
     audit = AuditTrail()
-    be, meta = build_distance_encoding(grid, margin=0.0, audit=audit)
+    be = build_distance_encoding(grid, margin=0.0, audit=audit)
     local = localize_DG(be, [0, 1, 2], [3, 4, 5], audit=audit)
     ds = [extract_Di(local, i, audit=audit) for i in (1, 2, 3)]
     dp = build_dp_full(ds, audit=audit)
@@ -829,8 +835,8 @@ def test_subnorm_ledger_stage_by_stage():
 
     # the audit records mirror the encodings
     by_stage = {r["stage"]: r for r in audit.records}
-    assert by_stage["distance_encoding"]["subnorm"] == pytest.approx(meta.alpha_q)
-    assert by_stage["build_DP"]["subnorm"] == pytest.approx(3 * meta.alpha_q)
+    assert by_stage["distance_encoding"]["subnorm"] == pytest.approx(be.subnorm)
+    assert by_stage["build_DP"]["subnorm"] == pytest.approx(3 * be.subnorm)
     assert by_stage["build_DP"]["dim"] == 27
     rec = by_stage["localize_DG"]
     enc = local.encoded
@@ -847,7 +853,7 @@ def test_subnorm_ledger_stage_by_stage():
     assert np.allclose(pi_s.encoded * pi_s.subnorm, mask[flat], atol=1e-12)
     assert np.allclose(comp_s.encoded * comp_s.subnorm, (mask * sums)[flat], atol=1e-12)
     by_stage = {r["stage"]: r for r in support_audit.records}
-    assert by_stage["build_DP"]["subnorm"] == pytest.approx(3 * meta.alpha_q)
+    assert by_stage["build_DP"]["subnorm"] == pytest.approx(3 * be.subnorm)
     assert by_stage["build_DP"]["dim"] == 27
     assert by_stage["build_DP"]["support"] == 6
     assert by_stage["build_Pi[direct]"]["subnorm"] == 6.0
@@ -858,10 +864,10 @@ def test_scale_property():
     cost = random_cost_matrix(3, 3, rng)
     lam = 3.5
     scaled = [[float(v) * lam for v in row] for row in cost]
-    base = pq_qsim_from_cost(cost, 2, QsimConfig(seed=4))
-    big = pq_qsim_from_cost(scaled, 2 * lam, QsimConfig(seed=4))
-    _, meta_base = build_distance_encoding(two_block_grid(cost))
-    _, meta_big = build_distance_encoding(two_block_grid(scaled))
-    assert meta_big.alpha_q == pytest.approx(lam * meta_base.alpha_q, rel=1e-12)
+    base = pq_qsim_from_cost(cost, 2, seed=4)
+    big = pq_qsim_from_cost(scaled, 2 * lam, seed=4)
+    be_base = build_distance_encoding(two_block_grid(cost))
+    be_big = build_distance_encoding(two_block_grid(scaled))
+    assert be_big.subnorm == pytest.approx(lam * be_base.subnorm, rel=1e-12)
     assert big.w1 == pytest.approx(lam * base.w1, rel=1e-10)
     assert big.curvature == pytest.approx(base.curvature, abs=1e-10)

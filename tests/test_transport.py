@@ -18,11 +18,16 @@ from helpers import (
     to_float_nb,
 )
 from orcurv.errors import InfiniteCost, MethodMismatch, NotATree, NotSquare, TooLarge
-from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
+from orcurv.graph import (
+    LocalNeighborhood,
+    all_pairs_geodesic,
+    load_graph,
+    neighborhood,
+    verify_tree,
+)
 from orcurv.transport import (
     TransportPlan,
     curvature,
-    verify_tree,
     w1_assignment,
     w1_bruteforce,
     w1_lp,
@@ -184,8 +189,8 @@ def test_tree_path_fixture():
     g = load_graph("0 1\n1 2\n2 3")  # x1-x-y-y1
     dg = all_pairs_geodesic(g)
     nb = neighborhood(g, dg, 1, 2)
-    assert w1_tree(nb, graph=g) == 3
-    res = curvature(nb, method="tree", graph=g)
+    assert w1_tree(nb) == 3
+    res = curvature(nb, method="tree")
     assert res.curvature == -2
 
 
@@ -193,15 +198,7 @@ def test_tree_star_fixture():
     g = load_graph("1 0\n2 0\n0 3\n3 4")  # x=0 with neighbors {1,2}, y=3 with {4}
     dg = all_pairs_geodesic(g)
     nb = neighborhood(g, dg, 0, 3)
-    assert w1_tree(nb, graph=g) == 3
-
-
-def test_tree_rejects_cyclic_graph():
-    g = load_graph("0 1\n1 2\n0 2\n1 3\n2 4")
-    dg = all_pairs_geodesic(g)
-    nb = neighborhood(g, dg, 1, 2)
-    with pytest.raises(NotATree):
-        w1_tree(nb, graph=g)
+    assert w1_tree(nb) == 3
 
 
 def test_tree_needs_center_distances():
