@@ -33,7 +33,6 @@ from .qpipeline import (
     extract_Di,
     localize_DG,
     min_eigen_power,
-    pq_qsim_from_cost,
     tree_overlap_sum,
     w1_pq_qsim,
     w1_tree_qsim,

@@ -4,14 +4,16 @@ compute runs one curvature method over selected edges and writes a JSON
 or CSV report; compare runs a classical/quantum-simulation pair per edge
 and fails (exit 1) when the difference exceeds the tolerance; fixture
 writes small named input files. compute and compare share one run loop,
-`_run`, and read their options straight from the argparse namespace; a
-report echoes only the options its subcommand has. An option the run
-cannot use is refused, never ignored: `_QSIM_OPTIONS` names the methods
-that read each qsim option, and giving one to a run none of whose methods
-reads it is a configuration error, and so is --seed on a qsim_tree run
-without --shots, which draws nothing. A per-edge solver error is
-prefixed with its edge here; the library messages do not name it. Exit
-codes: 0 ok, 1 comparison failure, 2 configuration error, 3 solver error.
+`_run`. It reads the input and selects the edges, settles the run, and
+only then computes the distances, the neighborhoods and the one distance
+encoding. Settling refuses, never ignores, what the run cannot use: a
+qsim option that no method reads (`_QSIM_OPTIONS` defines each one),
+--seed on qsim_tree without --shots, and a tree method without a tree.
+Every configuration error thus exits 2 before any distance work, except
+NotSquare, which reads p and q, and an unwritable --out or --trace; and a
+leaf --edge (empty neighborhood, exit 3) in a refused run exits 2. A
+per-edge solver error is prefixed with its edge here. Exit codes: 0 ok,
+1 comparison failure, 2 configuration error, 3 solver error.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
@@ -27,7 +29,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from . import __version__
 from .blockenc import BlockEncoding
 from .errors import ConfigError, InvalidWeight, OrcError
 from .graph import (
-    GeodesicMatrix,
     Graph,
     LocalNeighborhood,
     all_pairs_geodesic,
@@ -66,14 +66,22 @@ _FIXTURES = {
 
 _QSIM_PARTNER = {"qsim_tree": "tree", "qsim_pq": "assignment"}
 
-#: option -> (methods that read it, why others cannot, default when not given)
+#: qsim option -> (argparse type, accepts the value?, what it accepts in
+#: words, methods that read it, why others cannot, default when not given)
 _QSIM_OPTIONS = {
-    "--shots": (("qsim_tree",), "has no shot-noise model", None),
-    "--trace": (QSIM_METHODS, "writes no audit trace", None),
-    "--margin": (QSIM_METHODS, "builds no distance encoding", 0.05),
-    "--seed": (QSIM_METHODS, "draws no random numbers", 0),
-    "--eps": (("qsim_pq",), "runs no power iteration", 1e-10),
-    "--cap": (("qsim_pq",), "has no dimension cap", DEFAULT_DIM_CAP),
+    # numpy's binomial draw takes an int64 count
+    "--shots": (int, lambda v: 1 <= v <= 2 ** 63 - 1, "an integer in [1, 2^63 - 1]",
+                ("qsim_tree",), "has no shot-noise model", None),
+    "--trace": (str, bool, "a path for the audit trace (JSON lines)",
+                QSIM_METHODS, "writes no audit trace", None),
+    "--margin": (float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0",
+                 QSIM_METHODS, "builds no distance encoding", 0.05),
+    "--seed": (int, lambda v: v >= 0, "an integer >= 0",
+               QSIM_METHODS, "draws no random numbers", 0),
+    "--eps": (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0",
+              ("qsim_pq",), "runs no power iteration", 1e-10),
+    "--cap": (int, lambda v: v >= 1, "an integer >= 1",
+              ("qsim_pq",), "has no dimension cap", DEFAULT_DIM_CAP),
 }
 
 #: options a report echoes under meta.config, each where its subcommand has it
@@ -94,16 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="edge selector, repeatable")
         sp.add_argument("--all-edges", action="store_true")
         sp.add_argument("--numeric", choices=["rational", "float"], default="rational")
-        # None is "not given"; _run puts in the _QSIM_OPTIONS defaults
-        sp.add_argument("--margin", type=float, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--shots", type=int, default=None)
         sp.add_argument("--include-endpoints", action="store_true")
-        sp.add_argument("--cap", type=int, default=None)
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
         sp.add_argument("--out-format", choices=["json", "csv"], default="json")
-        sp.add_argument("--trace", default=None, help="audit-trace JSON lines path")
+        # None is "not given"; _settle puts in the defaults
+        for option, (kind, _, accepted, *_) in _QSIM_OPTIONS.items():
+            sp.add_argument(option, type=kind, default=None, help=accepted)
 
     sp_compute = sub.add_parser("compute", help="curvature with one method")
     add_common(sp_compute)
@@ -135,23 +139,15 @@ def _parse_edges(raw: list[str] | None) -> list[tuple[int, int]] | None:
     return edges
 
 
-def _check_numeric_options(args: argparse.Namespace) -> None:
-    """Refuse out-of-range numeric options (None: not given) before any work starts."""
-    tol = getattr(args, "tol", 0.0)    # compare only
-    bounds = [
-        # numpy's binomial draw takes an int64 count
-        ("--shots", args.shots, lambda v: 1 <= v <= 2 ** 63 - 1,
-         "an integer in [1, 2^63 - 1]"),
-        ("--seed", args.seed, lambda v: v >= 0, "an integer >= 0"),
-        ("--cap", args.cap, lambda v: v >= 1, "an integer >= 1"),
-        ("--margin", args.margin, lambda v: math.isfinite(v) and v >= 0,
-         "a finite number >= 0"),
-        ("--eps", args.eps, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
-        ("--tol", tol, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
-    ]
-    for option, value, ok, expected in bounds:
+def _check_values(args: argparse.Namespace) -> None:
+    """Refuse an out-of-range value (None: not given) before any work starts."""
+    for option, (_, ok, accepted, *_) in _QSIM_OPTIONS.items():
+        value = getattr(args, option[2:])
         if value is not None and not ok(value):
-            raise ConfigError(f"{option} must be {expected}, got {value!r}")
+            raise ConfigError(f"{option} must be {accepted}, got {value!r}")
+    tol = getattr(args, "tol", 0.0)    # compare only
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -161,19 +157,11 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 # --------------------------------------------------------------------------
-# instance loading and validation
+# read and settle: the input, the edges, the methods and the options
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Instance:
-    dg: GeodesicMatrix | None    # None for a cost-matrix fixture
-    is_tree: bool
-    #: the selected edges, each with its neighborhood; a cost-matrix
-    #: fixture is one record with no edge (None)
-    pairs: list[tuple[tuple[int, int] | None, LocalNeighborhood]]
-
-
-def _load_instance(args: argparse.Namespace) -> _Instance:
+def _read_input(args: argparse.Namespace) -> Graph | LocalNeighborhood:
+    """The input graph, or the one neighborhood of a cost-matrix fixture."""
     try:
         text = Path(args.input).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -192,20 +180,11 @@ def _load_instance(args: argparse.Namespace) -> _Instance:
                               ("--include-endpoints", args.include_endpoints)):
             if given:
                 raise ConfigError(f"{option} needs a graph input, not a cost-matrix fixture")
-        return _Instance(dg=None, is_tree=False, pairs=[(None, nb)])
+        return nb
     try:
-        g = load_graph(text, format=args.format, numeric=args.numeric)
+        return load_graph(text, format=args.format, numeric=args.numeric)
     except OrcError as exc:
         raise ConfigError(f"cannot parse input: {exc}") from exc
-    dg = all_pairs_geodesic(g)
-    pairs = []
-    for u, v in _select_edges(args, g):
-        try:
-            nb = neighborhood(g, dg, u, v, include_endpoints=args.include_endpoints)
-        except OrcError as exc:
-            raise _SolverFailure((u, v), exc) from exc
-        pairs.append(((u, v), nb))
-    return _Instance(dg=dg, is_tree=verify_tree(g), pairs=pairs)
 
 
 def _cost_fixture(cost, dxy, numeric: str) -> LocalNeighborhood:
@@ -251,31 +230,40 @@ def _select_edges(args: argparse.Namespace, g: Graph) -> list[tuple[int, int]]:
     raise ConfigError("select edges with --edge u,v or --all-edges")
 
 
-def _validate_method(inst: _Instance, method: str) -> None:
-    if method in ("tree", "qsim_tree"):
-        if inst.dg is None:
-            raise ConfigError(f"method {method!r} needs a graph input, "
+def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[str, ...]:
+    """The run's methods, a compare's classical partner first, once every
+    option is accepted and every qsim option not given has its default."""
+    if args.command == "compute":
+        methods = (args.method,)
+    else:
+        route = args.qsim_method
+        if route == "auto":
+            route = "qsim_tree" if is_tree else "qsim_pq"
+        methods = (_QSIM_PARTNER[route], route)
+    route = methods[-1]
+    if route == "qsim_tree" and args.seed is not None and args.shots is None:
+        raise ConfigError("method 'qsim_tree' draws no random numbers without --shots; "
+                          "drop --seed")
+    for option, (*_, readers, reason, default) in _QSIM_OPTIONS.items():
+        if getattr(args, option[2:]) is None:
+            setattr(args, option[2:], default)
+        elif not set(methods) & set(readers):
+            raise ConfigError(f"method {route!r} {reason}; drop {option}")
+    if args.trace and args.out and Path(args.trace).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--out and --trace both name {args.out!r}; give each its own path")
+    # a compare's partner is a tree method exactly when its route is
+    if methods[0] in ("tree", "qsim_tree"):
+        if g is None:
+            raise ConfigError(f"method {methods[0]!r} needs a graph input, "
                               "not a cost-matrix fixture")
-        if not inst.is_tree:
-            raise ConfigError(f"NotATree: method {method!r} needs a tree graph")
-    if method in ("assignment", "brute_force", "qsim_pq"):
-        for edge, nb in inst.pairs:
-            if nb.p != nb.q:
-                where = "the cost matrix" if edge is None else f"edge {edge}"
-                raise ConfigError(f"NotSquare: {where} has "
-                                  f"p={nb.p}, q={nb.q} for method {method!r}")
+        if not is_tree:
+            raise ConfigError(f"NotATree: method {methods[0]!r} needs a tree graph")
+    return methods
 
 
 # --------------------------------------------------------------------------
-# execution
+# compute
 # --------------------------------------------------------------------------
-
-def _distance_encoding(args: argparse.Namespace, inst: _Instance,
-                       audit: AuditTrail | None) -> BlockEncoding:
-    """The encoding every qsim edge of this run queries, built once."""
-    dist = inst.dg if inst.dg is not None else cost_grid(inst.pairs[0][1].cost)
-    return build_distance_encoding(dist, margin=args.margin, audit=audit)
-
 
 def _run_method(args: argparse.Namespace, method: str, nb: LocalNeighborhood,
                 be: BlockEncoding | None, audit: AuditTrail | None) -> CurvatureResult:
@@ -302,13 +290,9 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _ser(v):
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        with _unlimited_int_digits():
-            return str(v)
-    return v
+def _exact_json(v: Fraction) -> int | str:
+    """An exact result as report JSON: an int when whole, else "num/den"."""
+    return int(v) if v.denominator == 1 else str(v)
 
 
 def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
@@ -317,9 +301,9 @@ def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
         "y": result.y,
         "p": nb.p,
         "q": nb.q,
-        "w1": _ser(result.w1),
-        "dxy": _ser(result.dxy),
-        "curvature": _ser(result.curvature),
+        "w1": result.w1,
+        "dxy": result.dxy,
+        "curvature": result.curvature,
         "method": result.method,
     }
     diag = result.diagnostics
@@ -342,7 +326,7 @@ def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: BlockEncodi
     if args.shots is not None:    # only the tree route accepts --shots
         tol = max(tol, 5.0 * tree_qsim_standard_error(nb, be, args.shots))
     return {
-        "w1_classical": _ser(res_c.w1),
+        "w1_classical": res_c.w1,
         "w1_qsim": res_q.w1,
         "abs_diff": abs_diff,
         "rel_diff": abs_diff / max(abs(float(res_c.w1)), 1e-300),
@@ -351,32 +335,46 @@ def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: BlockEncodi
     }
 
 
+def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
+    """Read, settle, then compute the methods, each edge with its neighborhood,
+    and the distances a qsim route encodes; the graph is freed on return."""
+    source = _read_input(args)
+    g = source if isinstance(source, Graph) else None
+    edges = None if g is None else _select_edges(args, g)
+    methods = _settle(args, g, g is not None and verify_tree(g))
+    if g is None:
+        pairs = [(None, source)]    # a cost-matrix fixture has no edge
+    else:
+        dg = all_pairs_geodesic(g)
+        pairs = []
+        for u, v in edges:
+            try:
+                nb = neighborhood(g, dg, u, v, include_endpoints=args.include_endpoints)
+            except OrcError as exc:
+                raise _SolverFailure((u, v), exc) from exc
+            pairs.append(((u, v), nb))
+    # a compare's partner needs p = q exactly when its route does
+    if methods[0] in ("assignment", "brute_force", "qsim_pq"):
+        for edge, nb in pairs:
+            if nb.p != nb.q:
+                where = "the cost matrix" if edge is None else f"edge {edge}"
+                raise ConfigError(f"NotSquare: {where} has "
+                                  f"p={nb.p}, q={nb.q} for method {methods[0]!r}")
+    if methods[-1] not in QSIM_METHODS:
+        return methods, pairs, None
+    return methods, pairs, cost_grid(source.cost) if g is None else dg
+
+
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     """compute runs one method per edge; compare runs the classical partner
     and the qsim route per edge and adds the comparison fields."""
-    inst = _load_instance(args)
-    if args.command == "compute":
-        methods = (args.method,)
-    else:
-        route = args.qsim_method
-        if route == "auto":
-            route = "qsim_tree" if inst.is_tree else "qsim_pq"
-        methods = (_QSIM_PARTNER[route], route)
-    route = methods[-1]
-    if route == "qsim_tree" and args.seed is not None and args.shots is None:
-        raise ConfigError("method 'qsim_tree' draws no random numbers without --shots; "
-                          "drop --seed")
-    for option, (readers, reason, default) in _QSIM_OPTIONS.items():
-        if getattr(args, option[2:]) is None:
-            setattr(args, option[2:], default)
-        elif not set(methods) & set(readers):
-            raise ConfigError(f"method {route!r} {reason}; drop {option}")
-    for method in methods:
-        _validate_method(inst, method)
+    methods, pairs, dist = _prepare(args)
     audit = AuditTrail() if args.trace else None
-    be = _distance_encoding(args, inst, audit) if route in QSIM_METHODS else None
+    be = None
+    if dist is not None:    # the one encoding every edge of the run queries
+        be = build_distance_encoding(dist, margin=args.margin, audit=audit)
     records = []
-    for edge, nb in inst.pairs:
+    for edge, nb in pairs:
         try:
             results = [_run_method(args, m, nb, be, audit) for m in methods]
         except OrcError as exc:
@@ -394,7 +392,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         ok = all(r["within_tol"] for r in records)
         report["summary"] = {
             "classical_method": methods[0],
-            "qsim_method": route,
+            "qsim_method": methods[-1],
             "max_abs_diff": max((r["abs_diff"] for r in records), default=0.0),
             "max_rel_diff": max((r["rel_diff"] for r in records), default=0.0),
             "within_tol": ok,
@@ -446,7 +444,7 @@ def _report_to_csv(report: dict) -> str:
 def _emit_report(args: argparse.Namespace, report: dict) -> None:
     with _unlimited_int_digits():
         if args.out_format == "json":
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = json.dumps(report, sort_keys=True, indent=2, default=_exact_json) + "\n"
         else:
             text = _report_to_csv(report)
     if args.out:
@@ -479,7 +477,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "fixture":
             return _cmd_fixture(args)
-        _check_numeric_options(args)
+        _check_values(args)
         args.edge = _parse_edges(args.edge)
         report, code = _run(args)
         _emit_report(args, report)

@@ -519,12 +519,3 @@ def cost_grid(cost) -> np.ndarray:
     rows[:p, p:] = block
     rows[p:, :p] = block.T
     return rows
-
-
-def pq_qsim_from_cost(cost, dxy, *, margin: float = 0.05, seed: int | None = None,
-                      eps: float = 1e-10, dim_cap: int = DEFAULT_DIM_CAP,
-                      audit: AuditTrail | None = None) -> CurvatureResult:
-    """p = q pipeline on a bare cost matrix, through its cost_grid."""
-    nb = LocalNeighborhood.from_cost(cost, dxy)
-    be = build_distance_encoding(cost_grid(nb.cost), margin=margin, audit=audit)
-    return w1_pq_qsim(nb, be, seed=seed, eps=eps, dim_cap=dim_cap, audit=audit)

@@ -12,6 +12,8 @@ import numpy as np
 import orcurv.qpipeline
 from orcurv.blockenc import StateVector, dilated_apply
 from orcurv.graph import Graph, LocalNeighborhood
+from orcurv.qpipeline import cost_grid, w1_pq_qsim
+from orcurv.transport import CurvatureResult
 from reference import overlap
 
 INF = math.inf
@@ -127,6 +129,19 @@ def corrupt_encoding(monkeypatch, module, scale: float) -> None:
         return dataclasses.replace(be, op=be.op * scale)
 
     monkeypatch.setattr(module, "build_distance_encoding", corrupted)
+
+
+def pq_qsim_from_cost(cost, dxy, **settings) -> CurvatureResult:
+    """The p = q pipeline on a bare cost matrix, composed as `orc` runs a
+    cost-matrix fixture: cost_grid, then build_distance_encoding at its
+    default margin, then w1_pq_qsim with `settings` (seed, eps, dim_cap).
+
+    The encoding is built through the module attribute, so corrupt_encoding
+    on `orcurv.qpipeline` reaches it.
+    """
+    nb = LocalNeighborhood.from_cost(cost, dxy)
+    be = orcurv.qpipeline.build_distance_encoding(cost_grid(nb.cost))
+    return w1_pq_qsim(nb, be, **settings)
 
 
 def nwc_plan_cost(cost) -> Fraction:

@@ -15,6 +15,7 @@ import pytest
 from full_route import build_pi_full, perm_index
 from helpers import (
     internal_edges,
+    pq_qsim_from_cost,
     random_neighborhood,
     random_tree,
     scale_nb,
@@ -33,7 +34,6 @@ from orcurv.qpipeline import (
     build_distance_encoding,
     _permutations,
     build_Pi,
-    pq_qsim_from_cost,
     tree_qsim_standard_error,
     w1_tree_qsim,
 )

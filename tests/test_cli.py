@@ -331,6 +331,88 @@ def test_compare_builds_each_neighborhood_and_encoding_once(tmp_path, capsys, mo
     assert len(encodings) == 1
 
 
+PATH4 = "0 1\n1 2\n2 3\n"
+TRIANGLE_WITH_TAILS = "0 1\n1 2\n0 2\n1 3\n2 4\n"    # not a tree
+SQUARE = "0 1\n1 2\n2 3\n3 0\n"    # not a tree, so compare takes the qsim_pq route
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    *[(PATH4, ["compute", "--edge", "1,2", option, value],
+       f"method 'lp' {reason}; drop {option}")
+      for option, value, reason in [
+          ("--shots", "10", "has no shot-noise model"),
+          ("--trace", "t.jsonl", "writes no audit trace"),
+          ("--margin", "5", "builds no distance encoding"),
+          ("--seed", "9", "draws no random numbers"),
+          ("--eps", "0.1", "runs no power iteration"),
+          ("--cap", "3", "has no dimension cap")]],
+    (PATH4, ["compute", "--method", "qsim_tree", "--edge", "1,2", "--eps", "0.1"],
+     "method 'qsim_tree' runs no power iteration; drop --eps"),
+    (SQUARE, ["compare", "--all-edges", "--shots", "10"],
+     "method 'qsim_pq' has no shot-noise model; drop --shots"),
+    (PATH4, ["compute", "--method", "qsim_tree", "--edge", "1,2", "--seed", "7"],
+     "method 'qsim_tree' draws no random numbers without --shots; drop --seed"),
+    (TRIANGLE_WITH_TAILS, ["compute", "--method", "tree", "--edge", "1,2"],
+     "NotATree: method 'tree' needs a tree graph"),
+    (TRIANGLE_WITH_TAILS, ["compute", "--method", "qsim_tree", "--edge", "1,2"],
+     "NotATree: method 'qsim_tree' needs a tree graph"),
+    (TRIANGLE_WITH_TAILS, ["compare", "--qsim-method", "qsim_tree", "--edge", "1,2"],
+     "NotATree: method 'tree' needs a tree graph"),
+    (PATH4, ["compute", "--edge", "0,3"], "(0, 3) is not an edge of the input graph"),
+    (PATH4, ["compute", "--edge", "1,2", "--all-edges"],
+     "use either --edge or --all-edges, not both"),
+    (PATH4, ["compute"], "select edges with --edge u,v or --all-edges"),
+    (PATH4, ["compute", "--all-edges", "--shots", "0"],
+     "--shots must be an integer in [1, 2^63 - 1], got 0"),
+    (PATH4, ["compare", "--all-edges", "--tol", "-1"],
+     "--tol must be a finite number >= 0, got -1.0"),
+], ids=["lp-shots", "lp-trace", "lp-margin", "lp-seed", "lp-eps", "lp-cap",
+        "qsim_tree-eps", "qsim_pq-shots", "qsim_tree-seed-without-shots", "tree-non-tree",
+        "qsim_tree-non-tree", "compare-tree-non-tree", "unknown-edge",
+        "edge-and-all-edges", "no-edge-selector", "shots-out-of-range", "tol-out-of-range"])
+def test_configuration_errors_come_before_any_distance_work(tmp_path, capsys, monkeypatch,
+                                                            text, argv, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    apsp = _spy(monkeypatch, orcurv.graph, "all_pairs_geodesic")
+    neighborhoods = _spy(monkeypatch, orcurv.graph, "neighborhood")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*argv, "--input", str(graph)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"orc: config error: {message}"
+    assert apsp == [] and neighborhoods == []
+
+
+def test_leaf_edge_with_a_refused_option_is_config_error(path4, capsys):
+    # settling comes before the neighborhoods, so the refusal wins over
+    # the empty neighborhood of the leaf edge (0, 1), which alone exits 3
+    code, _, err = run_cli(["compute", "--input", str(path4), "--edge", "0,1"], capsys)
+    assert code == 3 and "EmptyNeighborhood" in err
+    code, out, err = run_cli(["compute", "--input", str(path4), "--edge", "0,1",
+                              "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "config error: method 'lp' draws no random numbers; drop --seed" in err
+
+
+@pytest.mark.parametrize("trace", ["same.json", "./sub/../same.json"])
+def test_out_and_trace_on_one_path_is_config_error(path4, tmp_path, capsys, monkeypatch,
+                                                   trace):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(["compare", "--input", str(path4), "--all-edges",
+                              "--out", "same.json", "--trace", trace], capsys)
+    assert (code, out) == (2, "")
+    assert "config error: --out and --trace both name" in err
+    assert not (tmp_path / "same.json").exists()
+
+
+def test_empty_trace_path_is_config_error(path4, capsys):
+    code, out, err = run_cli(["compute", "--input", str(path4), "--method", "qsim_tree",
+                              "--edge", "1,2", "--trace", ""], capsys)
+    assert (code, out) == (2, "")
+    assert "config error: --trace must be a path" in err
+
+
 def test_qsim_tree_on_non_tree_is_config_error(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("0 1\n1 2\n0 2\n1 3\n2 4\n")
@@ -441,7 +523,7 @@ def test_qsim_option_defaults_are_the_library_defaults():
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
-    cli = {option: spec[2] for option, spec in orcurv.cli._QSIM_OPTIONS.items()}
+    cli = {option: spec[-1] for option, spec in orcurv.cli._QSIM_OPTIONS.items()}
     assert cli["--margin"] == default(orcurv.qpipeline.build_distance_encoding, "margin")
     assert cli["--eps"] == default(orcurv.qpipeline.w1_pq_qsim, "eps")
     assert cli["--cap"] == default(orcurv.qpipeline.w1_pq_qsim, "dim_cap")

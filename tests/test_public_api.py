@@ -15,7 +15,7 @@ def test_public_names():
         "be_scale", "be_wrap", "blockenc", "build_DP", "build_Pi",
         "build_distance_encoding", "curvature", "dilated_apply", "dilated_overlap",
         "errors", "extract_Di", "graph", "load_graph", "localize_DG",
-        "min_eigen_power", "neighborhood", "pq_qsim_from_cost",
+        "min_eigen_power", "neighborhood",
         "qpipeline", "transport", "tree_overlap_sum", "verify_tree", "w1_assignment",
         "w1_bruteforce", "w1_lp", "w1_pq_qsim", "w1_tree", "w1_tree_qsim",
     ]
@@ -41,10 +41,4 @@ def test_qsim_entry_points_take_only_what_they_read():
         ("nb", "POSITIONAL_OR_KEYWORD", empty), ("be", "POSITIONAL_OR_KEYWORD", empty),
         ("seed", "KEYWORD_ONLY", None), ("eps", "KEYWORD_ONLY", 1e-10),
         ("dim_cap", "KEYWORD_ONLY", DEFAULT_DIM_CAP), ("audit", "KEYWORD_ONLY", None),
-    ]
-    assert _parameters(orcurv.pq_qsim_from_cost) == [
-        ("cost", "POSITIONAL_OR_KEYWORD", empty), ("dxy", "POSITIONAL_OR_KEYWORD", empty),
-        ("margin", "KEYWORD_ONLY", 0.05), ("seed", "KEYWORD_ONLY", None),
-        ("eps", "KEYWORD_ONLY", 1e-10), ("dim_cap", "KEYWORD_ONLY", DEFAULT_DIM_CAP),
-        ("audit", "KEYWORD_ONLY", None),
     ]

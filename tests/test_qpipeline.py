@@ -21,6 +21,7 @@ from helpers import (
     corrupt_encoding,
     full_route_overlap,
     internal_edges,
+    pq_qsim_from_cost,
     random_cost_matrix,
     random_tree,
 )
@@ -35,6 +36,7 @@ from orcurv.errors import (
     NotSquare,
     SizeMismatch,
     SpectrumOutOfRange,
+    ZeroOverlap,
 )
 from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
 from orcurv.qpipeline import (
@@ -46,7 +48,6 @@ from orcurv.qpipeline import (
     extract_Di,
     localize_DG,
     min_eigen_power,
-    pq_qsim_from_cost,
     tree_overlap_sum,
     tree_qsim_standard_error,
     w1_pq_qsim,
@@ -557,6 +558,21 @@ def test_min_eigen_degenerate_converges_first_iteration():
     assert est.iterations == 1
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.gap_proxy == math.inf
+
+
+def test_min_eigen_refuses_a_start_that_vanishes_on_the_support():
+    # the start is nonzero only where the spectrum is 0, outside the support
+    be = be_wrap([0.0, 0.5, 0.25], 1.0)
+    with pytest.raises(ZeroOverlap, match="vanished on the support"):
+        min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), start=np.array([3.0, 0.0, 0.0]))
+
+
+def test_min_eigen_refuses_a_start_orthogonal_to_the_target():
+    # the target is the smallest nonzero entry, 0.25 at index 2; the start
+    # lives on the support but only on the 0.5 entry
+    be = be_wrap([0.0, 0.5, 0.25], 1.0)
+    with pytest.raises(ZeroOverlap, match="orthogonal to the target eigenspace"):
+        min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), start=np.array([1.0, 2.0, 0.0]))
 
 
 def test_min_eigen_matches_bruteforce_scaling():
