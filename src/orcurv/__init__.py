@@ -17,7 +17,6 @@ from .blockenc import (
 )
 from .graph import (
     Graph,
-    GeodesicMatrix,
     LocalNeighborhood,
     all_pairs_geodesic,
     load_graph,

@@ -2,9 +2,11 @@
 
 Two numeric modes are supported. In rational mode (the default) weights
 are kept as int / Fraction and every distance is exact, which makes the
-golden tests equality-based. In float mode everything runs in 64-bit
-floats. Disconnected pairs are encoded as +inf; downstream transport
-code refuses to consume infinite costs.
+golden tests equality-based. In float mode everything, the zero
+diagonal included, is a 64-bit float. The distances are plain rows in
+that one number type. Disconnected pairs are encoded as a float +inf in
+either mode; downstream transport code refuses to consume infinite
+costs.
 
 Shortest paths use per-source Dijkstra with a binary heap, one source
 after another; dense float graphs run a numpy Floyd-Warshall instead.
@@ -130,14 +132,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class GeodesicMatrix:
-    """Exact all-pairs geodesic distances; +inf marks disconnected pairs."""
-
-    n: int
-    d: tuple[tuple[Weight, ...], ...]
-
-
-@dataclass(frozen=True)
 class LocalNeighborhood:
     """Local context of an edge (x, y): neighbor lists and the cost block.
 
@@ -173,11 +167,6 @@ class LocalNeighborhood:
     @property
     def q(self) -> int:
         return len(self.Y)
-
-    @property
-    def rational(self) -> bool:
-        vals = [x for row in self.cost for x in row] + [self.dxy]
-        return all(_is_rational(v) for v in vals)
 
     @classmethod
     def from_cost(cls, cost: Sequence[Sequence[Weight]], dxy: Weight) -> "LocalNeighborhood":
@@ -324,10 +313,10 @@ def _load_json(text: str, numeric: str) -> Graph:
 # all-pairs geodesics
 # --------------------------------------------------------------------------
 
-def _dijkstra_row(adj, n: int, source: int) -> tuple[Weight, ...]:
+def _dijkstra_row(adj, n: int, source: int, zero: Weight) -> tuple[Weight, ...]:
     dist: list[Weight] = [INF] * n
-    dist[source] = 0
-    heap: list[tuple[Weight, int]] = [(0, source)]
+    dist[source] = zero
+    heap: list[tuple[Weight, int]] = [(zero, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
@@ -340,7 +329,7 @@ def _dijkstra_row(adj, n: int, source: int) -> tuple[Weight, ...]:
     return tuple(dist)
 
 
-def _floyd_warshall_float(g: Graph) -> list[tuple[Weight, ...]]:
+def _floyd_warshall_float(g: Graph) -> list[tuple[float, ...]]:
     """Float64 Floyd-Warshall, bit-identical to the scalar triple loop.
 
     Row k and column k do not change during step k when weights are
@@ -354,36 +343,41 @@ def _floyd_warshall_float(g: Graph) -> list[tuple[Weight, ...]]:
     np.fill_diagonal(d, 0.0)
     for k in range(n):
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    rows = d.tolist()
-    for i, row in enumerate(rows):
-        row[i] = 0    # an int zero on the diagonal, as Dijkstra's source gets
-    return [tuple(row) for row in rows]
+    return [tuple(row) for row in d.tolist()]
 
 
-def all_pairs_geodesic(g: Graph, workers: int | None = None) -> GeodesicMatrix:
-    """Exact shortest-path distance matrix.
+def all_pairs_geodesic(g: Graph, workers: int | None = None) -> tuple[tuple[Weight, ...], ...]:
+    """Exact shortest-path distances, one row per source vertex.
 
+    The rows hold the graph's one number type: int / Fraction for a
+    rational graph (its diagonal is the int 0), float for any other (its
+    diagonal is 0.0); a disconnected pair is a float +inf either way.
     Dense graphs with a float weight (N <= 512, density >=
     _DENSE_THRESHOLD) run a numpy float64 Floyd-Warshall; every other
-    graph runs per-source Dijkstra, so exact distances keep their int /
-    Fraction type. workers may only be None or 1: every route runs on
-    one thread.
+    graph runs per-source Dijkstra. workers may only be None or 1: every
+    route runs on one thread.
     """
     if workers not in (None, 1):
         raise ValueError(f"workers must be None or 1, got {workers!r}")
     n = g.vertex_count
     density = 2 * g.edge_count / (n * (n - 1)) if n > 1 else 0.0
     adj = g._adjacency
-    if n <= 512 and density >= _DENSE_THRESHOLD and not g.rational:
+    rational = g.rational
+    if n <= 512 and density >= _DENSE_THRESHOLD and not rational:
         rows = _floyd_warshall_float(g)
     else:
-        rows = [_dijkstra_row(adj, n, s) for s in range(n)]
-    return GeodesicMatrix(n, tuple(rows))
+        zero = 0 if rational else 0.0
+        rows = [_dijkstra_row(adj, n, s, zero) for s in range(n)]
+    return tuple(rows)
 
 
-def neighborhood(g: Graph, dg: GeodesicMatrix, x: int, y: int,
+def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]], x: int, y: int,
                  include_endpoints: bool = False) -> LocalNeighborhood:
     """Local (x, y) edge context with the geodesic cost block.
+
+    dg holds the rows all_pairs_geodesic(g) returns; the cost block,
+    dxy and the center-to-neighbor distances are read from them as they
+    are, so they keep the graph's number type.
 
     With include_endpoints=True, x is appended to its own neighbor list
     and y to its own (the inclusive-measure variant); masses stay uniform
@@ -398,16 +392,16 @@ def neighborhood(g: Graph, dg: GeodesicMatrix, x: int, y: int,
         Y = sorted(Y + [y])
     if not X or not Y:
         raise EmptyNeighborhood(f"p={len(X)}, q={len(Y)}: an endpoint has no other neighbor")
-    cost = tuple(tuple(dg.d[a][b] for b in Y) for a in X)
+    cost = tuple(tuple(dg[a][b] for b in Y) for a in X)
     return LocalNeighborhood(
         x=x,
         y=y,
         X=tuple(X),
         Y=tuple(Y),
         cost=cost,
-        dxy=dg.d[x][y],
-        x_dists=tuple(dg.d[x][a] for a in X),
-        y_dists=tuple(dg.d[y][b] for b in Y),
+        dxy=dg[x][y],
+        x_dists=tuple(dg[x][a] for a in X),
+        y_dists=tuple(dg[y][b] for b in Y),
     )
 
 

@@ -49,7 +49,7 @@ from .errors import (
     SpectrumOutOfRange,
     ZeroOverlap,
 )
-from .graph import GeodesicMatrix, LocalNeighborhood
+from .graph import LocalNeighborhood, Weight
 from .transport import CurvatureResult
 
 DEFAULT_DIM_CAP = 10 ** 6
@@ -105,11 +105,8 @@ class AuditTrail:
 # distance encoding (shared by both cases)
 # --------------------------------------------------------------------------
 
-def _float_grid(rows) -> np.ndarray:
-    """float64 copy of exact distances (a GeodesicMatrix or rows of
-    numbers); one beyond float range is refused."""
-    if isinstance(rows, GeodesicMatrix):
-        rows = rows.d
+def _float_grid(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
+    """float64 copy of rows of distances; one beyond float range is refused."""
     try:
         return np.asarray([[float(x) for x in row] for row in rows], dtype=np.float64)
     except OverflowError as exc:
@@ -123,9 +120,11 @@ def build_distance_encoding(dg, margin: float = 0.05,
                             audit: AuditTrail | None = None) -> BlockEncoding:
     """Diagonal encoding of all pairwise distances over the index grid.
 
-    The fourth powers are wrapped at alpha = ((1 + margin) * max_d)^4 and
-    the fractional power c = 1/4 brings the entries back to d/alpha_q,
-    where alpha_q = 2 * alpha^(1/4) is the returned encoding's subnorm.
+    dg is a square grid of distances: the rows all_pairs_geodesic
+    returns, in either number type, or a cost_grid. The fourth powers
+    are wrapped at alpha = ((1 + margin) * max_d)^4 and the fractional
+    power c = 1/4 brings the entries back to d/alpha_q, where
+    alpha_q = 2 * alpha^(1/4) is the returned encoding's subnorm.
     Zero distances (the grid diagonal) ride along unchanged. The audit
     record also holds alpha and kappa, the max/min ratio of the nonzero
     fourth powers. Both pipelines query one encoding per graph, so

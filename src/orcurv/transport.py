@@ -3,7 +3,11 @@
 Every solver here runs its combinatorial core in exact arithmetic:
 float inputs are read as the dyadic rationals they are (losslessly),
 solved exactly, and converted back on output. That makes the
-cross-solver identities equality-based.
+cross-solver identities equality-based. Every solver follows one rule
+for its output type: W1 is exact (int or Fraction) iff every number the
+solver reads is exact, and a float otherwise. w1_lp, w1_assignment and
+w1_bruteforce read the cost block; w1_tree reads the center-to-neighbor
+distances and dxy.
 
 Solvers:
   w1_lp           general transport LP on the complete bipartite graph
@@ -137,21 +141,13 @@ class CurvatureResult:
 # numeric-mode helpers
 # --------------------------------------------------------------------------
 
-def _exact(v: Weight) -> Fraction | int:
-    """Lossless lift to exact arithmetic (floats are dyadic rationals)."""
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise InfiniteCost(f"cost entry {v!r} is not finite")
-        return Fraction(v)
-    return v
-
-
 def _emit(value: Fraction | int, rational: bool) -> Weight:
     return value if rational else float(value)
 
 
 def _lift_block(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int, bool]:
-    """One pass over a cost block: (integer block, common denominator, rational).
+    """One pass over rows of numbers, such as a cost block: (integer rows,
+    common denominator, rational).
 
     block[i][j] / den == cost[i][j] exactly. A float enters through
     float.as_integer_ratio(), whose denominator is a power of two, so no
@@ -305,7 +301,6 @@ def w1_lp(nb: LocalNeighborhood) -> TransportPlan:
     _check_dual(c, flow, pot_r, pot_c)
     total = sum(f * cij for row, frow in zip(c, flow) for cij, f in zip(row, frow))
     value = Fraction(total, den * p * q)
-    rational = rational and _is_rational(nb.dxy)
     return TransportPlan(p=p, q=q, flow=tuple(map(tuple, flow)),
                          cost_value=_emit(value, rational))
 
@@ -317,15 +312,15 @@ def w1_lp(nb: LocalNeighborhood) -> TransportPlan:
 def w1_tree(nb: LocalNeighborhood) -> Weight:
     """Closed-form W1 for decomposable costs (graph is a tree).
 
-    Returns mean(d(x_i, x)) + d(x, y) + mean(d(y, y_j)). The caller
-    asserts treeness (`verify_tree`).
+    Returns mean(d(x_i, x)) + d(x, y) + mean(d(y, y_j)), summed exactly
+    over the distances lifted as _lift_block lifts a cost block; exact
+    iff every one of them is. The caller asserts treeness (`verify_tree`).
     """
     if nb.x_dists is None or nb.y_dists is None:
         raise NotATree("tree closed form needs center-to-neighbor distances")
-    xs = [_exact(v) for v in nb.x_dists]
-    ys = [_exact(v) for v in nb.y_dists]
-    value = Fraction(sum(xs), nb.p) + _exact(nb.dxy) + Fraction(sum(ys), nb.q)
-    return _emit(value, nb.rational)
+    (xs, (dxy,), ys), den, rational = _lift_block((nb.x_dists, (nb.dxy,), nb.y_dists))
+    value = Fraction(sum(xs), den * nb.p) + Fraction(dxy, den) + Fraction(sum(ys), den * nb.q)
+    return _emit(value, rational)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from orcurv.blockenc import BlockEncoding, StateVector, _hadamard_test
 from orcurv.errors import DimMismatch, OrcError, SubnormTooSmall, TooLarge
-from orcurv.graph import INF, GeodesicMatrix, LocalNeighborhood, Weight
+from orcurv.graph import INF, LocalNeighborhood, Weight
 from orcurv.transport import _emit, _lift_block
 
 _VERTEX_ORACLE_CAP = 9
@@ -44,9 +44,9 @@ class InexactEncoding(OrcError):
     """Unitary dilation requires an error-free encoding."""
 
 
-def all_finite(dg: GeodesicMatrix) -> bool:
-    """True when every pair of vertices is connected."""
-    return all(x != INF for row in dg.d for x in row)
+def all_finite(dg: Sequence[Sequence[Weight]]) -> bool:
+    """True when every pair of vertices is connected (dg: geodesic rows)."""
+    return all(x != INF for row in dg for x in row)
 
 
 # --------------------------------------------------------------------------
@@ -136,15 +136,16 @@ def lp_vertex_oracle(nb: LocalNeighborhood) -> Weight:
     """Minimum LP cost over all vertices of the transportation polytope.
 
     Independent of w1_lp: candidates come from exhaustive spanning-tree
-    enumeration, not from any optimization. Guarded at p + q <= 9.
+    enumeration, not from any optimization. Exact iff every cost entry
+    is, the output rule of every classical solver. Guarded at p + q <= 9.
     """
     p, q = nb.p, nb.q
     if p + q > _VERTEX_ORACLE_CAP:
         raise TooLarge(f"vertex oracle capped at p + q <= {_VERTEX_ORACLE_CAP}")
-    int_cost, den, _ = _lift_block(nb.cost)
+    int_cost, den, rational = _lift_block(nb.cost)
     solutions, _ = _basic_solutions(p, q)
     best = min(sum(f * int_cost[i][j] for i, j, f in sol) for sol in solutions)
-    return _emit(Fraction(best, den * p * q), nb.rational)
+    return _emit(Fraction(best, den * p * q), rational)
 
 
 # --------------------------------------------------------------------------

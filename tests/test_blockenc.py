@@ -271,6 +271,16 @@ def test_invert_chebyshev_err_bound():
     assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
 
 
+@pytest.mark.parametrize("kappa", [4.0, 16.0, 256.0])
+def test_invert_chebyshev_default_degree_err_bounds_dense_sampling(kappa):
+    # degree None takes default_inverse_degree(kappa, 1e-6)
+    b = be_wrap(np.linspace(1.0 / kappa, 1.0, 1000), 1.0)
+    approx = be_invert(b, kappa_a=kappa, mode="chebyshev")
+    exact = be_invert(b, kappa_a=kappa)
+    assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
+    assert approx.err <= 1e-6
+
+
 # --- density-matrix encoding -------------------------------------------------------
 
 def test_density_bell_state():

@@ -133,6 +133,47 @@ def test_unwritable_output_path_is_config_error(path4, tmp_path, capsys, option,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("bad, where", [
+    ("--out", "missing-dir"), ("--trace", "missing-dir"),
+    ("--out", "a-dir"), ("--trace", "a-dir"),
+])
+def test_refused_output_path_writes_neither_file(path4, tmp_path, capsys, monkeypatch,
+                                                 bad, where):
+    # the other path is writable; the run is refused while settling, so
+    # neither file is written and no distances are computed
+    paths = {"--out": tmp_path / "report.json", "--trace": tmp_path / "trace.jsonl"}
+    if where == "missing-dir":
+        paths[bad] = tmp_path / "no-such-dir" / paths[bad].name
+    else:
+        paths[bad] = tmp_path / "sub"
+        paths[bad].mkdir()
+    apsp = _spy(monkeypatch, orcurv.graph, "all_pairs_geodesic")
+    code, out, err = run_cli(["compute", "--input", str(path4), "--method", "qsim_tree",
+                              "--edge", "1,2", "--out", str(paths["--out"]),
+                              "--trace", str(paths["--trace"])], capsys)
+    assert (code, out) == (2, "")
+    assert f"config error: cannot write {bad} {str(paths[bad])!r}" in err
+    assert not paths["--out"].is_file() and not paths["--trace"].is_file()
+    assert apsp == []
+
+
+FLOAT_TRIANGLE = "0 1 1.5\n1 2 2.5\n0 2 3.0\n"
+
+
+@pytest.mark.parametrize("method", ["lp", "assignment", "brute_force"])
+def test_float_graph_gives_float_w1_for_every_classical_method(tmp_path, capsys, method):
+    # X = Y = {2}: the cost block is the diagonal d(2, 2), a float zero in
+    # a float graph, so every solver reads only floats and reports floats
+    graph = tmp_path / "triangle.txt"
+    graph.write_text(FLOAT_TRIANGLE)
+    code, out, _ = run_cli(["compute", "--input", str(graph), "--numeric", "float",
+                            "--method", method, "--edge", "0,1"], capsys)
+    assert code == 0
+    assert '"w1": 0.0,' in out and '"curvature": 1.0,' in out
+    rec = json.loads(out)["records"][0]
+    assert type(rec["w1"]) is float and type(rec["curvature"]) is float
+
+
 def test_fixture_dir_that_cannot_be_created_is_config_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

@@ -21,7 +21,6 @@ from orcurv.errors import (
 from orcurv.graph import (
     _DENSE_THRESHOLD,
     MAX_DECIMAL_EXPONENT,
-    GeodesicMatrix,
     Graph,
     LocalNeighborhood,
     all_pairs_geodesic,
@@ -118,21 +117,21 @@ def test_bytes_input():
 def test_triangle_shortcut():
     g = load_graph("0 1 1\n1 2 1\n0 2 3")
     dg = all_pairs_geodesic(g)
-    assert dg.d[0][2] == 2
+    assert dg[0][2] == 2
     # the direct edge is undercut by the two-hop path
-    assert dg.d[0][2] < 3
+    assert dg[0][2] < 3
 
 
 def test_path_distance():
     g = load_graph("0 1\n1 2")
     dg = all_pairs_geodesic(g)
-    assert dg.d[0][2] == 2
+    assert dg[0][2] == 2
 
 
 def test_disconnected_is_inf():
     g = load_graph(json.dumps({"n": 2, "edges": []}), format="json")
     dg = all_pairs_geodesic(g)
-    assert dg.d[0][1] == INF
+    assert dg[0][1] == INF
     assert not all_finite(dg)
 
 
@@ -143,7 +142,7 @@ def test_matches_bellman_ford_oracle():
         g = random_connected_graph(n, extra=rng.randint(0, n), rng=rng)
         dg = all_pairs_geodesic(g)
         for s in range(n):
-            assert list(dg.d[s]) == bellman_ford_row(g, s)
+            assert list(dg[s]) == bellman_ford_row(g, s)
 
 
 def test_metric_invariants_exhaustive():
@@ -151,8 +150,7 @@ def test_metric_invariants_exhaustive():
     for trial in range(4):
         n = rng.randint(5, 24)
         g = random_connected_graph(n, extra=rng.randint(0, 2 * n), rng=rng)
-        dg = all_pairs_geodesic(g)
-        d = dg.d
+        d = all_pairs_geodesic(g)
         for i in range(n):
             assert d[i][i] == 0
             for j in range(n):
@@ -166,8 +164,7 @@ def test_metric_invariants_exhaustive():
 def test_metric_invariants_sampled_large():
     rng = random.Random(101)
     g = random_connected_graph(150, extra=120, rng=rng)
-    dg = all_pairs_geodesic(g)
-    d = dg.d
+    d = all_pairs_geodesic(g)
     n = g.vertex_count
     for _ in range(3000):
         i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
@@ -182,13 +179,13 @@ def test_dijkstra_equals_floyd_warshall():
         g = random_connected_graph(rng.randint(4, 20), extra=10, rng=rng)
         a = all_pairs_geodesic(g)
         b = floyd_warshall_rows(g)
-        assert list(a.d) == b
+        assert list(a) == b
 
 
 @pytest.mark.parametrize("algorithm", ["dijkstra", "floyd_warshall"])
 def test_weight_beyond_float_range_stays_exact(algorithm):
     g = load_graph("0 1 1e400\n1 2\n2 3\n")
-    d = all_pairs_geodesic(g).d if algorithm == "dijkstra" else floyd_warshall_rows(g)
+    d = all_pairs_geodesic(g) if algorithm == "dijkstra" else floyd_warshall_rows(g)
     assert d[0][3] == 10 ** 400 + 2
     assert d[3][0] == 10 ** 400 + 2
     assert d[1][3] == 2
@@ -213,13 +210,13 @@ def test_dense_float_apsp_equals_floyd_warshall_oracle():
     disconnected = 0
     for trial in range(80):
         g = _dense_float_graph(rng)
-        d = all_pairs_geodesic(g).d
+        d = all_pairs_geodesic(g)
         oracle = floyd_warshall_rows(g)
         assert list(d) == oracle    # float equality: bit for bit, inf included
         assert [[type(x) for x in row] for row in d] == \
             [[type(x) for x in row] for row in oracle]
-        assert all(type(d[i][i]) is int and d[i][i] == 0 for i in range(g.vertex_count))
-        disconnected += not all_finite(GeodesicMatrix(g.vertex_count, d))
+        assert all(type(x) is float for row in d for x in row)
+        disconnected += not all_finite(d)
     assert disconnected >= 10
 
 
@@ -234,10 +231,11 @@ def test_dense_exact_apsp_stays_exact(kind):
     assert 2 * g.edge_count >= n * (n - 1) * _DENSE_THRESHOLD and g.rational
     dg = all_pairs_geodesic(g)
     for s in range(n):
-        assert list(dg.d[s]) == bellman_ford_row(g, s)
+        assert list(dg[s]) == bellman_ford_row(g, s)
     exact = int if kind == "int-beyond-2^53" else (int, Fraction)
     assert all(isinstance(x, exact) and not isinstance(x, bool)
-               for row in dg.d for x in row)
+               for row in dg for x in row)
+    assert all(type(dg[i][i]) is int and dg[i][i] == 0 for i in range(n))
 
 
 @pytest.mark.parametrize("rational, extra, route", [
@@ -252,8 +250,11 @@ def test_apsp_route_is_chosen_from_the_input(monkeypatch, rational, extra, route
         real = getattr(orcurv.graph, name)
         monkeypatch.setattr(orcurv.graph, name,
                             lambda *a, real=real, label=label: calls.append(label) or real(*a))
-    all_pairs_geodesic(g)
+    d = all_pairs_geodesic(g)
     assert calls == [route] * (30 if route == "dijkstra" else 1)
+    # one number type per graph on every route: a float graph's rows hold
+    # only floats, the zero diagonal included; an int graph's only ints
+    assert all(type(x) is (int if rational else float) for row in d for x in row)
 
 
 @pytest.mark.parametrize("text, fmt", [
@@ -284,7 +285,7 @@ def test_parallel_identical():
     rng = random.Random(5)
     for rational in (True, False):
         g = random_connected_graph(30, extra=25, rng=rng, rational=rational)
-        assert all_pairs_geodesic(g, workers=1).d == all_pairs_geodesic(g).d
+        assert all_pairs_geodesic(g, workers=1) == all_pairs_geodesic(g)
         with pytest.raises(ValueError, match="workers"):
             all_pairs_geodesic(g, workers=4)
 
@@ -330,7 +331,7 @@ def test_neighbor_lists_sorted():
     nb = neighborhood(g, dg, 1, 5)
     assert nb.X == (0, 3)
     assert nb.Y == (2, 4, 6)
-    assert nb.cost == tuple(tuple(dg.d[a][b] for b in nb.Y) for a in nb.X)
+    assert nb.cost == tuple(tuple(dg[a][b] for b in nb.Y) for a in nb.X)
 
 
 def test_include_endpoints_extends_lists():

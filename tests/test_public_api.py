@@ -9,7 +9,7 @@ from orcurv.qpipeline import DEFAULT_DIM_CAP
 def test_public_names():
     assert sorted(orcurv.__all__) == [
         "AssignmentSolution", "AuditTrail", "BlockEncoding", "CurvatureResult",
-        "EigenEstimate", "GeodesicMatrix", "Graph",
+        "EigenEstimate", "Graph",
         "LocalNeighborhood", "StateVector", "TransportPlan",
         "all_pairs_geodesic", "be_invert", "be_power", "be_product",
         "be_scale", "be_wrap", "blockenc", "build_DP", "build_Pi",
