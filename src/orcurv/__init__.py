@@ -10,8 +10,6 @@ from .blockenc import (
     be_invert,
     be_power,
     be_product,
-    be_scale,
-    be_wrap,
     dilated_apply,
     dilated_overlap,
 )

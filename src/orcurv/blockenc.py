@@ -11,7 +11,6 @@ in Chebyshev mode `err` is an estimate, not a proven bound. Composition
 rules follow fixed bookkeeping formulas:
 
   product            subnorm multiplies, err = a1*e2 + a2*e1
-  scaling            subnorm multiplied by the factor
   fractional power   encoded value A^c/2 (the 1/2 becomes subnorm doubling)
   inversion          encoded value pinv(A)/kappa
 
@@ -27,13 +26,12 @@ as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    BadFactor,
     DimMismatch,
     IndexOutOfRange,
     SpectrumOutOfRange,
@@ -124,17 +122,8 @@ class StateVector:
 
 
 # --------------------------------------------------------------------------
-# constructors and composition rules
+# composition rules
 # --------------------------------------------------------------------------
-
-def be_wrap(m, subnorm: float) -> BlockEncoding:
-    """Exact encoding of m at the declared subnormalization (err = 0)."""
-    op = _as_operator(m)
-    norm = _operator_norm(op)
-    if float(subnorm) < norm * (1 - _NORM_SLACK):
-        raise SubnormTooSmall(f"subnorm {subnorm} < operator norm {norm}")
-    return BlockEncoding(op=op, subnorm=max(float(subnorm), norm), err=0.0)
-
 
 def be_product(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
     """Encoding of the operator product, entrywise on the diagonals."""
@@ -146,14 +135,6 @@ def be_product(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
         err=b1.subnorm * b2.err + b2.subnorm * b1.err,
         ancilla_dim=b1.ancilla_dim * b2.ancilla_dim,
     )
-
-
-def be_scale(b: BlockEncoding, factor: float) -> BlockEncoding:
-    """Encoding of the same operator divided by factor > 1."""
-    if not factor > 1:
-        raise BadFactor(f"scale factor must be > 1, got {factor}")
-    return replace(b, subnorm=b.subnorm * float(factor),
-                   ancilla_dim=b.ancilla_dim * 2)
 
 
 # --------------------------------------------------------------------------

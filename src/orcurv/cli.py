@@ -146,6 +146,8 @@ def _check_values(args: argparse.Namespace) -> None:
         value = getattr(args, option[2:])
         if value is not None and not ok(value):
             raise ConfigError(f"{option} must be {accepted}, got {value!r}")
+    if args.out == "":
+        raise ConfigError("--out must be a path for the report, got ''")
     tol = getattr(args, "tol", 0.0)    # compare only
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")

@@ -46,7 +46,11 @@ class NotATree(OrcError):
 
 
 class NotSquare(OrcError):
-    """An assignment route, classical or the p = q pipeline, needs p = q."""
+    """An assignment route, classical or the p = q pipeline, needs p = q.
+
+    Every p != q refusal raises it: the assignment and brute-force cost
+    checks, the p = q pipeline and the cost-block localization.
+    """
 
 
 class TooLarge(OrcError):
@@ -54,7 +58,7 @@ class TooLarge(OrcError):
 
 
 class MethodMismatch(OrcError):
-    """Requested solver does not apply to the instance shape."""
+    """Requested method is not a classical method (or not a method at all)."""
 
 
 # --- block-encoding simulator -------------------------------------------------
@@ -65,10 +69,6 @@ class SubnormTooSmall(OrcError):
 
 class DimMismatch(OrcError):
     """Operands have incompatible dimensions."""
-
-
-class BadFactor(OrcError):
-    """Scaling factor must be > 1."""
 
 
 class SpectrumOutOfRange(OrcError):
@@ -90,7 +90,7 @@ class IndexOutOfRange(OrcError):
 
 
 class SizeMismatch(OrcError):
-    """Neighbor index lists must have equal length."""
+    """An input that must be nonempty is empty (no column encodings, p < 1)."""
 
 
 class DimensionCap(OrcError):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class Graph:
             u, v = v, u
         return (u, v) in self._edge_set
 
-    def scaled(self, factor: Weight) -> "Graph":
-        """New graph with every weight multiplied by factor > 0."""
-        return Graph(self.vertex_count, [(u, v, w * factor) for u, v, w in self.edges])
-
 
 @dataclass(frozen=True)
 class LocalNeighborhood:
@@ -231,9 +227,9 @@ def _float_weight(w):
         raise InvalidWeight(f"weight {w!r} does not fit a float") from exc
 
 
-def load_graph(source: Union[bytes, str, IO], format: str = "edge_list",
+def load_graph(text: str, format: str = "edge_list",
                numeric: str = "rational") -> Graph:
-    """Parse a graph from an edge-list or JSON byte stream.
+    """Parse a graph from edge-list or JSON text.
 
     Edge list: one "u v [w]" per line, '#' comments, weights default to 1.
     JSON: {"n": N, "edges": [[u, v, w], ...]} with w optional per edge.
@@ -241,12 +237,6 @@ def load_graph(source: Union[bytes, str, IO], format: str = "edge_list",
     rational mode a decimal exponent beyond MAX_DECIMAL_EXPONENT is
     refused with InvalidWeight.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = source
     if numeric not in ("rational", "float"):
         raise ParseError(f"unknown numeric mode {numeric!r}")
     if format == "edge_list":

@@ -293,7 +293,7 @@ def localize_DG(be: BlockEncoding, X: Sequence[int], Y: Sequence[int],
     op[X[i]*n + Y[j]], i.e. d(X[i], Y[j]) / alpha_q once encoded.
     """
     if len(X) != len(Y):
-        raise SizeMismatch(f"|X| = {len(X)} but |Y| = {len(Y)}")
+        raise NotSquare(f"localization needs p = q, got p={len(X)}, q={len(Y)}")
     p = len(X)
     block = be.op[_grid_indices(be, X, Y).T.ravel()]
     out = BlockEncoding(op=block, subnorm=be.subnorm, err=be.err,

@@ -105,13 +105,12 @@ class AssignmentSolution:
 
 @dataclass(frozen=True)
 class CurvatureResult:
-    """Edge curvature 1 - W1/d_G(x, y) with consistent companion fields."""
+    """Edge curvature 1 - W1/d_G(x, y), derived from w1 and dxy."""
 
     x: int | None
     y: int | None
     w1: Weight
     dxy: Weight
-    curvature: Weight
     method: str
     diagnostics: object = None
 
@@ -122,19 +121,17 @@ class CurvatureResult:
             raise AssertionError("dxy must be positive")
         if self.w1 < 0:
             raise AssertionError("w1 must be nonnegative")
-        expected = 1 - self.w1 / self.dxy
-        if isinstance(self.curvature, float) or isinstance(expected, float):
-            if abs(self.curvature - expected) > 1e-12 * max(1.0, abs(float(expected))):
-                raise AssertionError("curvature inconsistent with w1/dxy")
-        elif self.curvature != expected:
-            raise AssertionError("curvature inconsistent with w1/dxy")
+
+    @property
+    def curvature(self) -> Weight:
+        """1 - w1 / dxy, exact when both are."""
+        return 1 - self.w1 / self.dxy
 
     @classmethod
     def from_w1(cls, w1: Weight, dxy: Weight, method: str,
                 x: int | None = None, y: int | None = None,
                 diagnostics: object = None) -> "CurvatureResult":
-        return cls(x=x, y=y, w1=w1, dxy=dxy, curvature=1 - w1 / dxy,
-                   method=method, diagnostics=diagnostics)
+        return cls(x=x, y=y, w1=w1, dxy=dxy, method=method, diagnostics=diagnostics)
 
 
 # --------------------------------------------------------------------------
@@ -328,9 +325,11 @@ def w1_tree(nb: LocalNeighborhood) -> Weight:
 # --------------------------------------------------------------------------
 
 def _lift_square(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int, bool]:
-    """_lift_block of a cost matrix that must be square."""
+    """_lift_block of a cost matrix that must be square (p = q)."""
     if any(len(row) != len(cost) for row in cost):
-        raise NotSquare("cost matrix must be square")
+        widths = sorted({len(row) for row in cost})
+        raise NotSquare(f"cost matrix must be square, got p={len(cost)}, "
+                        f"q={widths[0] if len(widths) == 1 else widths}")
     return _lift_block(cost)
 
 
@@ -383,9 +382,9 @@ def w1_bruteforce(cost: Sequence[Sequence[Weight]]) -> AssignmentSolution:
 def curvature(nb: LocalNeighborhood, method: str = "lp") -> CurvatureResult:
     """Edge curvature via the chosen classical W1 route.
 
-    method is one of "lp", "tree", "assignment", "brute_force". A square
-    cost for the assignment routes is validated up front; for "tree" the
-    caller asserts that the graph is a tree (`verify_tree`).
+    method is one of "lp", "tree", "assignment", "brute_force". The
+    assignment routes refuse p != q with NotSquare; for "tree" the caller
+    asserts that the graph is a tree (`verify_tree`).
     """
     if method not in CLASSICAL_METHODS:
         raise MethodMismatch(
@@ -395,9 +394,6 @@ def curvature(nb: LocalNeighborhood, method: str = "lp") -> CurvatureResult:
     elif method == "tree":
         w1 = w1_tree(nb)
     elif method in ("assignment", "brute_force"):
-        if nb.p != nb.q:
-            raise MethodMismatch(
-                f"{method} needs p = q, got p={nb.p}, q={nb.q}")
         solver = w1_assignment if method == "assignment" else w1_bruteforce
         w1 = solver(nb.cost).cost_value
     return CurvatureResult.from_w1(w1=w1, dxy=nb.dxy, method=method,

@@ -25,7 +25,6 @@ from orcurv.blockenc import (
     BlockEncoding,
     be_power,
     be_product,
-    be_wrap,
     default_power_degree,
 )
 from orcurv.cli import main
@@ -217,7 +216,7 @@ def test_criterion_08_fractional_power_approximation():
     for kappa in (4.0, 16.0, 256.0):
         degree = default_power_degree(kappa, eps_target)
         samples = np.linspace(1.0 / kappa, 1.0, 1000)
-        b = be_wrap(samples, 1.0)
+        b = BlockEncoding(samples, 1.0)
         approx = be_power(b, 0.25, kappa_m=kappa, mode="chebyshev", degree=degree)
         exact = be_power(b, 0.25, kappa_m=kappa, mode="exact")
         measured = float(np.max(np.abs(approx.encoded - exact.encoded)))

@@ -16,14 +16,11 @@ from orcurv.blockenc import (
     be_invert,
     be_power,
     be_product,
-    be_scale,
-    be_wrap,
     default_power_degree,
     dilated_apply,
     dilated_overlap,
 )
 from orcurv.errors import (
-    BadFactor,
     DimMismatch,
     IndexOutOfRange,
     SpectrumOutOfRange,
@@ -49,19 +46,19 @@ from reference import (
 
 def random_diagonal(rng, dim):
     v = rng.standard_normal(dim)
-    return be_wrap(v, float(np.max(np.abs(v))) * 1.5)
+    return BlockEncoding(v, float(np.max(np.abs(v))) * 1.5)
 
 
-# --- wrapping -----------------------------------------------------------------
+# --- construction --------------------------------------------------------------
 
 def test_wrap_identity():
-    be = be_wrap(np.ones(4), 1.0)
+    be = BlockEncoding(np.ones(4), 1.0)
     assert np.allclose(dense(be), np.eye(4))
     assert be.err == 0.0
 
 
 def test_wrap_diagonal():
-    be = be_wrap([1.0, 2.0, 4.0], 4.0)
+    be = BlockEncoding([1.0, 2.0, 4.0], 4.0)
     assert be.op.dtype == np.float64 and be.op.ndim == 1
     assert np.allclose(be.encoded, [0.25, 0.5, 1.0])
 
@@ -69,8 +66,6 @@ def test_wrap_diagonal():
 def test_encoding_is_a_real_diagonal():
     with pytest.raises(DimMismatch):
         BlockEncoding(op=np.eye(2), subnorm=1.0)
-    with pytest.raises(DimMismatch):
-        be_wrap(np.eye(2), 1.0)
     with pytest.raises(SpectrumOutOfRange):
         BlockEncoding(op=np.array([0.1, 0.5j]), subnorm=1.0)
     # complex storage is refused even when every imaginary part is zero
@@ -80,14 +75,14 @@ def test_encoding_is_a_real_diagonal():
 
 def test_wrap_subnorm_too_small():
     with pytest.raises(SubnormTooSmall):
-        be_wrap([1.0, 2.0, 4.0], 2.0)
+        BlockEncoding([1.0, 2.0, 4.0], 2.0)
 
 
 # --- product -------------------------------------------------------------------
 
 def test_product_identity_quarters():
-    a = be_wrap(np.ones(3), 2.0)
-    b = be_wrap(np.ones(3), 2.0)
+    a = BlockEncoding(np.ones(3), 2.0)
+    b = BlockEncoding(np.ones(3), 2.0)
     prod = be_product(a, b)
     assert prod.subnorm == 4.0
     assert np.allclose(dense(prod), np.eye(3) / 4)
@@ -112,7 +107,7 @@ def test_product_dim_mismatch():
 # --- tensor --------------------------------------------------------------------
 
 def test_tensor_diag_with_identity():
-    d = be_wrap([2.0, 3.0], 3.0)
+    d = BlockEncoding([2.0, 3.0], 3.0)
     t = be_tensor(d, be_identity(2))
     assert np.allclose(t.op, [2, 2, 3, 3])
 
@@ -135,14 +130,14 @@ def test_tensor_matches_kron_oracle():
 # --- LCU ------------------------------------------------------------------------
 
 def test_lcu_single_is_identity_up_to_bookkeeping():
-    b = be_wrap([0.5, 0.25], 1.0)
+    b = BlockEncoding([0.5, 0.25], 1.0)
     out = be_lcu([b], [1])
     assert out.subnorm == 1.0
     assert np.allclose(out.encoded, b.encoded)
 
 
 def test_lcu_cancellation():
-    b = be_wrap([0.5, -0.25, 1.0], 1.0)
+    b = BlockEncoding([0.5, -0.25, 1.0], 1.0)
     out = be_lcu([b, b], [1, -1])
     assert out.subnorm == 2.0
     assert np.allclose(out.op, 0.0)
@@ -150,7 +145,7 @@ def test_lcu_cancellation():
 
 def test_lcu_matches_direct_sum_oracle():
     rng = np.random.default_rng(3)
-    bs = [be_wrap(rng.uniform(-1, 1, 6), rng.uniform(1.0, 3.0) + 1.0) for _ in range(3)]
+    bs = [BlockEncoding(rng.uniform(-1, 1, 6), rng.uniform(1.0, 3.0) + 1.0) for _ in range(3)]
     out = be_lcu(bs, [1, 1, 1])
     direct = sum(b.encoded for b in bs) / 3
     assert np.allclose(out.encoded, direct, atol=1e-12)
@@ -163,40 +158,30 @@ def test_lcu_err_rule():
     assert out.err == pytest.approx(1e-3 / 2.0 + 1e-2 / 4.0, rel=0, abs=0)
 
 
-# --- scaling ---------------------------------------------------------------------
-
-def test_scale():
-    b = be_wrap([1.0], 1.0)
-    assert np.allclose(be_scale(b, 2.0).encoded, [0.5])
-    assert np.allclose(be_scale(b, 10.0).encoded, [0.1])
-    with pytest.raises(BadFactor):
-        be_scale(b, 1.0)
-
-
 # --- fractional power ------------------------------------------------------------
 
 def test_power_quarter_known_values():
-    b = be_wrap([1.0 / 16.0, 1.0], 1.0)
+    b = BlockEncoding([1.0 / 16.0, 1.0], 1.0)
     out = be_power(b, 0.25, kappa_m=16.0)
     assert np.allclose(out.encoded, [0.25, 0.5])
     assert out.subnorm == 2.0
 
 
 def test_power_identity_halves():
-    b = be_wrap([1.0], 1.0)
+    b = BlockEncoding([1.0], 1.0)
     for c in (0.25, 0.5, 0.9):
         assert np.allclose(be_power(b, c, 1.0).encoded, [0.5])
 
 
 def test_power_requires_diagonal_and_window():
     with pytest.raises(DimMismatch):
-        be_power(be_wrap(np.eye(2), 1.0), 0.25, 2.0)
+        be_power(BlockEncoding(np.eye(2), 1.0), 0.25, 2.0)
     with pytest.raises(SpectrumOutOfRange):
-        be_power(be_wrap([0.5, 1.0], 1.0), 0.25, kappa_m=1.5)
+        be_power(BlockEncoding([0.5, 1.0], 1.0), 0.25, kappa_m=1.5)
 
 
 def test_power_preserves_exact_zeros():
-    b = be_wrap([0.0, 0.25, 1.0], 1.0)
+    b = BlockEncoding([0.0, 0.25, 1.0], 1.0)
     out = be_power(b, 0.25, kappa_m=4.0)
     assert out.op[0] == 0.0
     assert np.allclose(out.encoded, [0.0, math.sqrt(math.sqrt(0.25)) / 2, 0.5])
@@ -205,7 +190,7 @@ def test_power_preserves_exact_zeros():
 def test_power_chebyshev_err_bounds_and_monotonicity():
     rng = np.random.default_rng(4)
     vals = rng.uniform(0.1, 1.0, 16)
-    b = be_wrap(vals, 1.0)
+    b = BlockEncoding(vals, 1.0)
     exact = be_power(b, 0.25, kappa_m=10.0)
     errs = []
     for degree in (8, 16, 32):
@@ -219,7 +204,7 @@ def test_power_chebyshev_err_bounds_and_monotonicity():
 def test_power_chebyshev_reported_err_bounds_dense_sampling():
     for kappa in (4.0, 16.0):
         degree = default_power_degree(kappa, 1e-6)
-        b = be_wrap(np.linspace(1.0 / kappa, 1.0, 1000), 1.0)
+        b = BlockEncoding(np.linspace(1.0 / kappa, 1.0, 1000), 1.0)
         approx = be_power(b, 0.25, kappa_m=kappa, mode="chebyshev", degree=degree)
         exact = be_power(b, 0.25, kappa_m=kappa)
         assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
@@ -227,7 +212,7 @@ def test_power_chebyshev_reported_err_bounds_dense_sampling():
 
 
 def test_power_chebyshev_degree_cap():
-    b = be_wrap(np.linspace(1e-8, 1.0, 50), 1.0)
+    b = BlockEncoding(np.linspace(1e-8, 1.0, 50), 1.0)
     with pytest.raises(TooLarge):
         be_power(b, 0.25, kappa_m=1e8, mode="chebyshev")
 
@@ -235,13 +220,13 @@ def test_power_chebyshev_degree_cap():
 # --- inversion -------------------------------------------------------------------
 
 def test_invert_known_values():
-    b = be_wrap([0.5, 1.0], 1.0)
+    b = BlockEncoding([0.5, 1.0], 1.0)
     out = be_invert(b, kappa_a=2.0)
     assert np.allclose(out.encoded, [1.0, 0.5])
 
 
 def test_invert_pseudoinverse_keeps_kernel():
-    b = be_wrap([0.0, 0.5], 1.0)
+    b = BlockEncoding([0.0, 0.5], 1.0)
     out = be_invert(b, kappa_a=2.0)
     assert out.op[0] == 0.0
     assert np.allclose(out.encoded, [0.0, 1.0])
@@ -251,7 +236,7 @@ def test_invert_multiply_back():
     rng = np.random.default_rng(5)
     for _ in range(10):
         vals = rng.uniform(0.2, 1.0, 8)
-        b = be_wrap(vals, 1.0)
+        b = BlockEncoding(vals, 1.0)
         kappa = 1.0 / float(np.min(vals)) * (1 + 1e-9)
         inv = be_invert(b, kappa)
         back = be_product(b, inv)
@@ -260,12 +245,12 @@ def test_invert_multiply_back():
 
 def test_invert_spectrum_window():
     with pytest.raises(SpectrumOutOfRange):
-        be_invert(be_wrap([0.1, 1.0], 1.0), kappa_a=2.0)
+        be_invert(BlockEncoding([0.1, 1.0], 1.0), kappa_a=2.0)
 
 
 def test_invert_chebyshev_err_bound():
     vals = np.linspace(0.25, 1.0, 50)
-    b = be_wrap(vals, 1.0)
+    b = BlockEncoding(vals, 1.0)
     exact = be_invert(b, kappa_a=4.0)
     approx = be_invert(b, kappa_a=4.0, mode="chebyshev", degree=40)
     assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
@@ -274,7 +259,7 @@ def test_invert_chebyshev_err_bound():
 @pytest.mark.parametrize("kappa", [4.0, 16.0, 256.0])
 def test_invert_chebyshev_default_degree_err_bounds_dense_sampling(kappa):
     # degree None takes default_inverse_degree(kappa, 1e-6)
-    b = be_wrap(np.linspace(1.0 / kappa, 1.0, 1000), 1.0)
+    b = BlockEncoding(np.linspace(1.0 / kappa, 1.0, 1000), 1.0)
     approx = be_invert(b, kappa_a=kappa, mode="chebyshev")
     exact = be_invert(b, kappa_a=kappa)
     assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
@@ -319,13 +304,13 @@ def test_density_bad_factorization():
 # --- dilation ---------------------------------------------------------------------
 
 def test_dilate_zero_operator():
-    u = be_dilate(be_wrap(np.zeros(2), 1.0))
+    u = be_dilate(BlockEncoding(np.zeros(2), 1.0))
     assert np.allclose(u, np.block([[np.zeros((2, 2)), np.eye(2)],
                                     [np.eye(2), np.zeros((2, 2))]]))
 
 
 def test_dilate_half_rotation():
-    u = be_dilate(be_wrap([0.5], 1.0))
+    u = be_dilate(BlockEncoding([0.5], 1.0))
     expected = np.array([[0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, -0.5]])
     assert np.allclose(np.abs(u), np.abs(expected), atol=1e-12)
     assert u[0, 0] == pytest.approx(0.5)
@@ -353,7 +338,7 @@ def test_dilate_requires_exact_and_small():
 def test_dilated_apply_matches_dense_dilation():
     rng = np.random.default_rng(8)
     vals = rng.uniform(0.0, 1.0, 8)
-    b = be_wrap(vals, 1.0)
+    b = BlockEncoding(vals, 1.0)
     phi = normalized(rng.standard_normal(8))
     via_diag = dilated_apply(b, phi)
     u = be_dilate(b)
@@ -365,7 +350,7 @@ def test_garbage_orthogonality():
     rng = np.random.default_rng(9)
     for _ in range(5):
         vals = rng.uniform(0.0, 1.0, 6)
-        b = be_wrap(vals, 1.2)
+        b = BlockEncoding(vals, 1.2)
         phi = normalized(rng.standard_normal(6) + 1j * rng.standard_normal(6))
         out = dilated_apply(b, phi)
         main = np.concatenate([out.amps[:6], np.zeros(6)])
@@ -380,7 +365,7 @@ def test_dilated_overlap_matches_full_route():
     for _ in range(40):
         dim = int(rng.integers(1, 40))
         vals = rng.uniform(-1.0, 1.0, dim)
-        b = be_wrap(vals, float(rng.uniform(1.0, 2.0)))
+        b = BlockEncoding(vals, float(rng.uniform(1.0, 2.0)))
         k = int(rng.integers(1, dim + 1))
         support = rng.permutation(dim)[:k]
         amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -392,7 +377,7 @@ def test_dilated_overlap_matches_full_route():
 def test_dilated_overlap_draws_the_full_route_shots():
     # dyadic entries and amplitudes: both routes compute the same value
     # exactly, so a shared seed must give the same Bernoulli count
-    b = be_wrap(np.array([0.25, -0.5, 0.75, 0.125, 0.0, 0.5]), 1.0)
+    b = BlockEncoding(np.array([0.25, -0.5, 0.75, 0.125, 0.0, 0.5]), 1.0)
     cases = [([3], [1.0]), ([0, 2, 3, 5], [0.5, -0.5, 0.5j, 0.5]), ([4, 1], [0.6, 0.8])]
     for support, amps in cases:
         exact = full_route_overlap(b, support, amps)
@@ -404,9 +389,9 @@ def test_dilated_overlap_draws_the_full_route_shots():
 
 
 def test_dilated_overlap_refuses_what_the_full_route_refuses():
-    b = be_wrap(np.array([0.1, 0.2, 0.3, 0.4]), 1.0)
+    b = BlockEncoding(np.array([0.1, 0.2, 0.3, 0.4]), 1.0)
     with pytest.raises(DimMismatch):
-        dilated_overlap(be_wrap(np.eye(4) * 0.5, 1.0), [0], [1.0])
+        dilated_overlap(BlockEncoding(np.eye(4) * 0.5, 1.0), [0], [1.0])
     with pytest.raises(IndexOutOfRange):
         dilated_overlap(b, [1, 1], [0.6, 0.8])
     for bad in ([4], [-1], [0, 7], [0.5], [[0, 1]]):
@@ -462,8 +447,6 @@ def test_err_monotone_under_composition():
     for out in (be_product(b1, b2), be_tensor(b1, b2)):
         assert out.err == b1.subnorm * b2.err + b2.subnorm * b1.err
         assert out.err >= max(b1.subnorm * b2.err, b2.subnorm * b1.err)
-    scaled = be_scale(b1, 2.0)
-    assert scaled.err >= b1.err
 
 
 def test_state_vector_validation():

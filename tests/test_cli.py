@@ -267,6 +267,47 @@ def test_csv_output(path4, capsys):
     assert rows[0]["curvature"] == "-2"
 
 
+def test_compare_csv_has_the_comparison_columns(path4, capsys):
+    code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges",
+                            "--out-format", "csv"], capsys)
+    assert code == 0
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == ["x", "y", "p", "q", "w1", "dxy", "curvature", "method",
+                                 "w1_classical", "w1_qsim", "abs_diff", "rel_diff", "tol",
+                                 "within_tol"]
+    (row,) = list(reader)
+    assert (row["x"], row["y"], row["method"]) == ("1", "2", "qsim_tree")
+    assert row["w1_classical"] == "3" and float(row["w1_qsim"]) == pytest.approx(3.0)
+    assert (row["tol"], row["within_tol"]) == ("1e-08", "True")
+
+
+def test_reversed_edge_is_the_same_edge_seen_from_its_other_end(path4, capsys):
+    code, out, _ = run_cli(["compute", "--input", str(path4),
+                            "--method", "tree", "--edge", "2,1"], capsys)
+    assert code == 0
+    rec = json.loads(out)["records"][0]
+    assert (rec["x"], rec["y"], rec["p"], rec["q"]) == (2, 1, 1, 1)
+    assert (rec["w1"], rec["curvature"]) == (3, -2)
+
+
+def test_json_graph_in_float_mode_has_float_weights(tmp_path, capsys):
+    # the int weight 1, the default weight and the float 2.5 all become floats
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 4, "edges": [[0, 1, 1], [1, 2, 2.5], [2, 3]]}')
+    code, out, _ = run_cli(["compute", "--input", str(path), "--format", "json",
+                            "--numeric", "float", "--edge", "1,2"], capsys)
+    assert code == 0
+    assert '"w1": 4.5,' in out and '"dxy": 2.5,' in out
+    rec = json.loads(out)["records"][0]
+    assert type(rec["w1"]) is float and rec["curvature"] == pytest.approx(-0.8)
+    # an int weight no float can hold is refused in float mode
+    path.write_text('{"n": 2, "edges": [[0, 1, %d]]}' % 10 ** 400)
+    code, out, err = run_cli(["compute", "--input", str(path), "--format", "json",
+                              "--numeric", "float", "--edge", "0,1"], capsys)
+    assert (code, out) == (2, "")
+    assert "does not fit a float" in err
+
+
 def test_compare_tree_ok(path4, capsys):
     code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges",
                             "--tol", "1e-8"], capsys)
@@ -403,6 +444,11 @@ SQUARE = "0 1\n1 2\n2 3\n3 0\n"    # not a tree, so compare takes the qsim_pq ro
     (PATH4, ["compute", "--edge", "1,2", "--all-edges"],
      "use either --edge or --all-edges, not both"),
     (PATH4, ["compute"], "select edges with --edge u,v or --all-edges"),
+    (PATH4, ["compute", "--edge", "1-2"], "--edge expects 'u,v', got '1-2'"),
+    (PATH4, ["compute", "--edge", "a,b"], "--edge expects integers, got 'a,b'"),
+    ("0 1\n", ["compute", "--all-edges"], "no edges with nonempty neighborhoods to process"),
+    (PATH4, ["compute", "--edge", "1,2", "--out", ""],
+     "--out must be a path for the report, got ''"),
     (PATH4, ["compute", "--all-edges", "--shots", "0"],
      "--shots must be an integer in [1, 2^63 - 1], got 0"),
     (PATH4, ["compare", "--all-edges", "--tol", "-1"],
@@ -410,7 +456,8 @@ SQUARE = "0 1\n1 2\n2 3\n3 0\n"    # not a tree, so compare takes the qsim_pq ro
 ], ids=["lp-shots", "lp-trace", "lp-margin", "lp-seed", "lp-eps", "lp-cap",
         "qsim_tree-eps", "qsim_pq-shots", "qsim_tree-seed-without-shots", "tree-non-tree",
         "qsim_tree-non-tree", "compare-tree-non-tree", "unknown-edge",
-        "edge-and-all-edges", "no-edge-selector", "shots-out-of-range", "tol-out-of-range"])
+        "edge-and-all-edges", "no-edge-selector", "edge-without-comma", "edge-not-integers",
+        "all-edges-all-leaves", "empty-out", "shots-out-of-range", "tol-out-of-range"])
 def test_configuration_errors_come_before_any_distance_work(tmp_path, capsys, monkeypatch,
                                                             text, argv, message):
     graph = tmp_path / "g.txt"

@@ -107,11 +107,6 @@ def test_float_numeric_mode():
     assert not g.rational
 
 
-def test_bytes_input():
-    g = load_graph(b"0 1\n")
-    assert g.edge_count == 1
-
-
 # --- all-pairs geodesics ------------------------------------------------------
 
 def test_triangle_shortcut():
@@ -358,9 +353,3 @@ def test_verify_tree():
     assert not verify_tree(load_graph("0 1\n1 2\n0 2"))
     forest = load_graph(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}), format="json")
     assert not verify_tree(forest)
-
-
-def test_scaled_graph():
-    g = load_graph("0 1 2\n1 2 3")
-    h = g.scaled(Fraction(1, 2))
-    assert h.edges == ((0, 1, 1), (1, 2, Fraction(3, 2)))

@@ -165,7 +165,7 @@ def weighted_graphs(draw):
 @given(weighted_graphs(), st.integers(1, 12), st.integers(1, 5))
 def test_scaling_weights_scales_w1_and_keeps_curvature(g, num, den):
     k = Fraction(num, den)
-    scaled = g.scaled(k)
+    scaled = Graph(g.vertex_count, [(u, v, w * k) for u, v, w in g.edges])
     dg, dg_k = all_pairs_geodesic(g), all_pairs_geodesic(scaled)
     for x, y in internal_edges(g):
         base = curvature(neighborhood(g, dg, x, y), method="lp")

@@ -12,7 +12,7 @@ def test_public_names():
         "EigenEstimate", "Graph",
         "LocalNeighborhood", "StateVector", "TransportPlan",
         "all_pairs_geodesic", "be_invert", "be_power", "be_product",
-        "be_scale", "be_wrap", "blockenc", "build_DP", "build_Pi",
+        "blockenc", "build_DP", "build_Pi",
         "build_distance_encoding", "curvature", "dilated_apply", "dilated_overlap",
         "errors", "extract_Di", "graph", "load_graph", "localize_DG",
         "min_eigen_power", "neighborhood",

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from helpers import (
     random_cost_matrix,
     random_tree,
 )
-from orcurv.blockenc import BlockEncoding, be_product, be_wrap
+from orcurv.blockenc import BlockEncoding, be_product
 from orcurv.errors import (
     DegenerateAllZero,
     DimensionCap,
@@ -270,8 +271,32 @@ def test_localize_preserves_spectrum_multiset():
 def test_localize_size_mismatch():
     grid = two_block_grid([[1, 2], [3, 4]])
     be = build_distance_encoding(grid)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(NotSquare, match="p=1, q=2"):
         localize_DG(be, [0], [2, 3])
+
+
+GRID = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_distance_encoding(GRID, margin=-0.1), ValueError, "margin must be >= 0"),
+    (lambda: build_distance_encoding([[0, 1, 2], [1, 0, 1]]), DimMismatch, "must be square"),
+    (lambda: build_distance_encoding([[0, -1], [-1, 0]]), InfiniteDistance, "nonnegative"),
+    (lambda: tree_overlap_sum(build_distance_encoding(GRID), 0, []), IndexOutOfRange,
+     "at least one neighbor"),
+    (lambda: build_DP([]), SizeMismatch, "at least one column"),
+    (lambda: build_DP([BlockEncoding([1.0, 2.0, 3.0], 3.0)] * 2), DimMismatch,
+     "dimension p = len"),
+    (lambda: build_Pi(0), SizeMismatch, "p must be >= 1"),
+    (lambda: build_Pi(3, dim_cap=26), DimensionCap, "p^p = 27 exceeds cap 26"),
+    (lambda: min_eigen_power(BlockEncoding(np.zeros(3), 1.0), 2.0, np.ones(3)),
+     SpectrumOutOfRange, "no nonzero spectrum"),
+], ids=["encoding-negative-margin", "encoding-not-square", "encoding-negative-distance",
+        "overlap-no-neighbors", "dp-no-columns", "dp-wrong-column-dim", "pi-p-zero",
+        "pi-over-cap", "eigen-all-zero"])
+def test_library_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_localize_refuses_bad_indices():
@@ -544,7 +569,7 @@ def test_build_pi_purified_cap():
 # --- eigen stage -----------------------------------------------------------------------
 
 def test_min_eigen_smallest_nonzero_entry():
-    be = be_wrap([0.0, 0.5, 0.25], 1.0)
+    be = BlockEncoding([0.0, 0.5, 0.25], 1.0)
     est = min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9),
                           start=np.random.default_rng(0).standard_normal(be.dim))
     assert est.value == pytest.approx(0.25, abs=1e-9)
@@ -552,7 +577,7 @@ def test_min_eigen_smallest_nonzero_entry():
 
 
 def test_min_eigen_degenerate_converges_first_iteration():
-    be = be_wrap([0.5, 0.5, 0.0, 0.5], 1.0)
+    be = BlockEncoding([0.5, 0.5, 0.0, 0.5], 1.0)
     est = min_eigen_power(be, kappa_a=2.0 * (1 + 1e-9),
                           start=np.random.default_rng(1).standard_normal(be.dim))
     assert est.iterations == 1
@@ -562,7 +587,7 @@ def test_min_eigen_degenerate_converges_first_iteration():
 
 def test_min_eigen_refuses_a_start_that_vanishes_on_the_support():
     # the start is nonzero only where the spectrum is 0, outside the support
-    be = be_wrap([0.0, 0.5, 0.25], 1.0)
+    be = BlockEncoding([0.0, 0.5, 0.25], 1.0)
     with pytest.raises(ZeroOverlap, match="vanished on the support"):
         min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), start=np.array([3.0, 0.0, 0.0]))
 
@@ -570,7 +595,7 @@ def test_min_eigen_refuses_a_start_that_vanishes_on_the_support():
 def test_min_eigen_refuses_a_start_orthogonal_to_the_target():
     # the target is the smallest nonzero entry, 0.25 at index 2; the start
     # lives on the support but only on the 0.5 entry
-    be = be_wrap([0.0, 0.5, 0.25], 1.0)
+    be = BlockEncoding([0.0, 0.5, 0.25], 1.0)
     with pytest.raises(ZeroOverlap, match="orthogonal to the target eigenspace"):
         min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), start=np.array([1.0, 2.0, 0.0]))
 
@@ -599,7 +624,7 @@ def test_min_eigen_matches_bruteforce_scaling():
 
 
 def test_min_eigen_geometric_decay_bound():
-    be = be_wrap([0.0, 0.2, 0.5, 1.0], 1.0)
+    be = BlockEncoding([0.0, 0.2, 0.5, 1.0], 1.0)
     kappa = 5.0 * (1 + 1e-9)
     est = min_eigen_power(be, kappa, eps=1e-13,
                           start=np.random.default_rng(3).standard_normal(be.dim))
@@ -813,7 +838,7 @@ def test_power_loop_norm_is_numpy_norm_bit_for_bit():
 
 
 def test_min_eigen_start_vector():
-    be = be_wrap([0.5, 0.25, 1.0], 1.0)
+    be = BlockEncoding([0.5, 0.25, 1.0], 1.0)
     kappa = 4.0 * (1 + 1e-9)
     start = np.random.default_rng(5).standard_normal(3)
     with pytest.raises(DimMismatch):

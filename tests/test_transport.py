@@ -346,8 +346,9 @@ def test_curvature_zero_cost():
 
 def test_curvature_method_mismatch():
     nb = appendix_nb()  # p=3, q=4
-    with pytest.raises(MethodMismatch):
-        curvature(nb, method="assignment")
+    for method in ("assignment", "brute_force"):
+        with pytest.raises(NotSquare, match="p=3, q=4"):
+            curvature(nb, method=method)
     with pytest.raises(MethodMismatch):
         curvature(nb, method="qsim_pq")
 
