@@ -2,13 +2,13 @@
 
 A BlockEncoding tracks (operator, subnormalization, error, ancilla
 size) instead of gate sequences. `op` is the operator the simulated
-device actually realizes (for polynomial modes that is the polynomial
-image, not the ideal target); the encoded block is op/subnorm and `err`
-tracks the distance between the encoded block and its mathematical
-target. Exact stages add nothing to `err`; a Chebyshev stage adds the
-sup error of its interpolant sampled on a grid (_chebyshev_approx), so
-in Chebyshev mode `err` is an estimate, not a proven bound. Composition
-rules follow fixed bookkeeping formulas:
+device realizes; the encoded block is op/subnorm and `err` tracks the
+distance between the encoded block and its mathematical target. Every
+stage here is exact and adds nothing to `err`; the Chebyshev
+interpolants a device would run instead, whose degrees
+default_power_degree and default_inverse_degree give, are kept in the
+tests (tests/reference.py). Composition rules follow fixed bookkeeping
+formulas:
 
   product            subnorm multiplies, err = a1*e2 + a2*e1
   fractional power   encoded value A^c/2 (the 1/2 becomes subnorm doubling)
@@ -31,18 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    IndexOutOfRange,
-    SpectrumOutOfRange,
-    SubnormTooSmall,
-    TooLarge,
-)
+from .errors import DimMismatch, IndexOutOfRange, SpectrumOutOfRange, SubnormTooSmall
 
 _NORM_SLACK = 1e-9
-_MAX_POLY_DEGREE = 5000
-#: accuracy the default Chebyshev degree rules aim at
-_EPS_TARGET = 1e-6
 
 
 def _as_operator(m) -> np.ndarray:
@@ -69,10 +60,9 @@ class BlockEncoding:
 
     op is the real diagonal as a 1-D float64 vector; any other shape is
     DimMismatch and a complex op is SpectrumOutOfRange. err is the
-    accumulated deviation from the ideal target: 0 for exact stages, and
-    a sampled (not proven) sup error for each Chebyshev stage. It never
-    decreases under composition. ancilla_dim is pure bookkeeping of the
-    |0> register size.
+    accumulated deviation from the ideal target, which the composition
+    rules carry and never decrease; every stage blockenc runs is exact
+    and adds 0. ancilla_dim is pure bookkeeping of the |0> register size.
     """
 
     op: np.ndarray
@@ -152,41 +142,26 @@ def _check_window(values: np.ndarray, lo: float, hi: float, what: str) -> None:
 
 
 def default_power_degree(kappa: float, eps_target: float) -> int:
-    """Default Chebyshev degree ceil(sqrt(kappa) * log(1/eps))."""
+    """The Chebyshev degree ceil(sqrt(kappa) * log(1/eps)) a device would
+    need for x^c on [1/kappa, 1] to accuracy eps_target."""
     return max(1, math.ceil(math.sqrt(kappa) * math.log(1.0 / eps_target)))
 
 
 def default_inverse_degree(kappa: float, eps_target: float) -> int:
-    """Default Chebyshev degree ceil(kappa * log(1/eps)) for 1/x."""
+    """The Chebyshev degree ceil(kappa * log(1/eps)) a device would need
+    for 1/x on [1/kappa, 1] to accuracy eps_target."""
     return max(1, math.ceil(kappa * math.log(1.0 / eps_target)))
 
 
-def _chebyshev_approx(fn, lo: float, hi: float, degree: int):
-    """Chebyshev interpolant of fn on [lo, hi] plus a sampled sup error."""
-    if degree > _MAX_POLY_DEGREE:
-        raise TooLarge(
-            f"polynomial degree {degree} exceeds cap {_MAX_POLY_DEGREE}; "
-            "use exact mode or a smaller condition number")
-    poly = np.polynomial.chebyshev.Chebyshev.interpolate(fn, degree, domain=[lo, hi])
-    n_samples = max(4096, 8 * degree)
-    grid = np.linspace(lo, hi, n_samples)
-    cheb_nodes = lo + (hi - lo) * 0.5 * (1 + np.cos(np.linspace(0, np.pi, n_samples)))
-    xs = np.concatenate([grid, cheb_nodes])
-    sup = float(np.max(np.abs(poly(xs) - fn(xs))))
-    return poly, sup * (1 + 1e-9) + 1e-16
-
-
-def be_power(b: BlockEncoding, c: float, kappa_m: float,
-             mode: str = "exact", degree: int | None = None) -> BlockEncoding:
+def be_power(b: BlockEncoding, c: float, kappa_m: float) -> BlockEncoding:
     """Fractional power of a nonnegative encoding.
 
     Encoded output is (encoded block)^c / 2; the 1/2 is realized as a
     doubling of the subnormalization, so op keeps its raw meaning
     (op^c). Nonzero encoded entries must lie in [1/kappa_m, 1]; exact
-    zeros are preserved (the power acts on the support only). Chebyshev
-    mode applies a degree-d interpolant of x^c on [1/kappa_m, 1] and adds
-    its sup-norm error, sampled on a grid and so an estimate rather than
-    a bound, to err. degree None takes default_power_degree(kappa_m, 1e-6).
+    zeros are preserved (the power acts on the support only). The power
+    is exact, so err carries over unchanged; default_power_degree gives
+    the degree of the interpolant a device would run instead.
     """
     if not 0 < c < 1:
         raise ValueError(f"exponent must be in (0, 1), got {c}")
@@ -198,32 +173,19 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float,
     encoded = diag / b.subnorm
     support = encoded != 0.0
     _check_window(encoded[support], 1.0 / kappa_m, 1.0, "be_power spectrum")
-    new_subnorm = 2.0 * b.subnorm ** c
-    new_err = b.err
-    if mode == "exact":
-        new_op = np.where(support, np.abs(diag) ** c, 0.0)
-    elif mode == "chebyshev":
-        if degree is None:
-            degree = default_power_degree(kappa_m, _EPS_TARGET)
-        poly, sup = _chebyshev_approx(lambda x: x ** c, 1.0 / kappa_m, 1.0, degree)
-        new_op = np.where(support, poly(encoded) * b.subnorm ** c, 0.0)
-        new_err = b.err + sup
-    else:
-        raise ValueError(f"unknown power mode {mode!r}")
-    return BlockEncoding(op=new_op, subnorm=new_subnorm, err=new_err,
+    return BlockEncoding(op=np.where(support, np.abs(diag) ** c, 0.0),
+                         subnorm=2.0 * b.subnorm ** c, err=b.err,
                          ancilla_dim=b.ancilla_dim * 2)
 
 
-def be_invert(b: BlockEncoding, kappa_a: float,
-              mode: str = "exact", degree: int | None = None) -> BlockEncoding:
+def be_invert(b: BlockEncoding, kappa_a: float) -> BlockEncoding:
     """Pseudoinverse encoding: encoded value pinv(encoded block)/kappa_a.
 
     Zero eigenvalues are preserved (pseudoinverse on the support).
     Nonzero encoded eigenvalues must lie within [1/kappa_a, 1] in
-    magnitude. Chebyshev mode approximates 1/x on the positive window and
-    adds the encoded-block deviation, a sampled sup error and so an
-    estimate rather than a bound, to err. degree None takes
-    default_inverse_degree(kappa_a, 1e-6).
+    magnitude. The inversion is exact, so err carries over unchanged;
+    default_inverse_degree gives the degree of the interpolant a device
+    would run instead.
     """
     if kappa_a < 1:
         raise ValueError(f"kappa_a must be >= 1, got {kappa_a}")
@@ -231,21 +193,8 @@ def be_invert(b: BlockEncoding, kappa_a: float,
     encoded = diag / b.subnorm
     support = encoded != 0.0
     _check_window(np.abs(encoded[support]), 1.0 / kappa_a, 1.0, "be_invert spectrum")
-    new_subnorm = kappa_a / b.subnorm
-    if mode == "exact":
-        new_op = np.where(support, 1.0 / np.where(support, diag, 1.0), 0.0)
-        new_err = b.err
-    elif mode == "chebyshev":
-        if float(np.min(encoded)) < 0:
-            raise SpectrumOutOfRange("chebyshev inversion needs a nonnegative diagonal")
-        if degree is None:
-            degree = default_inverse_degree(kappa_a, _EPS_TARGET)
-        poly, sup = _chebyshev_approx(lambda x: 1.0 / x, 1.0 / kappa_a, 1.0, degree)
-        new_op = np.where(support, poly(encoded) / kappa_a * new_subnorm, 0.0)
-        new_err = b.err + sup / kappa_a
-    else:
-        raise ValueError(f"unknown inversion mode {mode!r}")
-    return BlockEncoding(op=new_op, subnorm=new_subnorm, err=new_err,
+    return BlockEncoding(op=np.where(support, 1.0 / np.where(support, diag, 1.0), 0.0),
+                         subnorm=kappa_a / b.subnorm, err=b.err,
                          ancilla_dim=b.ancilla_dim * 2)
 
 

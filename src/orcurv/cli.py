@@ -9,12 +9,13 @@ only then computes the distances, the neighborhoods and the one distance
 encoding. Settling refuses, never ignores, what the run cannot use: a
 qsim option that no method reads (`_QSIM_OPTIONS` defines each one),
 --seed on qsim_tree without --shots, a tree method without a tree, and an
---out or --trace path that is a directory or whose directory is missing.
-Every configuration error thus exits 2 before any distance work, except
-NotSquare, which reads p and q, and a write that fails later; and a leaf
---edge (empty neighborhood, exit 3) in a refused run exits 2. A per-edge
-solver error is prefixed with its edge here. Exit codes: 0 ok, 1
-comparison failure, 2 configuration error, 3 solver error.
+--out or --trace path that is a directory, whose directory is missing or
+that the OS cannot stat. Every configuration error thus exits 2 before
+any distance work, except NotSquare, which reads p and q, and a write
+that fails later; and a leaf --edge (empty neighborhood, exit 3) in a
+refused run exits 2. A per-edge solver error is prefixed with its edge
+here. Exit codes: 0 ok, 1 comparison failure, 2 configuration error, 3
+solver error.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
@@ -256,11 +257,14 @@ def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[s
         raise ConfigError(f"--out and --trace both name {args.out!r}; give each its own path")
     # so a run refused for one of its files writes neither
     for option, path in (("--out", args.out), ("--trace", args.trace)):
-        if path and Path(path).is_dir():
-            raise ConfigError(f"cannot write {option} {path!r}: it is a directory")
-        if path and not Path(path).parent.is_dir():
-            raise ConfigError(f"cannot write {option} {path!r}: "
-                              f"no directory {str(Path(path).parent)!r}")
+        try:
+            if path and Path(path).is_dir():
+                raise ConfigError(f"cannot write {option} {path!r}: it is a directory")
+            if path and not Path(path).parent.is_dir():
+                raise ConfigError(f"cannot write {option} {path!r}: "
+                                  f"no directory {str(Path(path).parent)!r}")
+        except OSError as exc:    # a name the OS refuses to stat, say too long
+            raise ConfigError(f"cannot write {option} {path!r}: {exc}") from exc
     # a compare's partner is a tree method exactly when its route is
     if methods[0] in ("tree", "qsim_tree"):
         if g is None:

@@ -59,14 +59,18 @@ MAX_POWER_ITERATIONS = 100_000
 
 @dataclass(frozen=True)
 class EigenEstimate:
-    """Minimum-nonzero-eigenvalue estimate from the power-method stage."""
+    """Minimum-nonzero-eigenvalue estimate from the power-method stage.
+
+    value is 1 / (kappa_a * r) for the last Rayleigh quotient r of the
+    pseudoinverse; iterations counts the quotients taken, and converged
+    is False when MAX_POWER_ITERATIONS ran out first.
+    """
 
     value: float
     iterations: int
     initial_overlap: float
     gap_proxy: float
     converged: bool
-    rayleigh_trace: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.value > 0:
@@ -116,7 +120,6 @@ def _float_grid(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
 
 
 def build_distance_encoding(dg, margin: float = 0.05,
-                            power_mode: str = "exact",
                             audit: AuditTrail | None = None) -> BlockEncoding:
     """Diagonal encoding of all pairwise distances over the index grid.
 
@@ -159,7 +162,7 @@ def build_distance_encoding(dg, margin: float = 0.05,
             "their ratio must all lie in float64's (0, 1.8e308]") from exc
     fourth = dist.ravel() ** 4
     raw = BlockEncoding(op=fourth, subnorm=alpha)
-    be = bk.be_power(raw, 0.25, kappa_m, mode=power_mode)
+    be = bk.be_power(raw, 0.25, kappa_m)
     if audit is not None:
         audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
     return be
@@ -259,16 +262,14 @@ def w1_tree_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
 
 
 def tree_qsim_standard_error(nb: LocalNeighborhood, be: BlockEncoding,
-                             shots: int | None) -> float:
+                             shots: int) -> float:
     """Propagated binomial standard error of the shot-noise tree W1.
 
     With raw unit-state overlaps v_x, v_xy, v_y the recovered W1 equals
     alpha_q * (v_x + v_xy + v_y), alpha_q = be.subnorm, so the standard
     error is alpha_q times the root sum of the three Bernoulli variances
-    4 p (1 - p) / shots. shots=None (exact overlaps) gives 0.
+    4 p (1 - p) / shots.
     """
-    if shots is None:
-        return 0.0
     alpha_q = be.subnorm
     raw_x = sum(float(v) for v in nb.x_dists) / (alpha_q * nb.p)
     raw_y = sum(float(v) for v in nb.y_dists) / (alpha_q * nb.q)
@@ -410,7 +411,7 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     support = diag != 0.0
     if not np.any(support):
         raise SpectrumOutOfRange("composite has no nonzero spectrum")
-    inv = bk.be_invert(be, kappa_a, mode="exact")
+    inv = bk.be_invert(be, kappa_a)
     a = inv.encoded
 
     if np.shape(start) != (be.dim,):
@@ -427,7 +428,6 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     if gamma0 == 0.0:
         raise ZeroOverlap("start vector orthogonal to the target eigenspace")
 
-    trace: list[float] = []
     r_prev = None
     converged = False
     iterations = 0
@@ -435,7 +435,6 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
         y = a * x
         r = float(x @ y)
         iterations += 1
-        trace.append(r)
         if _norm(y - r * x) <= eps * max(1.0, abs(r)):
             converged = True
             break
@@ -451,12 +450,11 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     gap_proxy = float(higher[0] / lam1) if higher.size else math.inf
 
     estimate = EigenEstimate(
-        value=1.0 / (kappa_a * trace[-1]),
+        value=1.0 / (kappa_a * r),
         iterations=iterations,
         initial_overlap=gamma0,
         gap_proxy=gap_proxy,
         converged=converged,
-        rayleigh_trace=tuple(trace),
     )
     if audit is not None:
         audit.note("min_eigen_power", value=estimate.value,

@@ -10,11 +10,11 @@ from fractions import Fraction
 import numpy as np
 
 import orcurv.qpipeline
-from orcurv.blockenc import StateVector, dilated_apply
+from orcurv.blockenc import BlockEncoding, StateVector, dilated_apply
 from orcurv.graph import Graph, LocalNeighborhood
 from orcurv.qpipeline import cost_grid, w1_pq_qsim
 from orcurv.transport import CurvatureResult
-from reference import overlap
+from reference import chebyshev_power, overlap
 
 INF = math.inf
 
@@ -129,6 +129,18 @@ def corrupt_encoding(monkeypatch, module, scale: float) -> None:
         return dataclasses.replace(be, op=be.op * scale)
 
     monkeypatch.setattr(module, "build_distance_encoding", corrupted)
+
+
+def chebyshev_distance_encoding(dg, margin: float = 0.05) -> BlockEncoding:
+    """build_distance_encoding with its power stage run as the Chebyshev
+    interpolant at the default degree (reference.chebyshev_power): the
+    same fourth powers at the same alpha and kappa_m, so err > 0 and op
+    holds the polynomial image of the distances."""
+    dist = np.asarray(dg, dtype=np.float64)
+    max_d, min_d = float(np.max(dist)), float(np.min(dist[dist > 0.0]))
+    alpha = ((1.0 + margin) * max_d) ** 4
+    raw = BlockEncoding(op=dist.ravel() ** 4, subnorm=alpha)
+    return chebyshev_power(raw, 0.25, alpha / min_d ** 4)
 
 
 def pq_qsim_from_cost(cost, dxy, **settings) -> CurvatureResult:

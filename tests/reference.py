@@ -6,7 +6,10 @@ the Kronecker and uniform-LCU block-encoding rules (oracle of
 qpipeline.build_DP), the density-matrix encoding (the purified
 projector route in full_route.py), the explicit unitary dilation and the
 full-vector overlap (oracles of blockenc.dilated_apply and
-dilated_overlap) and a finiteness check on geodesics.
+dilated_overlap), the Chebyshev stages a device would run in place of
+the exact be_power and be_invert (which check the degree rules
+blockenc.default_power_degree and default_inverse_degree) and a
+finiteness check on geodesics.
 
 The program's BlockEncoding holds a real diagonal only. The dilation
 and the density-matrix encoding also take or give dense operators,
@@ -17,19 +20,36 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from orcurv.blockenc import BlockEncoding, StateVector, _hadamard_test
-from orcurv.errors import DimMismatch, OrcError, SubnormTooSmall, TooLarge
+from orcurv.blockenc import (
+    BlockEncoding,
+    StateVector,
+    _hadamard_test,
+    be_invert,
+    be_power,
+    default_inverse_degree,
+    default_power_degree,
+)
+from orcurv.errors import (
+    DimMismatch,
+    OrcError,
+    SpectrumOutOfRange,
+    SubnormTooSmall,
+    TooLarge,
+)
 from orcurv.graph import INF, LocalNeighborhood, Weight
 from orcurv.transport import _emit, _lift_block
 
 _VERTEX_ORACLE_CAP = 9
+MAX_POLY_DEGREE = 5000
+#: accuracy the Chebyshev stages aim at when no degree is given
+EPS_TARGET = 1e-6
 
 
 class DigitOutOfRange(OrcError):
@@ -294,3 +314,54 @@ def overlap(a: StateVector, b: StateVector, shots: int | None = None,
     if a.dim != b.dim:
         raise DimMismatch(f"state dims differ: {a.dim} vs {b.dim}")
     return _hadamard_test(float(np.real(np.vdot(a.amps, b.amps))), shots, seed)
+
+
+# --------------------------------------------------------------------------
+# Chebyshev stages: the polynomial a device runs for x^c and 1/x
+# --------------------------------------------------------------------------
+
+def chebyshev_approx(fn, lo: float, hi: float, degree: int):
+    """Chebyshev interpolant of fn on [lo, hi] plus its sup error, sampled
+    on a uniform grid and on Chebyshev nodes (an estimate, not a bound)."""
+    if degree > MAX_POLY_DEGREE:
+        raise TooLarge(f"polynomial degree {degree} exceeds cap {MAX_POLY_DEGREE}")
+    poly = np.polynomial.chebyshev.Chebyshev.interpolate(fn, degree, domain=[lo, hi])
+    n_samples = max(4096, 8 * degree)
+    grid = np.linspace(lo, hi, n_samples)
+    cheb_nodes = lo + (hi - lo) * 0.5 * (1 + np.cos(np.linspace(0, np.pi, n_samples)))
+    xs = np.concatenate([grid, cheb_nodes])
+    sup = float(np.max(np.abs(poly(xs) - fn(xs))))
+    return poly, sup * (1 + 1e-9) + 1e-16
+
+
+def chebyshev_power(b: BlockEncoding, c: float, kappa_m: float,
+                    degree: int | None = None) -> BlockEncoding:
+    """be_power through a degree-d interpolant of x^c on [1/kappa_m, 1]:
+    op is the polynomial image and err grows by the sampled sup error.
+    degree None takes default_power_degree(kappa_m, EPS_TARGET)."""
+    exact = be_power(b, c, kappa_m)    # its checks, subnorm and ancilla_dim
+    if degree is None:
+        degree = default_power_degree(kappa_m, EPS_TARGET)
+    poly, sup = chebyshev_approx(lambda x: x ** c, 1.0 / kappa_m, 1.0, degree)
+    encoded = b.encoded
+    return replace(
+        exact, op=np.where(encoded != 0.0, poly(encoded) * b.subnorm ** c, 0.0),
+        err=b.err + sup)
+
+
+def chebyshev_invert(b: BlockEncoding, kappa_a: float,
+                     degree: int | None = None) -> BlockEncoding:
+    """be_invert through a degree-d interpolant of 1/x on [1/kappa_a, 1],
+    for a nonnegative diagonal: op is the polynomial image and err grows
+    by the encoded-block deviation. degree None takes
+    default_inverse_degree(kappa_a, EPS_TARGET)."""
+    exact = be_invert(b, kappa_a)
+    encoded = b.encoded
+    if float(np.min(encoded)) < 0:
+        raise SpectrumOutOfRange("chebyshev inversion needs a nonnegative diagonal")
+    if degree is None:
+        degree = default_inverse_degree(kappa_a, EPS_TARGET)
+    poly, sup = chebyshev_approx(lambda x: 1.0 / x, 1.0 / kappa_a, 1.0, degree)
+    return replace(
+        exact, op=np.where(encoded != 0.0, poly(encoded) / kappa_a * exact.subnorm, 0.0),
+        err=b.err + sup / kappa_a)

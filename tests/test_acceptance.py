@@ -43,7 +43,14 @@ from orcurv.transport import (
     w1_lp,
     w1_tree,
 )
-from reference import DenseEncoding, be_dilate, be_lcu, be_tensor, lp_vertex_oracle
+from reference import (
+    DenseEncoding,
+    be_dilate,
+    be_lcu,
+    be_tensor,
+    chebyshev_power,
+    lp_vertex_oracle,
+)
 
 #: curvature of every instance generated anywhere in this suite (criterion 10)
 CURVATURES: list[float] = []
@@ -217,8 +224,8 @@ def test_criterion_08_fractional_power_approximation():
         degree = default_power_degree(kappa, eps_target)
         samples = np.linspace(1.0 / kappa, 1.0, 1000)
         b = BlockEncoding(samples, 1.0)
-        approx = be_power(b, 0.25, kappa_m=kappa, mode="chebyshev", degree=degree)
-        exact = be_power(b, 0.25, kappa_m=kappa, mode="exact")
+        approx = chebyshev_power(b, 0.25, kappa_m=kappa, degree=degree)
+        exact = be_power(b, 0.25, kappa_m=kappa)
         measured = float(np.max(np.abs(approx.encoded - exact.encoded)))
         assert measured <= approx.err
         assert approx.err <= eps_target

@@ -37,6 +37,8 @@ from reference import (
     be_identity,
     be_lcu,
     be_tensor,
+    chebyshev_invert,
+    chebyshev_power,
     dense,
     normalized,
     overlap,
@@ -194,7 +196,7 @@ def test_power_chebyshev_err_bounds_and_monotonicity():
     exact = be_power(b, 0.25, kappa_m=10.0)
     errs = []
     for degree in (8, 16, 32):
-        approx = be_power(b, 0.25, kappa_m=10.0, mode="chebyshev", degree=degree)
+        approx = chebyshev_power(b, 0.25, kappa_m=10.0, degree=degree)
         deviation = float(np.max(np.abs(approx.encoded - exact.encoded)))
         assert deviation <= approx.err
         errs.append(approx.err)
@@ -205,16 +207,20 @@ def test_power_chebyshev_reported_err_bounds_dense_sampling():
     for kappa in (4.0, 16.0):
         degree = default_power_degree(kappa, 1e-6)
         b = BlockEncoding(np.linspace(1.0 / kappa, 1.0, 1000), 1.0)
-        approx = be_power(b, 0.25, kappa_m=kappa, mode="chebyshev", degree=degree)
+        approx = chebyshev_power(b, 0.25, kappa_m=kappa, degree=degree)
         exact = be_power(b, 0.25, kappa_m=kappa)
         assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
         assert approx.err <= 1e-6
 
 
 def test_power_chebyshev_degree_cap():
+    # the default degree at kappa 1e8 is 138 156, past the interpolant's
+    # cap; the exact power runs at any kappa
     b = BlockEncoding(np.linspace(1e-8, 1.0, 50), 1.0)
+    assert default_power_degree(1e8, 1e-6) == 138_156
     with pytest.raises(TooLarge):
-        be_power(b, 0.25, kappa_m=1e8, mode="chebyshev")
+        chebyshev_power(b, 0.25, kappa_m=1e8)
+    assert be_power(b, 0.25, kappa_m=1e8).err == 0.0
 
 
 # --- inversion -------------------------------------------------------------------
@@ -252,7 +258,7 @@ def test_invert_chebyshev_err_bound():
     vals = np.linspace(0.25, 1.0, 50)
     b = BlockEncoding(vals, 1.0)
     exact = be_invert(b, kappa_a=4.0)
-    approx = be_invert(b, kappa_a=4.0, mode="chebyshev", degree=40)
+    approx = chebyshev_invert(b, kappa_a=4.0, degree=40)
     assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
 
 
@@ -260,7 +266,7 @@ def test_invert_chebyshev_err_bound():
 def test_invert_chebyshev_default_degree_err_bounds_dense_sampling(kappa):
     # degree None takes default_inverse_degree(kappa, 1e-6)
     b = BlockEncoding(np.linspace(1.0 / kappa, 1.0, 1000), 1.0)
-    approx = be_invert(b, kappa_a=kappa, mode="chebyshev")
+    approx = chebyshev_invert(b, kappa_a=kappa)
     exact = be_invert(b, kappa_a=kappa)
     assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
     assert approx.err <= 1e-6

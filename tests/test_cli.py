@@ -136,24 +136,32 @@ def test_unwritable_output_path_is_config_error(path4, tmp_path, capsys, option,
 @pytest.mark.parametrize("bad, where", [
     ("--out", "missing-dir"), ("--trace", "missing-dir"),
     ("--out", "a-dir"), ("--trace", "a-dir"),
+    ("--out", "long-name"), ("--trace", "long-name"),
+    ("--out", "long-dir"), ("--trace", "long-dir"),
 ])
 def test_refused_output_path_writes_neither_file(path4, tmp_path, capsys, monkeypatch,
                                                  bad, where):
     # the other path is writable; the run is refused while settling, so
-    # neither file is written and no distances are computed
+    # neither file is written and no distances are computed. A name of
+    # 300 characters is one the OS refuses to stat (ENAMETOOLONG).
     paths = {"--out": tmp_path / "report.json", "--trace": tmp_path / "trace.jsonl"}
     if where == "missing-dir":
         paths[bad] = tmp_path / "no-such-dir" / paths[bad].name
-    else:
+    elif where == "a-dir":
         paths[bad] = tmp_path / "sub"
         paths[bad].mkdir()
+    elif where == "long-name":
+        paths[bad] = tmp_path / ("a" * 300 + paths[bad].suffix)
+    else:
+        paths[bad] = tmp_path / ("a" * 300) / paths[bad].name
     apsp = _spy(monkeypatch, orcurv.graph, "all_pairs_geodesic")
     code, out, err = run_cli(["compute", "--input", str(path4), "--method", "qsim_tree",
                               "--edge", "1,2", "--out", str(paths["--out"]),
                               "--trace", str(paths["--trace"])], capsys)
     assert (code, out) == (2, "")
     assert f"config error: cannot write {bad} {str(paths[bad])!r}" in err
-    assert not paths["--out"].is_file() and not paths["--trace"].is_file()
+    # the input, and the refused directory, are all there is
+    assert {p.name for p in tmp_path.iterdir()} <= {path4.name, "sub"}
     assert apsp == []
 
 
@@ -376,6 +384,25 @@ def test_trace_is_byte_identical(tmp_path, capsys):
     stages = [json.loads(line)["stage"] for line in traces[0].read_text().splitlines()]
     assert stages.count("distance_encoding") == 1
     assert stages.count("tree_recovery") == 4
+
+
+@pytest.mark.parametrize("text, method", [
+    ("0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n", "qsim_tree"),
+    # weighted K_{3,3}: every edge has p = q = 2
+    ("0 3 1\n0 4 2\n0 5 3\n1 3 2\n1 4 1\n1 5 2\n2 3 3\n2 4 2\n2 5 1\n", "qsim_pq"),
+], ids=["qsim_tree", "qsim_pq"])
+def test_every_stage_orc_runs_reports_err_zero(tmp_path, capsys, text, method):
+    # every stage on both routes is exact; only the Chebyshev stages of
+    # tests/reference.py make err nonzero
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(["compute", "--input", str(graph), "--method", method,
+                          "--all-edges", "--trace", str(trace)], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    errs = [rec["err"] for rec in records if "err" in rec]
+    assert errs and all(err == 0.0 for err in errs)
 
 
 def _spy(monkeypatch, module, name):
@@ -715,25 +742,28 @@ def test_malformed_cost_matrix_is_config_error(tmp_path, capsys, fixture, numeri
     assert "config error" in err
 
 
-@pytest.mark.parametrize("text, numeric", [
-    ('{"cost": [[1, %s], [2, 3]], "dxy": 1}' % v, "rational")
+@pytest.mark.parametrize("text, numeric, message", [
+    ('{"cost": [[1, %s], [2, 3]], "dxy": 1}' % v, "rational", "is not finite")
     for v in ("NaN", "Infinity", "-Infinity")
 ] + [
-    ('{"cost": [[1, 2], [2, 3]], "dxy": %s}' % v, "rational")
+    ('{"cost": [[1, 2], [2, 3]], "dxy": %s}' % v, "rational", "is not finite")
     for v in ("NaN", "Infinity", "-Infinity")
 ] + [
-    ('{"cost": [[1, 2], [2, 3]], "dxy": 1e400}', "float"),
-    ('{"cost": [[1, 1e400], [2, 3]], "dxy": 1}', "float"),
+    ('{"cost": [[1, 2], [2, 3]], "dxy": 1e400}', "float", "is not finite"),
+    ('{"cost": [[1, 1e400], [2, 3]], "dxy": 1}', "float", "is not finite"),
+    # an integer literal parses exactly, then cannot become a float
+    ('{"cost": [[%d, 1], [2, 3]], "dxy": 1}' % 10 ** 400, "float",
+     "cost-matrix entry too large for float mode"),
 ], ids=["cost-nan", "cost-inf", "cost-neg-inf", "dxy-nan", "dxy-inf", "dxy-neg-inf",
-        "dxy-1e400-float", "cost-1e400-float"])
-def test_non_finite_cost_matrix_is_config_error(tmp_path, capsys, text, numeric):
+        "dxy-1e400-float", "cost-1e400-float", "cost-int-1e400-float"])
+def test_non_finite_cost_matrix_is_config_error(tmp_path, capsys, text, numeric, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = run_cli(["compute", "--input", str(path), "--format", "cost_matrix",
                               "--method", "lp", "--numeric", numeric], capsys)
     assert code == 2
     assert out == ""
-    assert "config error" in err
+    assert "config error" in err and message in err
 
 
 @pytest.mark.parametrize("graph", [

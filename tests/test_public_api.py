@@ -37,8 +37,24 @@ def test_qsim_entry_points_take_only_what_they_read():
         ("nb", "POSITIONAL_OR_KEYWORD", empty), ("be", "POSITIONAL_OR_KEYWORD", empty),
         ("shots", "POSITIONAL_OR_KEYWORD", empty),
     ]
+    # the standard error of a shot-noise run: shots is always a count
+    shots = inspect.signature(orcurv.qpipeline.tree_qsim_standard_error).parameters["shots"]
+    assert shots.annotation == "int"
     assert _parameters(orcurv.w1_pq_qsim) == [
         ("nb", "POSITIONAL_OR_KEYWORD", empty), ("be", "POSITIONAL_OR_KEYWORD", empty),
         ("seed", "KEYWORD_ONLY", None), ("eps", "KEYWORD_ONLY", 1e-10),
         ("dim_cap", "KEYWORD_ONLY", DEFAULT_DIM_CAP), ("audit", "KEYWORD_ONLY", None),
+    ]
+    # every stage `orc` runs is exact; the Chebyshev stages live in
+    # tests/reference.py, so no mode, degree or power_mode keyword
+    assert _parameters(orcurv.be_power) == [
+        ("b", "POSITIONAL_OR_KEYWORD", empty), ("c", "POSITIONAL_OR_KEYWORD", empty),
+        ("kappa_m", "POSITIONAL_OR_KEYWORD", empty),
+    ]
+    assert _parameters(orcurv.be_invert) == [
+        ("b", "POSITIONAL_OR_KEYWORD", empty), ("kappa_a", "POSITIONAL_OR_KEYWORD", empty),
+    ]
+    assert _parameters(orcurv.build_distance_encoding) == [
+        ("dg", "POSITIONAL_OR_KEYWORD", empty), ("margin", "POSITIONAL_OR_KEYWORD", 0.05),
+        ("audit", "POSITIONAL_OR_KEYWORD", None),
     ]

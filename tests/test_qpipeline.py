@@ -19,6 +19,7 @@ from full_route import (
     w1_pq_qsim_full,
 )
 from helpers import (
+    chebyshev_distance_encoding,
     corrupt_encoding,
     full_route_overlap,
     internal_edges,
@@ -58,6 +59,10 @@ from orcurv.transport import w1_assignment, w1_bruteforce, w1_tree
 from reference import DigitOutOfRange, be_identity, be_lcu, be_tensor
 
 APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
+
+#: the distance encoding `orc` builds, and one whose power stage is the
+#: Chebyshev interpolant, with err > 0 and polynomial-image entries
+ENCODERS = {"exact": build_distance_encoding, "chebyshev": chebyshev_distance_encoding}
 
 
 def two_block_grid(cost):
@@ -120,8 +125,9 @@ def test_encoding_margin_keeps_spectrum_interior():
 def test_encoding_chebyshev_mode_reports_error():
     grid = two_block_grid(APPENDIX_COST)
     exact = build_distance_encoding(grid, margin=0.0)
-    approx = build_distance_encoding(grid, margin=0.0, power_mode="chebyshev")
-    assert approx.err > 0
+    approx = chebyshev_distance_encoding(grid, margin=0.0)
+    assert exact.err == 0.0 and approx.err > 0
+    assert (approx.subnorm, approx.ancilla_dim) == (exact.subnorm, exact.ancilla_dim)
     assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
 
 
@@ -477,7 +483,7 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
     rng = random.Random(17)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng, max_value=4)
-        be = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        be = ENCODERS[power_mode](two_block_grid(cost))
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         assert (ds[0].err > 0) == (power_mode == "chebyshev")
@@ -623,16 +629,27 @@ def test_min_eigen_matches_bruteforce_scaling():
         assert got == pytest.approx(expected, abs=1e-8)
 
 
-def test_min_eigen_geometric_decay_bound():
+def test_min_eigen_geometric_decay_bound(monkeypatch):
     be = BlockEncoding([0.0, 0.2, 0.5, 1.0], 1.0)
     kappa = 5.0 * (1 + 1e-9)
-    est = min_eigen_power(be, kappa, eps=1e-13,
-                          start=np.random.default_rng(3).standard_normal(be.dim))
-    assert est.gap_proxy == pytest.approx(2.5)
+
+    def run():
+        return min_eigen_power(be, kappa, eps=1e-13,
+                               start=np.random.default_rng(3).standard_normal(be.dim))
+
+    est = run()
+    assert est.converged and est.gap_proxy == pytest.approx(2.5)
     lam1 = 1.0 / (kappa * 0.2)
     rho = 1.0 / est.gap_proxy
     bound0 = lam1 / est.initial_overlap ** 2
-    for k, r in enumerate(est.rayleigh_trace):
+    # the Rayleigh quotient after k + 1 iterations is the last one of a run
+    # capped there; value = 1 / (kappa * r) gives it back to within an ulp
+    for k in range(est.iterations):
+        monkeypatch.setattr(orcurv.qpipeline, "MAX_POWER_ITERATIONS", k + 1)
+        capped = run()
+        assert capped.iterations == k + 1
+        assert capped.converged == (k + 1 == est.iterations)
+        r = 1.0 / (kappa * capped.value)
         assert lam1 - r <= bound0 * rho ** (2 * k) * (1 + 1e-9) + 1e-15
 
 
@@ -744,7 +761,7 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
     rng = random.Random(29)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng)
-        be = build_distance_encoding(two_block_grid(cost), power_mode=power_mode)
+        be = ENCODERS[power_mode](two_block_grid(cost))
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         support, full = build_DP(ds), build_dp_full(ds)
@@ -765,7 +782,7 @@ def test_pq_pipeline_matches_full_route(power_mode):
     for p in range(1, 6):
         for _ in range(6):
             nb = LocalNeighborhood.from_cost(random_cost_matrix(p, p, rng), 1)
-            be = build_distance_encoding(two_block_grid(nb.cost), power_mode=power_mode)
+            be = ENCODERS[power_mode](two_block_grid(nb.cost))
             seed = rng.randint(0, 10 ** 6)
             got = w1_pq_qsim(nb, be, seed=seed)
             want = w1_pq_qsim_full(nb, be, seed=seed)
