@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -253,17 +254,22 @@ def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[s
             setattr(args, option[2:], default)
         elif not set(methods) & set(readers):
             raise ConfigError(f"method {route!r} {reason}; drop {option}")
-    if args.trace and args.out and Path(args.trace).resolve() == Path(args.out).resolve():
+    if args.trace and args.out and os.path.realpath(args.trace) == os.path.realpath(args.out):
         raise ConfigError(f"--out and --trace both name {args.out!r}; give each its own path")
     # so a run refused for one of its files writes neither
     for option, path in (("--out", args.out), ("--trace", args.trace)):
+        if not path:
+            continue
         try:
-            if path and Path(path).is_dir():
+            if Path(path).is_dir():
                 raise ConfigError(f"cannot write {option} {path!r}: it is a directory")
-            if path and not Path(path).parent.is_dir():
+            if not Path(path).parent.is_dir():
                 raise ConfigError(f"cannot write {option} {path!r}: "
                                   f"no directory {str(Path(path).parent)!r}")
-        except OSError as exc:    # a name the OS refuses to stat, say too long
+            Path(path).stat()    # is_dir() reads a symlink loop as "not a directory"
+        except FileNotFoundError:
+            pass                 # a file the run makes
+        except OSError as exc:   # a name the OS refuses to stat: too long, a symlink loop
             raise ConfigError(f"cannot write {option} {path!r}: {exc}") from exc
     # a compare's partner is a tree method exactly when its route is
     if methods[0] in ("tree", "qsim_tree"):

@@ -16,10 +16,13 @@ Solvers:
                   integers over one common denominator (a float through
                   float.as_integer_ratio, never one Fraction per entry).
                   Successive shortest paths with potentials return an
-                  integer flow. TransportPlan checks its marginals in
-                  ints and builds gamma = flow / (p*q) only when read; the
-                  final potentials are a dual certificate, checked in
-                  ints, that the plan is optimal.
+                  integer flow; the supplied rows are folded into each
+                  column's nearest supplied row, and an arc of reduced
+                  cost 0 from it is filled without a search.
+                  TransportPlan checks its marginals in ints and builds
+                  gamma = flow / (p*q) only when read; the final
+                  potentials are a dual certificate, checked in ints,
+                  that the plan is optimal.
   w1_tree         decomposable-cost closed form for tree graphs
   w1_assignment   lexicographically smallest optimal permutation for the
                   p = q case: the same K_{p,p} core and certificate, on
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .errors import (
@@ -179,13 +182,19 @@ def _transport(c: list[list[int]], p: int, q: int) -> tuple[list[list[int]], lis
     """Integral min-cost transport on K_{p,q}: supply q per row, demand p per column.
 
     Successive shortest paths with Johnson potentials. Every row with
-    supply left is a Dijkstra source at distance 0 (such rows keep
-    potential 0) and the first column settled with demand left is the
-    sink; every column with demand left keeps one common potential, so
-    no explicit source or sink node is needed. Forward arcs row -> column
-    are scanned for every column; reverse arcs column -> row only where
-    the flow is positive. After each search every potential grows by
-    min(dist, dist[sink]), which keeps all reduced costs nonnegative.
+    supply left is a source at distance 0 (such rows keep potential 0)
+    and the first column settled with demand left is the sink; every
+    column with demand left keeps one common potential, so no explicit
+    source or sink node is needed. The sources are folded into best[j],
+    the supplied row nearest column j (the lowest index on ties), which
+    is recomputed only for the columns whose best row runs dry, and a
+    column with demand whose best arc has reduced cost 0 is filled
+    without a search: that arc is a shortest path of length 0. A search
+    starts from every column at its best arc's reduced cost; rows enter
+    it only through reverse arcs column -> row, where the flow is
+    positive, and scan their forward arcs to every column. After each
+    search every potential grows by min(dist, dist[sink]), which keeps
+    all reduced costs nonnegative.
 
     Returns the flow matrix and the final row and column potentials.
     """
@@ -197,18 +206,42 @@ def _transport(c: list[list[int]], p: int, q: int) -> tuple[list[list[int]], lis
     pot_r = [0] * p
     pot_c = [0] * q
     cols = range(q)
+    by_col = list(zip(*c))      # by_col[j][i] = c[i][j]
+    rows = list(range(p))       # rows with supply left, ascending
+    best = [min(rows, key=col.__getitem__) for col in by_col]
+    todo = list(cols)           # columns whose best arc may have become tight
+    dry = -1                    # a row whose supply has just run out
     left = p * q
     while left:
+        if dry >= 0:
+            rows.remove(dry)
+            for j in cols:
+                if best[j] == dry:
+                    best[j] = min(rows, key=by_col[j].__getitem__)
+                    todo.append(j)
+            dry = -1
+        if todo:
+            j = todo.pop()
+            i = best[j]
+            if demand[j] and by_col[j][i] == pot_c[j]:
+                push = min(supply[i], demand[j])
+                flow[i][j] += push
+                used[j][i] = flow[i][j]
+                demand[j] -= push
+                supply[i] -= push
+                left -= push
+                if not supply[i]:
+                    dry = i
+            continue
         # heap entries are (distance, i) for row i and (distance, ~j) for column j
-        dist_r = [inf] * p
-        dist_c = [inf] * q
+        dist_r = [0 if s else inf for s in supply]
+        dist_c = [col[i] - pc for col, i, pc in zip(by_col, best, pot_c)]
         prev_r = [-1] * p    # column whose reverse arc reached the row; -1 for a source
-        prev_c = [0] * q     # row whose forward arc reached the column
-        heap = [(0, i) for i in range(p) if supply[i]]
-        for _, i in heap:
-            dist_r[i] = 0
-        sink = 0
-        while heap:
+        prev_c = best[:]     # row whose forward arc reached the column
+        heap = [(d, ~j) for j, d in enumerate(dist_c)]
+        heapify(heap)
+        while True:
+            # every column starts on the heap and one has demand left, so a sink is found
             d, v = heappop(heap)
             if v >= 0:
                 if d > dist_r[v]:
@@ -234,7 +267,6 @@ def _transport(c: list[list[int]], p: int, q: int) -> tuple[list[list[int]], lis
                         dist_r[i] = nd
                         prev_r[i] = j
                         heappush(heap, (nd, i))
-        # every column is one arc from a source row, so a sink is always found
         top = dist_c[sink]
         pot_r = [pr + (d if d < top else top) for pr, d in zip(pot_r, dist_r)]
         pot_c = [pc + (d if d < top else top) for pc, d in zip(pot_c, dist_c)]
@@ -256,6 +288,8 @@ def _transport(c: list[list[int]], p: int, q: int) -> tuple[list[list[int]], lis
             used[j][i] = flow[i][j]
             if prev_r[i] < 0:
                 supply[i] -= push
+                if not supply[i]:
+                    dry = i
                 break
             j = prev_r[i]
             flow[i][j] -= push
@@ -264,6 +298,7 @@ def _transport(c: list[list[int]], p: int, q: int) -> tuple[list[list[int]], lis
             else:
                 del used[j][i]
         left -= push
+        todo = [j for j in cols if demand[j]]
     return flow, pot_r, pot_c
 
 

@@ -138,12 +138,14 @@ def test_unwritable_output_path_is_config_error(path4, tmp_path, capsys, option,
     ("--out", "a-dir"), ("--trace", "a-dir"),
     ("--out", "long-name"), ("--trace", "long-name"),
     ("--out", "long-dir"), ("--trace", "long-dir"),
+    ("--out", "symlink-loop"), ("--trace", "symlink-loop"),
 ])
 def test_refused_output_path_writes_neither_file(path4, tmp_path, capsys, monkeypatch,
                                                  bad, where):
     # the other path is writable; the run is refused while settling, so
     # neither file is written and no distances are computed. A name of
-    # 300 characters is one the OS refuses to stat (ENAMETOOLONG).
+    # 300 characters is one the OS refuses to stat (ENAMETOOLONG), and so
+    # is a symlink to itself (ELOOP).
     paths = {"--out": tmp_path / "report.json", "--trace": tmp_path / "trace.jsonl"}
     if where == "missing-dir":
         paths[bad] = tmp_path / "no-such-dir" / paths[bad].name
@@ -152,16 +154,22 @@ def test_refused_output_path_writes_neither_file(path4, tmp_path, capsys, monkey
         paths[bad].mkdir()
     elif where == "long-name":
         paths[bad] = tmp_path / ("a" * 300 + paths[bad].suffix)
-    else:
+    elif where == "long-dir":
         paths[bad] = tmp_path / ("a" * 300) / paths[bad].name
+    else:
+        paths[bad] = tmp_path / "loop"
+        try:
+            os.symlink("loop", paths[bad])
+        except (AttributeError, NotImplementedError, OSError) as exc:
+            pytest.skip(f"os.symlink is unavailable: {exc}")
     apsp = _spy(monkeypatch, orcurv.graph, "all_pairs_geodesic")
     code, out, err = run_cli(["compute", "--input", str(path4), "--method", "qsim_tree",
                               "--edge", "1,2", "--out", str(paths["--out"]),
                               "--trace", str(paths["--trace"])], capsys)
     assert (code, out) == (2, "")
     assert f"config error: cannot write {bad} {str(paths[bad])!r}" in err
-    # the input, and the refused directory, are all there is
-    assert {p.name for p in tmp_path.iterdir()} <= {path4.name, "sub"}
+    # the input, and the refused directory or link, are all there is
+    assert {p.name for p in tmp_path.iterdir()} <= {path4.name, "sub", "loop"}
     assert apsp == []
 
 

@@ -121,9 +121,26 @@ def cost_blocks(draw):
     return LocalNeighborhood.from_cost(cost, draw(st.integers(1, 5)))
 
 
+@st.composite
+def tied_cost_blocks(draw):
+    """A cost_blocks shape with entries in {0, 1, 2, 3}, an unweighted
+    graph's costs: nearest rows and tight arcs tie often."""
+    p = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 9 - p))
+    cost = draw(st.lists(st.lists(st.integers(0, 3), min_size=q, max_size=q),
+                         min_size=p, max_size=p))
+    return LocalNeighborhood.from_cost(cost, draw(st.integers(1, 3)))
+
+
 @settings(BOUNDED, max_examples=80)
 @given(cost_blocks())
 def test_w1_lp_equals_vertex_oracle(nb):
+    assert w1_lp(nb).cost_value == lp_vertex_oracle(nb)
+
+
+@settings(BOUNDED, max_examples=80)
+@given(tied_cost_blocks())
+def test_w1_lp_equals_vertex_oracle_on_tied_blocks(nb):
     assert w1_lp(nb).cost_value == lp_vertex_oracle(nb)
 
 

@@ -124,24 +124,45 @@ def test_lp_dual_certificate_refuses(monkeypatch, flow, pot_c):
         w1_assignment(nb.cost)
 
 
-def test_lp_matches_scipy_linprog_on_float_blocks():
+def linprog_w1(cost) -> float:
+    """The uniform-marginal transport LP of a p x q block, solved by scipy."""
     linprog = pytest.importorskip("scipy.optimize").linprog
+    p, q = len(cost), len(cost[0])
+    # gamma[i][j] at index i*q + j; row sums 1/p, column sums 1/q
+    a_eq = np.zeros((p + q, p * q))
+    for i in range(p):
+        a_eq[i, i * q:(i + 1) * q] = 1.0
+    for j in range(q):
+        a_eq[p + j, j::q] = 1.0
+    b_eq = [1.0 / p] * p + [1.0 / q] * q
+    ref = linprog(np.ravel(np.array(cost, dtype=float)), A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def test_lp_matches_scipy_linprog_on_float_blocks():
     rng = random.Random(47)
     for p, q in [(1, 40), (40, 1), (7, 11), (23, 17), (31, 40), (40, 38)]:
         cost = [[rng.uniform(0.5, 10.0) for _ in range(q)] for _ in range(p)]
         value = w1_lp(LocalNeighborhood.from_cost(cost, 1.0)).cost_value
-        # gamma[i][j] at index i*q + j; row sums 1/p, column sums 1/q
-        a_eq = np.zeros((p + q, p * q))
-        for i in range(p):
-            a_eq[i, i * q:(i + 1) * q] = 1.0
-        for j in range(q):
-            a_eq[p + j, j::q] = 1.0
-        b_eq = [1.0 / p] * p + [1.0 / q] * q
-        ref = linprog(np.ravel(cost), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs")
-        assert ref.status == 0
+        ref = linprog_w1(cost)
         assert isinstance(value, float)
-        assert abs(value - ref.fun) <= 1e-9 * max(1.0, ref.fun)
+        assert abs(value - ref) <= 1e-9 * max(1.0, ref)
+
+
+def test_lp_matches_scipy_linprog_on_tied_integer_blocks():
+    # entries in {0, 1, 2, 3}, the costs of an unweighted graph's
+    # neighborhoods: many columns share their nearest row, and many
+    # arcs are tight at once
+    rng = random.Random(53)
+    for p, q in [(1, 40), (40, 1), (1, 1), (3, 5), (12, 9), (17, 33), (29, 40), (40, 40)]:
+        cost = [[rng.randint(0, 3) for _ in range(q)] for _ in range(p)]
+        for block in (cost, [list(col) for col in zip(*cost)]):
+            value = w1_lp(LocalNeighborhood.from_cost(block, 1)).cost_value
+            ref = linprog_w1(block)
+            assert isinstance(value, Fraction)
+            assert abs(float(value) - ref) <= 1e-9 * max(1.0, ref)
 
 
 @pytest.mark.parametrize("block", [
@@ -157,6 +178,32 @@ def test_lp_equals_vertex_oracle_on_degenerate_blocks(block):
     assert w1_lp(nb).cost_value == lp_vertex_oracle(nb)
     transposed = LocalNeighborhood.from_cost([list(col) for col in zip(*block)], 1)
     assert w1_lp(transposed).cost_value == lp_vertex_oracle(nb)
+
+
+@pytest.mark.parametrize("block, popped", [
+    ([[0] * 3 for _ in range(5)], 0),
+    ([[2, 0, 3, 1], [0, 2, 1, 3], [3, 1, 2, 0], [1, 3, 0, 2]], 0),
+    ([[1] * 5 for _ in range(3)], 1),
+], ids=["all-zero", "distinct-row-minima", "all-one"])
+def test_lp_fills_tight_arcs_without_a_search(monkeypatch, block, popped):
+    # a column whose nearest row is at reduced cost 0 is filled along that
+    # arc without a search. The zero arcs of the first two blocks carry
+    # all the mass, so no heap is popped; in the all-one block the first
+    # search pops its sink at once and leaves every arc tight
+    pops = []
+    pop = orcurv.transport.heappop
+
+    def counted(heap):
+        pops.append(1)
+        return pop(heap)
+
+    monkeypatch.setattr(orcurv.transport, "heappop", counted)
+    nb = LocalNeighborhood.from_cost(block, 1)
+    assert w1_lp(nb).cost_value == lp_vertex_oracle(nb) == min(map(min, block))
+    assert len(pops) == popped
+    # a block without a tight arc needs searches, so the counter does count
+    assert w1_lp(appendix_nb()).cost_value == Fraction(25, 12)
+    assert len(pops) > popped
 
 
 def test_lp_float_mode_consistency():
