@@ -1,18 +1,16 @@
 """Ollivier-Ricci curvature via exact optimal transport, plus a
-desk-scale simulator of the block-encoding estimation pipelines."""
+desk-scale simulator of the block-encoding estimation pipelines.
+
+The simulator's modules, `blockenc` and `qpipeline`, import numpy, so
+they and their names load on first access (PEP 562): an exact classical
+run never imports numpy.
+"""
+
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
 from . import errors
-from .blockenc import (
-    BlockEncoding,
-    StateVector,
-    be_invert,
-    be_power,
-    be_product,
-    dilated_apply,
-    dilated_overlap,
-)
 from .graph import (
     Graph,
     LocalNeighborhood,
@@ -20,19 +18,6 @@ from .graph import (
     load_graph,
     neighborhood,
     verify_tree,
-)
-from .qpipeline import (
-    AuditTrail,
-    EigenEstimate,
-    build_distance_encoding,
-    build_DP,
-    build_Pi,
-    extract_Di,
-    localize_DG,
-    min_eigen_power,
-    tree_overlap_sum,
-    w1_pq_qsim,
-    w1_tree_qsim,
 )
 from .transport import (
     AssignmentSolution,
@@ -45,4 +30,29 @@ from .transport import (
     w1_tree,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: each lazy name -> the simulator module that defines it
+_LAZY = {
+    **dict.fromkeys(("BlockEncoding", "StateVector", "be_invert", "be_power", "be_product",
+                     "dilated_apply", "dilated_overlap"), "blockenc"),
+    **dict.fromkeys(("AuditTrail", "EigenEstimate", "build_distance_encoding", "build_DP",
+                     "build_Pi", "extract_Di", "localize_DG", "min_eigen_power",
+                     "tree_overlap_sum", "w1_pq_qsim", "w1_tree_qsim"), "qpipeline"),
+}
+
+__all__ = [
+    "errors", "graph", "transport", "blockenc", "qpipeline",
+    "Graph", "LocalNeighborhood", "all_pairs_geodesic", "load_graph", "neighborhood",
+    "verify_tree",
+    "AssignmentSolution", "CurvatureResult", "TransportPlan", "curvature", "w1_assignment",
+    "w1_bruteforce", "w1_lp", "w1_tree",
+    *_LAZY,
+]
+
+
+def __getattr__(name: str):
+    # read through the module on every access, so a patch there shows here
+    if name in ("blockenc", "qpipeline"):
+        return _importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(_importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,13 +9,18 @@ only then computes the distances, the neighborhoods and the one distance
 encoding. Settling refuses, never ignores, what the run cannot use: a
 qsim option that no method reads (`_QSIM_OPTIONS` defines each one),
 --seed on qsim_tree without --shots, a tree method without a tree, and an
---out or --trace path that is a directory, whose directory is missing or
-that the OS cannot stat. Every configuration error thus exits 2 before
-any distance work, except NotSquare, which reads p and q, and a write
-that fails later; and a leaf --edge (empty neighborhood, exit 3) in a
-refused run exits 2. A per-edge solver error is prefixed with its edge
-here. Exit codes: 0 ok, 1 comparison failure, 2 configuration error, 3
-solver error.
+--out or --trace path that is a directory, whose directory is missing,
+that the OS cannot stat or that is the input file. Every configuration
+error thus exits 2 before any distance work, except NotSquare, which
+reads p and q, and a write that fails later; and a leaf --edge (empty
+neighborhood, exit 3) in a refused run exits 2. A per-edge solver error
+is prefixed with its edge here. Exit codes: 0 ok, 1 comparison failure,
+2 configuration error, 3 solver error.
+
+A run imports `qpipeline`, and with it numpy, only when its route is a
+qsim method, and reads its names through the module at call time; a
+classical run loads numpy only for a dense float graph's Floyd-Warshall
+(see `graph`).
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
@@ -34,9 +39,9 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .blockenc import BlockEncoding
 from .errors import ConfigError, InvalidWeight, OrcError
 from .graph import (
     Graph,
@@ -47,16 +52,11 @@ from .graph import (
     parse_fraction,
     verify_tree,
 )
-from .qpipeline import (
-    DEFAULT_DIM_CAP,
-    AuditTrail,
-    build_distance_encoding,
-    cost_grid,
-    tree_qsim_standard_error,
-    w1_pq_qsim,
-    w1_tree_qsim,
-)
-from .transport import ALL_METHODS, QSIM_METHODS, CurvatureResult, curvature
+from .transport import ALL_METHODS, DEFAULT_DIM_CAP, QSIM_METHODS, CurvatureResult, curvature
+
+if TYPE_CHECKING:
+    from .blockenc import BlockEncoding
+    from .qpipeline import AuditTrail
 
 _FIXTURES = {
     "appendix_a": (
@@ -90,6 +90,16 @@ _QSIM_OPTIONS = {
 #: options a report echoes under meta.config, each where its subcommand has it
 _ECHOED = ("command", "input", "format", "method", "qsim_method", "numeric", "all_edges",
            "include_endpoints", "margin", "eps", "seed", "shots", "cap", "tol")
+
+
+def __getattr__(name: str):
+    """`cli.w1_tree_qsim`, which `perfbench/spans.py` names as a binding it
+    wraps, read from qpipeline on each access so that a wrapper installed
+    there shows here. cli itself reaches qpipeline only on a qsim route."""
+    if name == "w1_tree_qsim":
+        from . import qpipeline
+        return qpipeline.w1_tree_qsim
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,7 +276,10 @@ def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[s
             if not Path(path).parent.is_dir():
                 raise ConfigError(f"cannot write {option} {path!r}: "
                                   f"no directory {str(Path(path).parent)!r}")
-            Path(path).stat()    # is_dir() reads a symlink loop as "not a directory"
+            # samefile() stats the path (is_dir() reads a symlink loop as "not
+            # a directory") and so catches a symlink or hard link to the input
+            if os.path.samefile(path, args.input):
+                raise ConfigError(f"cannot write {option} {path!r}: it is the input file")
         except FileNotFoundError:
             pass                 # a file the run makes
         except OSError as exc:   # a name the OS refuses to stat: too long, a symlink loop
@@ -287,12 +300,13 @@ def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[s
 
 def _run_method(args: argparse.Namespace, method: str, nb: LocalNeighborhood,
                 be: BlockEncoding | None, audit: AuditTrail | None) -> CurvatureResult:
+    if method not in QSIM_METHODS:
+        return curvature(nb, method=method)
+    from . import qpipeline
     if method == "qsim_tree":
-        return w1_tree_qsim(nb, be, shots=args.shots, seed=args.seed, audit=audit)
-    if method == "qsim_pq":
-        return w1_pq_qsim(nb, be, seed=args.seed, eps=args.eps, dim_cap=args.cap,
-                          audit=audit)
-    return curvature(nb, method=method)
+        return qpipeline.w1_tree_qsim(nb, be, shots=args.shots, seed=args.seed, audit=audit)
+    return qpipeline.w1_pq_qsim(nb, be, seed=args.seed, eps=args.eps, dim_cap=args.cap,
+                                audit=audit)
 
 
 @contextlib.contextmanager
@@ -344,7 +358,8 @@ def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: BlockEncodi
     abs_diff = abs(float(res_c.w1) - float(res_q.w1))
     tol = args.tol
     if args.shots is not None:    # only the tree route accepts --shots
-        tol = max(tol, 5.0 * tree_qsim_standard_error(nb, be, args.shots))
+        from . import qpipeline
+        tol = max(tol, 5.0 * qpipeline.tree_qsim_standard_error(nb, be, args.shots))
     return {
         "w1_classical": res_c.w1,
         "w1_qsim": res_q.w1,
@@ -382,17 +397,19 @@ def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
                                   f"p={nb.p}, q={nb.q} for method {methods[0]!r}")
     if methods[-1] not in QSIM_METHODS:
         return methods, pairs, None
-    return methods, pairs, cost_grid(source.cost) if g is None else dg
+    from . import qpipeline
+    return methods, pairs, qpipeline.cost_grid(source.cost) if g is None else dg
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     """compute runs one method per edge; compare runs the classical partner
     and the qsim route per edge and adds the comparison fields."""
     methods, pairs, dist = _prepare(args)
-    audit = AuditTrail() if args.trace else None
-    be = None
-    if dist is not None:    # the one encoding every edge of the run queries
-        be = build_distance_encoding(dist, margin=args.margin, audit=audit)
+    audit = be = None
+    if dist is not None:    # a qsim route: the one encoding every edge of the run queries
+        from . import qpipeline
+        audit = qpipeline.AuditTrail() if args.trace else None
+        be = qpipeline.build_distance_encoding(dist, margin=args.margin, audit=audit)
     records = []
     for edge, nb in pairs:
         try:

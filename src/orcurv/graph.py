@@ -10,6 +10,9 @@ costs.
 
 Shortest paths use per-source Dijkstra with a binary heap, one source
 after another; dense float graphs run a numpy Floyd-Warshall instead.
+That route is the only one here that imports numpy, and it does so when
+it runs: reading a graph and every other route need only the standard
+library.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     DuplicateEdge,
@@ -326,6 +327,8 @@ def _floyd_warshall_float(g: Graph) -> list[tuple[float, ...]]:
     nonnegative, so one vectorized minimum per k takes the values the
     scalar loop takes (the tests keep that loop as the oracle).
     """
+    import numpy as np    # the one route here that runs numpy
+
     n = g.vertex_count
     d = np.full((n, n), INF)
     for u, v, w in g.edges:

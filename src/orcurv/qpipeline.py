@@ -50,9 +50,8 @@ from .errors import (
     ZeroOverlap,
 )
 from .graph import LocalNeighborhood, Weight
-from .transport import CurvatureResult
+from .transport import DEFAULT_DIM_CAP, CurvatureResult
 
-DEFAULT_DIM_CAP = 10 ** 6
 #: power iterations min_eigen_power runs before it reports converged=False
 MAX_POWER_ITERATIONS = 100_000
 

@@ -52,6 +52,9 @@ from .graph import LocalNeighborhood, Weight, _is_rational
 CLASSICAL_METHODS = ("lp", "tree", "assignment", "brute_force")
 QSIM_METHODS = ("qsim_tree", "qsim_pq")
 ALL_METHODS = CLASSICAL_METHODS + QSIM_METHODS
+#: largest device dimension p^p the p = q pipeline builds: `qpipeline`
+#: reads it, and `orc --cap` defaults to it without importing numpy
+DEFAULT_DIM_CAP = 10 ** 6
 
 _BRUTE_FORCE_CAP = 9
 

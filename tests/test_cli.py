@@ -348,7 +348,8 @@ def test_compare_square_fixture(tmp_path, capsys):
 
 
 def test_compare_corrupted_alpha_fails(path4, capsys, monkeypatch):
-    corrupt_encoding(monkeypatch, orcurv.cli, 1.02)
+    # cli reads build_distance_encoding through qpipeline, on a qsim route only
+    corrupt_encoding(monkeypatch, orcurv.qpipeline, 1.02)
     code, out, _ = run_cli(["compare", "--input", str(path4), "--all-edges"], capsys)
     assert code == 1
     report = json.loads(out)
@@ -527,6 +528,36 @@ def test_out_and_trace_on_one_path_is_config_error(path4, tmp_path, capsys, monk
     assert (code, out) == (2, "")
     assert "config error: --out and --trace both name" in err
     assert not (tmp_path / "same.json").exists()
+
+
+@pytest.mark.parametrize("option, input_name, argv", [
+    ("--out", "g.txt", ["--method", "lp", "--all-edges", "--out", "g.txt"]),
+    ("--trace", "g.txt", ["--method", "qsim_tree", "--edge", "1,2",
+                          "--out", "report.json", "--trace", "g.txt"]),
+    ("--out", "link.txt", ["--method", "lp", "--all-edges", "--out", "g.txt"]),
+    ("--out", "hard.txt", ["--method", "lp", "--all-edges", "--out", "g.txt"]),
+    ("--out", "cost.json", ["--format", "cost_matrix", "--method", "lp",
+                            "--out", "cost.json"]),
+], ids=["out", "trace", "symlink", "hard-link", "cost-matrix"])
+def test_output_path_naming_the_input_is_config_error(tmp_path, capsys, monkeypatch,
+                                                      option, input_name, argv):
+    # refused while settling: the input keeps its bytes and no file is written
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text("0 1\n1 2\n2 3\n")
+    Path("cost.json").write_text(json.dumps({"cost": [[1, 2], [2, 1]], "dxy": 1}))
+    try:
+        if input_name == "link.txt":
+            os.symlink("g.txt", "link.txt")
+        elif input_name == "hard.txt":
+            os.link("g.txt", "hard.txt")
+    except (AttributeError, NotImplementedError, OSError) as exc:
+        pytest.skip(f"cannot make {input_name}: {exc}")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = run_cli(["compute", "--input", input_name, *argv], capsys)
+    assert (code, out) == (2, "")
+    path = argv[argv.index(option) + 1]
+    assert f"config error: cannot write {option} {path!r}: it is the input file" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_empty_trace_path_is_config_error(path4, capsys):

@@ -1,9 +1,18 @@
 """The package exports only what `orc` or a library user calls."""
 
 import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import orcurv
 from orcurv.qpipeline import DEFAULT_DIM_CAP
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_public_names():
@@ -19,6 +28,38 @@ def test_public_names():
         "qpipeline", "transport", "tree_overlap_sum", "verify_tree", "w1_assignment",
         "w1_bruteforce", "w1_lp", "w1_pq_qsim", "w1_tree", "w1_tree_qsim",
     ]
+
+
+def test_every_public_name_is_its_module_attribute():
+    # the simulator's names load on first access, each from its module
+    for name in orcurv.__all__:
+        obj = getattr(orcurv, name)
+        if inspect.ismodule(obj):
+            assert obj is sys.modules[f"orcurv.{name}"]
+        else:
+            assert obj.__module__.startswith("orcurv.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match="'orcurv' has no attribute 'w1_qsim'"):
+        orcurv.w1_qsim
+    assert not hasattr(orcurv, "np")
+
+
+def test_star_import_and_readme_example_in_a_fresh_process():
+    # a fresh interpreter, so every lazy name is loaded by these lines
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+    code = ("from orcurv import *\n"
+            "import orcurv\n"
+            "assert all(globals()[n] is getattr(orcurv, n) for n in orcurv.__all__)\n"
+            + example)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "0"
 
 
 def _parameters(fn) -> list[tuple[str, str, object]]:
