@@ -15,18 +15,20 @@ Solvers:
                   to the integers q and p, and the cost block is lifted to
                   integers over one common denominator (a float through
                   float.as_integer_ratio, never one Fraction per entry).
-                  Successive shortest paths with potentials return an
-                  integer flow; the supplied rows are folded into each
-                  column's nearest supplied row, and an arc of reduced
-                  cost 0 from it is filled without a search.
+                  A transportation simplex, kept nondegenerate by an
+                  integer perturbation of the marginals, returns an
+                  integer flow on a spanning tree of K_{p,q}: a vertex
+                  of the transportation polytope.
                   TransportPlan checks its marginals in ints and builds
                   gamma = flow / (p*q) only when read; the final
                   potentials are a dual certificate, checked in ints,
                   that the plan is optimal.
   w1_tree         decomposable-cost closed form for tree graphs
   w1_assignment   lexicographically smallest optimal permutation for the
-                  p = q case: the same K_{p,p} core and certificate, on
-                  the lifted block with an integer tie-break term
+                  p = q case: the same simplex core on K_{p,p} and the
+                  same certificate, on the lifted block with an integer
+                  tie-break term that makes that permutation the only
+                  optimum
   w1_bruteforce   exhaustive permutation minimum (oracle, p <= 9)
 """
 
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -184,125 +186,139 @@ def _lift_block(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int,
 def _transport(c: list[list[int]], p: int, q: int) -> tuple[list[list[int]], list[int], list[int]]:
     """Integral min-cost transport on K_{p,q}: supply q per row, demand p per column.
 
-    Successive shortest paths with Johnson potentials. Every row with
-    supply left is a source at distance 0 (such rows keep potential 0)
-    and the first column settled with demand left is the sink; every
-    column with demand left keeps one common potential, so no explicit
-    source or sink node is needed. The sources are folded into best[j],
-    the supplied row nearest column j (the lowest index on ties), which
-    is recomputed only for the columns whose best row runs dry, and a
-    column with demand whose best arc has reduced cost 0 is filled
-    without a search: that arc is a shortest path of length 0. A search
-    starts from every column at its best arc's reduced cost; rows enter
-    it only through reverse arcs column -> row, where the flow is
-    positive, and scan their forward arcs to every column. After each
-    search every potential grows by min(dist, dist[sink]), which keeps
-    all reduced costs nonnegative.
+    A transportation simplex (the network simplex on K_{p,q}), kept
+    nondegenerate in integers by Orden's perturbation. With N = 2p + 1
+    it solves supplies q*N + 1 per row and demands p*N per column, the
+    last column p*N + p.
 
-    Returns the flow matrix and the final row and column potentials.
+    No proper subset balances: r rows and s columns balance only if
+    r*(q*N + 1) = s*p*N (+ p with the last column). Mod N that is r = 0
+    without the last column, so s = 0, or r = p with it, so s = q. So
+    every basis is a spanning tree with positive flow on all p + q - 1
+    of its cells, and every pivot moves theta > 0: the cost strictly
+    falls, no basis repeats, and the simplex terminates. The leaving
+    cell is unique, since two would leave a zero on the next tree.
+
+    Recovery: a tree cell carries the net supply of the side of the tree
+    that holds its row, which is N times the unperturbed tree flow x0
+    plus (rows on that side) - (p if the last column is there), a term
+    within [-p, p]. As 0 <= that term + p <= 2p < N, x0 = (x + p) // N:
+    the unperturbed basic solution on the final tree, a vertex of the
+    original polytope that the final potentials prove optimal.
+
+    Start: the least-cost method (cells in cost order, row-major on
+    ties); its p + q - 1 fills form the tree. The tree is rooted at row
+    0 with parent, depth and children; rows are nodes 0..p-1, column j
+    is node p + j, and flow[k] is the flow on the cell from node k to
+    its parent. Pricing scans the rows cyclically from the one after the
+    last entering row and enters the most negative cell of the first row
+    that has one; a full cycle without one is the optimality test. A
+    pivot walks up from both ends of the entering cell to close the
+    cycle, drops the minus cell of least flow, re-hangs the cut-off
+    subtree under the entering cell's other end and shifts that
+    subtree's potentials by the entering reduced cost.
+
+    Returns the flow matrix and row and column potentials with
+    c[i][j] + pot_r[i] - pot_c[j] >= 0 everywhere and = 0 on the tree.
     """
-    inf = math.inf
-    flow = [[0] * q for _ in range(p)]
-    used: list[dict[int, int]] = [{} for _ in range(q)]   # used[j][i] = flow[i][j] > 0
-    supply = [q] * p
-    demand = [p] * q
-    pot_r = [0] * p
-    pot_c = [0] * q
-    cols = range(q)
-    by_col = list(zip(*c))      # by_col[j][i] = c[i][j]
-    rows = list(range(p))       # rows with supply left, ascending
-    best = [min(rows, key=col.__getitem__) for col in by_col]
-    todo = list(cols)           # columns whose best arc may have become tight
-    dry = -1                    # a row whose supply has just run out
-    left = p * q
-    while left:
-        if dry >= 0:
-            rows.remove(dry)
-            for j in cols:
-                if best[j] == dry:
-                    best[j] = min(rows, key=by_col[j].__getitem__)
-                    todo.append(j)
-            dry = -1
-        if todo:
-            j = todo.pop()
-            i = best[j]
-            if demand[j] and by_col[j][i] == pot_c[j]:
-                push = min(supply[i], demand[j])
-                flow[i][j] += push
-                used[j][i] = flow[i][j]
-                demand[j] -= push
-                supply[i] -= push
-                left -= push
-                if not supply[i]:
-                    dry = i
-            continue
-        # heap entries are (distance, i) for row i and (distance, ~j) for column j
-        dist_r = [0 if s else inf for s in supply]
-        dist_c = [col[i] - pc for col, i, pc in zip(by_col, best, pot_c)]
-        prev_r = [-1] * p    # column whose reverse arc reached the row; -1 for a source
-        prev_c = best[:]     # row whose forward arc reached the column
-        heap = [(d, ~j) for j, d in enumerate(dist_c)]
-        heapify(heap)
-        while True:
-            # every column starts on the heap and one has demand left, so a sink is found
-            d, v = heappop(heap)
-            if v >= 0:
-                if d > dist_r[v]:
-                    continue
-                base = d + pot_r[v]
-                for j, cij, pj, dj in zip(cols, c[v], pot_c, dist_c):
-                    nd = base + cij - pj
-                    if nd < dj:
-                        dist_c[j] = nd
-                        prev_c[j] = v
-                        heappush(heap, (nd, ~j))
-            else:
-                j = ~v
-                if d > dist_c[j]:
-                    continue
-                if demand[j]:
-                    sink = j
+    big = 2 * p + 1
+    n = p + q
+    supply = [q * big + 1] * p
+    demand = [p * big] * q
+    demand[-1] += p
+    flat = list(itertools.chain.from_iterable(c))
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    fills = n - 1
+    for k in sorted(range(p * q), key=flat.__getitem__):
+        i = k // q
+        s = supply[i]
+        if s:
+            j = k - i * q
+            d = demand[j]
+            if d:
+                x = s if s < d else d
+                supply[i] = s - x
+                demand[j] = d - x
+                tree[i].append((p + j, x))
+                tree[p + j].append((i, x))
+                fills -= 1
+                if not fills:
                     break
-                base = d + pot_c[j]
-                for i in used[j]:
-                    nd = base - c[i][j] - pot_r[i]
-                    if nd < dist_r[i]:
-                        dist_r[i] = nd
-                        prev_r[i] = j
-                        heappush(heap, (nd, i))
-        top = dist_c[sink]
-        pot_r = [pr + (d if d < top else top) for pr, d in zip(pot_r, dist_r)]
-        pot_c = [pc + (d if d < top else top) for pc, d in zip(pot_c, dist_c)]
-        # bottleneck along the path sink <- row <- column <- ... <- source row
-        push = demand[sink]
-        j = sink
-        while True:
-            i = prev_c[j]
-            if prev_r[i] < 0:
-                push = min(push, supply[i])
+    parent = [-1] * n
+    depth = [0] * n
+    flow = [0] * n
+    pot = [0] * n       # row potentials, then column potentials
+    children: list[list[int]] = [[] for _ in range(n)]
+    order = [0]
+    for k in order:
+        for m, x in tree[k]:
+            if m != parent[k]:
+                parent[m] = k
+                depth[m] = depth[k] + 1
+                flow[m] = x
+                pot[m] = pot[k] + c[k][m - p] if k < p else pot[k] - c[m][k - p]
+                children[k].append(m)
+                order.append(m)
+    bi = p - 1
+    while True:
+        cols = pot[p:]
+        for i in itertools.chain(range(bi + 1, p), range(bi + 1)):
+            best = min(map(sub, c[i], cols)) + pot[i]
+            if best < 0:
                 break
-            j = prev_r[i]
-            push = min(push, flow[i][j])
-        demand[sink] -= push
-        j = sink
-        while True:
-            i = prev_c[j]
-            flow[i][j] += push
-            used[j][i] = flow[i][j]
-            if prev_r[i] < 0:
-                supply[i] -= push
-                if not supply[i]:
-                    dry = i
-                break
-            j = prev_r[i]
-            flow[i][j] -= push
-            if flow[i][j]:
-                used[j][i] = flow[i][j]
+        else:
+            break
+        bi = i
+        bj = list(map(sub, c[bi], cols)).index(best - pot[bi])
+        # the cycle: the tree paths from both ends up to their meeting node
+        a, b = bi, p + bj
+        side_a: list[int] = []
+        side_b: list[int] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                side_a.append(a)
+                a = parent[a]
             else:
-                del used[j][i]
-        left -= push
-        todo = [j for j in cols if demand[j]]
-    return flow, pot_r, pot_c
+                side_b.append(b)
+                b = parent[b]
+        # the cells keyed at even places from either end lose theta
+        minus = side_a[::2] + side_b[::2]
+        minus_flows = [flow[k] for k in minus]
+        theta = min(minus_flows)
+        out = minus[minus_flows.index(theta)]
+        for k in minus:
+            flow[k] -= theta
+        for k in side_a[1::2] + side_b[1::2]:
+            flow[k] += theta
+        if out in side_a:
+            path = side_a[:side_a.index(out) + 1]
+            up, shift = p + bj, -best
+        else:
+            path = side_b[:side_b.index(out) + 1]
+            up, shift = bi, best
+        # re-hang the path from the entering end up to out, reversed
+        f = theta
+        for k in path:
+            old, old_f = parent[k], flow[k]
+            children[old].remove(k)
+            parent[k], flow[k] = up, f
+            children[up].append(k)
+            up, f = k, old_f
+        stack = [path[0]]
+        while stack:
+            k = stack.pop()
+            depth[k] = depth[parent[k]] + 1
+            pot[k] += shift
+            stack += children[k]
+    plan = [[0] * q for _ in range(p)]
+    for k in range(1, n):
+        x = (flow[k] + p) // big
+        if x:
+            if k < p:
+                plan[k][parent[k] - p] = x
+            else:
+                plan[parent[k]][k - p] = x
+    return plan, pot[:p], pot[p:]
 
 
 def _check_dual(c: list[list[int]], flow: list[list[int]],

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
 import orcurv.qpipeline
+import orcurv.transport
 from orcurv.blockenc import BlockEncoding, StateVector, dilated_apply
 from orcurv.graph import Graph, LocalNeighborhood
 from orcurv.qpipeline import cost_grid, w1_pq_qsim
@@ -173,6 +176,21 @@ def nwc_plan_cost(cost) -> Fraction:
         elif demand[j] == 0:
             j += 1
     return total
+
+
+@contextlib.contextmanager
+def transport_flows():
+    """Record the flow of every transport-core call made inside the block."""
+    flows = []
+    solve = orcurv.transport._transport
+
+    def recorded(c, p, q):
+        out = solve(c, p, q)
+        flows.append(out[0])
+        return out
+
+    with mock.patch.object(orcurv.transport, "_transport", recorded):
+        yield flows
 
 
 def random_cost_matrix(p: int, q: int, rng: random.Random,

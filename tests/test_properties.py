@@ -9,15 +9,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import internal_edges
+from helpers import internal_edges, transport_flows
 from orcurv.cli import main
 from orcurv.errors import OrcError
 from orcurv.graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
 from orcurv.transport import curvature, w1_assignment, w1_bruteforce, w1_lp
-from reference import lp_vertex_oracle
+from reference import _basic_solutions, lp_vertex_oracle
 
 BOUNDED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -142,6 +142,26 @@ def test_w1_lp_equals_vertex_oracle(nb):
 @given(tied_cost_blocks())
 def test_w1_lp_equals_vertex_oracle_on_tied_blocks(nb):
     assert w1_lp(nb).cost_value == lp_vertex_oracle(nb)
+
+
+@settings(BOUNDED, max_examples=80)
+@given(tied_cost_blocks())
+@example(LocalNeighborhood.from_cost([[0] * 3 for _ in range(5)], 1))
+@example(LocalNeighborhood.from_cost([[2, 0, 3, 1], [0, 2, 1, 3], [3, 1, 2, 0], [1, 3, 0, 2]], 1))
+@example(LocalNeighborhood.from_cost([[1] * 5 for _ in range(3)], 1))
+@example(LocalNeighborhood.from_cost([[1, 1], [1, 1]], 1))
+def test_transport_flows_are_vertices_on_tied_blocks(nb):
+    # w1_lp's flow is a basic solution of the transportation polytope;
+    # on a square block, w1_assignment's is p times the oracle's permutation
+    flow = w1_lp(nb).flow
+    cells = tuple((i, j, f) for i, row in enumerate(flow) for j, f in enumerate(row) if f)
+    assert cells in _basic_solutions(nb.p, nb.q)[0]
+    if nb.p == nb.q:
+        p = nb.p
+        with transport_flows() as flows:
+            w1_assignment(nb.cost)
+        pi = w1_bruteforce(nb.cost).pi
+        assert flows == [[[p if pi[j] == i else 0 for j in range(p)] for i in range(p)]]
 
 
 @st.composite

@@ -16,6 +16,7 @@ from helpers import (
     random_tree,
     scale_nb,
     to_float_nb,
+    transport_flows,
 )
 from orcurv.errors import InfiniteCost, MethodMismatch, NotATree, NotSquare, TooLarge
 from orcurv.graph import (
@@ -33,7 +34,7 @@ from orcurv.transport import (
     w1_lp,
     w1_tree,
 )
-from reference import lp_vertex_oracle, spanning_tree_count
+from reference import _UnionFind, lp_vertex_oracle, spanning_tree_count
 
 APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
 
@@ -180,30 +181,50 @@ def test_lp_equals_vertex_oracle_on_degenerate_blocks(block):
     assert w1_lp(transposed).cost_value == lp_vertex_oracle(nb)
 
 
-@pytest.mark.parametrize("block, popped", [
-    ([[0] * 3 for _ in range(5)], 0),
-    ([[2, 0, 3, 1], [0, 2, 1, 3], [3, 1, 2, 0], [1, 3, 0, 2]], 0),
-    ([[1] * 5 for _ in range(3)], 1),
-], ids=["all-zero", "distinct-row-minima", "all-one"])
-def test_lp_fills_tight_arcs_without_a_search(monkeypatch, block, popped):
-    # a column whose nearest row is at reduced cost 0 is filled along that
-    # arc without a search. The zero arcs of the first two blocks carry
-    # all the mass, so no heap is popped; in the all-one block the first
-    # search pops its sink at once and leaves every arc tight
-    pops = []
-    pop = orcurv.transport.heappop
+def assert_forest(flow, p, q):
+    """The positive cells of a p x q flow form a forest of K_{p,q}."""
+    cells = [(i, j) for i, row in enumerate(flow) for j, f in enumerate(row) if f]
+    assert len(cells) <= p + q - 1
+    uf = _UnionFind(p + q)
+    assert all(uf.union(i, p + j) for i, j in cells)
 
-    def counted(heap):
-        pops.append(1)
-        return pop(heap)
 
-    monkeypatch.setattr(orcurv.transport, "heappop", counted)
-    nb = LocalNeighborhood.from_cost(block, 1)
-    assert w1_lp(nb).cost_value == lp_vertex_oracle(nb) == min(map(min, block))
-    assert len(pops) == popped
-    # a block without a tight arc needs searches, so the counter does count
-    assert w1_lp(appendix_nb()).cost_value == Fraction(25, 12)
-    assert len(pops) > popped
+ROW_80 = [7 * j % 10 for j in range(80)]
+
+
+@pytest.mark.parametrize("block, value", [
+    pytest.param([[7] * 60 for _ in range(60)], 7, id="all-equal-60x60"),
+    pytest.param([ROW_80], Fraction(sum(ROW_80), 80), id="one-row-80"),
+    pytest.param([[x] for x in ROW_80], Fraction(sum(ROW_80), 80), id="one-column-80"),
+    pytest.param([[(i + j) % 2 for j in range(40)] for i in range(40)], 0,
+                 id="checkerboard-40x40"),
+])
+def test_lp_degenerate_blocks_beyond_the_oracles(block, value):
+    # every cell of the all-equal block is tight, half of the
+    # checkerboard's are, and a single row or column fixes the plan
+    plan = w1_lp(LocalNeighborhood.from_cost(block, 1))
+    assert plan.cost_value == value
+    assert_forest(plan.flow, plan.p, plan.q)
+
+
+def test_lp_tied_60x45_blocks_match_scipy_linprog():
+    rng = random.Random(67)
+    for _ in range(2):
+        cost = [[rng.randint(0, 3) for _ in range(45)] for _ in range(60)]
+        for block in (cost, [list(col) for col in zip(*cost)]):
+            plan = w1_lp(LocalNeighborhood.from_cost(block, 1))
+            ref = linprog_w1(block)
+            assert plan.cost_value == Fraction(round(ref * 60 * 45), 60 * 45)
+            assert_forest(plan.flow, plan.p, plan.q)
+
+
+def test_assignment_all_equal_p9_is_the_identity():
+    with transport_flows() as flows:
+        sol = w1_assignment([[5] * 9 for _ in range(9)])
+    assert sol.pi == tuple(range(9))
+    assert sol.cost_value == 5
+    assert flows == [[[9 if i == j else 0 for j in range(9)] for i in range(9)]]
+    assert_forest(flows[0], 9, 9)
 
 
 def test_lp_float_mode_consistency():
