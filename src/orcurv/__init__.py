@@ -2,8 +2,8 @@
 desk-scale simulator of the block-encoding estimation pipelines.
 
 The simulator's modules, `blockenc` and `qpipeline`, import numpy, so
-they and their names load on first access (PEP 562): an exact classical
-run never imports numpy.
+they and their names load on first access (PEP 562): a classical run,
+exact or float, never imports numpy.
 """
 
 import importlib as _importlib

@@ -19,8 +19,7 @@ is prefixed with its edge here. Exit codes: 0 ok, 1 comparison failure,
 
 A run imports `qpipeline`, and with it numpy, only when its route is a
 qsim method, and reads its names through the module at call time; a
-classical run loads numpy only for a dense float graph's Floyd-Warshall
-(see `graph`).
+classical run never loads numpy.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.

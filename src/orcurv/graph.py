@@ -9,10 +9,8 @@ either mode; downstream transport code refuses to consume infinite
 costs.
 
 Shortest paths use per-source Dijkstra with a binary heap, one source
-after another; dense float graphs run a numpy Floyd-Warshall instead.
-That route is the only one here that imports numpy, and it does so when
-it runs: reading a graph and every other route need only the standard
-library.
+after another, for every graph: exact or float, sparse or dense. The
+module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -37,9 +35,6 @@ from .errors import (
 Weight = Union[int, Fraction, float]
 
 INF = math.inf
-
-#: float graphs with N <= 512 and at least this density run Floyd-Warshall
-_DENSE_THRESHOLD = 0.5
 
 #: largest decimal exponent magnitude a rational weight may carry. It is
 #: three times float range, yet Fraction("1e1000") expands in microseconds,
@@ -320,48 +315,22 @@ def _dijkstra_row(adj, n: int, source: int, zero: Weight) -> tuple[Weight, ...]:
     return tuple(dist)
 
 
-def _floyd_warshall_float(g: Graph) -> list[tuple[float, ...]]:
-    """Float64 Floyd-Warshall, bit-identical to the scalar triple loop.
-
-    Row k and column k do not change during step k when weights are
-    nonnegative, so one vectorized minimum per k takes the values the
-    scalar loop takes (the tests keep that loop as the oracle).
-    """
-    import numpy as np    # the one route here that runs numpy
-
-    n = g.vertex_count
-    d = np.full((n, n), INF)
-    for u, v, w in g.edges:
-        d[u, v] = d[v, u] = w
-    np.fill_diagonal(d, 0.0)
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return [tuple(row) for row in d.tolist()]
-
-
 def all_pairs_geodesic(g: Graph, workers: int | None = None) -> tuple[tuple[Weight, ...], ...]:
     """Exact shortest-path distances, one row per source vertex.
 
     The rows hold the graph's one number type: int / Fraction for a
     rational graph (its diagonal is the int 0), float for any other (its
     diagonal is 0.0); a disconnected pair is a float +inf either way.
-    Dense graphs with a float weight (N <= 512, density >=
-    _DENSE_THRESHOLD) run a numpy float64 Floyd-Warshall; every other
-    graph runs per-source Dijkstra. workers may only be None or 1: every
-    route runs on one thread.
+    Every graph runs per-source Dijkstra, so a float row is the fixed
+    point of float relaxation from its source. workers may only be None
+    or 1: the rows are computed on one thread.
     """
     if workers not in (None, 1):
         raise ValueError(f"workers must be None or 1, got {workers!r}")
     n = g.vertex_count
-    density = 2 * g.edge_count / (n * (n - 1)) if n > 1 else 0.0
     adj = g._adjacency
-    rational = g.rational
-    if n <= 512 and density >= _DENSE_THRESHOLD and not rational:
-        rows = _floyd_warshall_float(g)
-    else:
-        zero = 0 if rational else 0.0
-        rows = [_dijkstra_row(adj, n, s, zero) for s in range(n)]
-    return tuple(rows)
+    zero = 0 if g.rational else 0.0
+    return tuple(_dijkstra_row(adj, n, s, zero) for s in range(n))
 
 
 def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]], x: int, y: int,

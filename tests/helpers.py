@@ -78,15 +78,14 @@ def bellman_ford_row(g: Graph, source: int) -> list:
 
 
 def floyd_warshall_rows(g: Graph) -> list[tuple]:
-    """Scalar O(N^3) Floyd-Warshall in the weights' own arithmetic, the
-    oracle of the numpy kernel: exact for int / Fraction weights, and for
-    float weights the value (and type, a float zero diagonal included)
-    every entry of that kernel must equal bit for bit."""
+    """Scalar O(N^3) Floyd-Warshall, the exact APSP oracle for int /
+    Fraction weights (lift float weights to Fractions first: a float sum
+    rounds in this loop's order, not Dijkstra's)."""
     adj = g._adjacency
     n = g.vertex_count
     d: list[list] = [[INF] * n for _ in range(n)]
     for i in range(n):
-        d[i][i] = 0 if g.rational else 0.0
+        d[i][i] = 0
     for u in range(n):
         for v, w in adj[u]:
             if w < d[u][v]:

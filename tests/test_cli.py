@@ -824,7 +824,7 @@ def test_malformed_json_graph_is_config_error(tmp_path, capsys, graph, numeric):
 
 @pytest.mark.parametrize("method", ["lp", "tree", "assignment", "brute_force"])
 def test_weight_beyond_float_range_is_exact(tmp_path, capsys, method):
-    # a dense path (Floyd-Warshall) whose one weight no float can hold
+    # a rational path whose one weight no float can hold
     path = tmp_path / "big.txt"
     path.write_text("0 1 1e400\n1 2\n2 3\n")
     code, out, err = run_cli(["compute", "--input", str(path), "--method", method,

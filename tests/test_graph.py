@@ -19,7 +19,6 @@ from orcurv.errors import (
     SelfLoop,
 )
 from orcurv.graph import (
-    _DENSE_THRESHOLD,
     MAX_DECIMAL_EXPONENT,
     Graph,
     LocalNeighborhood,
@@ -196,23 +195,44 @@ def _dense_float_graph(rng: random.Random) -> Graph:
         edges = [(u, v, rng.random() * 10 ** rng.randint(-3, 3))
                  for u in range(n) for v in range(u + 1, n)
                  if (u < n - split) == (v < n - split) and rng.random() < keep]
-        if 2 * len(edges) >= n * (n - 1) * _DENSE_THRESHOLD:
+        if 2 * len(edges) >= n * (n - 1) * 0.5:
             return Graph(n, edges)
 
 
-def test_dense_float_apsp_equals_floyd_warshall_oracle():
+def test_dense_float_apsp_rows_are_relaxation_fixed_points():
+    # fl(a + w) >= a for w >= 0, so each float row is the fixed point of
+    # float relaxation from its source, bit for bit, inf where unreachable
     rng = random.Random(8)
     disconnected = 0
     for trial in range(80):
         g = _dense_float_graph(rng)
         d = all_pairs_geodesic(g)
-        oracle = floyd_warshall_rows(g)
-        assert list(d) == oracle    # float equality: bit for bit, inf included
-        assert [[type(x) for x in row] for row in d] == \
-            [[type(x) for x in row] for row in oracle]
+        adj = g._adjacency
+        for s, row in enumerate(d):
+            assert row[s] == 0.0
+            for v in range(g.vertex_count):
+                if v != s:
+                    assert row[v] == min((row[u] + w for u, w in adj[v]), default=INF)
         assert all(type(x) is float for row in d for x in row)
         disconnected += not all_finite(d)
     assert disconnected >= 10
+
+
+def test_dense_float_apsp_is_within_rounding_of_exact():
+    # each float sum along a path of fewer than n edges rounds once per
+    # edge, so each entry lies within n * 2^-53 relative of the exact
+    # distance on the same weights lifted to Fractions
+    rng = random.Random(8)
+    for trial in range(5):
+        g = _dense_float_graph(rng)
+        n = g.vertex_count
+        exact = floyd_warshall_rows(Graph(n, [(u, v, Fraction(w)) for u, v, w in g.edges]))
+        for row, exact_row in zip(all_pairs_geodesic(g), exact):
+            for x, e in zip(row, exact_row):
+                if e == INF:
+                    assert x == INF
+                else:
+                    assert abs(Fraction(x) - e) <= n * Fraction(1, 2 ** 53) * e
 
 
 @pytest.mark.parametrize("kind", ["int-beyond-2^53", "fraction"])
@@ -223,7 +243,7 @@ def test_dense_exact_apsp_stays_exact(kind):
               else (lambda: Fraction(rng.randint(1, 50), rng.randint(1, 7))))
     g = Graph(n, [(u, v, weight()) for u in range(n) for v in range(u + 1, n)
                   if rng.random() < 0.7])
-    assert 2 * g.edge_count >= n * (n - 1) * _DENSE_THRESHOLD and g.rational
+    assert 2 * g.edge_count >= n * (n - 1) * 0.5 and g.rational
     dg = all_pairs_geodesic(g)
     for s in range(n):
         assert list(dg[s]) == bellman_ford_row(g, s)
@@ -233,22 +253,22 @@ def test_dense_exact_apsp_stays_exact(kind):
     assert all(type(dg[i][i]) is int and dg[i][i] == 0 for i in range(n))
 
 
-@pytest.mark.parametrize("rational, extra, route", [
-    (False, 300, "floyd_warshall"),
-    (True, 300, "dijkstra"),
-    (False, 20, "dijkstra"),
+@pytest.mark.parametrize("rational, extra", [
+    (False, 300),
+    (True, 300),
+    (False, 20),
 ], ids=["dense-float", "dense-exact", "sparse-float"])
-def test_apsp_route_is_chosen_from_the_input(monkeypatch, rational, extra, route):
+def test_apsp_runs_dijkstra_once_per_source(monkeypatch, rational, extra):
     g = random_connected_graph(30, extra=extra, rng=random.Random(11), rational=rational)
-    calls = []
-    for name, label in (("_dijkstra_row", "dijkstra"), ("_floyd_warshall_float", "floyd_warshall")):
-        real = getattr(orcurv.graph, name)
-        monkeypatch.setattr(orcurv.graph, name,
-                            lambda *a, real=real, label=label: calls.append(label) or real(*a))
+    sources = []
+    real = orcurv.graph._dijkstra_row
+    monkeypatch.setattr(orcurv.graph, "_dijkstra_row",
+                        lambda adj, n, source, zero: sources.append(source)
+                        or real(adj, n, source, zero))
     d = all_pairs_geodesic(g)
-    assert calls == [route] * (30 if route == "dijkstra" else 1)
-    # one number type per graph on every route: a float graph's rows hold
-    # only floats, the zero diagonal included; an int graph's only ints
+    assert sources == list(range(30))
+    # one number type per graph: a float graph's rows hold only floats,
+    # the zero diagonal included; an int graph's only ints
     assert all(type(x) is (int if rational else float) for row in d for x in row)
 
 

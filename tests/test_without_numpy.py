@@ -1,5 +1,4 @@
-"""A classical run needs no numpy: only the qsim routes and the dense
-float Floyd-Warshall load it.
+"""A classical run needs no numpy: only the qsim routes load it.
 
 Each check runs a fresh interpreter. With numpy hidden
 (`sys.modules["numpy"] = None`, so that importing it raises ImportError),
@@ -35,12 +34,12 @@ sys.exit(code)
 GRAPHS = {
     # a 4-cycle with a chord and rational weights
     "exact.txt": "0 1 1/2\n1 2 3/4\n2 3 1\n3 0 5/4\n0 2 2\n",
-    # an 8-cycle: density 2/7 < 1/2, so float APSP runs Dijkstra
+    # an 8-cycle: density 2/7
     "sparse-float.txt": "".join(f"{v} {(v + 1) % 8} {1.5 + v / 4}\n" for v in range(8)),
     "tree.txt": "0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n",
     # K_{3,3}: every edge has p = q = 2
     "k33.txt": "".join(f"{u} {v} {u + v}\n" for u in range(3) for v in range(3, 6)),
-    # K_5: density 1, so float APSP runs Floyd-Warshall
+    # K_5: density 1
     "dense-float.txt": "".join(f"{u} {v} {1.25 * (u + v)}\n"
                                for u in range(5) for v in range(u + 1, 5)),
     "cost.json": json.dumps({"cost": [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]], "dxy": 1}),
@@ -53,13 +52,13 @@ CLASSICAL = {
     "tree": ["--input", "tree.txt", "--method", "tree", "--all-edges"],
     "assignment": ["--input", "k33.txt", "--method", "assignment", "--all-edges"],
     "brute_force": ["--input", "k33.txt", "--method", "brute_force", "--all-edges"],
+    "lp-dense-float": ["--input", "dense-float.txt", "--numeric", "float",
+                       "--method", "lp", "--all-edges"],
     "lp-cost-matrix": ["--input", "cost.json", "--format", "cost_matrix", "--method", "lp"],
 }
 
 NUMPY_ROUTES = {
     "qsim_tree": ["--input", "tree.txt", "--method", "qsim_tree", "--all-edges"],
-    "lp-dense-float": ["--input", "dense-float.txt", "--numeric", "float",
-                       "--method", "lp", "--all-edges"],
 }
 
 
@@ -98,8 +97,8 @@ def test_classical_route_needs_no_numpy(inputs, argv):
 
 @pytest.mark.parametrize("argv", NUMPY_ROUTES.values(), ids=NUMPY_ROUTES.keys())
 def test_qsim_and_dense_float_routes_load_numpy(inputs, argv):
-    # the control: the probe sees numpy where a route runs it, and hiding
-    # numpy stops such a run
+    # the control: the probe sees numpy where a qsim route runs it, and
+    # hiding numpy stops such a run
     code, report, err = _orc("shown", argv)
     assert (code, report is None) == (0, False), err
     assert err.endswith("numpy imported: True\n"), err
