@@ -12,7 +12,8 @@ split into columns D_i, summed into the tensor sum D_P, masked by the
 permutation projector, pseudo-inverted, and fed to a power iteration
 whose dominant eigenvalue yields the minimum permutation sum, hence W1.
 The device dimension is p^p (what --cap bounds and the ledger records),
-but only the p! permutation entries that the projector keeps are built.
+but only the p! permutation entries that the projector keeps are built,
+the random start included; the iteration stops on a Kato-Temple bound.
 
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
@@ -62,7 +63,8 @@ class EigenEstimate:
 
     value is 1 / (kappa_a * r) for the last Rayleigh quotient r of the
     pseudoinverse; iterations counts the quotients taken, and converged
-    is False when MAX_POWER_ITERATIONS ran out first.
+    is False when MAX_POWER_ITERATIONS ran out before r met the
+    Kato-Temple bound of min_eigen_power.
     """
 
     value: float
@@ -322,14 +324,13 @@ def extract_Di(dg_local: BlockEncoding, i: int,
 
 
 @functools.lru_cache(maxsize=None)
-def _permutations(p: int) -> tuple[np.ndarray, np.ndarray]:
+def _permutations(p: int) -> np.ndarray:
     """Zero-based permutation digits, shape (p!, p), in lexicographic order,
-    and their flat indices into the (p,)*p grid, which that order sorts
-    ascending. Built once per p, read-only."""
+    which is the ascending order of their indices into the (p,)*p grid.
+    Built once per p, read-only."""
     digits = np.array(list(itertools.permutations(range(p))), dtype=np.intp)
-    flat = digits @ p ** np.arange(p - 1, -1, -1)
-    digits.flags.writeable = flat.flags.writeable = False
-    return digits, flat
+    digits.flags.writeable = False
+    return digits
 
 
 def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
@@ -353,7 +354,7 @@ def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
     if p == 1:
         out = ds[0]
     else:
-        digits, _ = _permutations(p)
+        digits = _permutations(p)
         acc = np.zeros(len(digits))
         for i, d_i in enumerate(ds):    # in LCU order, which fixes the rounding
             acc = acc + (d_i.op / d_i.subnorm)[digits[:, i]]
@@ -400,11 +401,12 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
 
     Forms the pseudoinverse encoding A and runs power iteration from
     `start` (a vector of length be.dim, typically random) restricted to
-    the support and normalized. With x the unit iterate and r = x.Ax its
-    Rayleigh quotient, the loop stops when ||Ax - r x|| <= eps * max(1, |r|),
-    or when successive Rayleigh quotients differ by less than eps
-    (absolute). Failure to converge within MAX_POWER_ITERATIONS is
-    reported through converged=False, not raised.
+    the support and normalized. With x the unit iterate, r = x.Ax its
+    Rayleigh quotient and a2 = max(A) / gap_proxy the second eigenvalue
+    of A (0 when the gap is infinite), the loop stops when r > a2 and
+    ||Ax - r x||^2 <= eps * r * (r - a2), which by Kato-Temple gives
+    max(A) - r <= eps * r, given the gap. Failure to converge within
+    MAX_POWER_ITERATIONS is reported through converged=False, not raised.
     """
     diag = be.encoded
     support = diag != 0.0
@@ -427,26 +429,23 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     if gamma0 == 0.0:
         raise ZeroOverlap("start vector orthogonal to the target eigenspace")
 
-    r_prev = None
+    nz = np.sort(diag[support])
+    lam1 = float(nz[0])
+    higher = nz[nz > lam1 * (1 + 1e-12)]
+    gap_proxy = float(higher[0] / lam1) if higher.size else math.inf
+    a2 = a_max / gap_proxy
+
     converged = False
     iterations = 0
     for _ in range(MAX_POWER_ITERATIONS):
         y = a * x
         r = float(x @ y)
         iterations += 1
-        if _norm(y - r * x) <= eps * max(1.0, abs(r)):
+        res = y - r * x
+        if r > a2 and float(res @ res) <= eps * r * (r - a2):
             converged = True
             break
-        if r_prev is not None and abs(r - r_prev) < eps:
-            converged = True
-            break
-        r_prev = r
         x = y / _norm(y)
-
-    nz = np.sort(diag[support])
-    lam1 = float(nz[0])
-    higher = nz[nz > lam1 * (1 + 1e-12)]
-    gap_proxy = float(higher[0] / lam1) if higher.size else math.inf
 
     estimate = EigenEstimate(
         value=1.0 / (kappa_a * r),
@@ -470,12 +469,12 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
 
     `be` is the encoding from build_distance_encoding over the distances
     that nb's X and Y index: the graph's geodesics, or cost_grid(cost)
-    for a bare cost matrix. The power iteration starts from p^p normals
-    drawn with `seed` (None: fresh OS entropy) and gathered at the p!
-    permutation entries; it stops when ||Ax - r x|| <= eps * max(1, |r|)
-    or when successive Rayleigh quotients r differ by less than eps
-    (absolute), see min_eigen_power. DimensionCap when p^p > dim_cap. A
-    zero-cost permutation (X = Y) raises SpectrumOutOfRange.
+    for a bare cost matrix. The power iteration starts from p! normals
+    drawn with `seed` (None: fresh OS entropy), one per permutation
+    entry; it stops once the Kato-Temple bound puts its Rayleigh quotient
+    r within eps * r of the top eigenvalue, given the spectral gap, see
+    min_eigen_power. DimensionCap when p^p > dim_cap. A zero-cost
+    permutation (X = Y) raises SpectrumOutOfRange.
     """
     p = nb.p
     if p != nb.q:
@@ -485,9 +484,8 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
     dp = build_DP(columns, dim_cap=dim_cap, audit=audit)
     pi = build_Pi(p, dim_cap=dim_cap, audit=audit)
     composite = bk.be_product(pi, dp)
-    _, flat = _permutations(p)
     if audit is not None:
-        audit.record("composite", composite, dim=p ** p, support=len(flat))
+        audit.record("composite", composite, dim=p ** p, support=math.factorial(p))
     encoded = composite.encoded
     if np.any(encoded == 0.0):
         raise SpectrumOutOfRange(
@@ -495,7 +493,7 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
             "so W1 = 0 is a zero eigenvalue, which the power stage on the "
             "pseudoinverse cannot see")
     kappa_a = (1 + 1e-9) / float(np.min(encoded))
-    start = np.random.default_rng(seed).standard_normal(p ** p)[flat]
+    start = np.random.default_rng(seed).standard_normal(math.factorial(p))
     estimate = min_eigen_power(composite, kappa_a, start, eps=eps, audit=audit)
     w1 = estimate.value * math.factorial(p) * be.subnorm
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",

@@ -21,6 +21,7 @@ from orcurv.errors import DimensionCap, DimMismatch, NotSquare, SizeMismatch
 from orcurv.qpipeline import (
     DEFAULT_DIM_CAP,
     AuditTrail,
+    _permutations,
     extract_Di,
     localize_DG,
     min_eigen_power,
@@ -43,6 +44,13 @@ def perm_index(digits: Sequence[int], p: int) -> int:
             raise DigitOutOfRange(f"digit {d} outside [1, {p}]")
         k = k * p + (d - 1)
     return k
+
+
+def permutation_indices(p: int) -> np.ndarray:
+    """Zero-based indices into the (p,)*p grid of the permutation digit
+    tuples, in the pipeline's _permutations order, which sorts them
+    ascending: the p^p positions of the p! support entries."""
+    return _permutations(p) @ p ** np.arange(p - 1, -1, -1)
 
 
 def distinct_digit_mask(p: int) -> np.ndarray:
@@ -123,8 +131,9 @@ def build_pi_full(p: int, route: str = "direct", dim_cap: int = DEFAULT_DIM_CAP,
 def w1_pq_qsim_full(nb, be: BlockEncoding, *, seed: int | None = None, eps: float = 1e-10,
                     dim_cap: int = DEFAULT_DIM_CAP) -> CurvatureResult:
     """The p = q pipeline on length-p^p vectors: D_P and the projector from
-    the builders above, their product, and a seeded p^p normal draw as
-    the start vector, which min_eigen_power masks to the nonzero spectrum."""
+    the builders above, their product, and as the start vector the
+    pipeline's seeded p! normal draw written at the permutation indices,
+    zero elsewhere, which min_eigen_power masks to the nonzero spectrum."""
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
@@ -134,7 +143,9 @@ def w1_pq_qsim_full(nb, be: BlockEncoding, *, seed: int | None = None, eps: floa
     composite = bk.be_product(build_pi_full(p, dim_cap=dim_cap), dp)
     encoded = composite.encoded
     kappa_a = (1 + 1e-9) / float(np.min(encoded[encoded != 0.0]))
-    start = np.random.default_rng(seed).standard_normal(composite.dim)
+    start = np.zeros(composite.dim)
+    start[permutation_indices(p)] = np.random.default_rng(seed).standard_normal(
+        math.factorial(p))
     estimate = min_eigen_power(composite, kappa_a, start, eps=eps)
     w1 = estimate.value * math.factorial(p) * be.subnorm
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",

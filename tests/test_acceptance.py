@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from full_route import build_pi_full, perm_index
+from full_route import build_pi_full, perm_index, permutation_indices
 from helpers import (
     internal_edges,
     pq_qsim_from_cost,
@@ -31,7 +31,6 @@ from orcurv.cli import main
 from orcurv.graph import all_pairs_geodesic, neighborhood
 from orcurv.qpipeline import (
     build_distance_encoding,
-    _permutations,
     build_Pi,
     tree_qsim_standard_error,
     w1_tree_qsim,
@@ -246,7 +245,7 @@ def test_criterion_09_projector_and_index():
         purified = build_pi_full(p, route="purified")
         assert np.max(np.abs(purified.encoded - direct.encoded)) <= 1e-14
         # the pipeline's projector lives on exactly those indices, ascending
-        _, flat = _permutations(p)
+        flat = permutation_indices(p)
         assert flat.tolist() == sorted(expected)
         on_support = build_Pi(p)
         assert np.array_equal(on_support.encoded, direct.encoded[flat])

@@ -347,6 +347,24 @@ def test_compare_square_fixture(tmp_path, capsys):
     assert report["records"][0]["w1_classical"] == "5/2"
 
 
+def test_compare_small_gap_block_meets_default_tol(tmp_path, capsys):
+    # the (17, 22) block of the pq_mixed inputs at seed 1 has a gap of
+    # 1.02: successive Rayleigh quotients agree within --eps while W1 is
+    # still 2.1e-8 off, beyond the default --tol 1e-8
+    fixture = tmp_path / "gap.json"
+    fixture.write_text(json.dumps({"cost": [
+        [3, 7, 12, 7, 6, 7], [14, 9, 14, 15, 13, 10], [12, 8, 11, 11, 10, 10],
+        [11, 8, 14, 11, 14, 11], [10, 6, 11, 13, 8, 10], [16, 11, 11, 16, 13, 15]],
+        "dxy": 1}))
+    code, out, _ = run_cli(["compare", "--input", str(fixture), "--format", "cost_matrix",
+                            "--qsim-method", "qsim_pq"], capsys)
+    record = json.loads(out)["records"][0]
+    assert record["diagnostics"]["converged"]
+    assert record["w1_classical"] == "17/2"
+    assert record["abs_diff"] <= 1e-9
+    assert code == 0
+
+
 def test_compare_corrupted_alpha_fails(path4, capsys, monkeypatch):
     # cli reads build_distance_encoding through qpipeline, on a qsim route only
     corrupt_encoding(monkeypatch, orcurv.qpipeline, 1.02)

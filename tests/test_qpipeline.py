@@ -16,6 +16,7 @@ from full_route import (
     build_pi_full,
     distinct_digit_mask,
     perm_index,
+    permutation_indices,
     w1_pq_qsim_full,
 )
 from helpers import (
@@ -55,7 +56,7 @@ from orcurv.qpipeline import (
     w1_pq_qsim,
     w1_tree_qsim,
 )
-from orcurv.transport import w1_assignment, w1_bruteforce, w1_tree
+from orcurv.transport import DEFAULT_DIM_CAP, w1_assignment, w1_bruteforce, w1_tree
 from reference import DigitOutOfRange, be_identity, be_lcu, be_tensor
 
 APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
@@ -413,7 +414,7 @@ def test_build_dp_first_nine_block_pattern():
         assert dp.op[k] == pytest.approx(expected, abs=1e-10)
     # on the support, the first nine indices hold the permutations 0 1 2 and 0 2 1
     dp = build_DP(ds)
-    digits, flat = _permutations(3)
+    digits, flat = _permutations(3), permutation_indices(3)
     assert flat[:2].tolist() == [5, 7]
     for k in range(2):
         expected = c[0][0] + c[digits[k, 1]][1] + c[digits[k, 2]][2]
@@ -433,7 +434,7 @@ def test_build_dp_random_index_decode():
         assert dp.op[k] == pytest.approx(expected, abs=1e-10)
     # on the support, entry m decodes from its flat index the same way
     dp = build_DP(ds)
-    _, flat = _permutations(3)
+    flat = permutation_indices(3)
     for m, k in enumerate(flat):
         digits = [(k // 9) % 3 + 1, (k // 3) % 3 + 1, k % 3 + 1]
         expected = sum(c[digits[j] - 1][j] for j in range(3))
@@ -468,7 +469,7 @@ def tensor_sum_by_composition(ds):
 
 def restrict(be, p):
     """be with its p^p-vector op cut to the p! permutation indices."""
-    return dataclasses.replace(be, op=be.op[_permutations(p)[1]])
+    return dataclasses.replace(be, op=be.op[permutation_indices(p)])
 
 
 def assert_same_encoding(got, want):
@@ -530,13 +531,13 @@ def test_perm_index_bijective():
 
 def test_permutations_are_the_distinct_digit_indices():
     for p in range(1, 7):
-        digits, flat = _permutations(p)
+        digits, flat = _permutations(p), permutation_indices(p)
         assert digits.shape == (math.factorial(p), p)
         assert [tuple(d) for d in digits] == list(itertools.permutations(range(p)))
         assert flat.tolist() == [perm_index([d + 1 for d in row], p) for row in digits]
         assert np.array_equal(flat, np.flatnonzero(distinct_digit_mask(p)))
-        assert not digits.flags.writeable and not flat.flags.writeable
-        assert _permutations(p)[1] is flat      # built once per p
+        assert not digits.flags.writeable
+        assert _permutations(p) is digits      # built once per p
 
 
 def test_build_pi_p2_support():
@@ -545,7 +546,7 @@ def test_build_pi_p2_support():
     assert pi.subnorm == 2.0
     # on the support: ones at those two indices
     pi = build_Pi(2)
-    assert _permutations(2)[1].tolist() == [1, 2]
+    assert permutation_indices(2).tolist() == [1, 2]
     assert pi.op.tolist() == [1.0, 1.0]
     assert pi.subnorm == 2.0
 
@@ -563,7 +564,7 @@ def test_build_pi_purified_equals_direct():
         purified = build_pi_full(p, route="purified")
         assert purified.op.ndim == 1
         assert np.allclose(purified.encoded, direct.encoded, atol=1e-14)
-        flat = _permutations(p)[1]
+        flat = permutation_indices(p)
         assert np.allclose(build_Pi(p).encoded, purified.encoded[flat], atol=1e-14)
 
 
@@ -623,7 +624,7 @@ def test_min_eigen_matches_bruteforce_scaling():
         # on the support, from the same draw gathered at the permutations
         comp = be_product(build_Pi(3), build_DP(ds))
         assert float(np.min(comp.encoded)) == float(np.min(enc[enc != 0]))
-        start = np.random.default_rng(9).standard_normal(27)[_permutations(3)[1]]
+        start = np.random.default_rng(9).standard_normal(27)[permutation_indices(3)]
         est = min_eigen_power(comp, kappa, eps=1e-12, start=start)
         got = est.value * math.factorial(3) * 3 * be.subnorm
         assert got == pytest.approx(expected, abs=1e-8)
@@ -653,6 +654,21 @@ def test_min_eigen_geometric_decay_bound(monkeypatch):
         assert lam1 - r <= bound0 * rho ** (2 * k) * (1 + 1e-9) + 1e-15
 
 
+def test_min_eigen_converged_meets_the_kato_temple_bound():
+    # a gap of 1.001: successive Rayleigh quotients differ by about 2e-3
+    # times their error, so they agree within eps while r is 5e-8 short
+    be = BlockEncoding([0.0, 0.2, 0.2 * 1.001, 0.5, 1.0], 1.0)
+    kappa = 5.0 * (1 + 1e-9)
+    lam1 = 1.0 / (kappa * 0.2)
+    eps = 1e-10
+    for seed in range(5):
+        est = min_eigen_power(be, kappa, eps=eps,
+                              start=np.random.default_rng(seed).standard_normal(be.dim))
+        assert est.converged and est.gap_proxy == pytest.approx(1.001)
+        r = 1.0 / (kappa * est.value)
+        assert lam1 - r <= eps * r + 4 * math.ulp(lam1)
+
+
 def test_projector_masks_exactly_permutation_sums():
     rng = random.Random(50)
     cost = random_cost_matrix(3, 3, rng)
@@ -675,7 +691,7 @@ def test_projector_masks_exactly_permutation_sums():
         pytest.approx(min_sum, abs=1e-8)
     # on the support, entry m is the sum of the m-th permutation, none masked
     support = be_product(build_Pi(3), build_DP(ds))
-    flat = _permutations(3)[1]
+    flat = permutation_indices(3)
     assert support.dim == len(sums)
     for m, k in enumerate(flat):
         assert support.op[m] == pytest.approx(sums[int(k)], abs=1e-9)
@@ -765,7 +781,7 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         support, full = build_DP(ds), build_dp_full(ds)
-        flat = _permutations(p)[1]
+        flat = permutation_indices(p)
         assert support.dim == math.factorial(p) and full.dim == p ** p
         assert support.op.dtype == full.op.dtype
         assert np.array_equal(support.op, full.op[flat])      # bit for bit
@@ -775,9 +791,9 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
 
 @pytest.mark.parametrize("power_mode", ["exact", "chebyshev"])
 def test_pq_pipeline_matches_full_route(power_mode):
-    # same seeded p^p draw, gathered at the support: the same iteration
-    # count and gap, and W1 up to the rounding of dot products that now
-    # sum fewer zeros
+    # same seeded p! draw, at the support and zero elsewhere: the same
+    # iteration count and gap, and W1 up to the rounding of dot products
+    # that now sum fewer zeros
     rng = random.Random(31)
     for p in range(1, 6):
         for _ in range(6):
@@ -792,22 +808,35 @@ def test_pq_pipeline_matches_full_route(power_mode):
             assert abs(got.w1 - want.w1) <= 4 * math.ulp(want.w1)
 
 
-def test_pq_qsim_p7_allocates_no_pp_operator():
-    # p^p = 823 543: the full route peaked at 150 MB, the support route
-    # holds p! = 5040 entries per stage and the one p^p normal draw
-    cost = random_cost_matrix(7, 7, random.Random(37))
+def pq_qsim_peak(p, dim_cap):
+    """tracemalloc peak of one p x p run, with its W1 checked against
+    w1_assignment."""
+    cost = random_cost_matrix(p, p, random.Random(37))
     # a first run loads numpy code lazily; clearing the cache keeps the
     # p! tables in the measured run
-    pq_qsim_from_cost(cost, 1, seed=0)
+    pq_qsim_from_cost(cost, 1, seed=0, dim_cap=dim_cap)
     _permutations.cache_clear()
     tracemalloc.start()
     try:
-        res = pq_qsim_from_cost(cost, 1, seed=0)
+        res = pq_qsim_from_cost(cost, 1, seed=0, dim_cap=dim_cap)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert abs(res.w1 - float(w1_assignment(cost).cost_value)) <= 1e-8
-    assert peak < 16 * 1024 * 1024
+    return peak
+
+
+def test_pq_qsim_p7_allocates_no_pp_operator():
+    # p^p = 823 543: the full route peaked at 150 MB; the support route
+    # holds p! = 5040 entries per stage, its start included, so it stays
+    # below one p^p float64 vector (6.28 MiB)
+    assert pq_qsim_peak(7, DEFAULT_DIM_CAP) < 7 ** 7 * 8
+
+
+def test_pq_qsim_p8_allocates_no_pp_array():
+    # p^p = 16 777 216 is admitted by a raised cap; a p^p start alone
+    # would take 128 MiB
+    assert pq_qsim_peak(8, 10 ** 8) < 16 * 1024 * 1024
 
 
 def test_pq_audit_trail_records_every_stage_in_order():
@@ -902,7 +931,7 @@ def test_subnorm_ledger_stage_by_stage():
     assert rec["max_entry"] == pytest.approx(float(np.max(enc[enc != 0])))
 
     # on the support, each stage equals its p^p counterpart at the permutations
-    flat = _permutations(3)[1]
+    flat = permutation_indices(3)
     support_audit = AuditTrail()
     dp_s = build_DP(ds, audit=support_audit)
     pi_s = build_Pi(3, audit=support_audit)
