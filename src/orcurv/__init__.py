@@ -15,6 +15,7 @@ from .graph import (
     Graph,
     LocalNeighborhood,
     all_pairs_geodesic,
+    load_cost_matrix,
     load_graph,
     neighborhood,
     verify_tree,
@@ -41,8 +42,8 @@ _LAZY = {
 
 __all__ = [
     "errors", "graph", "transport", "blockenc", "qpipeline",
-    "Graph", "LocalNeighborhood", "all_pairs_geodesic", "load_graph", "neighborhood",
-    "verify_tree",
+    "Graph", "LocalNeighborhood", "all_pairs_geodesic", "load_cost_matrix", "load_graph",
+    "neighborhood", "verify_tree",
     "AssignmentSolution", "CurvatureResult", "TransportPlan", "curvature", "w1_assignment",
     "w1_bruteforce", "w1_lp", "w1_tree",
     *_LAZY,

@@ -6,16 +6,18 @@ and fails (exit 1) when the difference exceeds the tolerance; fixture
 writes small named input files. compute and compare share one run loop,
 `_run`. It reads the input and selects the edges, settles the run, and
 only then computes the distances, the neighborhoods and the one distance
-encoding. Settling refuses, never ignores, what the run cannot use: a
-qsim option that no method reads (`_QSIM_OPTIONS` defines each one),
---seed on qsim_tree without --shots, a tree method without a tree, and an
---out or --trace path that is a directory, whose directory is missing,
-that the OS cannot stat or that is the input file. Every configuration
-error thus exits 2 before any distance work, except NotSquare, which
-reads p and q, and a write that fails later; and a leaf --edge (empty
-neighborhood, exit 3) in a refused run exits 2. A per-edge solver error
-is prefixed with its edge here. Exit codes: 0 ok, 1 comparison failure,
-2 configuration error, 3 solver error.
+encoding. Reading takes the file's text alone: `graph` parses every
+input format and checks its numbers, and its OrcError exits 2 here.
+Settling refuses, never ignores, what the run cannot use: a qsim option
+that no method reads (`_QSIM_OPTIONS` defines each one), --seed on
+qsim_tree without --shots, a tree method without a tree, and an --out or
+--trace path that is a directory, whose directory is missing, that the
+OS cannot stat, that is the input file or that is one file with the
+other. Every configuration error thus exits 2 before any distance work,
+except NotSquare, which reads p and q, and a write that fails later; and
+a leaf --edge (empty neighborhood, exit 3) in a refused run exits 2. A
+per-edge solver error is prefixed with its edge here. Exit codes: 0 ok,
+1 comparison failure, 2 configuration error, 3 solver error.
 
 A run imports `qpipeline`, and with it numpy, only when its route is a
 qsim method, and reads its names through the module at call time; a
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -41,14 +44,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError, InvalidWeight, OrcError
+from .errors import ConfigError, OrcError
 from .graph import (
     Graph,
     LocalNeighborhood,
     all_pairs_geodesic,
+    load_cost_matrix,
     load_graph,
     neighborhood,
-    parse_fraction,
     verify_tree,
 )
 from .transport import ALL_METHODS, DEFAULT_DIM_CAP, QSIM_METHODS, CurvatureResult, curvature
@@ -180,51 +183,23 @@ def _read_input(args: argparse.Namespace) -> Graph | LocalNeighborhood:
         text = Path(args.input).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input {args.input!r}: {exc}") from exc
-    if args.format == "cost_matrix":
-        parse_float = float if args.numeric == "float" else parse_fraction
-        try:
-            obj = json.loads(text, parse_float=parse_float)
-        except (ValueError, InvalidWeight) as exc:
-            # JSONDecodeError, an over-long integer, or an over-long exponent
-            raise ConfigError(f"invalid cost-matrix JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "cost" not in obj or "dxy" not in obj:
-            raise ConfigError('cost-matrix input must be {"cost": [[...]], "dxy": r}')
-        nb = _cost_fixture(obj["cost"], obj["dxy"], args.numeric)
-        for option, given in (("--edge", args.edge), ("--all-edges", args.all_edges),
-                              ("--include-endpoints", args.include_endpoints)):
-            if given:
-                raise ConfigError(f"{option} needs a graph input, not a cost-matrix fixture")
-        return nb
     try:
+        if args.format == "cost_matrix":
+            return load_cost_matrix(text, args.numeric)
         return load_graph(text, format=args.format, numeric=args.numeric)
     except OrcError as exc:
         raise ConfigError(f"cannot parse input: {exc}") from exc
 
 
-def _cost_fixture(cost, dxy, numeric: str) -> LocalNeighborhood:
-    """Neighborhood of a cost-matrix fixture whose entries are all finite
-    non-negative numbers."""
-    if not isinstance(cost, list) or not all(isinstance(row, list) for row in cost):
-        raise ConfigError(f'"cost" must be a list of rows, got {type(cost).__name__}')
-    for v in [*(v for row in cost for v in row), dxy]:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
-            raise ConfigError(f"cost-matrix value {v!r} is not a number")
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ConfigError(f"cost-matrix value {v!r} is not finite")
-        if v < 0:
-            raise ConfigError(f"cost-matrix value {v!r} is negative")
-    try:
-        if numeric == "float":
-            cost = [[float(v) for v in row] for row in cost]
-            dxy = float(dxy)
-        return LocalNeighborhood.from_cost(cost, dxy)
-    except OverflowError as exc:
-        raise ConfigError(f"cost-matrix entry too large for float mode: {exc}") from exc
-    except OrcError as exc:
-        raise ConfigError(f"bad cost-matrix fixture: {exc}") from exc
-
-
-def _select_edges(args: argparse.Namespace, g: Graph) -> list[tuple[int, int]]:
+def _select_edges(args: argparse.Namespace, g: Graph | None) -> list[tuple[int, int]] | None:
+    """The edges the run computes; None for a cost-matrix fixture (g None),
+    which has no edge to select."""
+    if g is None:
+        for option, given in (("--edge", args.edge), ("--all-edges", args.all_edges),
+                              ("--include-endpoints", args.include_endpoints)):
+            if given:
+                raise ConfigError(f"{option} needs a graph input, not a cost-matrix fixture")
+        return None
     if args.all_edges and args.edge:
         raise ConfigError("use either --edge or --all-edges, not both")
     if args.all_edges:
@@ -263,8 +238,9 @@ def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[s
             setattr(args, option[2:], default)
         elif not set(methods) & set(readers):
             raise ConfigError(f"method {route!r} {reason}; drop {option}")
+    one_file = f"--out and --trace both name {args.out!r}; give each its own path"
     if args.trace and args.out and os.path.realpath(args.trace) == os.path.realpath(args.out):
-        raise ConfigError(f"--out and --trace both name {args.out!r}; give each its own path")
+        raise ConfigError(one_file)
     # so a run refused for one of its files writes neither
     for option, path in (("--out", args.out), ("--trace", args.trace)):
         if not path:
@@ -276,9 +252,12 @@ def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[s
                 raise ConfigError(f"cannot write {option} {path!r}: "
                                   f"no directory {str(Path(path).parent)!r}")
             # samefile() stats the path (is_dir() reads a symlink loop as "not
-            # a directory") and so catches a symlink or hard link to the input
+            # a directory") and so catches a symlink or hard link to the input,
+            # and a --trace hard-linked to an --out that exists
             if os.path.samefile(path, args.input):
                 raise ConfigError(f"cannot write {option} {path!r}: it is the input file")
+            if option == "--trace" and args.out and os.path.samefile(path, args.out):
+                raise ConfigError(one_file)
         except FileNotFoundError:
             pass                 # a file the run makes
         except OSError as exc:   # a name the OS refuses to stat: too long, a symlink loop
@@ -339,15 +318,8 @@ def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
         "curvature": result.curvature,
         "method": result.method,
     }
-    diag = result.diagnostics
-    if diag is not None:
-        rec["diagnostics"] = {
-            "value": diag.value,
-            "iterations": diag.iterations,
-            "initial_overlap": diag.initial_overlap,
-            "gap_proxy": diag.gap_proxy,
-            "converged": diag.converged,
-        }
+    if result.diagnostics is not None:    # the EigenEstimate of a qsim_pq run
+        rec["diagnostics"] = dataclasses.asdict(result.diagnostics)
     return rec
 
 
@@ -374,7 +346,7 @@ def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
     and the distances a qsim route encodes; the graph is freed on return."""
     source = _read_input(args)
     g = source if isinstance(source, Graph) else None
-    edges = None if g is None else _select_edges(args, g)
+    edges = _select_edges(args, g)
     methods = _settle(args, g, g is not None and verify_tree(g))
     if g is None:
         pairs = [(None, source)]    # a cost-matrix fixture has no edge
@@ -463,17 +435,15 @@ class _SolverFailure(Exception):
 
 
 def _report_to_csv(report: dict) -> str:
+    """One row per record, its fields in record order; a run selects at
+    least one edge, and every record of a run has the same fields."""
     records = report["records"]
-    fields = ["x", "y", "p", "q", "w1", "dxy", "curvature", "method"]
-    extras = ["w1_classical", "w1_qsim", "abs_diff", "rel_diff", "tol", "within_tol"]
-    if records and "w1_classical" in records[0]:
-        fields = fields + extras
+    fields = [k for k in records[0] if k != "diagnostics"]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore",
                             lineterminator="\n")
     writer.writeheader()
-    for rec in records:
-        writer.writerow({k: rec.get(k) for k in fields})
+    writer.writerows(records)
     return buf.getvalue()
 
 

@@ -1,4 +1,8 @@
-"""Weighted undirected graphs and exact all-pairs geodesic distances.
+"""Weighted undirected graphs, every input format, and exact all-pairs
+geodesic distances.
+
+load_graph reads edge lists and JSON graphs, load_cost_matrix cost-matrix
+fixtures; every number of every format passes one rule, `_number`.
 
 Two numeric modes are supported. In rational mode (the default) weights
 are kept as int / Fraction and every distance is exact, which makes the
@@ -46,14 +50,21 @@ def _is_rational(value: Weight) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def _check_weight(w: Weight) -> Weight:
-    if isinstance(w, bool) or not isinstance(w, (int, Fraction, float)):
-        raise InvalidWeight(f"weight {w!r} is not a number")
-    if isinstance(w, float) and not math.isfinite(w):
-        raise InvalidWeight(f"weight {w!r} is not finite")
-    if w <= 0:
-        raise InvalidWeight(f"weight {w!r} must be > 0")
-    return w
+def _number(v, numeric: str = "rational", what: str = "weight") -> Weight:
+    """v as a number of the numeric mode, the one number rule of every
+    input: not a bool, finite, and float(v) in float mode (in rational
+    mode v is kept as given). InvalidWeight otherwise, naming v as `what`."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
+        raise InvalidWeight(f"{what} {v!r} is not a number")
+    if numeric == "float":
+        try:
+            v = float(v)
+        except OverflowError as exc:
+            raise InvalidWeight(f"{what} too large for float mode: a number of "
+                                f"{len(str(v))} digits does not fit a float") from exc
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InvalidWeight(f"{what} {v!r} is not finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,10 @@ class Graph:
             if (u, v) in seen:
                 raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
             seen.add((u, v))
-            normalized.append((u, v, _check_weight(w)))
+            w = _number(w)
+            if w <= 0:
+                raise InvalidWeight(f"weight {w!r} must be > 0")
+            normalized.append((u, v, w))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "_edge_set", frozenset(seen))
@@ -162,7 +176,8 @@ class LocalNeighborhood:
 
     @classmethod
     def from_cost(cls, cost: Sequence[Sequence[Weight]], dxy: Weight) -> "LocalNeighborhood":
-        """Synthetic neighborhood for cost-matrix fixtures (no graph)."""
+        """Synthetic neighborhood for cost-matrix fixtures (no graph). It checks
+        only the shape and dxy > 0; load_cost_matrix checks the numbers."""
         p = len(cost)
         q = len(cost[0]) if p else 0
         return cls(
@@ -213,16 +228,6 @@ def _parse_weight_token(tok: str, numeric: str) -> Weight:
     return w
 
 
-def _float_weight(w):
-    """float(w) for a number; anything else is left for _check_weight to refuse."""
-    if isinstance(w, bool) or not isinstance(w, (int, Fraction, float)):
-        return w
-    try:
-        return float(w)
-    except OverflowError as exc:
-        raise InvalidWeight(f"weight {w!r} does not fit a float") from exc
-
-
 def load_graph(text: str, format: str = "edge_list",
                numeric: str = "rational") -> Graph:
     """Parse a graph from edge-list or JSON text.
@@ -269,12 +274,39 @@ def _load_edge_list(text: str, numeric: str) -> Graph:
     return Graph(max_vertex + 1, edges)
 
 
-def _load_json(text: str, numeric: str) -> Graph:
+def load_cost_matrix(text: str, numeric: str = "rational") -> LocalNeighborhood:
+    """The one neighborhood of a cost-matrix fixture, {"cost": [[...]], "dxy": r}.
+
+    Decoded as a JSON graph is, in the numeric mode of load_graph; each
+    entry and dxy passes the number rule of a graph weight, entries must
+    be >= 0 and dxy > 0. ParseError or InvalidWeight for a malformed one.
+    """
+    if numeric not in ("rational", "float"):
+        raise ParseError(f"unknown numeric mode {numeric!r}")
+    obj = _decode(text, numeric)
+    if not isinstance(obj, dict) or "cost" not in obj or "dxy" not in obj:
+        raise ParseError('cost-matrix input must be {"cost": [[...]], "dxy": r}')
+    cost = obj["cost"]
+    if not isinstance(cost, list) or not all(isinstance(row, list) for row in cost):
+        raise ParseError(f'"cost" must be a list of rows, got {type(cost).__name__}')
+    rows = [[_number(v, numeric, "cost-matrix entry") for v in row] for row in cost]
+    for v in (v for row in rows for v in row):
+        if v < 0:
+            raise InvalidWeight(f"cost-matrix entry {v!r} is negative")
+    return LocalNeighborhood.from_cost(rows, _number(obj["dxy"], numeric, '"dxy"'))
+
+
+def _decode(text: str, numeric: str):
+    """JSON text with its decimals read in the numeric mode."""
     parse_float = float if numeric == "float" else parse_fraction
     try:
-        obj = json.loads(text, parse_float=parse_float)
+        return json.loads(text, parse_float=parse_float)
     except ValueError as exc:    # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _load_json(text: str, numeric: str) -> Graph:
+    obj = _decode(text, numeric)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('JSON graph must be {"n": N, "edges": [...]}')
     n = obj["n"]
@@ -286,12 +318,8 @@ def _load_json(text: str, numeric: str) -> Graph:
     for e in obj["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
             raise ParseError(f"edge {e!r} must be [u, v] or [u, v, w]")
-        u, v = e[0], e[1]
-        if len(e) == 3:
-            w = _float_weight(e[2]) if numeric == "float" else e[2]
-        else:
-            w = 1.0 if numeric == "float" else 1
-        edges.append((u, v, w))
+        # the default weight 1 takes the mode's type by the same rule
+        edges.append((e[0], e[1], _number(e[2] if len(e) == 3 else 1, numeric)))
     return Graph(n, edges)
 
 

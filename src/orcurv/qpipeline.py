@@ -18,7 +18,9 @@ the random start included; the iteration stops on a Kato-Temple bound.
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
 optional audit trail records {stage, dim, subnorm, err, min_entry,
-max_entry} per stage so the ledger can be checked from outside.
+max_entry} per stage so the ledger can be checked from outside. Only
+build_distance_encoding and tree_overlap_sum, which hold values their
+callers cannot see, write records; w1_pq_qsim writes the p = q ledger.
 
 The factor 2 introduced by the fractional-power stage is absorbed into
 the distance encoding's subnorm, 2 * alpha^(1/4); the recovery
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -286,8 +288,7 @@ def tree_qsim_standard_error(nb: LocalNeighborhood, be: BlockEncoding,
 # case 2: p = q
 # --------------------------------------------------------------------------
 
-def localize_DG(be: BlockEncoding, X: Sequence[int], Y: Sequence[int],
-                audit: AuditTrail | None = None) -> BlockEncoding:
+def localize_DG(be: BlockEncoding, X: Sequence[int], Y: Sequence[int]) -> BlockEncoding:
     """Localize the grid encoding to the p^2 cost block, in (j, i) order.
 
     Relabeling X and Y to 0..p-1, selecting the top-left block and
@@ -296,17 +297,12 @@ def localize_DG(be: BlockEncoding, X: Sequence[int], Y: Sequence[int],
     """
     if len(X) != len(Y):
         raise NotSquare(f"localization needs p = q, got p={len(X)}, q={len(Y)}")
-    p = len(X)
     block = be.op[_grid_indices(be, X, Y).T.ravel()]
-    out = BlockEncoding(op=block, subnorm=be.subnorm, err=be.err,
-                        ancilla_dim=be.ancilla_dim)
-    if audit is not None:
-        audit.record("localize_DG", out, p=p)
-    return out
+    return BlockEncoding(op=block, subnorm=be.subnorm, err=be.err,
+                         ancilla_dim=be.ancilla_dim)
 
 
-def extract_Di(dg_local: BlockEncoding, i: int,
-               audit: AuditTrail | None = None) -> BlockEncoding:
+def extract_Di(dg_local: BlockEncoding, i: int) -> BlockEncoding:
     """Column block D_i = diag(d_1i, ..., d_pi) / alpha_q for i in [1, p].
 
     Realized as the U_i conjugation (block i <-> block 0) followed by
@@ -316,11 +312,8 @@ def extract_Di(dg_local: BlockEncoding, i: int,
     if not 1 <= i <= p:
         raise IndexOutOfRange(f"column index {i} outside [1, {p}]")
     sl = dg_local.op[(i - 1) * p: i * p].copy()
-    out = BlockEncoding(op=sl, subnorm=dg_local.subnorm, err=dg_local.err,
-                        ancilla_dim=dg_local.ancilla_dim)
-    if audit is not None:
-        audit.record(f"extract_D{i}", out)
-    return out
+    return BlockEncoding(op=sl, subnorm=dg_local.subnorm, err=dg_local.err,
+                         ancilla_dim=dg_local.ancilla_dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,8 +326,7 @@ def _permutations(p: int) -> np.ndarray:
     return digits
 
 
-def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
-             audit: AuditTrail | None = None) -> BlockEncoding:
+def build_DP(ds: Sequence[BlockEncoding]) -> BlockEncoding:
     """Tensor sum D_P on its p! permutation entries, encoded as D_P / (p * alpha_q).
 
     D_P is the uniform LCU of the terms I^(i-1) (x) D_i (x) I^(p-i) over
@@ -349,28 +341,21 @@ def build_DP(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
         raise SizeMismatch("need at least one column encoding")
     if any(b.dim != p for b in ds):
         raise DimMismatch("each D_i must have dimension p = len(ds)")
-    if p ** p > dim_cap:
-        raise DimensionCap(f"p^p = {p ** p} exceeds cap {dim_cap}")
     if p == 1:
-        out = ds[0]
-    else:
-        digits = _permutations(p)
-        acc = np.zeros(len(digits))
-        for i, d_i in enumerate(ds):    # in LCU order, which fixes the rounding
-            acc = acc + (d_i.op / d_i.subnorm)[digits[:, i]]
-        a = ds[0].subnorm
-        # 2p - 2 identity factors of ancilla_dim 2: one beside each end term,
-        # two beside each inner term
-        out = BlockEncoding(op=acc * a, subnorm=p * a,
-                            err=sum(b.err / b.subnorm for b in ds),
-                            ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
-    if audit is not None:
-        audit.record("build_DP", out, dim=p ** p, support=math.factorial(p))
-    return out
+        return ds[0]
+    digits = _permutations(p)
+    acc = np.zeros(len(digits))
+    for i, d_i in enumerate(ds):    # in LCU order, which fixes the rounding
+        acc = acc + (d_i.op / d_i.subnorm)[digits[:, i]]
+    a = ds[0].subnorm
+    # 2p - 2 identity factors of ancilla_dim 2: one beside each end term,
+    # two beside each inner term
+    return BlockEncoding(op=acc * a, subnorm=p * a,
+                         err=sum(b.err / b.subnorm for b in ds),
+                         ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
 
 
-def build_Pi(p: int, dim_cap: int = DEFAULT_DIM_CAP,
-             audit: AuditTrail | None = None) -> BlockEncoding:
+def build_Pi(p: int) -> BlockEncoding:
     """Projector onto the all-distinct digit tuples, encoded as Pi / p!.
 
     Over dimension p^p, Pi is the 0/1 diagonal on the p! permutation
@@ -379,13 +364,8 @@ def build_Pi(p: int, dim_cap: int = DEFAULT_DIM_CAP,
     """
     if p < 1:
         raise SizeMismatch("p must be >= 1")
-    if p ** p > dim_cap:
-        raise DimensionCap(f"p^p = {p ** p} exceeds cap {dim_cap}")
     rank = math.factorial(p)
-    out = BlockEncoding(op=np.ones(rank), subnorm=float(rank))
-    if audit is not None:
-        audit.record("build_Pi[direct]", out, dim=p ** p, support=rank, rank=rank)
-    return out
+    return BlockEncoding(op=np.ones(rank), subnorm=float(rank))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -395,8 +375,7 @@ def _norm(v: np.ndarray) -> float:
 
 
 def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
-                    eps: float = 1e-10,
-                    audit: AuditTrail | None = None) -> EigenEstimate:
+                    eps: float = 1e-10) -> EigenEstimate:
     """Minimum nonzero eigenvalue of an encoding via power method.
 
     Forms the pseudoinverse encoding A and runs power iteration from
@@ -447,18 +426,13 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
             break
         x = y / _norm(y)
 
-    estimate = EigenEstimate(
+    return EigenEstimate(
         value=1.0 / (kappa_a * r),
         iterations=iterations,
         initial_overlap=gamma0,
         gap_proxy=gap_proxy,
         converged=converged,
     )
-    if audit is not None:
-        audit.note("min_eigen_power", value=estimate.value,
-                   iterations=iterations, initial_overlap=gamma0,
-                   gap_proxy=gap_proxy, converged=converged)
-    return estimate
 
 
 def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
@@ -473,19 +447,29 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
     drawn with `seed` (None: fresh OS entropy), one per permutation
     entry; it stops once the Kato-Temple bound puts its Rayleigh quotient
     r within eps * r of the top eigenvalue, given the spectral gap, see
-    min_eigen_power. DimensionCap when p^p > dim_cap. A zero-cost
-    permutation (X = Y) raises SpectrumOutOfRange.
+    min_eigen_power. DimensionCap when p^p > dim_cap, before any stage
+    runs. A zero-cost permutation (X = Y) raises SpectrumOutOfRange.
+    `audit` gets one record per stage, localize_DG to composite, then the
+    EigenEstimate as the min_eigen_power note.
     """
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
-    local = localize_DG(be, nb.X, nb.Y, audit=audit)
-    columns = [extract_Di(local, i, audit=audit) for i in range(1, p + 1)]
-    dp = build_DP(columns, dim_cap=dim_cap, audit=audit)
-    pi = build_Pi(p, dim_cap=dim_cap, audit=audit)
+    dim, support = p ** p, math.factorial(p)
+    if dim > dim_cap:
+        raise DimensionCap(f"p^p = {dim} exceeds cap {dim_cap}")
+    local = localize_DG(be, nb.X, nb.Y)
+    columns = [extract_Di(local, i) for i in range(1, p + 1)]
+    dp = build_DP(columns)
+    pi = build_Pi(p)
     composite = bk.be_product(pi, dp)
     if audit is not None:
-        audit.record("composite", composite, dim=p ** p, support=math.factorial(p))
+        audit.record("localize_DG", local, p=p)
+        for i, d_i in enumerate(columns, start=1):
+            audit.record(f"extract_D{i}", d_i)
+        audit.record("build_DP", dp, dim=dim, support=support)
+        audit.record("build_Pi[direct]", pi, dim=dim, support=support, rank=support)
+        audit.record("composite", composite, dim=dim, support=support)
     encoded = composite.encoded
     if np.any(encoded == 0.0):
         raise SpectrumOutOfRange(
@@ -493,9 +477,11 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
             "so W1 = 0 is a zero eigenvalue, which the power stage on the "
             "pseudoinverse cannot see")
     kappa_a = (1 + 1e-9) / float(np.min(encoded))
-    start = np.random.default_rng(seed).standard_normal(math.factorial(p))
-    estimate = min_eigen_power(composite, kappa_a, start, eps=eps, audit=audit)
-    w1 = estimate.value * math.factorial(p) * be.subnorm
+    start = np.random.default_rng(seed).standard_normal(support)
+    estimate = min_eigen_power(composite, kappa_a, start, eps=eps)
+    if audit is not None:
+        audit.note("min_eigen_power", **asdict(estimate))
+    w1 = estimate.value * support * be.subnorm
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)
 

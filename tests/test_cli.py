@@ -17,6 +17,8 @@ import orcurv.graph
 import orcurv.qpipeline
 from helpers import corrupt_encoding
 from orcurv.cli import main
+from orcurv.errors import InvalidWeight, ParseError
+from orcurv.graph import load_cost_matrix
 
 
 def run_cli(argv, capsys):
@@ -536,16 +538,23 @@ def test_leaf_edge_with_a_refused_option_is_config_error(path4, capsys):
     assert "config error: method 'lp' draws no random numbers; drop --seed" in err
 
 
-@pytest.mark.parametrize("trace", ["same.json", "./sub/../same.json"])
+@pytest.mark.parametrize("trace", ["same.json", "./sub/../same.json", "hard.trace"])
 def test_out_and_trace_on_one_path_is_config_error(path4, tmp_path, capsys, monkeypatch,
                                                    trace):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
+    if trace == "hard.trace":    # two names of one file, both there before the run
+        Path("same.json").write_text("an earlier report\n")
+        try:
+            os.link("same.json", "hard.trace")
+        except (AttributeError, NotImplementedError, OSError) as exc:
+            pytest.skip(f"cannot make a hard link: {exc}")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     code, out, err = run_cli(["compare", "--input", str(path4), "--all-edges",
                               "--out", "same.json", "--trace", trace], capsys)
     assert (code, out) == (2, "")
     assert "config error: --out and --trace both name" in err
-    assert not (tmp_path / "same.json").exists()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 @pytest.mark.parametrize("option, input_name, argv", [
@@ -776,7 +785,7 @@ def test_negative_seed_refused_for_qsim_pq(tmp_path, capsys):
     assert "--seed must be" in err
 
 
-@pytest.mark.parametrize("fixture", [
+MALFORMED_COST_MATRICES = [
     {"cost": [["a", 2]], "dxy": 1},
     {"cost": [[1, 2]], "dxy": "x"},
     {"cost": 5, "dxy": 1},
@@ -786,8 +795,12 @@ def test_negative_seed_refused_for_qsim_pq(tmp_path, capsys):
     {"cost": [[1, 2]], "dxy": False},
     {"cost": [[1, -2]], "dxy": 1},
     {"cost": [[1, 2]], "dxy": None},
-], ids=["str-entry", "str-dxy", "int-cost", "flat-rows", "ragged", "bool-entry",
-        "bool-dxy", "negative-entry", "null-dxy"])
+]
+MALFORMED_COST_MATRIX_IDS = ["str-entry", "str-dxy", "int-cost", "flat-rows", "ragged",
+                             "bool-entry", "bool-dxy", "negative-entry", "null-dxy"]
+
+
+@pytest.mark.parametrize("fixture", MALFORMED_COST_MATRICES, ids=MALFORMED_COST_MATRIX_IDS)
 @pytest.mark.parametrize("numeric", ["rational", "float"])
 def test_malformed_cost_matrix_is_config_error(tmp_path, capsys, fixture, numeric):
     path = tmp_path / "bad.json"
@@ -799,7 +812,7 @@ def test_malformed_cost_matrix_is_config_error(tmp_path, capsys, fixture, numeri
     assert "config error" in err
 
 
-@pytest.mark.parametrize("text, numeric, message", [
+NON_FINITE_COST_MATRICES = [
     ('{"cost": [[1, %s], [2, 3]], "dxy": 1}' % v, "rational", "is not finite")
     for v in ("NaN", "Infinity", "-Infinity")
 ] + [
@@ -811,8 +824,14 @@ def test_malformed_cost_matrix_is_config_error(tmp_path, capsys, fixture, numeri
     # an integer literal parses exactly, then cannot become a float
     ('{"cost": [[%d, 1], [2, 3]], "dxy": 1}' % 10 ** 400, "float",
      "cost-matrix entry too large for float mode"),
-], ids=["cost-nan", "cost-inf", "cost-neg-inf", "dxy-nan", "dxy-inf", "dxy-neg-inf",
-        "dxy-1e400-float", "cost-1e400-float", "cost-int-1e400-float"])
+]
+NON_FINITE_COST_MATRIX_IDS = ["cost-nan", "cost-inf", "cost-neg-inf", "dxy-nan", "dxy-inf",
+                              "dxy-neg-inf", "dxy-1e400-float", "cost-1e400-float",
+                              "cost-int-1e400-float"]
+
+
+@pytest.mark.parametrize("text, numeric, message", NON_FINITE_COST_MATRICES,
+                         ids=NON_FINITE_COST_MATRIX_IDS)
 def test_non_finite_cost_matrix_is_config_error(tmp_path, capsys, text, numeric, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -821,6 +840,22 @@ def test_non_finite_cost_matrix_is_config_error(tmp_path, capsys, text, numeric,
     assert code == 2
     assert out == ""
     assert "config error" in err and message in err
+
+
+# the library loader refuses the same fixtures with a typed OrcError, which
+# the CLI maps to exit 2; never a TypeError or ValueError
+@pytest.mark.parametrize("fixture", MALFORMED_COST_MATRICES, ids=MALFORMED_COST_MATRIX_IDS)
+@pytest.mark.parametrize("numeric", ["rational", "float"])
+def test_load_cost_matrix_refuses_malformed_fixture(fixture, numeric):
+    with pytest.raises((ParseError, InvalidWeight)):
+        load_cost_matrix(json.dumps(fixture), numeric)
+
+
+@pytest.mark.parametrize("text, numeric, message", NON_FINITE_COST_MATRICES,
+                         ids=NON_FINITE_COST_MATRIX_IDS)
+def test_load_cost_matrix_refuses_non_finite_number(text, numeric, message):
+    with pytest.raises(InvalidWeight, match=message):
+        load_cost_matrix(text, numeric)
 
 
 @pytest.mark.parametrize("graph", [

@@ -23,7 +23,7 @@ def test_public_names():
         "all_pairs_geodesic", "be_invert", "be_power", "be_product",
         "blockenc", "build_DP", "build_Pi",
         "build_distance_encoding", "curvature", "dilated_apply", "dilated_overlap",
-        "errors", "extract_Di", "graph", "load_graph", "localize_DG",
+        "errors", "extract_Di", "graph", "load_cost_matrix", "load_graph", "localize_DG",
         "min_eigen_power", "neighborhood",
         "qpipeline", "transport", "tree_overlap_sum", "verify_tree", "w1_assignment",
         "w1_bruteforce", "w1_lp", "w1_pq_qsim", "w1_tree", "w1_tree_qsim",
@@ -85,6 +85,21 @@ def test_qsim_entry_points_take_only_what_they_read():
         ("nb", "POSITIONAL_OR_KEYWORD", empty), ("be", "POSITIONAL_OR_KEYWORD", empty),
         ("seed", "KEYWORD_ONLY", None), ("eps", "KEYWORD_ONLY", 1e-10),
         ("dim_cap", "KEYWORD_ONLY", DEFAULT_DIM_CAP), ("audit", "KEYWORD_ONLY", None),
+    ]
+    # the p = q stages neither trace nor cap: w1_pq_qsim writes their
+    # ledger and checks p^p against dim_cap once
+    assert _parameters(orcurv.localize_DG) == [
+        ("be", "POSITIONAL_OR_KEYWORD", empty), ("X", "POSITIONAL_OR_KEYWORD", empty),
+        ("Y", "POSITIONAL_OR_KEYWORD", empty),
+    ]
+    assert _parameters(orcurv.extract_Di) == [
+        ("dg_local", "POSITIONAL_OR_KEYWORD", empty), ("i", "POSITIONAL_OR_KEYWORD", empty),
+    ]
+    assert _parameters(orcurv.build_DP) == [("ds", "POSITIONAL_OR_KEYWORD", empty)]
+    assert _parameters(orcurv.build_Pi) == [("p", "POSITIONAL_OR_KEYWORD", empty)]
+    assert _parameters(orcurv.min_eigen_power) == [
+        ("be", "POSITIONAL_OR_KEYWORD", empty), ("kappa_a", "POSITIONAL_OR_KEYWORD", empty),
+        ("start", "POSITIONAL_OR_KEYWORD", empty), ("eps", "POSITIONAL_OR_KEYWORD", 1e-10),
     ]
     # every stage `orc` runs is exact; the Chebyshev stages live in
     # tests/reference.py, so no mode, degree or power_mode keyword

@@ -295,7 +295,8 @@ GRID = [[0, 1], [1, 0]]
     (lambda: build_DP([BlockEncoding([1.0, 2.0, 3.0], 3.0)] * 2), DimMismatch,
      "dimension p = len"),
     (lambda: build_Pi(0), SizeMismatch, "p must be >= 1"),
-    (lambda: build_Pi(3, dim_cap=26), DimensionCap, "p^p = 27 exceeds cap 26"),
+    (lambda: pq_qsim_from_cost([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 1, dim_cap=26),
+     DimensionCap, "p^p = 27 exceeds cap 26"),
     (lambda: min_eigen_power(BlockEncoding(np.zeros(3), 1.0), 2.0, np.ones(3)),
      SpectrumOutOfRange, "no nonzero spectrum"),
 ], ids=["encoding-negative-margin", "encoding-not-square", "encoding-negative-distance",
@@ -444,8 +445,8 @@ def test_build_dp_random_index_decode():
 def test_build_dp_dimension_cap():
     local, _ = localized_for([[1, 2], [3, 4]])
     ds = [extract_Di(local, i) for i in (1, 2)]
-    with pytest.raises(DimensionCap):
-        build_DP(ds, dim_cap=3)
+    with pytest.raises(DimensionCap, match=re.escape("p^p = 4 exceeds cap 3")):
+        pq_qsim_from_cost([[1, 2], [3, 4]], 1, dim_cap=3)
     with pytest.raises(DimensionCap):
         build_dp_full(ds, dim_cap=3)
 
@@ -900,8 +901,8 @@ def test_subnorm_ledger_stage_by_stage():
     grid = two_block_grid(cost)
     audit = AuditTrail()
     be = build_distance_encoding(grid, margin=0.0, audit=audit)
-    local = localize_DG(be, [0, 1, 2], [3, 4, 5], audit=audit)
-    ds = [extract_Di(local, i, audit=audit) for i in (1, 2, 3)]
+    local = localize_DG(be, [0, 1, 2], [3, 4, 5])
+    ds = [extract_Di(local, i) for i in (1, 2, 3)]
     dp = build_dp_full(ds, audit=audit)
     pi = build_pi_full(3, audit=audit)
     comp = be_product(pi, dp)
@@ -925,25 +926,39 @@ def test_subnorm_ledger_stage_by_stage():
     assert by_stage["distance_encoding"]["subnorm"] == pytest.approx(be.subnorm)
     assert by_stage["build_DP"]["subnorm"] == pytest.approx(3 * be.subnorm)
     assert by_stage["build_DP"]["dim"] == 27
-    rec = by_stage["localize_DG"]
-    enc = local.encoded
-    assert rec["min_entry"] == pytest.approx(float(np.min(enc[enc != 0])))
-    assert rec["max_entry"] == pytest.approx(float(np.max(enc[enc != 0])))
 
     # on the support, each stage equals its p^p counterpart at the permutations
     flat = permutation_indices(3)
-    support_audit = AuditTrail()
-    dp_s = build_DP(ds, audit=support_audit)
-    pi_s = build_Pi(3, audit=support_audit)
+    dp_s = build_DP(ds)
+    pi_s = build_Pi(3)
     comp_s = be_product(pi_s, dp_s)
     assert np.allclose(dp_s.encoded * dp_s.subnorm, sums[flat], atol=1e-12)
     assert np.allclose(pi_s.encoded * pi_s.subnorm, mask[flat], atol=1e-12)
     assert np.allclose(comp_s.encoded * comp_s.subnorm, (mask * sums)[flat], atol=1e-12)
-    by_stage = {r["stage"]: r for r in support_audit.records}
+
+    # w1_pq_qsim writes the support-side ledger, one record per stage in order
+    trail = AuditTrail()
+    res = w1_pq_qsim(LocalNeighborhood.from_cost(cost, 1), be, seed=0, audit=trail)
+    assert [r["stage"] for r in trail.records] == [
+        "localize_DG", "extract_D1", "extract_D2", "extract_D3", "build_DP",
+        "build_Pi[direct]", "composite", "min_eigen_power"]
+    by_stage = {r["stage"]: r for r in trail.records}
+    for stage, enc in [("localize_DG", local), ("build_DP", dp_s), ("build_Pi[direct]", pi_s),
+                       ("composite", comp_s)] + [(f"extract_D{i}", d_i)
+                                                  for i, d_i in enumerate(ds, start=1)]:
+        rec, nonzero = by_stage[stage], enc.encoded[enc.encoded != 0]
+        assert rec["subnorm"] == pytest.approx(enc.subnorm)
+        assert rec["min_entry"] == pytest.approx(float(np.min(nonzero)))
+        assert rec["max_entry"] == pytest.approx(float(np.max(nonzero)))
+    assert by_stage["localize_DG"]["p"] == 3
     assert by_stage["build_DP"]["subnorm"] == pytest.approx(3 * be.subnorm)
-    assert by_stage["build_DP"]["dim"] == 27
-    assert by_stage["build_DP"]["support"] == 6
+    for stage in ("build_DP", "build_Pi[direct]", "composite"):
+        assert (by_stage[stage]["dim"], by_stage[stage]["support"]) == (27, 6)
     assert by_stage["build_Pi[direct]"]["subnorm"] == 6.0
+    assert by_stage["build_Pi[direct]"]["rank"] == 6
+    note = dict(by_stage["min_eigen_power"])
+    assert note.pop("stage") == "min_eigen_power"
+    assert note == dataclasses.asdict(res.diagnostics)
 
 
 def test_scale_property():
