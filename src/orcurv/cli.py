@@ -83,8 +83,9 @@ _QSIM_OPTIONS = {
                  QSIM_METHODS, "builds no distance encoding", 0.05),
     "--seed": (int, lambda v: v >= 0, "an integer >= 0",
                QSIM_METHODS, "draws no random numbers", 0),
-    "--eps": (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0",
-              ("qsim_pq",), "runs no power iteration", 1e-10),
+    # below float64's resolution rounding, not the bound, decides the stop
+    "--eps": (float, lambda v: math.isfinite(v) and v >= 2.0 ** -52,
+              "a finite number >= 2^-52", ("qsim_pq",), "runs no power iteration", 1e-10),
     "--cap": (int, lambda v: v >= 1, "an integer >= 1",
               ("qsim_pq",), "has no dimension cap", DEFAULT_DIM_CAP),
 }

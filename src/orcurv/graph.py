@@ -50,6 +50,11 @@ def _is_rational(value: Weight) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _is_index(v) -> bool:
+    """A vertex index or count is an int, and a bool is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _number(v, numeric: str = "rational", what: str = "weight") -> Weight:
     """v as a number of the numeric mode, the one number rule of every
     input: not a bool, finite, and float(v) in float mode (in rational
@@ -80,7 +85,7 @@ class Graph:
     edges: tuple[tuple[int, int, Weight], ...]
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]) -> None:
-        if not isinstance(vertex_count, int) or vertex_count < 1:
+        if not _is_index(vertex_count) or vertex_count < 1:
             raise ParseError(f"vertex_count must be a positive integer, got {vertex_count!r}")
         normalized: list[tuple[int, int, Weight]] = []
         seen: set[tuple[int, int]] = set()
@@ -92,7 +97,7 @@ class Graph:
                 u, v, w = e
             else:
                 raise ParseError(f"edge {e!r} must be (u, v) or (u, v, w)")
-            if not isinstance(u, int) or not isinstance(v, int):
+            if not (_is_index(u) and _is_index(v)):
                 raise ParseError(f"vertex indices must be integers, got {e!r}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
@@ -310,7 +315,7 @@ def _load_json(text: str, numeric: str) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('JSON graph must be {"n": N, "edges": [...]}')
     n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_index(n):
         raise ParseError(f'"n" must be an integer, got {n!r}')
     if not isinstance(obj["edges"], list):
         raise ParseError(f'"edges" must be a list, got {type(obj["edges"]).__name__}')

@@ -13,7 +13,9 @@ permutation projector, pseudo-inverted, and fed to a power iteration
 whose dominant eigenvalue yields the minimum permutation sum, hence W1.
 The device dimension is p^p (what --cap bounds and the ledger records),
 but only the p! permutation entries that the projector keeps are built,
-the random start included; the iteration stops on a Kato-Temple bound.
+the random start included. The pseudoinverse is diagonal, so the power
+iteration runs on its distinct values, with the start's weight on each,
+a block of iterations per array, and stops on a Kato-Temple bound.
 
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
@@ -57,6 +59,10 @@ from .transport import DEFAULT_DIM_CAP, CurvatureResult
 
 #: power iterations min_eigen_power runs before it reports converged=False
 MAX_POWER_ITERATIONS = 100_000
+#: most entries of one (iterations x distinct values) block in min_eigen_power,
+#: and the rows of its first block
+_BLOCK_ENTRIES = 2 ** 12
+_FIRST_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -368,12 +374,6 @@ def build_Pi(p: int) -> BlockEncoding:
     return BlockEncoding(op=np.ones(rank), subnorm=float(rank))
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real 1-D vector, by np.linalg.norm's own formula
-    but without its dispatch: the power loop takes two per iteration."""
-    return math.sqrt(float(v.dot(v)))
-
-
 def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
                     eps: float = 1e-10) -> EigenEstimate:
     """Minimum nonzero eigenvalue of an encoding via power method.
@@ -382,10 +382,20 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     `start` (a vector of length be.dim, typically random) restricted to
     the support and normalized. With x the unit iterate, r = x.Ax its
     Rayleigh quotient and a2 = max(A) / gap_proxy the second eigenvalue
-    of A (0 when the gap is infinite), the loop stops when r > a2 and
-    ||Ax - r x||^2 <= eps * r * (r - a2), which by Kato-Temple gives
+    of A (0 when the gap is infinite), the iteration stops when r > a2
+    and ||Ax - r x||^2 <= eps * r * (r - a2), which by Kato-Temple gives
     max(A) - r <= eps * r, given the gap. Failure to converge within
     MAX_POWER_ITERATIONS is reported through converged=False, not raised.
+
+    A is diagonal, so the iterate is never formed: after k products its
+    squared weight on each distinct value v of A is w_v (v / max(A))^(2k),
+    normalized, where w_v sums the start's squared entries at v. r is the
+    mean of A under these weights, taken about max(A) once it passes
+    max(A) / 2, and ||Ax - r x||^2 their variance. A block of iterations
+    is evaluated as one array of at most _BLOCK_ENTRIES entries, and the
+    first that stops is kept; blocks start at _FIRST_BLOCK rows and
+    double. After each block, the values whose weight can no longer move
+    the stop test by 2^-60 of its bound are dropped.
     """
     diag = be.encoded
     support = diag != 0.0
@@ -397,14 +407,14 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     if np.shape(start) != (be.dim,):
         raise DimMismatch(f"start vector of shape {np.shape(start)} for dimension {be.dim}")
     x = start * support
-    norm = _norm(x)
+    norm = float(np.linalg.norm(x))
     if norm == 0.0:
         raise ZeroOverlap("start vector vanished on the support")
     x /= norm
 
     a_max = float(np.max(a))
     target = a >= a_max * (1 - 1e-12)
-    gamma0 = _norm(x[target])
+    gamma0 = float(np.linalg.norm(x[target]))
     if gamma0 == 0.0:
         raise ZeroOverlap("start vector orthogonal to the target eigenspace")
 
@@ -414,21 +424,42 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     gap_proxy = float(higher[0] / lam1) if higher.size else math.inf
     a2 = a_max / gap_proxy
 
+    values, group = np.unique(a[support], return_inverse=True)
+    weights = np.bincount(group, weights=x[support] ** 2)
+    u2 = (values / a_max) ** 2
+    shift = values - a_max
+    # a value whose weight is below `negligible` times the top value's
+    # moves res2 by under 2^-60 of the stop's bound eps * a_max * (a_max - a2)
+    negligible = 2.0 ** -60 * eps * (1 - a2 / a_max) / values.size
+    rows = _FIRST_BLOCK
     converged = False
-    iterations = 0
-    for _ in range(MAX_POWER_ITERATIONS):
-        y = a * x
-        r = float(x @ y)
-        iterations += 1
-        res = y - r * x
-        if r > a2 and float(res @ res) <= eps * r * (r - a2):
+    k0 = 0
+    while k0 < MAX_POWER_ITERATIONS:
+        rows = min(rows, max(1, _BLOCK_ENTRIES // values.size))
+        # row j holds the weights after k[j] products: iteration k[j] + 1
+        k = np.arange(k0, min(k0 + rows, MAX_POWER_ITERATIONS))
+        k0 += rows
+        rows *= 2
+        pi = weights * u2 ** k[:, None]
+        mass = pi.sum(axis=1)
+        # about a_max, r lands on a_max once only its weight is left; below
+        # a_max / 2 that centre would cost r bits, and the plain mean keeps them
+        plain = pi @ values / mass
+        r = np.where(plain < a_max / 2, plain, a_max + pi @ shift / mass)
+        res2 = (pi * (values - r[:, None]) ** 2).sum(axis=1) / mass
+        stops = np.flatnonzero((r > a2) & (res2 <= eps * r * (r - a2)))
+        if stops.size:
             converged = True
             break
-        x = y / _norm(y)
+        # weights only fall, and the top one (u2 = 1) stays, so a value
+        # that is negligible now stays negligible
+        keep = pi[-1] >= negligible * weights[-1]
+        values, weights, u2, shift = values[keep], weights[keep], u2[keep], shift[keep]
+    j = int(stops[0]) if converged else k.size - 1
 
     return EigenEstimate(
-        value=1.0 / (kappa_a * r),
-        iterations=iterations,
+        value=1.0 / (kappa_a * float(r[j])),
+        iterations=int(k[j]) + 1,
         initial_overlap=gamma0,
         gap_proxy=gap_proxy,
         converged=converged,

@@ -8,7 +8,8 @@ projector route in full_route.py), the explicit unitary dilation and the
 full-vector overlap (oracles of blockenc.dilated_apply and
 dilated_overlap), the Chebyshev stages a device would run in place of
 the exact be_power and be_invert (which check the degree rules
-blockenc.default_power_degree and default_inverse_degree) and a
+blockenc.default_power_degree and default_inverse_degree), the
+per-vector power loop (oracle of qpipeline.min_eigen_power) and a
 finiteness check on geodesics.
 
 The program's BlockEncoding holds a real diagonal only. The dilation
@@ -27,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from orcurv import qpipeline
 from orcurv.blockenc import (
     BlockEncoding,
     StateVector,
@@ -42,8 +44,10 @@ from orcurv.errors import (
     SpectrumOutOfRange,
     SubnormTooSmall,
     TooLarge,
+    ZeroOverlap,
 )
 from orcurv.graph import INF, LocalNeighborhood, Weight
+from orcurv.qpipeline import EigenEstimate
 from orcurv.transport import _emit, _lift_block
 
 _VERTEX_ORACLE_CAP = 9
@@ -365,3 +369,57 @@ def chebyshev_invert(b: BlockEncoding, kappa_a: float,
     return replace(
         exact, op=np.where(encoded != 0.0, poly(encoded) / kappa_a * exact.subnorm, 0.0),
         err=b.err + sup / kappa_a)
+
+
+def min_eigen_power_loop(be: BlockEncoding, kappa_a: float, start: np.ndarray,
+                         eps: float = 1e-10) -> EigenEstimate:
+    """qpipeline.min_eigen_power as one power step per iteration on the
+    whole vector: y = A x, r = x.y, stop when r > a2 and
+    ||y - r x||^2 <= eps * r * (r - a2), else x = y / ||y||. The cap is
+    read from qpipeline.MAX_POWER_ITERATIONS on each call."""
+    diag = be.encoded
+    support = diag != 0.0
+    if not np.any(support):
+        raise SpectrumOutOfRange("composite has no nonzero spectrum")
+    inv = be_invert(be, kappa_a)
+    a = inv.encoded
+
+    if np.shape(start) != (be.dim,):
+        raise DimMismatch(f"start vector of shape {np.shape(start)} for dimension {be.dim}")
+    x = start * support
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0:
+        raise ZeroOverlap("start vector vanished on the support")
+    x /= norm
+
+    a_max = float(np.max(a))
+    target = a >= a_max * (1 - 1e-12)
+    gamma0 = float(np.linalg.norm(x[target]))
+    if gamma0 == 0.0:
+        raise ZeroOverlap("start vector orthogonal to the target eigenspace")
+
+    nz = np.sort(diag[support])
+    lam1 = float(nz[0])
+    higher = nz[nz > lam1 * (1 + 1e-12)]
+    gap_proxy = float(higher[0] / lam1) if higher.size else math.inf
+    a2 = a_max / gap_proxy
+
+    converged = False
+    iterations = 0
+    for _ in range(qpipeline.MAX_POWER_ITERATIONS):
+        y = a * x
+        r = float(x @ y)
+        iterations += 1
+        res = y - r * x
+        if r > a2 and float(res @ res) <= eps * r * (r - a2):
+            converged = True
+            break
+        x = y / float(np.linalg.norm(y))
+
+    return EigenEstimate(
+        value=1.0 / (kappa_a * r),
+        iterations=iterations,
+        initial_overlap=gamma0,
+        gap_proxy=gap_proxy,
+        converged=converged,
+    )

@@ -764,7 +764,7 @@ def test_unseeded_runs_are_reproducible(tmp_path, capsys):
     ("--shots", "0"), ("--shots", "-5"), ("--shots", str(2 ** 63)),
     ("--margin", "-1"), ("--margin", "nan"), ("--margin", "inf"),
     ("--seed", "-1"),
-    ("--eps", "0"), ("--eps", "-0.5"), ("--eps", "nan"),
+    ("--eps", "0"), ("--eps", "-0.5"), ("--eps", "nan"), ("--eps", "1e-17"),
     ("--cap", "0"),
     ("--tol", "-1"), ("--tol", "nan"),
 ])
@@ -783,6 +783,15 @@ def test_negative_seed_refused_for_qsim_pq(tmp_path, capsys):
                               "--method", "qsim_pq", "--seed", "-1"], capsys)
     assert code == 2
     assert "--seed must be" in err
+
+
+def test_eps_at_float_resolution_is_accepted(tmp_path, capsys):
+    square = tmp_path / "sq.json"
+    square.write_text(json.dumps({"cost": [[1, 2], [3, 4]], "dxy": 1}))
+    code, out, _ = run_cli(["compute", "--input", str(square), "--format", "cost_matrix",
+                            "--method", "qsim_pq", "--eps", repr(2.0 ** -52)], capsys)
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["eps"] == 2.0 ** -52
 
 
 MALFORMED_COST_MATRICES = [
@@ -863,7 +872,8 @@ def test_load_cost_matrix_refuses_non_finite_number(text, numeric, message):
     {"n": 3, "edges": {"0": 1}},
     {"n": True, "edges": [[0, 1]]},
     {"n": 3, "edges": [[0, 1, "w"]]},
-], ids=["int-edges", "dict-edges", "bool-n", "str-weight"])
+    {"n": 4, "edges": [[0, True], [True, 2], [2, 3]]},
+], ids=["int-edges", "dict-edges", "bool-n", "str-weight", "bool-vertex"])
 @pytest.mark.parametrize("numeric", ["rational", "float"])
 def test_malformed_json_graph_is_config_error(tmp_path, capsys, graph, numeric):
     path = tmp_path / "g.json"

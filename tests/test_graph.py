@@ -77,6 +77,18 @@ def test_self_loop_and_duplicate():
         load_graph("0 1\n1 0")
 
 
+@pytest.mark.parametrize("vertex_count, edges", [
+    (4, [(0, True), (True, 2), (2, 3)]),
+    (4, [(False, 1, 2)]),
+    (True, []),
+    (4, [(0, 1.0)]),
+], ids=["true-vertex", "false-vertex", "bool-count", "float-vertex"])
+def test_graph_refuses_a_non_integer_vertex(vertex_count, edges):
+    # bool is an int subclass, so True would pass for vertex 1
+    with pytest.raises(ParseError):
+        Graph(vertex_count, edges)
+
+
 def test_json_format():
     g = load_graph(json.dumps({"n": 4, "edges": [[0, 1], [1, 2, 2.5]]}), format="json")
     assert g.vertex_count == 4

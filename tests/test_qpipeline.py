@@ -57,7 +57,7 @@ from orcurv.qpipeline import (
     w1_tree_qsim,
 )
 from orcurv.transport import DEFAULT_DIM_CAP, w1_assignment, w1_bruteforce, w1_tree
-from reference import DigitOutOfRange, be_identity, be_lcu, be_tensor
+from reference import DigitOutOfRange, be_identity, be_lcu, be_tensor, min_eigen_power_loop
 
 APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
 
@@ -875,13 +875,67 @@ def test_pq_qsim_refuses_a_zero_cost_permutation():
         w1_pq_qsim(neighborhood(g, dg, 0, 1), build_distance_encoding(dg))
 
 
-def test_power_loop_norm_is_numpy_norm_bit_for_bit():
-    # the loop's norm repeats np.linalg.norm's formula for a real 1-D
-    # vector, so the power iteration and its reports keep their bits
-    rng = np.random.default_rng(12)
-    for n in (1, 6, 24, 120, 720, 5040, 46656):
-        v = rng.standard_normal(n)
-        assert orcurv.qpipeline._norm(v) == float(np.linalg.norm(v))
+#: the stop tolerances the power stage is checked at, down to float64's
+#: resolution, the smallest --eps that `orc` accepts
+POWER_EPS = (1e-2, 1e-6, 1e-10, 1e-14, 2.0 ** -52)
+
+
+def power_stage_inputs(seed):
+    """(encoding, kappa_a, start) for the power stage, as w1_pq_qsim feeds
+    it: random p x p cost blocks, p = 1..6, on the p! support; for p <= 4
+    also the full route's p^p composite, zero off the permutations, with a
+    start that is not; blocks of fractions, where nearly every
+    permutation sum is distinct; and a block whose permutations all cost
+    the same, where the gap is infinite."""
+    rng = random.Random(seed)
+    costs = [random_cost_matrix(p, p, rng, max_value=rng.choice((3, 10, 40)))
+             for p in range(1, 7) for _ in range(3)]
+    costs += [random_cost_matrix(p, p, rng, denominators=(1, 3, 7, 11, 13))
+              for p in (4, 5, 6) for _ in range(2)]
+    costs.append([[2, 5, 1], [5, 8, 4], [3, 6, 2]])    # c_ij = r_i + s_j
+    for cost in costs:
+        p = len(cost)
+        local, _ = localized_for(cost, margin=0.05)
+        ds = [extract_Di(local, i) for i in range(1, p + 1)]
+        routes = [(build_Pi(p), build_DP(ds))]
+        if p <= 4:
+            routes.append((build_pi_full(p), build_dp_full(ds)))
+        for pi, dp in routes:
+            comp = be_product(pi, dp)
+            enc = comp.encoded
+            kappa_a = (1 + 1e-9) / float(np.min(enc[enc != 0.0]))
+            start = np.random.default_rng(rng.randrange(2 ** 32)).standard_normal(comp.dim)
+            yield comp, kappa_a, start
+
+
+def assert_same_estimate(got, want):
+    assert (got.iterations, got.converged, got.gap_proxy, got.initial_overlap) == \
+        (want.iterations, want.converged, want.gap_proxy, want.initial_overlap)
+    assert abs(got.value - want.value) <= 8 * math.ulp(want.value)
+
+
+@pytest.mark.parametrize("eps", POWER_EPS)
+def test_min_eigen_matches_the_per_vector_loop(eps):
+    gaps = set()
+    for comp, kappa_a, start in power_stage_inputs(61):
+        got = min_eigen_power(comp, kappa_a, start, eps=eps)
+        assert_same_estimate(got, min_eigen_power_loop(comp, kappa_a, start, eps=eps))
+        assert got.converged
+        gaps.add(got.gap_proxy)
+    assert math.inf in gaps and len(gaps) > 10
+
+
+@pytest.mark.parametrize("cap", [1, 2, 31, 32, 33, 96, 97])
+def test_min_eigen_matches_the_per_vector_loop_under_the_cap(monkeypatch, cap):
+    # the cap cuts runs inside and at the edges of the evaluated blocks
+    monkeypatch.setattr(orcurv.qpipeline, "MAX_POWER_ITERATIONS", cap)
+    stopped = 0
+    for comp, kappa_a, start in power_stage_inputs(67):
+        got = min_eigen_power(comp, kappa_a, start, eps=2.0 ** -52)
+        assert_same_estimate(got, min_eigen_power_loop(comp, kappa_a, start, eps=2.0 ** -52))
+        assert got.iterations <= cap
+        stopped += not got.converged
+    assert stopped > 0
 
 
 def test_min_eigen_start_vector():
