@@ -233,7 +233,7 @@ def dilated_overlap(b: BlockEncoding, support: Sequence[int], amps,
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise IndexOutOfRange("support must be a flat sequence of integer indices")
     idx = idx.astype(np.intp)
-    if np.unique(idx).size != idx.size:
+    if len(set(idx.tolist())) != idx.size:    # a set: np.unique costs 10x on a few indices
         raise IndexOutOfRange("support indices must be distinct")
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= b.dim):
         raise IndexOutOfRange(f"support indices must lie in [0, {b.dim})")
@@ -243,7 +243,7 @@ def dilated_overlap(b: BlockEncoding, support: Sequence[int], amps,
     _check_unit_norm(phi)
     encoded = b.op[idx] / b.subnorm
     main = encoded * phi
-    garbage = np.sqrt(np.clip(1.0 - encoded ** 2, 0.0, None)) * phi
+    garbage = np.sqrt(np.maximum(1.0 - encoded ** 2, 0.0)) * phi
     _check_unit_norm(np.concatenate([main, garbage]))
     return _hadamard_test(float(np.vdot(phi, main).real), shots, seed)
 

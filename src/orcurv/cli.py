@@ -57,8 +57,7 @@ from .graph import (
 from .transport import ALL_METHODS, DEFAULT_DIM_CAP, QSIM_METHODS, CurvatureResult, curvature
 
 if TYPE_CHECKING:
-    from .blockenc import BlockEncoding
-    from .qpipeline import AuditTrail
+    from .qpipeline import AuditTrail, DistanceEncoding
 
 _FIXTURES = {
     "appendix_a": (
@@ -278,7 +277,7 @@ def _settle(args: argparse.Namespace, g: Graph | None, is_tree: bool) -> tuple[s
 # --------------------------------------------------------------------------
 
 def _run_method(args: argparse.Namespace, method: str, nb: LocalNeighborhood,
-                be: BlockEncoding | None, audit: AuditTrail | None) -> CurvatureResult:
+                be: DistanceEncoding | None, audit: AuditTrail | None) -> CurvatureResult:
     if method not in QSIM_METHODS:
         return curvature(nb, method=method)
     from . import qpipeline
@@ -324,7 +323,7 @@ def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
     return rec
 
 
-def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: BlockEncoding,
+def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: DistanceEncoding,
                 res_c: CurvatureResult, res_q: CurvatureResult) -> dict:
     """The compare fields of one edge's record."""
     abs_diff = abs(float(res_c.w1) - float(res_q.w1))
@@ -370,7 +369,7 @@ def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
     if methods[-1] not in QSIM_METHODS:
         return methods, pairs, None
     from . import qpipeline
-    return methods, pairs, qpipeline.cost_grid(source.cost) if g is None else dg
+    return methods, pairs, qpipeline.cost_rows(source.cost) if g is None else dg
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:

@@ -1,21 +1,27 @@
 """Classical simulation of the two quantum curvature pipelines.
 
-Case 1 (tree graphs): a diagonal geodesic encoding over the N x N index
-grid is built from the distance matrix (fourth powers wrapped at
-subnormalization alpha, then a fractional power c = 1/4), neighbor sums
-are read off as overlaps of the dilated encoding, and the closed-form W1
-is reassembled from the recovered sums.
+Both read one distance encoding per graph: the diagonal over the N x N
+index grid of the distances (fourth powers wrapped at subnormalization
+alpha, then a fractional power c = 1/4). DistanceEncoding holds it as
+the distance rows and the scalars taken from the largest and the
+smallest nonzero distance, and computes an entry only when a stage reads
+it, so a run holds no N^2-entry array beyond the rows themselves.
 
-Case 2 (p = q): the grid encoding is localized to the p^2 cost block
-(on a diagonal, the permutation and SWAP conjugation is a gather),
-split into columns D_i, summed into the tensor sum D_P, masked by the
-permutation projector, pseudo-inverted, and fed to a power iteration
-whose dominant eigenvalue yields the minimum permutation sum, hence W1.
-The device dimension is p^p (what --cap bounds and the ledger records),
-but only the p! permutation entries that the projector keeps are built,
-the random start included. The pseudoinverse is diagonal, so the power
-iteration runs on its distinct values, with the start's weight on each,
-a block of iterations per array, and stops on a Kato-Temple bound.
+Case 1 (tree graphs): neighbor sums are read off as overlaps of the
+dilated encoding, each from the p, q or 1 entries its state touches,
+and the closed-form W1 is reassembled from the recovered sums.
+
+Case 2 (p = q): the encoding is localized to the p^2 cost block (on a
+diagonal, the permutation and SWAP conjugation is a gather of those p^2
+entries), split into columns D_i, summed into the tensor sum D_P, masked
+by the permutation projector, pseudo-inverted, and fed to a power
+iteration whose dominant eigenvalue yields the minimum permutation sum,
+hence W1. The device dimension is p^p (what --cap bounds and the ledger
+records), but only the p! permutation entries that the projector keeps
+are built, the random start included. The pseudoinverse is diagonal, so
+the power iteration runs on its distinct values, with the start's weight
+on each, a block of iterations per array, and stops on a Kato-Temple
+bound.
 
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
@@ -118,45 +124,112 @@ class AuditTrail:
 # distance encoding (shared by both cases)
 # --------------------------------------------------------------------------
 
-def _float_grid(rows: Sequence[Sequence[Weight]]) -> np.ndarray:
-    """float64 copy of rows of distances; one beyond float range is refused."""
-    try:
-        return np.asarray([[float(x) for x in row] for row in rows], dtype=np.float64)
-    except OverflowError as exc:
-        raise InfiniteDistance(
-            "a distance is beyond float range; the simulated pipelines run in "
-            "float64 (the classical methods stay exact)") from exc
+def _check_indices(n: int, seq: Sequence[int]) -> None:
+    """IndexOutOfRange unless seq holds distinct integers in [0, n)."""
+    if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in seq):
+        raise IndexOutOfRange(f"indices must be integers in [0, {n})")
+    if len(set(seq)) != len(seq):
+        raise IndexOutOfRange("indices must be distinct")
+
+
+@dataclass(frozen=True)
+class DistanceEncoding:
+    """The graph's distance encoding, read an entry at a time.
+
+    It stands for the diagonal over the N x N index grid whose entry
+    r * N + c is op = (d(r, c)^4)^(1/4) at subnorm 2 * alpha^(1/4): the
+    fourth powers wrapped at alpha, then blockenc.be_power's c = 1/4, so
+    the encoded entry is d(r, c) / subnorm. It holds the distance rows
+    `dist` and the scalars build_distance_encoding takes from the two
+    extreme distances; `entries` computes only the entries a stage reads,
+    by be_power's expression, so no N^2-entry array is ever formed.
+    """
+
+    dist: Sequence[Sequence[Weight]] = field(repr=False)
+    subnorm: float
+    err: float
+    ancilla_dim: int
+
+    @property
+    def dim(self) -> int:
+        """N^2, the dimension of the encoded diagonal."""
+        return len(self.dist) ** 2
+
+    def entries(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """op at the grid entries r * N + c, shape (len(rows), len(cols)).
+
+        rows and cols must each hold distinct integers in [0, N), else
+        IndexOutOfRange. Only the gathered distances become floats.
+        """
+        n = len(self.dist)
+        _check_indices(n, rows)
+        _check_indices(n, cols)
+        d = np.array([[self.dist[r][c] for c in cols] for r in rows], dtype=np.float64)
+        return (d ** 4) ** 0.25    # be_power's |d^4|^(1/4); d^4 >= 0 already
+
+
+def _gathered(be: DistanceEncoding, op: np.ndarray) -> BlockEncoding:
+    """The entries op that a stage read from be, as an encoding with be's
+    subnorm, err and ancilla size."""
+    return BlockEncoding(op=op, subnorm=be.subnorm, err=be.err, ancilla_dim=be.ancilla_dim)
+
+
+def _extremes(dg) -> tuple[float, float]:
+    """The smallest nonzero and the largest distance of the square grid dg,
+    as floats. One row at a time becomes float64, so no N^2 array is
+    formed, and every distance must fit in a float, be finite and be
+    nonnegative."""
+    n = len(dg)
+    if n == 0:
+        raise DimMismatch("distance matrix must be square")
+    lo, hi = math.inf, 0.0
+    for row in dg:
+        try:
+            d = np.array(row, dtype=np.float64)
+        except OverflowError as exc:
+            raise InfiniteDistance(
+                "a distance is beyond float range; the simulated pipelines run in "
+                "float64 (the classical methods stay exact)") from exc
+        if d.shape != (n,):
+            raise DimMismatch("distance matrix must be square")
+        row_lo, row_hi = float(np.min(d)), float(np.max(d))    # NaN propagates
+        if not (math.isfinite(row_lo) and math.isfinite(row_hi)):
+            raise InfiniteDistance("distance matrix contains non-finite entries")
+        if row_lo < 0:
+            raise InfiniteDistance("distances must be nonnegative")
+        hi = max(hi, row_hi)
+        lo = min(lo, float(np.min(d, where=d > 0.0, initial=math.inf)))
+    return lo, hi
 
 
 def build_distance_encoding(dg, margin: float = 0.05,
-                            audit: AuditTrail | None = None) -> BlockEncoding:
-    """Diagonal encoding of all pairwise distances over the index grid.
+                            audit: AuditTrail | None = None) -> DistanceEncoding:
+    """The distance encoding over the index grid of dg, by its scalars.
 
-    dg is a square grid of distances: the rows all_pairs_geodesic
-    returns, in either number type, or a cost_grid. The fourth powers
-    are wrapped at alpha = ((1 + margin) * max_d)^4 and the fractional
-    power c = 1/4 brings the entries back to d/alpha_q, where
-    alpha_q = 2 * alpha^(1/4) is the returned encoding's subnorm.
-    Zero distances (the grid diagonal) ride along unchanged. The audit
-    record also holds alpha and kappa, the max/min ratio of the nonzero
-    fourth powers. Both pipelines query one encoding per graph, so
-    callers build it once and pass it to every edge. InfiniteDistance if
-    alpha, (min d)^4 or their ratio leaves float64 range.
+    dg is a square grid of distances, such as the rows all_pairs_geodesic
+    returns, in either number type; the encoding keeps it and reads it on
+    demand (DistanceEncoding). The fourth powers are wrapped at
+    alpha = ((1 + margin) * max_d)^4 and the fractional power c = 1/4
+    brings the entries back to d/alpha_q, where alpha_q = 2 * alpha^(1/4)
+    is the encoding's subnorm. Zero distances (the grid diagonal) ride
+    along unchanged. Both pipelines query one encoding per graph, so
+    callers build it once and pass it to every edge.
+
+    The largest distance and the smallest nonzero one bound every entry,
+    so be_power runs on those two alone: its [1/kappa_m, 1] window and
+    BlockEncoding's norm check cover the grid. The audit record holds
+    dim = N^2, the entries at those two distances as min_entry and
+    max_entry, alpha and kappa, the max/min ratio of the nonzero fourth
+    powers. ValueError unless margin is a finite number >= 0;
+    DimMismatch unless dg is square; InfiniteDistance for a non-finite,
+    negative or beyond-float distance, or if alpha, (min d)^4 or their
+    ratio leaves float64 range; DegenerateAllZero if every distance is 0.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    dist = _float_grid(dg)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise DimMismatch("distance matrix must be square")
-    if not np.all(np.isfinite(dist)):
-        raise InfiniteDistance("distance matrix contains non-finite entries")
-    if np.any(dist < 0):
-        raise InfiniteDistance("distances must be nonnegative")
-    max_d = float(np.max(dist))
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+    min_d, max_d = _extremes(dg)
     if max_d == 0.0:
         raise DegenerateAllZero("all distances are zero")
-    nonzero = dist[dist > 0.0]
-    min_d = float(np.min(nonzero))
 
     try:
         alpha = ((1.0 + margin) * max_d) ** 4
@@ -169,12 +242,22 @@ def build_distance_encoding(dg, margin: float = 0.05,
             f"distances {min_d!r}..{max_d!r} at margin {margin!r} leave the float range "
             "of the fourth-power encoding: ((1 + margin) * max d)^4, (min d)^4 and "
             "their ratio must all lie in float64's (0, 1.8e308]") from exc
-    fourth = dist.ravel() ** 4
-    raw = BlockEncoding(op=fourth, subnorm=alpha)
-    be = bk.be_power(raw, 0.25, kappa_m)
+    ends = bk.be_power(BlockEncoding(op=np.array([min_d, max_d]) ** 4, subnorm=alpha),
+                       0.25, kappa_m)
     if audit is not None:
-        audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
-    return be
+        audit.record("distance_encoding", ends, dim=len(dg) ** 2, kappa=kappa, alpha=alpha)
+    return DistanceEncoding(dist=dg, subnorm=ends.subnorm, err=ends.err,
+                            ancilla_dim=ends.ancilla_dim)
+
+
+def cost_rows(cost) -> tuple[tuple[Weight, ...], ...]:
+    """The distance rows of a bare cost matrix, numbered as
+    LocalNeighborhood.from_cost numbers it: X is 0..p-1 and Y is
+    p..p+q-1, d(X[i], Y[j]) = d(Y[j], X[i]) = cost[i][j], and the
+    within-side entries, which no stage reads, are 0."""
+    p, q = len(cost), len(cost[0])
+    return (tuple((0,) * p + tuple(row) for row in cost)
+            + tuple(col + (0,) * q for col in zip(*cost)))
 
 
 # --------------------------------------------------------------------------
@@ -188,38 +271,23 @@ def _grid_side(be: BlockEncoding) -> int:
     return n
 
 
-def _grid_indices(be: BlockEncoding, rows: Sequence[int],
-                  cols: Sequence[int]) -> np.ndarray:
-    """Flat grid indices r * n + c, shape (len(rows), len(cols)).
-
-    The one place that knows the grid layout. rows and cols must each
-    hold distinct integers in [0, n), else IndexOutOfRange.
-    """
-    n = _grid_side(be)
-    for seq in (rows, cols):
-        if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in seq):
-            raise IndexOutOfRange(f"indices must be integers in [0, {n})")
-        if len(set(seq)) != len(seq):
-            raise IndexOutOfRange("indices must be distinct")
-    return np.array([[r * n + c for c in cols] for r in rows], dtype=np.intp)
-
-
-def tree_overlap_sum(be: BlockEncoding, center: int, nbrs: Sequence[int],
+def tree_overlap_sum(be: DistanceEncoding, center: int, nbrs: Sequence[int],
                      shots: int | None = None, seed=None,
                      audit: AuditTrail | None = None) -> float:
     """Overlap encoding the neighbor-distance sum around `center`.
 
     Prepares |i_x> (x) sum_i |nbrs[i]> with unit amplitude 1/sqrt(p),
     reads its overlap with the dilated encoding from the p grid entries
-    it touches (bk.dilated_overlap), and returns it rescaled to the
-    (p+1) convention that the recovery multiplier expects:
+    it touches (be.entries, then bk.dilated_overlap on them), and
+    returns it rescaled to the (p+1) convention that the recovery
+    multiplier expects:
     sum_i d(center, nbrs[i]) / (be.subnorm * (p + 1)). The audit trail
     records both the unit-state overlap and the rescaled one.
     """
     p = len(nbrs)
     if p < 1:
         raise IndexOutOfRange("need at least one neighbor index")
-    raw = bk.dilated_overlap(be, _grid_indices(be, [center], nbrs)[0],
+    raw = bk.dilated_overlap(_gathered(be, be.entries([center], nbrs)[0]), np.arange(p),
                              np.full(p, 1.0 / math.sqrt(p)), shots=shots, seed=seed)
     rescaled = raw * p / (p + 1)
     if audit is not None:
@@ -229,13 +297,13 @@ def tree_overlap_sum(be: BlockEncoding, center: int, nbrs: Sequence[int],
     return rescaled
 
 
-def _basis_pair_overlap(be: BlockEncoding, ix: int, iy: int,
+def _basis_pair_overlap(be: DistanceEncoding, ix: int, iy: int,
                         shots: int | None = None, seed=None) -> float:
-    return bk.dilated_overlap(be, _grid_indices(be, [ix], [iy])[0], [1.0],
+    return bk.dilated_overlap(_gathered(be, be.entries([ix], [iy])[0]), [0], [1.0],
                               shots=shots, seed=seed)
 
 
-def w1_tree_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
+def w1_tree_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
                  shots: int | None = None, seed: int | None = None,
                  audit: AuditTrail | None = None) -> CurvatureResult:
     """Tree-case pipeline: W1 from three overlap estimations.
@@ -250,7 +318,8 @@ def w1_tree_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
     if nb.x_dists is None or nb.y_dists is None:
         raise NotATree("tree pipeline needs a graph neighborhood, not a bare cost matrix")
     x, y = nb.x, nb.y
-    seeds = np.random.SeedSequence(seed).spawn(3)
+    # exact overlaps draw nothing, so they leave numpy.random unloaded
+    seeds = (None,) * 3 if shots is None else np.random.SeedSequence(seed).spawn(3)
     p, q = nb.p, nb.q
     ov_x = tree_overlap_sum(be, x, nb.X, shots=shots, seed=seeds[0], audit=audit)
     ov_y = tree_overlap_sum(be, y, nb.Y, shots=shots, seed=seeds[1], audit=audit)
@@ -270,7 +339,7 @@ def w1_tree_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
                                    x=x, y=y)
 
 
-def tree_qsim_standard_error(nb: LocalNeighborhood, be: BlockEncoding,
+def tree_qsim_standard_error(nb: LocalNeighborhood, be: DistanceEncoding,
                              shots: int) -> float:
     """Propagated binomial standard error of the shot-noise tree W1.
 
@@ -294,18 +363,18 @@ def tree_qsim_standard_error(nb: LocalNeighborhood, be: BlockEncoding,
 # case 2: p = q
 # --------------------------------------------------------------------------
 
-def localize_DG(be: BlockEncoding, X: Sequence[int], Y: Sequence[int]) -> BlockEncoding:
-    """Localize the grid encoding to the p^2 cost block, in (j, i) order.
+def localize_DG(be: DistanceEncoding, X: Sequence[int], Y: Sequence[int]) -> BlockEncoding:
+    """Localize the distance encoding to the p^2 cost block, in (j, i) order.
 
     Relabeling X and Y to 0..p-1, selecting the top-left block and
     SWAPping the registers is, on a diagonal, a gather: entry j*p + i is
-    op[X[i]*n + Y[j]], i.e. d(X[i], Y[j]) / alpha_q once encoded.
+    the grid entry X[i]*n + Y[j], i.e. d(X[i], Y[j]) / alpha_q once
+    encoded. Only those p^2 entries are computed (be.entries); the
+    result is a BlockEncoding with be's subnorm, err and ancilla size.
     """
     if len(X) != len(Y):
         raise NotSquare(f"localization needs p = q, got p={len(X)}, q={len(Y)}")
-    block = be.op[_grid_indices(be, X, Y).T.ravel()]
-    return BlockEncoding(op=block, subnorm=be.subnorm, err=be.err,
-                         ancilla_dim=be.ancilla_dim)
+    return _gathered(be, be.entries(X, Y).T.ravel())
 
 
 def extract_Di(dg_local: BlockEncoding, i: int) -> BlockEncoding:
@@ -466,19 +535,20 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     )
 
 
-def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
+def w1_pq_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
                seed: int | None = None, eps: float = 1e-10,
                dim_cap: int = DEFAULT_DIM_CAP,
                audit: AuditTrail | None = None) -> CurvatureResult:
     """Full p = q pipeline for one neighborhood.
 
     `be` is the encoding from build_distance_encoding over the distances
-    that nb's X and Y index: the graph's geodesics, or cost_grid(cost)
-    for a bare cost matrix. The power iteration starts from p! normals
-    drawn with `seed` (None: fresh OS entropy), one per permutation
-    entry; it stops once the Kato-Temple bound puts its Rayleigh quotient
-    r within eps * r of the top eigenvalue, given the spectral gap, see
-    min_eigen_power. DimensionCap when p^p > dim_cap, before any stage
+    that nb's X and Y index: the graph's geodesic rows, or
+    cost_rows(cost) for a bare cost matrix; the pipeline reads only its
+    p^2 entries at X x Y (localize_DG) and its subnorm. The power
+    iteration starts from p! normals drawn with `seed` (None: fresh OS
+    entropy), one per permutation entry; it stops once the Kato-Temple
+    bound puts its Rayleigh quotient r within eps * r of the top
+    eigenvalue, given the spectral gap, see min_eigen_power. DimensionCap when p^p > dim_cap, before any stage
     runs. A zero-cost permutation (X = Y) raises SpectrumOutOfRange.
     `audit` gets one record per stage, localize_DG to composite, then the
     EigenEstimate as the min_eigen_power note.
@@ -516,17 +586,3 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: BlockEncoding, *,
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)
 
-
-def cost_grid(cost) -> np.ndarray:
-    """Synthetic two-block distance grid whose X-by-Y block is `cost`.
-
-    Rows 0..p-1 stand for X and rows p..p+q-1 for Y, the indices that
-    LocalNeighborhood.from_cost assigns; the within-block entries are
-    never read by the localization.
-    """
-    p, q = len(cost), len(cost[0])
-    rows = np.zeros((p + q, p + q))
-    block = _float_grid(cost)
-    rows[:p, p:] = block
-    rows[p:, :p] = block.T
-    return rows

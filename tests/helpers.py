@@ -13,11 +13,11 @@ import numpy as np
 
 import orcurv.qpipeline
 import orcurv.transport
-from orcurv.blockenc import BlockEncoding, StateVector, dilated_apply
+from orcurv.blockenc import StateVector, dilated_apply
 from orcurv.graph import Graph, LocalNeighborhood
-from orcurv.qpipeline import cost_grid, w1_pq_qsim
+from orcurv.qpipeline import cost_rows, w1_pq_qsim
 from orcurv.transport import CurvatureResult
-from reference import chebyshev_power, overlap
+from reference import GridEncoding, chebyshev_power, grid_distance_encoding, overlap
 
 INF = math.inf
 
@@ -118,8 +118,8 @@ def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:
 
 
 def corrupt_encoding(monkeypatch, module, scale: float) -> None:
-    """Scale the op of every distance encoding `module` builds, keeping its
-    subnorm.
+    """Scale the distances every distance encoding `module` builds reads,
+    keeping its subnorm.
 
     Fault injection for the recovery multiplier: the encoded entries, and
     so every W1 a pipeline recovers through the subnorm, are off by `scale`.
@@ -128,33 +128,29 @@ def corrupt_encoding(monkeypatch, module, scale: float) -> None:
 
     def corrupted(*args, **kwargs):
         be = build(*args, **kwargs)
-        return dataclasses.replace(be, op=be.op * scale)
+        return dataclasses.replace(be, dist=[[d * scale for d in row] for row in be.dist])
 
     monkeypatch.setattr(module, "build_distance_encoding", corrupted)
 
 
-def chebyshev_distance_encoding(dg, margin: float = 0.05) -> BlockEncoding:
-    """build_distance_encoding with its power stage run as the Chebyshev
+def chebyshev_distance_encoding(dg, margin: float = 0.05) -> GridEncoding:
+    """The distance encoding with its power stage run as the Chebyshev
     interpolant at the default degree (reference.chebyshev_power): the
     same fourth powers at the same alpha and kappa_m, so err > 0 and op
     holds the polynomial image of the distances."""
-    dist = np.asarray(dg, dtype=np.float64)
-    max_d, min_d = float(np.max(dist)), float(np.min(dist[dist > 0.0]))
-    alpha = ((1.0 + margin) * max_d) ** 4
-    raw = BlockEncoding(op=dist.ravel() ** 4, subnorm=alpha)
-    return chebyshev_power(raw, 0.25, alpha / min_d ** 4)
+    return grid_distance_encoding(dg, margin, power=chebyshev_power)
 
 
 def pq_qsim_from_cost(cost, dxy, **settings) -> CurvatureResult:
     """The p = q pipeline on a bare cost matrix, composed as `orc` runs a
-    cost-matrix fixture: cost_grid, then build_distance_encoding at its
+    cost-matrix fixture: cost_rows, then build_distance_encoding at its
     default margin, then w1_pq_qsim with `settings` (seed, eps, dim_cap).
 
     The encoding is built through the module attribute, so corrupt_encoding
     on `orcurv.qpipeline` reaches it.
     """
     nb = LocalNeighborhood.from_cost(cost, dxy)
-    be = orcurv.qpipeline.build_distance_encoding(cost_grid(nb.cost))
+    be = orcurv.qpipeline.build_distance_encoding(cost_rows(nb.cost))
     return w1_pq_qsim(nb, be, **settings)
 
 

@@ -9,8 +9,9 @@ full-vector overlap (oracles of blockenc.dilated_apply and
 dilated_overlap), the Chebyshev stages a device would run in place of
 the exact be_power and be_invert (which check the degree rules
 blockenc.default_power_degree and default_inverse_degree), the
-per-vector power loop (oracle of qpipeline.min_eigen_power) and a
-finiteness check on geodesics.
+per-vector power loop (oracle of qpipeline.min_eigen_power), the N^2
+form of the distance encoding (oracle of qpipeline.DistanceEncoding and
+its entry reads) and a finiteness check on geodesics.
 
 The program's BlockEncoding holds a real diagonal only. The dilation
 and the density-matrix encoding also take or give dense operators,
@@ -39,7 +40,9 @@ from orcurv.blockenc import (
     default_power_degree,
 )
 from orcurv.errors import (
+    DegenerateAllZero,
     DimMismatch,
+    InfiniteDistance,
     OrcError,
     SpectrumOutOfRange,
     SubnormTooSmall,
@@ -47,7 +50,7 @@ from orcurv.errors import (
     ZeroOverlap,
 )
 from orcurv.graph import INF, LocalNeighborhood, Weight
-from orcurv.qpipeline import EigenEstimate
+from orcurv.qpipeline import AuditTrail, EigenEstimate, _check_indices
 from orcurv.transport import _emit, _lift_block
 
 _VERTEX_ORACLE_CAP = 9
@@ -423,3 +426,55 @@ def min_eigen_power_loop(be: BlockEncoding, kappa_a: float, start: np.ndarray,
         gap_proxy=gap_proxy,
         converged=converged,
     )
+
+
+class GridEncoding(BlockEncoding):
+    """The distance encoding as the N^2-entry diagonal it stands for.
+
+    op holds every grid entry, entry r * N + c at d(r, c). entries() reads
+    it the way qpipeline.DistanceEncoding.entries computes it, with the
+    same index checks, so every stage runs on either.
+    """
+
+    def entries(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        n = math.isqrt(self.dim)
+        _check_indices(n, rows)
+        _check_indices(n, cols)
+        return self.op[np.array([[r * n + c for c in cols] for r in rows], dtype=np.intp)]
+
+
+def grid_distance_encoding(dg, margin: float = 0.05, audit: AuditTrail | None = None,
+                           power=be_power) -> GridEncoding:
+    """The distance encoding over all N^2 grid entries, as the pipeline
+    built it before it read entries one by one: the grid as float64, the
+    checks over every entry, the fourth powers wrapped at
+    alpha = ((1 + margin) * max d)^4 and `power` (be_power, or
+    chebyshev_power) at c = 1/4 on the whole diagonal."""
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    try:
+        dist = np.asarray([[float(x) for x in row] for row in dg], dtype=np.float64)
+    except OverflowError as exc:
+        raise InfiniteDistance("a distance is beyond float range") from exc
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise DimMismatch("distance matrix must be square")
+    if not np.all(np.isfinite(dist)):
+        raise InfiniteDistance("distance matrix contains non-finite entries")
+    if np.any(dist < 0):
+        raise InfiniteDistance("distances must be nonnegative")
+    max_d = float(np.max(dist))
+    if max_d == 0.0:
+        raise DegenerateAllZero("all distances are zero")
+    min_d = float(np.min(dist[dist > 0.0]))
+    try:
+        alpha = ((1.0 + margin) * max_d) ** 4
+        kappa = (max_d / min_d) ** 4
+        kappa_m = alpha / min_d ** 4
+        if not (math.isfinite(kappa) and math.isfinite(kappa_m)):
+            raise OverflowError("kappa is not finite")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InfiniteDistance("distances leave the float range") from exc
+    be = power(BlockEncoding(op=dist.ravel() ** 4, subnorm=alpha), 0.25, kappa_m)
+    if audit is not None:
+        audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
+    return GridEncoding(op=be.op, subnorm=be.subnorm, err=be.err, ancilla_dim=be.ancilla_dim)

@@ -907,12 +907,14 @@ def test_weight_beyond_float_range_is_exact(tmp_path, capsys, method):
     # each distance fits a float, but a fourth power of the encoding does not
     (["compute", "--method", "qsim_tree", "--edge", "1,2", "--margin", "1e100"],
      "0 1\n1 2\n2 3\n"),
+    (["compare", "--edge", "1,2", "--margin", "1e308"], "0 1\n1 2\n2 3\n"),
     (["compute", "--method", "qsim_tree", "--edge", "1,2"], "0 1 1e80\n1 2\n2 3\n"),
     (["compute", "--method", "qsim_tree", "--edge", "1,2"], "0 1 1e-90\n1 2\n2 3\n"),
     (["compute", "--method", "qsim_tree", "--edge", "1,2"],    # (min d)^4 underflows to 0
      "0 1 1e-90\n1 2 1e-80\n2 3 1e-80\n"),
 ], ids=["qsim_tree", "qsim_pq", "compare", "qsim_pq-cost-matrix", "encoding-margin",
-        "encoding-large-weight", "encoding-weight-ratio", "encoding-small-weights"])
+        "encoding-margin-1e308", "encoding-large-weight", "encoding-weight-ratio",
+        "encoding-small-weights"])
 def test_weight_beyond_float_range_refused_by_qsim(tmp_path, capsys, argv, text):
     path = tmp_path / "big.in"
     path.write_text(text)
@@ -920,6 +922,17 @@ def test_weight_beyond_float_range_refused_by_qsim(tmp_path, capsys, argv, text)
     assert code == 3
     assert out == ""
     assert "InfiniteDistance" in err and "float range" in err
+
+
+def test_disconnected_graph_refused_by_qsim(tmp_path, capsys):
+    # a 4-cycle beside an edge: d(0, 4) = +inf, which no encoding holds
+    path = tmp_path / "two.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n4 5\n")
+    code, out, err = run_cli(["compute", "--input", str(path), "--method", "qsim_pq",
+                              "--edge", "0,1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "InfiniteDistance" in err and "non-finite" in err
 
 
 @pytest.mark.parametrize("fmt, text", [

@@ -1,4 +1,5 @@
-"""Property tests: ingest never raises outside OrcError; solver identities.
+"""Property tests: ingest never raises outside OrcError; solver identities;
+the distance encoding's entry reads against its N^2 form.
 
 Derandomized and bounded, so the suite stays deterministic and quick.
 """
@@ -8,6 +9,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,9 @@ from helpers import internal_edges, transport_flows
 from orcurv.cli import main
 from orcurv.errors import OrcError
 from orcurv.graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
+from orcurv.qpipeline import AuditTrail, build_distance_encoding, cost_rows, localize_DG
 from orcurv.transport import curvature, w1_assignment, w1_bruteforce, w1_lp
-from reference import _basic_solutions, lp_vertex_oracle
+from reference import _basic_solutions, grid_distance_encoding, lp_vertex_oracle
 
 BOUNDED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -209,3 +212,72 @@ def test_scaling_weights_scales_w1_and_keeps_curvature(g, num, den):
         big = curvature(neighborhood(scaled, dg_k, x, y), method="lp")
         assert big.w1 == k * base.w1
         assert big.curvature == base.curvature
+
+
+#: weights of each number type a run's distances can hold
+WEIGHTS = {
+    "int": st.integers(1, 9),
+    "fraction": st.builds(Fraction, st.integers(1, 60), st.integers(1, 13)),
+    "float": st.floats(1e-3, 1e3),
+}
+
+
+@st.composite
+def distance_rows(draw):
+    """(rows, reads): the distance rows a qsim run encodes and the
+    (rows, cols) index pairs its stages read from them. Either the APSP
+    rows of a connected graph, with the tree stage's reads and, where
+    p = q, localize_DG's; or a square cost matrix's cost_rows, with
+    localize_DG's."""
+    weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 6))
+        cost = draw(st.lists(st.lists(st.just(0) | weight, min_size=p, max_size=p),
+                             min_size=p, max_size=p))
+        return cost_rows(cost), [(range(p), range(p, 2 * p))]
+    n = draw(st.integers(3, 10))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=8)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), draw(weight))
+    g = Graph(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
+    dg = all_pairs_geodesic(g)
+    reads = []
+    for x, y in internal_edges(g):
+        nb = neighborhood(g, dg, x, y)
+        reads += [([x], nb.X), ([y], nb.Y), ([x], [y])]
+        if nb.p == nb.q:
+            reads.append((nb.X, nb.Y))
+    return dg, reads
+
+
+def _bits(a: np.ndarray) -> bytes:
+    assert a.dtype == np.float64
+    return a.tobytes()
+
+
+@settings(BOUNDED, max_examples=120)
+@given(distance_rows(), st.sampled_from([0.0, 0.05, 0.3]))
+def test_distance_encoding_reads_equal_the_grid_oracle(case, margin):
+    # every entry a stage reads, and the trace record, bit for bit against
+    # the N^2 grid, its fourth powers and be_power on them
+    rows, reads = case
+    want_audit = AuditTrail()
+    try:
+        want = grid_distance_encoding(rows, margin, audit=want_audit)
+    except OrcError as exc:    # an all-zero cost matrix
+        with pytest.raises(type(exc)):
+            build_distance_encoding(rows, margin)
+        return
+    audit = AuditTrail()
+    be = build_distance_encoding(rows, margin, audit=audit)
+    assert audit.records == want_audit.records
+    assert (be.dim, be.subnorm, be.err, be.ancilla_dim) == \
+        (want.dim, want.subnorm, want.err, want.ancilla_dim)
+    n = len(rows)
+    assert _bits(be.entries(range(n), range(n)).ravel()) == _bits(want.op)
+    for r, c in reads:
+        assert _bits(be.entries(r, c)) == _bits(want.entries(r, c))
+        if len(r) == len(c):
+            assert _bits(localize_DG(be, r, c).op) == _bits(localize_DG(want, r, c).op)

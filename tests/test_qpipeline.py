@@ -25,6 +25,7 @@ from helpers import (
     full_route_overlap,
     internal_edges,
     pq_qsim_from_cost,
+    random_connected_graph,
     random_cost_matrix,
     random_tree,
 )
@@ -48,6 +49,7 @@ from orcurv.qpipeline import (
     build_distance_encoding,
     build_DP,
     build_Pi,
+    cost_rows,
     extract_Di,
     localize_DG,
     min_eigen_power,
@@ -57,7 +59,14 @@ from orcurv.qpipeline import (
     w1_tree_qsim,
 )
 from orcurv.transport import DEFAULT_DIM_CAP, w1_assignment, w1_bruteforce, w1_tree
-from reference import DigitOutOfRange, be_identity, be_lcu, be_tensor, min_eigen_power_loop
+from reference import (
+    DigitOutOfRange,
+    be_identity,
+    be_lcu,
+    be_tensor,
+    grid_distance_encoding,
+    min_eigen_power_loop,
+)
 
 APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
 
@@ -66,19 +75,15 @@ APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
 ENCODERS = {"exact": build_distance_encoding, "chebyshev": chebyshev_distance_encoding}
 
 
-def two_block_grid(cost):
-    p, q = len(cost), len(cost[0])
-    rows = np.zeros((p + q, p + q))
-    block = np.array([[float(v) for v in row] for row in cost])
-    rows[:p, p:] = block
-    rows[p:, :p] = block.T
-    return rows
+def every_entry(be):
+    """All N^2 entries of a distance encoding, in grid order."""
+    n = math.isqrt(be.dim)
+    return be.entries(range(n), range(n)).ravel()
 
 
 def localized_for(cost, margin=0.0):
     p = len(cost)
-    grid = two_block_grid(cost)
-    be = build_distance_encoding(grid, margin=margin)
+    be = build_distance_encoding(cost_rows(cost), margin=margin)
     local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
     return local, be
 
@@ -89,7 +94,7 @@ def test_encoding_constant_distances():
     d = np.array([[0.0, 4.0], [4.0, 0.0]])
     audit = AuditTrail()
     be = build_distance_encoding(d, margin=0.0, audit=audit)
-    encoded = be.encoded
+    encoded = every_entry(be) / be.subnorm
     nonzero = encoded[encoded != 0]
     assert np.allclose(nonzero, 0.5)
     assert audit.records[0]["kappa"] == 1.0
@@ -99,7 +104,8 @@ def test_encoding_two_values():
     d = np.array([[0.0, 1.0], [1.0, 2.0]])  # synthetic; values {1, 2}
     audit = AuditTrail()
     be = build_distance_encoding(d, margin=0.0, audit=audit)
-    encoded = np.sort(np.unique(be.encoded[be.encoded != 0]))
+    encoded = every_entry(be) / be.subnorm
+    encoded = np.sort(np.unique(encoded[encoded != 0]))
     assert np.allclose(encoded, [0.25, 0.5])
     assert audit.records[0]["kappa"] == pytest.approx(16.0)
     assert audit.records[0]["alpha"] == pytest.approx(16.0)
@@ -107,36 +113,71 @@ def test_encoding_two_values():
 
 
 def test_encoding_appendix_distance_set():
-    grid = two_block_grid(APPENDIX_COST)
+    grid = cost_rows(APPENDIX_COST)
     be = build_distance_encoding(grid, margin=0.0)
     assert be.subnorm == pytest.approx(6.0)
-    nz = be.op[be.op != 0]
-    flat = grid.ravel()
-    assert np.allclose(be.op, flat, atol=1e-12)  # encoded * alpha_q == d
+    op = every_entry(be)
+    nz = op[op != 0]
+    flat = np.array(grid, dtype=float).ravel()
+    assert np.allclose(op, flat, atol=1e-12)  # encoded * alpha_q == d
     assert set(np.round(nz, 9)) == {1.0, 2.0, 3.0}
-    assert np.allclose(be.encoded[be.op != 0], nz / 6.0)
 
 
 def test_encoding_margin_keeps_spectrum_interior():
     d = np.array([[0.0, 3.0], [3.0, 0.0]])
     be = build_distance_encoding(d, margin=0.05)
-    assert float(np.max(be.encoded)) < 0.5
+    assert float(np.max(every_entry(be))) / be.subnorm < 0.5
 
 
 def test_encoding_chebyshev_mode_reports_error():
-    grid = two_block_grid(APPENDIX_COST)
+    grid = cost_rows(APPENDIX_COST)
     exact = build_distance_encoding(grid, margin=0.0)
     approx = chebyshev_distance_encoding(grid, margin=0.0)
     assert exact.err == 0.0 and approx.err > 0
     assert (approx.subnorm, approx.ancilla_dim) == (exact.subnorm, exact.ancilla_dim)
-    assert float(np.max(np.abs(approx.encoded - exact.encoded))) <= approx.err
+    assert float(np.max(np.abs(approx.encoded - every_entry(exact) / exact.subnorm))) \
+        <= approx.err
 
 
 def test_encoding_rejects_bad_input():
     with pytest.raises(InfiniteDistance):
         build_distance_encoding(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+    with pytest.raises(InfiniteDistance, match="non-finite"):
+        build_distance_encoding([[0.0, math.nan], [1.0, 0.0]])
     with pytest.raises(DegenerateAllZero):
         build_distance_encoding(np.zeros((2, 2)))
+    with pytest.raises(DimMismatch, match="must be square"):
+        build_distance_encoding([])
+
+
+def test_encoding_allocates_no_grid():
+    # N = 400: the encoding keeps the caller's rows and reads them a row at
+    # a time; one float64 copy of the grid alone would take 1.28 MB
+    rng = random.Random(43)
+    build_distance_encoding(all_pairs_geodesic(random_connected_graph(8, 4, rng)))
+    dg = all_pairs_geodesic(random_connected_graph(400, 400, rng))
+    tracemalloc.start()
+    try:
+        be = build_distance_encoding(dg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert be.dim == 400 ** 2
+    assert peak < 64 * 1024
+
+
+def test_encoding_refuses_a_disconnected_graph():
+    g = load_graph("0 1\n1 2\n2 3\n3 0\n4 5\n")
+    with pytest.raises(InfiniteDistance, match="non-finite"):
+        build_distance_encoding(all_pairs_geodesic(g))
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_encoding_refuses_a_non_finite_margin(margin):
+    # the margin is at fault, not the distances
+    with pytest.raises(ValueError, match=re.escape(f"margin must be a finite number >= 0, "
+                                                   f"got {margin!r}")):
+        build_distance_encoding([[0, 1], [1, 0]], margin=margin)
 
 
 # --- tree-case overlaps ------------------------------------------------------------
@@ -172,7 +213,7 @@ def test_tree_overlaps_match_full_vector_route():
     rng = random.Random(23)
     g = random_tree(30, rng, max_weight=3)
     dg = all_pairs_geodesic(g)
-    be = build_distance_encoding(dg)
+    be, grid = build_distance_encoding(dg), grid_distance_encoding(dg)
     n = g.vertex_count
     pair_overlap = orcurv.qpipeline._basis_pair_overlap
     for x, y in internal_edges(g):
@@ -180,14 +221,14 @@ def test_tree_overlaps_match_full_vector_route():
         for center, nbrs in ((x, nb.X), (y, nb.Y)):
             p = len(nbrs)
             support, amps = [center * n + v for v in nbrs], np.full(p, 1 / math.sqrt(p))
-            unit = full_route_overlap(be, support, amps)
+            unit = full_route_overlap(grid, support, amps)
             assert abs(tree_overlap_sum(be, center, nbrs) - unit * p / (p + 1)) <= 1e-15
-            drawn = full_route_overlap(be, support, amps, shots=1000, seed=center)
+            drawn = full_route_overlap(grid, support, amps, shots=1000, seed=center)
             assert tree_overlap_sum(be, center, nbrs, shots=1000, seed=center) == \
                 drawn * p / (p + 1)
-        assert pair_overlap(be, x, y) == full_route_overlap(be, [x * n + y], [1.0])
+        assert pair_overlap(be, x, y) == full_route_overlap(grid, [x * n + y], [1.0])
         assert pair_overlap(be, x, y, shots=1000, seed=x) == \
-            full_route_overlap(be, [x * n + y], [1.0], shots=1000, seed=x)
+            full_route_overlap(grid, [x * n + y], [1.0], shots=1000, seed=x)
 
 
 def test_overlap_sum_index_validation():
@@ -211,7 +252,7 @@ def test_tree_qsim_path_fixture():
 def test_tree_qsim_needs_graph_neighborhood():
     nb = LocalNeighborhood.from_cost([[1, 2], [3, 4]], 1)
     with pytest.raises(NotATree):
-        w1_tree_qsim(nb, build_distance_encoding(two_block_grid(nb.cost)))
+        w1_tree_qsim(nb, build_distance_encoding(cost_rows(nb.cost)))
 
 
 def test_tree_qsim_matches_closed_form():
@@ -268,7 +309,7 @@ def test_localize_ji_order():
 
 def test_localize_preserves_spectrum_multiset():
     cost = [[1, 2, 5], [3, 4, 6], [7, 8, 9]]
-    grid = two_block_grid(cost)
+    grid = cost_rows(cost)
     be = build_distance_encoding(grid, margin=0.0)
     local = localize_DG(be, [0, 1, 2], [3, 4, 5])
     got = sorted(np.round(local.op, 9))
@@ -276,7 +317,7 @@ def test_localize_preserves_spectrum_multiset():
 
 
 def test_localize_size_mismatch():
-    grid = two_block_grid([[1, 2], [3, 4]])
+    grid = cost_rows([[1, 2], [3, 4]])
     be = build_distance_encoding(grid)
     with pytest.raises(NotSquare, match="p=1, q=2"):
         localize_DG(be, [0], [2, 3])
@@ -286,7 +327,8 @@ GRID = [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: build_distance_encoding(GRID, margin=-0.1), ValueError, "margin must be >= 0"),
+    (lambda: build_distance_encoding(GRID, margin=-0.1), ValueError,
+     "margin must be a finite number >= 0, got -0.1"),
     (lambda: build_distance_encoding([[0, 1, 2], [1, 0, 1]]), DimMismatch, "must be square"),
     (lambda: build_distance_encoding([[0, -1], [-1, 0]]), InfiniteDistance, "nonnegative"),
     (lambda: tree_overlap_sum(build_distance_encoding(GRID), 0, []), IndexOutOfRange,
@@ -308,7 +350,7 @@ def test_library_refusals(call, error, message):
 
 
 def test_localize_refuses_bad_indices():
-    grid = two_block_grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    grid = cost_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     be = build_distance_encoding(grid)
     for X, Y in [([0, 0], [3, 4]), ([0, 1], [4, 4]), ([0, 6], [3, 4]),
                  ([-1, 1], [3, 4]), ([0.0, 1.0], [3, 4]), ([[0, 1]], [[3, 4]])]:
@@ -327,9 +369,10 @@ def completion_permutation_matrix(n, targets):
 
 
 def localize_by_conjugation(be, X, Y):
-    """The paper's localization with explicit matrices: conjugate the grid
-    diagonal by P_X (x) P_Y, keep the top-left p x p block, conjugate by
-    the SWAP of the two p-dimensional registers."""
+    """The paper's localization with explicit matrices: conjugate the N^2
+    grid diagonal (an encoding from grid_distance_encoding) by
+    P_X (x) P_Y, keep the top-left p x p block, conjugate by the SWAP of
+    the two p-dimensional registers."""
     n, p = math.isqrt(be.dim), len(X)
     perm = np.kron(completion_permutation_matrix(n, X), completion_permutation_matrix(n, Y))
     relabeled = np.diagonal(perm @ np.diag(be.op) @ perm.T)
@@ -348,11 +391,11 @@ def test_localize_matches_dense_permutation_conjugation():
         # an asymmetric grid, so a row/column mix-up cannot hide
         dist = rng.integers(1, 20, size=(n, n)).astype(float)
         np.fill_diagonal(dist, 0.0)
-        be = build_distance_encoding(dist)
+        be, grid = build_distance_encoding(dist), grid_distance_encoding(dist)
         local = localize_DG(be, X, Y)
-        assert np.array_equal(local.op, localize_by_conjugation(be, X, Y))
+        assert np.array_equal(local.op, localize_by_conjugation(grid, X, Y))
         assert (local.subnorm, local.err, local.ancilla_dim) == \
-            (be.subnorm, be.err, be.ancilla_dim)
+            (grid.subnorm, grid.err, grid.ancilla_dim)
 
 
 def test_localize_reads_only_the_block():
@@ -485,7 +528,7 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
     rng = random.Random(17)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng, max_value=4)
-        be = ENCODERS[power_mode](two_block_grid(cost))
+        be = ENCODERS[power_mode](cost_rows(cost))
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         assert (ds[0].err > 0) == (power_mode == "chebyshev")
@@ -778,7 +821,7 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
     rng = random.Random(29)
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng)
-        be = ENCODERS[power_mode](two_block_grid(cost))
+        be = ENCODERS[power_mode](cost_rows(cost))
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         support, full = build_DP(ds), build_dp_full(ds)
@@ -799,7 +842,7 @@ def test_pq_pipeline_matches_full_route(power_mode):
     for p in range(1, 6):
         for _ in range(6):
             nb = LocalNeighborhood.from_cost(random_cost_matrix(p, p, rng), 1)
-            be = ENCODERS[power_mode](two_block_grid(nb.cost))
+            be = ENCODERS[power_mode](cost_rows(nb.cost))
             seed = rng.randint(0, 10 ** 6)
             got = w1_pq_qsim(nb, be, seed=seed)
             want = w1_pq_qsim_full(nb, be, seed=seed)
@@ -844,7 +887,7 @@ def test_pq_audit_trail_records_every_stage_in_order():
     p = 3
     audit = AuditTrail()
     nb = LocalNeighborhood.from_cost(random_cost_matrix(p, p, random.Random(41)), 1)
-    be = build_distance_encoding(two_block_grid(nb.cost))
+    be = build_distance_encoding(cost_rows(nb.cost))
     w1_pq_qsim(nb, be, seed=0, audit=audit)
     stages = [r["stage"] for r in audit.records]
     assert stages == ["localize_DG", "extract_D1", "extract_D2", "extract_D3",
@@ -862,7 +905,7 @@ def test_pq_qsim_refuses_a_zero_cost_permutation():
     # pseudoinverse does not see; the full route reports the next sum
     cost = [[0, 1], [1, 0]]
     nb = LocalNeighborhood.from_cost(cost, 1)
-    be = build_distance_encoding(two_block_grid(cost))
+    be = build_distance_encoding(cost_rows(cost))
     assert w1_pq_qsim_full(nb, be, seed=0).w1 == pytest.approx(1.0)
     with pytest.raises(SpectrumOutOfRange, match="a permutation of the cost block sums to 0"):
         w1_pq_qsim(nb, be, seed=0)
@@ -952,7 +995,7 @@ def test_subnorm_ledger_stage_by_stage():
     rng = random.Random(71)
     cost = random_cost_matrix(3, 3, rng)
     c = np.array([[float(v) for v in row] for row in cost])
-    grid = two_block_grid(cost)
+    grid = cost_rows(cost)
     audit = AuditTrail()
     be = build_distance_encoding(grid, margin=0.0, audit=audit)
     local = localize_DG(be, [0, 1, 2], [3, 4, 5])
@@ -962,7 +1005,7 @@ def test_subnorm_ledger_stage_by_stage():
     comp = be_product(pi, dp)
 
     # encoded * subnorm reproduces the intended raw operator at each stage
-    assert np.allclose(be.encoded * be.subnorm, grid.ravel(), atol=1e-12)
+    assert np.allclose(every_entry(be), np.array(grid, dtype=float).ravel(), atol=1e-12)
     assert np.allclose(local.encoded * local.subnorm, c.T.ravel(), atol=1e-12)
     for i, d_i in enumerate(ds):
         assert np.allclose(d_i.encoded * d_i.subnorm, c[:, i], atol=1e-12)
@@ -1022,8 +1065,8 @@ def test_scale_property():
     scaled = [[float(v) * lam for v in row] for row in cost]
     base = pq_qsim_from_cost(cost, 2, seed=4)
     big = pq_qsim_from_cost(scaled, 2 * lam, seed=4)
-    be_base = build_distance_encoding(two_block_grid(cost))
-    be_big = build_distance_encoding(two_block_grid(scaled))
+    be_base = build_distance_encoding(cost_rows(cost))
+    be_big = build_distance_encoding(cost_rows(scaled))
     assert be_big.subnorm == pytest.approx(lam * be_base.subnorm, rel=1e-12)
     assert big.w1 == pytest.approx(lam * base.w1, rel=1e-10)
     assert big.curvature == pytest.approx(base.curvature, abs=1e-10)

@@ -123,3 +123,13 @@ def test_benchmark_setup_calls_run_with_numpy_hidden(inputs):
     done = _python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{all_pairs_geodesic(g, workers=1)!r} {verify_tree(g)}\n"
+
+
+def test_exact_tree_compare_loads_no_numpy_random(inputs):
+    # exact overlaps draw nothing, so the seed sequence is never spawned
+    code = ("import sys, orcurv.cli\n"
+            "code = orcurv.cli.main(['compare', '--input', 'tree.txt', '--all-edges',\n"
+            "                        '--tol', '1e-8', '--out', 'tree.json'])\n"
+            "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+    done = _python(code)
+    assert (done.returncode, done.stdout) == (0, "0 True False\n"), done.stderr
