@@ -46,7 +46,7 @@ def _as_operator(m) -> np.ndarray:
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:
-    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > 1e-12:
+    if abs(float(np.vdot(amps, amps).real) - 1.0) > 1e-12:
         raise ValueError("state vector is not unit norm")
 
 

@@ -6,8 +6,11 @@ and fails (exit 1) when the difference exceeds the tolerance; fixture
 writes small named input files. compute and compare share one run loop,
 `_run`. It reads the input and selects the edges, settles the run, and
 only then computes the distances, the neighborhoods and the one distance
-encoding. Reading takes the file's text alone: `graph` parses every
-input format and checks its numbers, and its OrcError exits 2 here.
+encoding. A tree's neighborhoods read its edge weights, so a classical
+run on a tree computes no all-pairs distances; a qsim route still does,
+for the encoding. Reading takes the file's text alone: `graph` parses
+every input format and checks its numbers, and its OrcError exits 2
+here.
 Settling refuses, never ignores, what the run cannot use: a qsim option
 that no method reads (`_QSIM_OPTIONS` defines each one), --seed on
 qsim_tree without --shots, a tree method without a tree, and an --out or
@@ -343,15 +346,19 @@ def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: DistanceEnc
 
 def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
     """Read, settle, then compute the methods, each edge with its neighborhood,
-    and the distances a qsim route encodes; the graph is freed on return."""
+    and the distances a qsim route encodes; the graph is freed on return.
+    A classical run on a tree computes no distance rows."""
     source = _read_input(args)
     g = source if isinstance(source, Graph) else None
     edges = _select_edges(args, g)
-    methods = _settle(args, g, g is not None and verify_tree(g))
+    is_tree = g is not None and verify_tree(g)
+    methods = _settle(args, g, is_tree)
     if g is None:
         pairs = [(None, source)]    # a cost-matrix fixture has no edge
     else:
-        dg = all_pairs_geodesic(g)
+        # a tree's neighborhoods read its edge weights; a qsim route's
+        # encoding reads max d over all pairs, so it keeps the rows
+        dg = None if is_tree and methods[-1] not in QSIM_METHODS else all_pairs_geodesic(g)
         pairs = []
         for u, v in edges:
             try:
@@ -418,7 +425,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
         path.write_text(content, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write --dir {args.dir!r}: {exc}") from exc
-    print(str(path))
+    _write_stdout(f"{path}\n", "the fixture path")
     return 0
 
 
@@ -456,7 +463,7 @@ def _emit_report(args: argparse.Namespace, report: dict) -> None:
     if args.out:
         _write_file(args.out, text, "--out")
     else:
-        sys.stdout.write(text)
+        _write_stdout(text, "the report")
 
 
 def _write_trace(args: argparse.Namespace, audit: AuditTrail | None) -> None:
@@ -464,6 +471,17 @@ def _write_trace(args: argparse.Namespace, audit: AuditTrail | None) -> None:
         return
     lines = [json.dumps(rec, sort_keys=True, default=str) for rec in audit.records]
     _write_file(args.trace, "\n".join(lines) + "\n", "--trace")
+
+
+def _write_stdout(text: str, what: str) -> None:
+    """Write and flush text, so a full, broken or closed stdout exits 2 here."""
+    if sys.stdout is None:    # Python's stdout when the process starts without fd 1
+        raise ConfigError(f"cannot write {what} to stdout: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} to stdout: {exc}") from exc
 
 
 def _write_file(path: str, text: str, option: str) -> None:

@@ -12,9 +12,13 @@ that one number type. Disconnected pairs are encoded as a float +inf in
 either mode; downstream transport code refuses to consume infinite
 costs.
 
-Shortest paths use per-source Dijkstra with a binary heap, one source
-after another, for every graph: exact or float, sparse or dense. The
-module needs only the standard library.
+Shortest paths on a tree are summed outward from each source, a vertex's
+distance being its parent's plus the weight between them; on every
+other graph, exact or float, sparse or dense, they are per-source
+Dijkstra with a binary heap. A tree's neighborhoods need no rows at
+all: every distance one reads lies on a path of at most three edges,
+and `neighborhood` sums it from the edge weights. The module needs only
+the standard library.
 """
 
 from __future__ import annotations
@@ -120,10 +124,16 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def rational(self) -> bool:
         """True when every weight is exact (int or Fraction)."""
         return all(_is_rational(w) for _, _, w in self.edges)
+
+    @cached_property
+    def _zero(self) -> Weight:
+        """The distance from a vertex to itself: the int 0 in a rational
+        graph, 0.0 in any other."""
+        return 0 if self.rational else 0.0
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
@@ -348,31 +358,90 @@ def _dijkstra_row(adj, n: int, source: int, zero: Weight) -> tuple[Weight, ...]:
     return tuple(dist)
 
 
+def _rooted_at_0(adj, n: int, zero: Weight) -> tuple[list[int], list[int], list[Weight]]:
+    """One traversal from vertex 0: the other vertices it reaches, each
+    after its parent, and every vertex's parent and the weight between
+    them (vertex 0 and any vertex not reached keep 0 and zero)."""
+    parent = [0] * n
+    weight = [zero] * n
+    seen = [False] * n
+    seen[0] = True
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, w in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                weight[v] = w
+                order.append(v)
+                stack.append(v)
+    return order, parent, weight
+
+
+def _tree_rows(adj, n: int, zero: Weight) -> tuple[tuple[Weight, ...], ...] | None:
+    """The rows of a graph with N - 1 edges if it is a tree, else None.
+
+    Each source's row sets the source's ancestors, walking up to vertex
+    0, then every other vertex in traversal order, each as its parent's
+    distance plus the weight between them: the sum Dijkstra forms on the
+    one path.
+    """
+    order, parent, weight = _rooted_at_0(adj, n, zero)
+    if len(order) < n - 1:
+        return None
+    steps = [(v, parent[v], weight[v]) for v in order]
+    rows = []
+    for s in range(n):
+        dist = [None] * n
+        dist[s] = zero
+        u = s
+        while u:
+            dist[parent[u]] = dist[u] + weight[u]
+            u = parent[u]
+        for v, p, w in steps:
+            if dist[v] is None:
+                dist[v] = dist[p] + w
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
 def all_pairs_geodesic(g: Graph, workers: int | None = None) -> tuple[tuple[Weight, ...], ...]:
     """Exact shortest-path distances, one row per source vertex.
 
     The rows hold the graph's one number type: int / Fraction for a
     rational graph (its diagonal is the int 0), float for any other (its
     diagonal is 0.0); a disconnected pair is a float +inf either way.
-    Every graph runs per-source Dijkstra, so a float row is the fixed
-    point of float relaxation from its source. workers may only be None
-    or 1: the rows are computed on one thread.
+    A tree (N - 1 edges, all reached from vertex 0) sums each row along
+    its paths from the source outward, with no heap; every other graph
+    runs per-source Dijkstra. Both add the weights of a path in the same
+    order, so a float row is the fixed point of float relaxation from its
+    source either way. workers may only be None or 1: the rows are
+    computed on one thread.
     """
     if workers not in (None, 1):
         raise ValueError(f"workers must be None or 1, got {workers!r}")
     n = g.vertex_count
     adj = g._adjacency
-    zero = 0 if g.rational else 0.0
-    return tuple(_dijkstra_row(adj, n, s, zero) for s in range(n))
+    zero = g._zero
+    rows = _tree_rows(adj, n, zero) if g.edge_count == n - 1 else None
+    if rows is None:
+        rows = tuple(_dijkstra_row(adj, n, s, zero) for s in range(n))
+    return rows
 
 
-def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]], x: int, y: int,
+def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]] | None, x: int, y: int,
                  include_endpoints: bool = False) -> LocalNeighborhood:
     """Local (x, y) edge context with the geodesic cost block.
 
     dg holds the rows all_pairs_geodesic(g) returns; the cost block,
     dxy and the center-to-neighbor distances are read from them as they
-    are, so they keep the graph's number type.
+    are, so they keep the graph's number type. dg None reads them from
+    the edge weights of g, which the caller asserts is a tree
+    (`verify_tree`): each lies on the one path a-x-y-b, and is summed from
+    a outward as the rows sum it, (w(a, x) + w(x, y)) + w(y, b), with
+    w(v, v) the graph's zero.
 
     With include_endpoints=True, x is appended to its own neighbor list
     and y to its own (the inclusive-measure variant); masses stay uniform
@@ -387,33 +456,32 @@ def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]], x: int, y: int,
         Y = sorted(Y + [y])
     if not X or not Y:
         raise EmptyNeighborhood(f"p={len(X)}, q={len(Y)}: an endpoint has no other neighbor")
-    cost = tuple(tuple(dg[a][b] for b in Y) for a in X)
+    if dg is None:
+        wx = dict(g._adjacency[x])
+        wy = dict(g._adjacency[y])
+        wx[x] = wy[y] = g._zero
+        x_dists = tuple(wx[a] for a in X)
+        y_dists = tuple(wy[b] for b in Y)
+        dxy = wx[y]
+        cost = tuple(tuple((wa + dxy) + wy[b] for b in Y) for wa in x_dists)
+    else:
+        x_dists = tuple(dg[x][a] for a in X)
+        y_dists = tuple(dg[y][b] for b in Y)
+        dxy = dg[x][y]
+        cost = tuple(tuple(dg[a][b] for b in Y) for a in X)
     return LocalNeighborhood(
         x=x,
         y=y,
         X=tuple(X),
         Y=tuple(Y),
         cost=cost,
-        dxy=dg[x][y],
-        x_dists=tuple(dg[x][a] for a in X),
-        y_dists=tuple(dg[y][b] for b in Y),
+        dxy=dxy,
+        x_dists=x_dists,
+        y_dists=y_dists,
     )
 
 
 def verify_tree(g: Graph) -> bool:
     """True iff g is connected and has exactly N - 1 edges."""
     n = g.vertex_count
-    if g.edge_count != n - 1:
-        return False
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v, _ in g._adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+    return g.edge_count == n - 1 and len(_rooted_at_0(g._adjacency, n, 0)[0]) == n - 1

@@ -1,6 +1,7 @@
 """CLI integration: exit codes, report formats, determinism."""
 
 import csv
+import errno
 import inspect
 import io
 import json
@@ -525,6 +526,51 @@ def test_configuration_errors_come_before_any_distance_work(tmp_path, capsys, mo
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == f"orc: config error: {message}"
     assert apsp == [] and neighborhoods == []
+
+
+DOUBLE_STAR = "0 1\n0 2\n0 3\n3 4\n3 5\n"    # a tree; its one internal edge has p = q = 2
+
+
+@pytest.mark.parametrize("text, argv, apsp_calls", [
+    *[(DOUBLE_STAR, ["compute", "--method", method], 0)
+      for method in ("tree", "lp", "assignment", "brute_force")],
+    (DOUBLE_STAR, ["compute", "--method", "lp", "--include-endpoints"], 0),
+    (DOUBLE_STAR, ["compare"], 1),
+    (DOUBLE_STAR, ["compute", "--method", "qsim_tree"], 1),
+    (TRIANGLE_WITH_TAILS, ["compute", "--method", "lp"], 1),
+], ids=["tree", "lp", "assignment", "brute_force", "lp-include-endpoints", "compare",
+        "qsim_tree", "lp-non-tree"])
+def test_only_qsim_routes_and_non_trees_compute_all_pairs_distances(tmp_path, capsys,
+                                                                    monkeypatch, text, argv,
+                                                                    apsp_calls):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    apsp = _spy(monkeypatch, orcurv.graph, "all_pairs_geodesic")
+    code, out, _ = run_cli([*argv, "--input", str(graph), "--all-edges"], capsys)
+    assert code == 0 and json.loads(out)["records"]
+    assert len(apsp) == apsp_calls
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["compute", "--edge", "1,2"], "the report"),
+    (["compute", "--edge", "1,2", "--out-format", "csv"], "the report"),
+    (["compare", "--all-edges"], "the report"),
+    (["fixture", "star"], "the fixture path"),
+], ids=["json", "csv", "compare", "fixture"])
+def test_output_that_stdout_cannot_take_is_config_error(path4, capsys, monkeypatch, argv,
+                                                        what):
+    where = ["--dir", str(path4.parent)] if argv[0] == "fixture" else ["--input", str(path4)]
+    for stdout, why in ((_FullStdout(), f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
+                        (None, "it is closed")):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([*argv, *where]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"orc: config error: cannot write {what} to stdout: {why}")
 
 
 def test_leaf_edge_with_a_refused_option_is_config_error(path4, capsys):

@@ -284,6 +284,26 @@ def test_apsp_runs_dijkstra_once_per_source(monkeypatch, rational, extra):
     assert all(type(x) is (int if rational else float) for row in d for x in row)
 
 
+@pytest.mark.parametrize("n, edges, dijkstra_sources, connected", [
+    (5, [(0, 1, 2), (1, 2, Fraction(1, 3)), (1, 3, 5), (3, 4, 1)], [], True),   # a tree
+    (2, [(0, 1)], [], True),                                                    # one edge
+    (4, [(0, 1), (1, 2), (0, 2)], [0, 1, 2, 3], False),    # N - 1 edges, 3 isolated
+    (4, [(1, 2), (2, 3), (1, 3)], [0, 1, 2, 3], False),    # N - 1 edges, 0 isolated
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 1, 2, 3], True),                  # N edges
+], ids=["tree", "one-edge", "cycle-isolated-last", "cycle-isolated-first", "cycle"])
+def test_apsp_runs_dijkstra_only_off_trees(monkeypatch, n, edges, dijkstra_sources, connected):
+    g = Graph(n, edges)
+    sources = []
+    real = orcurv.graph._dijkstra_row
+    monkeypatch.setattr(orcurv.graph, "_dijkstra_row",
+                        lambda adj, n, source, zero: sources.append(source)
+                        or real(adj, n, source, zero))
+    d = all_pairs_geodesic(g)
+    assert sources == dijkstra_sources
+    assert all(type(row[i]) is int and row[i] == 0 for i, row in enumerate(d))
+    assert all_finite(d) == connected
+
+
 @pytest.mark.parametrize("text, fmt", [
     ("0 1 1e1000000\n", "edge_list"),
     ("0 1 1e999999999\n", "edge_list"),
@@ -336,6 +356,8 @@ def test_path_neighborhood():
     assert nb.dxy == 1
     assert nb.x_dists == (1,)
     assert nb.y_dists == (1,)
+    # a tree's neighborhood reads the edge weights alone, no rows
+    assert neighborhood(g, None, 1, 2) == nb
 
 
 def test_star_leaf_empty_neighborhood():

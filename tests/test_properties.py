@@ -5,6 +5,7 @@ Derandomized and bounded, so the suite stays deterministic and quick.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -16,8 +17,16 @@ from hypothesis import strategies as st
 
 from helpers import internal_edges, transport_flows
 from orcurv.cli import main
-from orcurv.errors import OrcError
-from orcurv.graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
+from orcurv.errors import EmptyNeighborhood, OrcError
+from orcurv.graph import (
+    INF,
+    Graph,
+    LocalNeighborhood,
+    _dijkstra_row,
+    all_pairs_geodesic,
+    load_graph,
+    neighborhood,
+)
 from orcurv.qpipeline import AuditTrail, build_distance_encoding, cost_rows, localize_DG
 from orcurv.transport import curvature, w1_assignment, w1_bruteforce, w1_lp
 from reference import _basic_solutions, grid_distance_encoding, lp_vertex_oracle
@@ -281,3 +290,82 @@ def test_distance_encoding_reads_equal_the_grid_oracle(case, margin):
         assert _bits(be.entries(r, c)) == _bits(want.entries(r, c))
         if len(r) == len(c):
             assert _bits(localize_DG(be, r, c).op) == _bits(localize_DG(want, r, c).op)
+
+
+#: tree weights of each number type, with magnitudes 2^40 apart, so that a
+#: float path sum rounds and the order of its additions shows in the bits
+TREE_WEIGHTS = {
+    "int": st.integers(1, 9) | st.integers(2 ** 40, 2 ** 41),
+    "fraction": st.integers(1, 9) | st.builds(Fraction, st.integers(1, 2 ** 45),
+                                              st.integers(1, 13)),
+    "float": (st.sampled_from([2.0 ** -20, 0.1, 1.0, 2.0 ** 20, 3.0 * 2.0 ** 20])
+              | st.floats(2.0 ** -20, 2.0 ** 20)),
+}
+
+
+@st.composite
+def trees(draw):
+    """A tree on 1-12 vertices, relabelled at random, with weights of one
+    kind of TREE_WEIGHTS."""
+    weight = TREE_WEIGHTS[draw(st.sampled_from(sorted(TREE_WEIGHTS)))]
+    n = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[draw(st.integers(0, v - 1))], label[v], draw(weight))
+                     for v in range(1, n)])
+
+
+@st.composite
+def cyclic_forests(draw):
+    """A graph with N - 1 edges that is not a tree: a tree on N - 1
+    vertices plus one chord, and one isolated vertex, relabelled."""
+    weight = TREE_WEIGHTS[draw(st.sampled_from(sorted(TREE_WEIGHTS)))]
+    n = draw(st.integers(4, 12))
+    label = draw(st.permutations(range(n)))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n - 1)}
+    chord = draw(st.sampled_from([(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)
+                                  if (u, v) not in edges]))
+    edges[chord] = draw(weight)
+    return Graph(n, [(label[u], label[v], w) for (u, v), w in edges.items()])
+
+
+def _typed(v):
+    """v with the type of every number in it, each float by its bits."""
+    if isinstance(v, tuple):
+        return tuple(_typed(x) for x in v)
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+def _dijkstra_rows(g: Graph) -> tuple:
+    zero = 0 if g.rational else 0.0
+    return tuple(_dijkstra_row(g._adjacency, g.vertex_count, s, zero)
+                 for s in range(g.vertex_count))
+
+
+@BOUNDED
+@given(trees())
+def test_tree_rows_equal_dijkstra_rows_bit_for_bit(g):
+    assert _typed(all_pairs_geodesic(g)) == _typed(_dijkstra_rows(g))
+
+
+@settings(BOUNDED, max_examples=60)
+@given(cyclic_forests())
+def test_n_minus_one_edges_with_a_cycle_get_dijkstra_rows(g):
+    rows = all_pairs_geodesic(g)
+    assert _typed(rows) == _typed(_dijkstra_rows(g))
+    assert all(INF in row for row in rows)
+
+
+@BOUNDED
+@given(trees(), st.booleans())
+def test_tree_neighborhood_from_adjacency_equals_the_one_from_rows(g, include_endpoints):
+    dg = all_pairs_geodesic(g)
+    for u, v, _ in g.edges:
+        for x, y in ((u, v), (v, u)):
+            try:
+                want = neighborhood(g, dg, x, y, include_endpoints)
+            except EmptyNeighborhood:
+                with pytest.raises(EmptyNeighborhood):
+                    neighborhood(g, None, x, y, include_endpoints)
+                continue
+            got = neighborhood(g, None, x, y, include_endpoints)
+            assert _typed(dataclasses.astuple(got)) == _typed(dataclasses.astuple(want))
