@@ -1,16 +1,15 @@
 """Desk-scale simulator of block-encoding algebra.
 
-A BlockEncoding tracks (operator, subnormalization, error, ancilla
-size) instead of gate sequences. `op` is the operator the simulated
-device realizes; the encoded block is op/subnorm and `err` tracks the
-distance between the encoded block and its mathematical target. Every
-stage here is exact and adds nothing to `err`; the Chebyshev
-interpolants a device would run instead, whose degrees
-default_power_degree and default_inverse_degree give, are kept in the
-tests (tests/reference.py). Composition rules follow fixed bookkeeping
-formulas:
+A BlockEncoding tracks (operator, subnormalization, ancilla size)
+instead of gate sequences. `op` is the operator the simulated device
+realizes; the encoded block is op/subnorm. Every stage here is exact, so
+the encoded block is its mathematical target; the Chebyshev interpolants
+a device would run instead, whose degrees default_power_degree and
+default_inverse_degree give, are kept in the tests (tests/reference.py)
+with the error bookkeeping they need. Composition rules follow fixed
+bookkeeping formulas:
 
-  product            subnorm multiplies, err = a1*e2 + a2*e1
+  product            subnorm multiplies, ancilla sizes multiply
   fractional power   encoded value A^c/2 (the 1/2 becomes subnorm doubling)
   inversion          encoded value pinv(A)/kappa
 
@@ -59,25 +58,20 @@ class BlockEncoding:
     """Simulated block encoding: encoded block is diag(op)/subnorm.
 
     op is the real diagonal as a 1-D float64 vector; any other shape is
-    DimMismatch and a complex op is SpectrumOutOfRange. err is the
-    accumulated deviation from the ideal target, which the composition
-    rules carry and never decrease; every stage blockenc runs is exact
-    and adds 0. ancilla_dim is pure bookkeeping of the |0> register size.
+    DimMismatch and a complex op is SpectrumOutOfRange. Every stage
+    blockenc runs is exact, so the encoded block is the ideal target.
+    ancilla_dim is pure bookkeeping of the |0> register size.
     """
 
     op: np.ndarray
     subnorm: float
-    err: float = 0.0
     ancilla_dim: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "op", _as_operator(self.op))
         object.__setattr__(self, "subnorm", float(self.subnorm))
-        object.__setattr__(self, "err", float(self.err))
         if self.subnorm <= 0:
             raise SubnormTooSmall(f"subnorm must be positive, got {self.subnorm}")
-        if self.err < 0:
-            raise ValueError("err must be nonnegative")
         if self.ancilla_dim < 1:
             raise ValueError("ancilla_dim must be a positive integer")
         norm = _operator_norm(self.op)
@@ -122,7 +116,6 @@ def be_product(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
     return BlockEncoding(
         op=b1.op * b2.op,
         subnorm=b1.subnorm * b2.subnorm,
-        err=b1.subnorm * b2.err + b2.subnorm * b1.err,
         ancilla_dim=b1.ancilla_dim * b2.ancilla_dim,
     )
 
@@ -160,8 +153,8 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float) -> BlockEncoding:
     doubling of the subnormalization, so op keeps its raw meaning
     (op^c). Nonzero encoded entries must lie in [1/kappa_m, 1]; exact
     zeros are preserved (the power acts on the support only). The power
-    is exact, so err carries over unchanged; default_power_degree gives
-    the degree of the interpolant a device would run instead.
+    is exact; default_power_degree gives the degree of the interpolant a
+    device would run instead.
     """
     if not 0 < c < 1:
         raise ValueError(f"exponent must be in (0, 1), got {c}")
@@ -174,7 +167,7 @@ def be_power(b: BlockEncoding, c: float, kappa_m: float) -> BlockEncoding:
     support = encoded != 0.0
     _check_window(encoded[support], 1.0 / kappa_m, 1.0, "be_power spectrum")
     return BlockEncoding(op=np.where(support, np.abs(diag) ** c, 0.0),
-                         subnorm=2.0 * b.subnorm ** c, err=b.err,
+                         subnorm=2.0 * b.subnorm ** c,
                          ancilla_dim=b.ancilla_dim * 2)
 
 
@@ -183,9 +176,8 @@ def be_invert(b: BlockEncoding, kappa_a: float) -> BlockEncoding:
 
     Zero eigenvalues are preserved (pseudoinverse on the support).
     Nonzero encoded eigenvalues must lie within [1/kappa_a, 1] in
-    magnitude. The inversion is exact, so err carries over unchanged;
-    default_inverse_degree gives the degree of the interpolant a device
-    would run instead.
+    magnitude. The inversion is exact; default_inverse_degree gives the
+    degree of the interpolant a device would run instead.
     """
     if kappa_a < 1:
         raise ValueError(f"kappa_a must be >= 1, got {kappa_a}")
@@ -194,7 +186,7 @@ def be_invert(b: BlockEncoding, kappa_a: float) -> BlockEncoding:
     support = encoded != 0.0
     _check_window(np.abs(encoded[support]), 1.0 / kappa_a, 1.0, "be_invert spectrum")
     return BlockEncoding(op=np.where(support, 1.0 / np.where(support, diag, 1.0), 0.0),
-                         subnorm=kappa_a / b.subnorm, err=b.err,
+                         subnorm=kappa_a / b.subnorm,
                          ancilla_dim=b.ancilla_dim * 2)
 
 

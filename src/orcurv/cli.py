@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -322,7 +321,7 @@ def _record(nb: LocalNeighborhood, result: CurvatureResult) -> dict:
         "method": result.method,
     }
     if result.diagnostics is not None:    # the EigenEstimate of a qsim_pq run
-        rec["diagnostics"] = dataclasses.asdict(result.diagnostics)
+        rec["diagnostics"] = result.diagnostics.fields()
     return rec
 
 
@@ -457,7 +456,8 @@ def _report_to_csv(report: dict) -> str:
 def _emit_report(args: argparse.Namespace, report: dict) -> None:
     with _unlimited_int_digits():
         if args.out_format == "json":
-            text = json.dumps(report, sort_keys=True, indent=2, default=_exact_json) + "\n"
+            text = json.dumps(report, sort_keys=True, indent=2, default=_exact_json,
+                              allow_nan=False) + "\n"
         else:
             text = _report_to_csv(report)
     if args.out:
@@ -469,7 +469,8 @@ def _emit_report(args: argparse.Namespace, report: dict) -> None:
 def _write_trace(args: argparse.Namespace, audit: AuditTrail | None) -> None:
     if audit is None:
         return
-    lines = [json.dumps(rec, sort_keys=True, default=str) for rec in audit.records]
+    lines = [json.dumps(rec, sort_keys=True, default=str, allow_nan=False)
+             for rec in audit.records]
     _write_file(args.trace, "\n".join(lines) + "\n", "--trace")
 
 

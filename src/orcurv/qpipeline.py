@@ -25,8 +25,8 @@ bound.
 
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
-optional audit trail records {stage, dim, subnorm, err, min_entry,
-max_entry} per stage so the ledger can be checked from outside. Only
+optional audit trail records {stage, dim, subnorm, min_entry, max_entry}
+per stage so the ledger can be checked from outside. Only
 build_distance_encoding and tree_overlap_sum, which hold values their
 callers cannot see, write records; w1_pq_qsim writes the p = q ledger.
 
@@ -95,6 +95,15 @@ class EigenEstimate:
         if not 0.0 <= self.initial_overlap <= 1.0 + 1e-12:
             raise AssertionError("initial overlap outside [0, 1]")
 
+    def fields(self) -> dict:
+        """The estimate as report and trace fields. An infinite gap_proxy,
+        which means there is no second eigenvalue, becomes None, so JSON
+        writes it as null."""
+        out = asdict(self)
+        if math.isinf(self.gap_proxy):
+            out["gap_proxy"] = None
+        return out
+
 
 @dataclass
 class AuditTrail:
@@ -109,7 +118,6 @@ class AuditTrail:
             "stage": stage,
             "dim": be.dim,
             "subnorm": be.subnorm,
-            "err": be.err,
             "min_entry": float(np.min(nonzero)) if nonzero.size else 0.0,
             "max_entry": float(np.max(nonzero)) if nonzero.size else 0.0,
         }
@@ -140,14 +148,14 @@ class DistanceEncoding:
     r * N + c is op = (d(r, c)^4)^(1/4) at subnorm 2 * alpha^(1/4): the
     fourth powers wrapped at alpha, then blockenc.be_power's c = 1/4, so
     the encoded entry is d(r, c) / subnorm. It holds the distance rows
-    `dist` and the scalars build_distance_encoding takes from the two
-    extreme distances; `entries` computes only the entries a stage reads,
-    by be_power's expression, so no N^2-entry array is ever formed.
+    `dist` and the two scalars, subnorm and ancilla_dim, that
+    build_distance_encoding takes from the two extreme distances;
+    `entries` computes only the entries a stage reads, by be_power's
+    expression, so no N^2-entry array is ever formed.
     """
 
     dist: Sequence[Sequence[Weight]] = field(repr=False)
     subnorm: float
-    err: float
     ancilla_dim: int
 
     @property
@@ -170,8 +178,8 @@ class DistanceEncoding:
 
 def _gathered(be: DistanceEncoding, op: np.ndarray) -> BlockEncoding:
     """The entries op that a stage read from be, as an encoding with be's
-    subnorm, err and ancilla size."""
-    return BlockEncoding(op=op, subnorm=be.subnorm, err=be.err, ancilla_dim=be.ancilla_dim)
+    subnorm and ancilla size."""
+    return BlockEncoding(op=op, subnorm=be.subnorm, ancilla_dim=be.ancilla_dim)
 
 
 def _extremes(dg) -> tuple[float, float]:
@@ -246,8 +254,7 @@ def build_distance_encoding(dg, margin: float = 0.05,
                        0.25, kappa_m)
     if audit is not None:
         audit.record("distance_encoding", ends, dim=len(dg) ** 2, kappa=kappa, alpha=alpha)
-    return DistanceEncoding(dist=dg, subnorm=ends.subnorm, err=ends.err,
-                            ancilla_dim=ends.ancilla_dim)
+    return DistanceEncoding(dist=dg, subnorm=ends.subnorm, ancilla_dim=ends.ancilla_dim)
 
 
 def cost_rows(cost) -> tuple[tuple[Weight, ...], ...]:
@@ -370,7 +377,7 @@ def localize_DG(be: DistanceEncoding, X: Sequence[int], Y: Sequence[int]) -> Blo
     SWAPping the registers is, on a diagonal, a gather: entry j*p + i is
     the grid entry X[i]*n + Y[j], i.e. d(X[i], Y[j]) / alpha_q once
     encoded. Only those p^2 entries are computed (be.entries); the
-    result is a BlockEncoding with be's subnorm, err and ancilla size.
+    result is a BlockEncoding with be's subnorm and ancilla size.
     """
     if len(X) != len(Y):
         raise NotSquare(f"localization needs p = q, got p={len(X)}, q={len(Y)}")
@@ -387,8 +394,7 @@ def extract_Di(dg_local: BlockEncoding, i: int) -> BlockEncoding:
     if not 1 <= i <= p:
         raise IndexOutOfRange(f"column index {i} outside [1, {p}]")
     sl = dg_local.op[(i - 1) * p: i * p].copy()
-    return BlockEncoding(op=sl, subnorm=dg_local.subnorm, err=dg_local.err,
-                         ancilla_dim=dg_local.ancilla_dim)
+    return BlockEncoding(op=sl, subnorm=dg_local.subnorm, ancilla_dim=dg_local.ancilla_dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,7 +414,7 @@ def build_DP(ds: Sequence[BlockEncoding]) -> BlockEncoding:
     dimension p^p; only the entries the projector keeps are built, in
     _permutations order. Entry sigma sums d_i / a_i at digit sigma_i in
     LCU order, scaled by a = ds[0].subnorm so op stays the raw operator:
-    bit for bit the p^p entry. subnorm, err and ancilla_dim follow the
+    bit for bit the p^p entry. subnorm and ancilla_dim follow the
     be_tensor / be_lcu formulas. p = 1 degenerates to D_1 itself.
     """
     p = len(ds)
@@ -426,7 +432,6 @@ def build_DP(ds: Sequence[BlockEncoding]) -> BlockEncoding:
     # 2p - 2 identity factors of ancilla_dim 2: one beside each end term,
     # two beside each inner term
     return BlockEncoding(op=acc * a, subnorm=p * a,
-                         err=sum(b.err / b.subnorm for b in ds),
                          ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
 
 
@@ -581,7 +586,7 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
     start = np.random.default_rng(seed).standard_normal(support)
     estimate = min_eigen_power(composite, kappa_a, start, eps=eps)
     if audit is not None:
-        audit.note("min_eigen_power", **asdict(estimate))
+        audit.note("min_eigen_power", **estimate.fields())
     w1 = estimate.value * support * be.subnorm
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)

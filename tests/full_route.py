@@ -27,7 +27,7 @@ from orcurv.qpipeline import (
     min_eigen_power,
 )
 from orcurv.transport import CurvatureResult
-from reference import DigitOutOfRange, be_density
+from reference import ApproxEncoding, DigitOutOfRange, be_density, err_of
 
 
 def perm_index(digits: Sequence[int], p: int) -> int:
@@ -88,9 +88,9 @@ def build_dp_full(ds: Sequence[BlockEncoding], dim_cap: int = DEFAULT_DIM_CAP,
     for i, d_i in enumerate(ds):
         acc = acc + (d_i.op / d_i.subnorm).reshape((1,) * i + (p,) + (1,) * (p - 1 - i))
     a = ds[0].subnorm
-    out = BlockEncoding(op=acc.ravel() * a, subnorm=p * a,
-                        err=sum(b.err / b.subnorm for b in ds),
-                        ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
+    out = ApproxEncoding(op=acc.ravel() * a, subnorm=p * a,
+                         err=sum(err_of(b) / b.subnorm for b in ds),
+                         ancilla_dim=p * math.prod(b.ancilla_dim for b in ds) * 4 ** (p - 1))
     if audit is not None:
         audit.record("build_DP", out)
     return out

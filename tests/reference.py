@@ -13,16 +13,19 @@ per-vector power loop (oracle of qpipeline.min_eigen_power), the N^2
 form of the distance encoding (oracle of qpipeline.DistanceEncoding and
 its entry reads) and a finiteness check on geodesics.
 
-The program's BlockEncoding holds a real diagonal only. The dilation
-and the density-matrix encoding also take or give dense operators,
-which DenseEncoding holds here.
+The program's BlockEncoding holds a real diagonal only and, its stages
+being exact, no error. The Chebyshev stages and the oracle rules here
+carry one: ApproxEncoding is a BlockEncoding with an `err` field, and
+err_of reads an exact encoding's as 0. The dilation and the
+density-matrix encoding also take or give dense operators, which
+DenseEncoding holds here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -180,9 +183,30 @@ def lp_vertex_oracle(nb: LocalNeighborhood) -> Weight:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ApproxEncoding(BlockEncoding):
+    """A BlockEncoding with err, the deviation of its encoded block from
+    the mathematical target. The Chebyshev stages grow it by a sampled
+    sup error (an estimate, not a bound); the tensor and LCU rules carry
+    it, and never decrease it."""
+
+    err: float = 0.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "err", float(self.err))
+        if self.err < 0:
+            raise ValueError("err must be nonnegative")
+
+
+def err_of(b) -> float:
+    """b.err, or 0 for an encoding of the program's exact stages."""
+    return getattr(b, "err", 0.0)
+
+
+@dataclass(frozen=True)
 class DenseEncoding:
     """Block encoding of a square, possibly complex operator: encoded
-    block op/subnorm, with BlockEncoding's bookkeeping fields."""
+    block op/subnorm, with ApproxEncoding's bookkeeping fields."""
 
     op: np.ndarray
     subnorm: float
@@ -212,17 +236,17 @@ def be_identity(dim: int) -> BlockEncoding:
     return BlockEncoding(op=np.ones(dim), subnorm=1.0)
 
 
-def be_tensor(b1: BlockEncoding, b2: BlockEncoding) -> BlockEncoding:
+def be_tensor(b1: BlockEncoding, b2: BlockEncoding) -> ApproxEncoding:
     """Encoding of the Kronecker product b1.op (x) b2.op."""
-    return BlockEncoding(
+    return ApproxEncoding(
         op=np.kron(b1.op, b2.op),
         subnorm=b1.subnorm * b2.subnorm,
-        err=b1.subnorm * b2.err + b2.subnorm * b1.err,
+        err=b1.subnorm * err_of(b2) + b2.subnorm * err_of(b1),
         ancilla_dim=b1.ancilla_dim * b2.ancilla_dim,
     )
 
 
-def be_lcu(bs: Sequence[BlockEncoding], signs: Sequence[int] | None = None) -> BlockEncoding:
+def be_lcu(bs: Sequence[BlockEncoding], signs: Sequence[int] | None = None) -> ApproxEncoding:
     """Uniform linear combination: encoded value sum(+-encoded_i) / m."""
     if not bs:
         raise DimMismatch("LCU needs at least one encoding")
@@ -240,19 +264,19 @@ def be_lcu(bs: Sequence[BlockEncoding], signs: Sequence[int] | None = None) -> B
     ancilla = m
     for b in bs:
         ancilla *= b.ancilla_dim
-    return BlockEncoding(
+    return ApproxEncoding(
         op=acc,
         subnorm=float(m),
-        err=float(sum(b.err / b.subnorm for b in bs)),
+        err=float(sum(err_of(b) / b.subnorm for b in bs)),
         ancilla_dim=ancilla,
     )
 
 
-def be_density(phi: StateVector, dim_a: int, dim_b: int) -> BlockEncoding | DenseEncoding:
+def be_density(phi: StateVector, dim_a: int, dim_b: int) -> ApproxEncoding | DenseEncoding:
     """Encoding of the reduced density matrix Tr_A |phi><phi|.
 
-    The result has subnorm 1 and err 0: a BlockEncoding when the partial
-    trace comes out exactly diagonal, a DenseEncoding otherwise.
+    The result has subnorm 1 and err 0: an ApproxEncoding when the
+    partial trace comes out exactly diagonal, a DenseEncoding otherwise.
     """
     if dim_a < 1 or dim_b < 1 or dim_a * dim_b != phi.dim:
         raise BadFactorization(
@@ -262,8 +286,8 @@ def be_density(phi: StateVector, dim_a: int, dim_b: int) -> BlockEncoding | Dens
     rho = (rho + rho.conj().T) / 2
     off = rho - np.diag(np.diagonal(rho))
     if not np.any(off):
-        return BlockEncoding(op=np.diagonal(rho).real.copy(), subnorm=1.0,
-                             err=0.0, ancilla_dim=dim_a)
+        return ApproxEncoding(op=np.diagonal(rho).real.copy(), subnorm=1.0,
+                              err=0.0, ancilla_dim=dim_a)
     return DenseEncoding(op=rho, subnorm=1.0, err=0.0, ancilla_dim=dim_a)
 
 
@@ -283,7 +307,7 @@ def be_dilate(b: BlockEncoding | DenseEncoding) -> np.ndarray:
     Standard contraction dilation [[A, sqrt(I-AA*)], [sqrt(I-A*A), -A*]];
     requires err = 0 and dim <= 64.
     """
-    if b.err != 0.0:
+    if err_of(b) != 0.0:
         raise InexactEncoding("dilation requires an exact encoding (err = 0)")
     if b.dim > 64:
         raise TooLarge(f"dilation capped at dim <= 64, got {b.dim}")
@@ -342,7 +366,7 @@ def chebyshev_approx(fn, lo: float, hi: float, degree: int):
 
 
 def chebyshev_power(b: BlockEncoding, c: float, kappa_m: float,
-                    degree: int | None = None) -> BlockEncoding:
+                    degree: int | None = None) -> ApproxEncoding:
     """be_power through a degree-d interpolant of x^c on [1/kappa_m, 1]:
     op is the polynomial image and err grows by the sampled sup error.
     degree None takes default_power_degree(kappa_m, EPS_TARGET)."""
@@ -351,13 +375,13 @@ def chebyshev_power(b: BlockEncoding, c: float, kappa_m: float,
         degree = default_power_degree(kappa_m, EPS_TARGET)
     poly, sup = chebyshev_approx(lambda x: x ** c, 1.0 / kappa_m, 1.0, degree)
     encoded = b.encoded
-    return replace(
-        exact, op=np.where(encoded != 0.0, poly(encoded) * b.subnorm ** c, 0.0),
-        err=b.err + sup)
+    return ApproxEncoding(
+        op=np.where(encoded != 0.0, poly(encoded) * b.subnorm ** c, 0.0),
+        subnorm=exact.subnorm, ancilla_dim=exact.ancilla_dim, err=err_of(b) + sup)
 
 
 def chebyshev_invert(b: BlockEncoding, kappa_a: float,
-                     degree: int | None = None) -> BlockEncoding:
+                     degree: int | None = None) -> ApproxEncoding:
     """be_invert through a degree-d interpolant of 1/x on [1/kappa_a, 1],
     for a nonnegative diagonal: op is the polynomial image and err grows
     by the encoded-block deviation. degree None takes
@@ -369,9 +393,9 @@ def chebyshev_invert(b: BlockEncoding, kappa_a: float,
     if degree is None:
         degree = default_inverse_degree(kappa_a, EPS_TARGET)
     poly, sup = chebyshev_approx(lambda x: 1.0 / x, 1.0 / kappa_a, 1.0, degree)
-    return replace(
-        exact, op=np.where(encoded != 0.0, poly(encoded) / kappa_a * exact.subnorm, 0.0),
-        err=b.err + sup / kappa_a)
+    return ApproxEncoding(
+        op=np.where(encoded != 0.0, poly(encoded) / kappa_a * exact.subnorm, 0.0),
+        subnorm=exact.subnorm, ancilla_dim=exact.ancilla_dim, err=err_of(b) + sup / kappa_a)
 
 
 def min_eigen_power_loop(be: BlockEncoding, kappa_a: float, start: np.ndarray,
@@ -428,7 +452,7 @@ def min_eigen_power_loop(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     )
 
 
-class GridEncoding(BlockEncoding):
+class GridEncoding(ApproxEncoding):
     """The distance encoding as the N^2-entry diagonal it stands for.
 
     op holds every grid entry, entry r * N + c at d(r, c). entries() reads
@@ -477,4 +501,4 @@ def grid_distance_encoding(dg, margin: float = 0.05, audit: AuditTrail | None = 
     be = power(BlockEncoding(op=dist.ravel() ** 4, subnorm=alpha), 0.25, kappa_m)
     if audit is not None:
         audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
-    return GridEncoding(op=be.op, subnorm=be.subnorm, err=be.err, ancilla_dim=be.ancilla_dim)
+    return GridEncoding(op=be.op, subnorm=be.subnorm, err=err_of(be), ancilla_dim=be.ancilla_dim)

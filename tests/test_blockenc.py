@@ -4,6 +4,7 @@ The program encodes real diagonals only; the dense operands of the
 dilation and density-matrix tests are reference.DenseEncoding oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,9 @@ from orcurv.errors import (
     SubnormTooSmall,
     TooLarge,
 )
+from orcurv.qpipeline import DistanceEncoding
 from reference import (
+    ApproxEncoding,
     BadFactorization,
     DenseEncoding,
     InexactEncoding,
@@ -56,7 +59,16 @@ def random_diagonal(rng, dim):
 def test_wrap_identity():
     be = BlockEncoding(np.ones(4), 1.0)
     assert np.allclose(dense(be), np.eye(4))
-    assert be.err == 0.0
+    assert (be.subnorm, be.ancilla_dim) == (1.0, 2)
+
+
+def test_exact_encodings_carry_no_error_field():
+    # every stage the program runs is exact; the error bookkeeping of the
+    # Chebyshev stages lives on reference.ApproxEncoding
+    assert [f.name for f in dataclasses.fields(BlockEncoding)] == \
+        ["op", "subnorm", "ancilla_dim"]
+    assert [f.name for f in dataclasses.fields(DistanceEncoding)] == \
+        ["dist", "subnorm", "ancilla_dim"]
 
 
 def test_wrap_diagonal():
@@ -154,8 +166,8 @@ def test_lcu_matches_direct_sum_oracle():
 
 
 def test_lcu_err_rule():
-    b1 = BlockEncoding(op=np.ones(2) * 0.5, subnorm=2.0, err=1e-3)
-    b2 = BlockEncoding(op=np.ones(2) * 0.5, subnorm=4.0, err=1e-2)
+    b1 = ApproxEncoding(op=np.ones(2) * 0.5, subnorm=2.0, err=1e-3)
+    b2 = ApproxEncoding(op=np.ones(2) * 0.5, subnorm=4.0, err=1e-2)
     out = be_lcu([b1, b2], [1, 1])
     assert out.err == pytest.approx(1e-3 / 2.0 + 1e-2 / 4.0, rel=0, abs=0)
 
@@ -220,7 +232,7 @@ def test_power_chebyshev_degree_cap():
     assert default_power_degree(1e8, 1e-6) == 138_156
     with pytest.raises(TooLarge):
         chebyshev_power(b, 0.25, kappa_m=1e8)
-    assert be_power(b, 0.25, kappa_m=1e8).err == 0.0
+    assert np.allclose(be_power(b, 0.25, kappa_m=1e8).encoded, b.op ** 0.25 / 2)
 
 
 # --- inversion -------------------------------------------------------------------
@@ -333,7 +345,7 @@ def test_dilate_random_contractions():
 
 
 def test_dilate_requires_exact_and_small():
-    dirty = BlockEncoding(op=np.ones(2), subnorm=2.0, err=1e-3)
+    dirty = ApproxEncoding(op=np.ones(2), subnorm=2.0, err=1e-3)
     with pytest.raises(InexactEncoding):
         be_dilate(dirty)
     big = be_identity(128)
@@ -448,11 +460,11 @@ def test_overlap_deterministic_under_seed():
 
 def test_err_monotone_under_composition():
     rng = np.random.default_rng(10)
-    b1 = BlockEncoding(op=rng.uniform(-1, 1, 4), subnorm=2.0, err=1e-4)
-    b2 = BlockEncoding(op=rng.uniform(-1, 1, 4), subnorm=3.0, err=1e-5)
-    for out in (be_product(b1, b2), be_tensor(b1, b2)):
-        assert out.err == b1.subnorm * b2.err + b2.subnorm * b1.err
-        assert out.err >= max(b1.subnorm * b2.err, b2.subnorm * b1.err)
+    b1 = ApproxEncoding(op=rng.uniform(-1, 1, 4), subnorm=2.0, err=1e-4)
+    b2 = ApproxEncoding(op=rng.uniform(-1, 1, 4), subnorm=3.0, err=1e-5)
+    out = be_tensor(b1, b2)
+    assert out.err == b1.subnorm * b2.err + b2.subnorm * b1.err
+    assert out.err >= max(b1.subnorm * b2.err, b2.subnorm * b1.err)
 
 
 def test_state_vector_validation():

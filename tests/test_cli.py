@@ -28,6 +28,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads refusing NaN and +-Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture()
 def appendix(tmp_path):
     path = tmp_path / "appendix_a.json"
@@ -397,7 +404,8 @@ def test_trace_output(path4, tmp_path, capsys):
     stages = [rec["stage"] for rec in lines]
     assert "distance_encoding" in stages
     record = lines[stages.index("distance_encoding")]
-    assert {"dim", "subnorm", "err", "min_entry", "max_entry"} <= set(record)
+    assert set(record) == {"stage", "dim", "subnorm", "min_entry", "max_entry",
+                           "kappa", "alpha"}
 
 
 def test_trace_is_byte_identical(tmp_path, capsys):
@@ -416,23 +424,66 @@ def test_trace_is_byte_identical(tmp_path, capsys):
     assert stages.count("tree_recovery") == 4
 
 
-@pytest.mark.parametrize("text, method", [
-    ("0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n", "qsim_tree"),
+#: the keys of each trace stage, extract_D<i> as extract_D: an
+#: AuditTrail.record stage has {stage, dim, subnorm, min_entry, max_entry}
+#: and its extras, an AuditTrail.note stage its fields
+_ENCODING_KEYS = {"stage", "dim", "subnorm", "min_entry", "max_entry"}
+_TRACE_KEYS = {
+    "distance_encoding": _ENCODING_KEYS | {"kappa", "alpha"},
+    "tree_overlap": {"stage", "center", "p", "overlap_unit", "overlap_p1", "recovered_sum"},
+    "tree_recovery": {"stage", "x_sum", "y_sum", "dxy", "w1"},
+    "localize_DG": _ENCODING_KEYS | {"p"},
+    "extract_D": _ENCODING_KEYS,
+    "build_DP": _ENCODING_KEYS | {"support"},
+    "build_Pi[direct]": _ENCODING_KEYS | {"support", "rank"},
+    "composite": _ENCODING_KEYS | {"support"},
+    "min_eigen_power": {"stage", "value", "iterations", "initial_overlap", "gap_proxy",
+                        "converged"},
+}
+
+
+@pytest.mark.parametrize("text, method, stages", [
+    ("0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n", "qsim_tree",
+     {"distance_encoding", "tree_overlap", "tree_recovery"}),
     # weighted K_{3,3}: every edge has p = q = 2
-    ("0 3 1\n0 4 2\n0 5 3\n1 3 2\n1 4 1\n1 5 2\n2 3 3\n2 4 2\n2 5 1\n", "qsim_pq"),
+    ("0 3 1\n0 4 2\n0 5 3\n1 3 2\n1 4 1\n1 5 2\n2 3 3\n2 4 2\n2 5 1\n", "qsim_pq",
+     set(_TRACE_KEYS) - {"tree_overlap", "tree_recovery"}),
 ], ids=["qsim_tree", "qsim_pq"])
-def test_every_stage_orc_runs_reports_err_zero(tmp_path, capsys, text, method):
-    # every stage on both routes is exact; only the Chebyshev stages of
-    # tests/reference.py make err nonzero
+def test_trace_records_have_exactly_their_stage_keys(tmp_path, capsys, text, method,
+                                                     stages):
+    # every stage orc runs is exact, so no record carries an err: the error
+    # quantities are the eigenvalue's and the shots', not an encoding's
     graph = tmp_path / "g.txt"
     graph.write_text(text)
     trace = tmp_path / "trace.jsonl"
     code, _, _ = run_cli(["compute", "--input", str(graph), "--method", method,
                           "--all-edges", "--trace", str(trace)], capsys)
     assert code == 0
-    records = [json.loads(line) for line in trace.read_text().splitlines()]
-    errs = [rec["err"] for rec in records if "err" in rec]
-    assert errs and all(err == 0.0 for err in errs)
+    records = [strict_json(line) for line in trace.read_text().splitlines()]
+    assert {rec["stage"].rstrip("0123456789") for rec in records} == stages
+    for rec in records:
+        assert set(rec) == _TRACE_KEYS[rec["stage"].rstrip("0123456789")], rec
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("0 1\n1 2\n2 3\n", ["--edge", "1,2"]),    # path4: p = q = 1
+    # unweighted K_{3,3}: each cost block is all ones, so every permutation sums to 2
+    ("".join(f"{u} {v}\n" for u in range(3) for v in range(3, 6)), ["--all-edges"]),
+], ids=["path4", "k33"])
+def test_infinite_gap_is_written_as_null(tmp_path, capsys, text, argv):
+    # with no second eigenvalue the gap is infinite, which JSON cannot
+    # hold; report and trace both write it as null
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(["compute", "--input", str(graph), "--method", "qsim_pq",
+                            *argv, "--trace", str(trace)], capsys)
+    assert code == 0
+    gaps = [rec["diagnostics"]["gap_proxy"] for rec in strict_json(out)["records"]]
+    assert gaps and all(gap is None for gap in gaps)
+    notes = [rec for rec in map(strict_json, trace.read_text().splitlines())
+             if rec["stage"] == "min_eigen_power"]
+    assert [rec["gap_proxy"] for rec in notes] == gaps
 
 
 def _spy(monkeypatch, module, name):

@@ -282,8 +282,7 @@ def test_distance_encoding_reads_equal_the_grid_oracle(case, margin):
     audit = AuditTrail()
     be = build_distance_encoding(rows, margin, audit=audit)
     assert audit.records == want_audit.records
-    assert (be.dim, be.subnorm, be.err, be.ancilla_dim) == \
-        (want.dim, want.subnorm, want.err, want.ancilla_dim)
+    assert (be.dim, be.subnorm, be.ancilla_dim) == (want.dim, want.subnorm, want.ancilla_dim)
     n = len(rows)
     assert _bits(be.entries(range(n), range(n)).ravel()) == _bits(want.op)
     for r, c in reads:

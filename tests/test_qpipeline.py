@@ -60,10 +60,12 @@ from orcurv.qpipeline import (
 )
 from orcurv.transport import DEFAULT_DIM_CAP, w1_assignment, w1_bruteforce, w1_tree
 from reference import (
+    ApproxEncoding,
     DigitOutOfRange,
     be_identity,
     be_lcu,
     be_tensor,
+    err_of,
     grid_distance_encoding,
     min_eigen_power_loop,
 )
@@ -133,7 +135,7 @@ def test_encoding_chebyshev_mode_reports_error():
     grid = cost_rows(APPENDIX_COST)
     exact = build_distance_encoding(grid, margin=0.0)
     approx = chebyshev_distance_encoding(grid, margin=0.0)
-    assert exact.err == 0.0 and approx.err > 0
+    assert approx.err > 0
     assert (approx.subnorm, approx.ancilla_dim) == (exact.subnorm, exact.ancilla_dim)
     assert float(np.max(np.abs(approx.encoded - every_entry(exact) / exact.subnorm))) \
         <= approx.err
@@ -394,8 +396,7 @@ def test_localize_matches_dense_permutation_conjugation():
         be, grid = build_distance_encoding(dist), grid_distance_encoding(dist)
         local = localize_DG(be, X, Y)
         assert np.array_equal(local.op, localize_by_conjugation(grid, X, Y))
-        assert (local.subnorm, local.err, local.ancilla_dim) == \
-            (grid.subnorm, grid.err, grid.ancilla_dim)
+        assert (local.subnorm, local.ancilla_dim) == (grid.subnorm, grid.ancilla_dim)
 
 
 def test_localize_reads_only_the_block():
@@ -519,8 +520,7 @@ def restrict(be, p):
 def assert_same_encoding(got, want):
     assert got.op.dtype == want.op.dtype
     assert np.array_equal(got.op, want.op)
-    assert (got.subnorm, got.err, got.ancilla_dim) == \
-        (want.subnorm, want.err, want.ancilla_dim)
+    assert (got.subnorm, got.ancilla_dim) == (want.subnorm, want.ancilla_dim)
 
 
 @pytest.mark.parametrize("power_mode", ["exact", "chebyshev"])
@@ -531,7 +531,7 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
         be = ENCODERS[power_mode](cost_rows(cost))
         local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
-        assert (ds[0].err > 0) == (power_mode == "chebyshev")
+        assert (err_of(be) > 0) == (power_mode == "chebyshev")
         dp = build_dp_full(ds)
         support = build_DP(ds)
         if p == 1:
@@ -545,14 +545,17 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
 
 def test_build_dp_composition_with_unequal_columns():
     # columns with their own subnorm, err and ancilla size exercise every
-    # term of the composition formulas
+    # term of the composition formulas; the program's build_DP is exact
+    # and carries no err, the full route carries the tensor and LCU rules'
     rng = np.random.default_rng(23)
     for p in range(2, 6):
-        ds = [BlockEncoding(op=rng.uniform(0.0, 1.0, p), subnorm=rng.uniform(1.0, 3.0),
-                            err=rng.uniform(0.0, 1e-3), ancilla_dim=int(rng.integers(1, 5)))
+        ds = [ApproxEncoding(op=rng.uniform(0.0, 1.0, p), subnorm=rng.uniform(1.0, 3.0),
+                             err=rng.uniform(0.0, 1e-3), ancilla_dim=int(rng.integers(1, 5)))
               for _ in range(p)]
         composed = tensor_sum_by_composition(ds)
-        assert_same_encoding(build_dp_full(ds), composed)
+        full = build_dp_full(ds)
+        assert_same_encoding(full, composed)
+        assert full.err == composed.err > 0
         assert_same_encoding(build_DP(ds), restrict(composed, p))
 
 
@@ -634,6 +637,8 @@ def test_min_eigen_degenerate_converges_first_iteration():
     assert est.iterations == 1
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.gap_proxy == math.inf
+    # no second eigenvalue: reports and traces write the gap as null
+    assert est.fields() == {**dataclasses.asdict(est), "gap_proxy": None}
 
 
 def test_min_eigen_refuses_a_start_that_vanishes_on_the_support():
@@ -684,6 +689,7 @@ def test_min_eigen_geometric_decay_bound(monkeypatch):
 
     est = run()
     assert est.converged and est.gap_proxy == pytest.approx(2.5)
+    assert est.fields() == dataclasses.asdict(est)
     lam1 = 1.0 / (kappa * 0.2)
     rho = 1.0 / est.gap_proxy
     bound0 = lam1 / est.initial_overlap ** 2
@@ -829,8 +835,7 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
         assert support.dim == math.factorial(p) and full.dim == p ** p
         assert support.op.dtype == full.op.dtype
         assert np.array_equal(support.op, full.op[flat])      # bit for bit
-        assert (support.subnorm, support.err, support.ancilla_dim) == \
-            (full.subnorm, full.err, full.ancilla_dim)
+        assert (support.subnorm, support.ancilla_dim) == (full.subnorm, full.ancilla_dim)
 
 
 @pytest.mark.parametrize("power_mode", ["exact", "chebyshev"])
