@@ -24,7 +24,11 @@ per-edge solver error is prefixed with its edge here. Exit codes: 0 ok,
 
 A run imports `qpipeline`, and with it numpy, only when its route is a
 qsim method, and reads its names through the module at call time; a
-classical run never loads numpy.
+classical run never loads numpy. Before numpy loads, `main` sets
+OPENBLAS_NUM_THREADS=1: OpenBLAS splits a long dot product across
+threads, which changes its rounding, so a `qsim_pq` report at p >= 8
+(a p!-entry start vector) would depend on the core count, and its idle
+worker threads would spin.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
@@ -493,6 +497,8 @@ def _write_file(path: str, text: str, option: str) -> None:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,7 +18,8 @@ other graph, exact or float, sparse or dense, they are per-source
 Dijkstra with a binary heap. A tree's neighborhoods need no rows at
 all: every distance one reads lies on a path of at most three edges,
 and `neighborhood` sums it from the edge weights. The module needs only
-the standard library.
+the standard library, and neither `dataclasses` nor `inspect`: its
+record types, and `transport`'s, share the private base `_Frozen`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -76,8 +76,41 @@ def _number(v, numeric: str = "rational", what: str = "weight") -> Weight:
     return v
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Frozen:
+    """A record of the fields named in `_fields`: equal to a record of the
+    same type with equal fields, hashed and shown by those fields, and
+    refusing assignment with an AttributeError. A subclass's __init__
+    checks its arguments and stores the fields with `_freeze`; its
+    cached properties write the instance __dict__, as they may."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
     """Undirected weighted graph on vertex indices [0, vertex_count).
 
     Edges are normalized to u < v, stored once, and validated on
@@ -85,6 +118,7 @@ class Graph:
     weights.
     """
 
+    _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: tuple[tuple[int, int, Weight], ...]
 
@@ -116,9 +150,8 @@ class Graph:
             if w <= 0:
                 raise InvalidWeight(f"weight {w!r} must be > 0")
             normalized.append((u, v, w))
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "_edge_set", frozenset(seen))
+        self._freeze(vertex_count, tuple(normalized))
+        self.__dict__["_edge_set"] = frozenset(seen)
 
     @property
     def edge_count(self) -> int:
@@ -152,8 +185,7 @@ class Graph:
         return (u, v) in self._edge_set
 
 
-@dataclass(frozen=True)
-class LocalNeighborhood:
+class LocalNeighborhood(_Frozen):
     """Local context of an edge (x, y): neighbor lists and the cost block.
 
     X holds the neighbors of x excluding y, Y the neighbors of y excluding
@@ -164,22 +196,28 @@ class LocalNeighborhood:
     matrix. x and y are None for such synthetic instances as well.
     """
 
+    _fields = ("x", "y", "X", "Y", "cost", "dxy", "x_dists", "y_dists")
     x: int | None
     y: int | None
     X: tuple[int, ...]
     Y: tuple[int, ...]
     cost: tuple[tuple[Weight, ...], ...]
     dxy: Weight
-    x_dists: tuple[Weight, ...] | None = None
-    y_dists: tuple[Weight, ...] | None = None
+    x_dists: tuple[Weight, ...] | None
+    y_dists: tuple[Weight, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
+    def __init__(self, x: int | None, y: int | None, X: tuple[int, ...],
+                 Y: tuple[int, ...], cost: tuple[tuple[Weight, ...], ...], dxy: Weight,
+                 x_dists: tuple[Weight, ...] | None = None,
+                 y_dists: tuple[Weight, ...] | None = None) -> None:
+        p, q = len(X), len(Y)
+        if p < 1 or q < 1:
             raise EmptyNeighborhood("p and q must both be at least 1")
-        if len(self.cost) != self.p or any(len(row) != self.q for row in self.cost):
+        if len(cost) != p or any(len(row) != q for row in cost):
             raise ParseError("cost matrix shape does not match |X| x |Y|")
-        if not self.dxy > 0:
-            raise InvalidWeight(f"dxy must be > 0, got {self.dxy!r}")
+        if not dxy > 0:
+            raise InvalidWeight(f"dxy must be > 0, got {dxy!r}")
+        self._freeze(x, y, X, Y, cost, dxy, x_dists, y_dists)
 
     @property
     def p(self) -> int:

@@ -13,8 +13,8 @@ Solvers:
   w1_lp           general transport LP on the complete bipartite graph
                   K_{p,q}: supplies 1/p and demands 1/q are scaled by p*q
                   to the integers q and p, and the cost block is lifted to
-                  integers over one common denominator (a float through
-                  float.as_integer_ratio, never one Fraction per entry).
+                  integers over one common denominator (a float block
+                  scaled by a power of two, never one Fraction per entry).
                   A transportation simplex, kept nondegenerate by an
                   integer perturbation of the marginals, returns an
                   integer flow on a spanning tree of K_{p,q}: a vertex
@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import rshift, sub
 from typing import Sequence
 
 from .errors import (
@@ -49,7 +48,7 @@ from .errors import (
     NotSquare,
     TooLarge,
 )
-from .graph import LocalNeighborhood, Weight, _is_rational
+from .graph import LocalNeighborhood, Weight, _Frozen, _is_rational
 
 CLASSICAL_METHODS = ("lp", "tree", "assignment", "brute_force")
 QSIM_METHODS = ("qsim_tree", "qsim_pq")
@@ -65,8 +64,7 @@ _BRUTE_FORCE_CAP = 9
 # result types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(_Frozen):
     """Optimal transport plan as an integer flow on the p*q-scaled LP.
 
     flow[i][j] = p*q * gamma[i][j]: every row sums to q, every column to
@@ -75,22 +73,25 @@ class TransportPlan:
     built only when read.
     """
 
+    _fields = ("p", "q", "flow", "cost_value")
     p: int
     q: int
     flow: tuple[tuple[int, ...], ...]
     cost_value: Weight
 
-    def __post_init__(self) -> None:
-        if len(self.flow) != self.p or any(len(row) != self.q for row in self.flow):
+    def __init__(self, p: int, q: int, flow: tuple[tuple[int, ...], ...],
+                 cost_value: Weight) -> None:
+        if len(flow) != p or any(len(row) != q for row in flow):
             raise AssertionError("flow shape does not match p x q")
-        for i, row in enumerate(self.flow):
-            if sum(row) != self.q:
+        for i, row in enumerate(flow):
+            if sum(row) != q:
                 raise AssertionError(f"row {i} marginal violated")
-        for j, col in enumerate(zip(*self.flow)):
-            if sum(col) != self.p:
+        for j, col in enumerate(zip(*flow)):
+            if sum(col) != p:
                 raise AssertionError(f"column {j} marginal violated")
-        if any(x < 0 for row in self.flow for x in row):
+        if any(x < 0 for row in flow for x in row):
             raise AssertionError("negative transport mass")
+        self._freeze(p, q, flow, cost_value)
 
     @cached_property
     def gamma(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -98,37 +99,40 @@ class TransportPlan:
         return tuple(tuple(Fraction(f, n) for f in row) for row in self.flow)
 
 
-@dataclass(frozen=True)
-class AssignmentSolution:
+class AssignmentSolution(_Frozen):
     """Optimal permutation for a square instance; cost_value = min / p."""
 
+    _fields = ("p", "pi", "cost_value")
     p: int
     pi: tuple[int, ...]
     cost_value: Weight
 
-    def __post_init__(self) -> None:
-        if sorted(self.pi) != list(range(self.p)):
+    def __init__(self, p: int, pi: tuple[int, ...], cost_value: Weight) -> None:
+        if sorted(pi) != list(range(p)):
             raise AssertionError("pi is not a permutation")
+        self._freeze(p, pi, cost_value)
 
 
-@dataclass(frozen=True)
-class CurvatureResult:
+class CurvatureResult(_Frozen):
     """Edge curvature 1 - W1/d_G(x, y), derived from w1 and dxy."""
 
+    _fields = ("x", "y", "w1", "dxy", "method", "diagnostics")
     x: int | None
     y: int | None
     w1: Weight
     dxy: Weight
     method: str
-    diagnostics: object = None
+    diagnostics: object
 
-    def __post_init__(self) -> None:
-        if self.method not in ALL_METHODS:
-            raise MethodMismatch(f"unknown method {self.method!r}")
-        if not self.dxy > 0:
+    def __init__(self, x: int | None, y: int | None, w1: Weight, dxy: Weight, method: str,
+                 diagnostics: object = None) -> None:
+        if method not in ALL_METHODS:
+            raise MethodMismatch(f"unknown method {method!r}")
+        if not dxy > 0:
             raise AssertionError("dxy must be positive")
-        if self.w1 < 0:
+        if w1 < 0:
             raise AssertionError("w1 must be nonnegative")
+        self._freeze(x, y, w1, dxy, method, diagnostics)
 
     @property
     def curvature(self) -> Weight:
@@ -151,16 +155,48 @@ def _emit(value: Fraction | int, rational: bool) -> Weight:
 
 
 def _lift_block(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int, bool]:
-    """One pass over rows of numbers, such as a cost block: (integer rows,
-    common denominator, rational).
+    """Rows of numbers, such as a cost block, lifted to (integer rows,
+    least common denominator, rational); each row keeps its own length.
 
-    block[i][j] / den == cost[i][j] exactly. A float enters through
-    float.as_integer_ratio(), whose denominator is a power of two, so no
-    entry becomes a Fraction. rational is False when any entry is a float
-    (or otherwise not an int or Fraction).
+    block[i][j] / den == cost[i][j] exactly, and no entry becomes a
+    Fraction. An all-int block is copied as is. An all-float block is
+    lifted in builtin passes, not one ratio per entry: an integral one
+    is read as ints, any other scaled by 2**shift, which makes its least
+    nonzero magnitude, and so every entry, an integer; then the power
+    of two those integers share is divided out. Either way the block
+    and den are the ones `_lift_entries` gives.
+    Any other block, and a float block with a non-finite entry or a
+    range that no one scale keeps in float range, goes entry by entry.
+    rational is False when any entry is a float (or otherwise not an
+    int or Fraction).
     """
-    if all(type(x) is int for row in cost for x in row):
+    types = set(map(type, itertools.chain.from_iterable(cost)))
+    if types <= {int}:
         return [list(row) for row in cost], 1, True
+    if types == {float}:
+        if all(map(float.is_integer, itertools.chain.from_iterable(cost))):
+            return [list(map(int, row)) for row in cost], 1, False
+        try:
+            least = min(map(abs, filter(None, itertools.chain.from_iterable(cost))),
+                        default=1.0)
+            shift = max(0, 53 - math.frexp(least)[1])
+            block = [list(map(int, map(math.ldexp, row, itertools.repeat(shift))))
+                     for row in cost]
+        except (OverflowError, ValueError):    # int() of an inf or a nan, or ldexp's range
+            return _lift_entries(cost)
+        common = math.gcd(*itertools.chain.from_iterable(block))
+        spare = min(shift, (common & -common).bit_length() - 1) if common else shift
+        if spare:
+            block = [list(map(rshift, row, itertools.repeat(spare))) for row in block]
+        return block, 1 << (shift - spare), False
+    return _lift_entries(cost)
+
+
+def _lift_entries(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int, bool]:
+    """_lift_block entry by entry: a float through float.as_integer_ratio(),
+    whose denominator is a power of two, anything else through its
+    numerator and denominator; den is their least common multiple.
+    InfiniteCost for a non-finite float."""
     ratios = []
     rational = True
     for row in cost:

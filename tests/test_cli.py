@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -855,6 +856,32 @@ def test_unseeded_runs_are_reproducible(tmp_path, capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["meta"]["config"]["seed"] == 0
+
+
+def test_qsim_pq_report_is_the_same_on_any_openblas_thread_count(tmp_path):
+    # p = 8: the power stage's start has 8! = 40 320 entries, long enough
+    # for OpenBLAS to split its norm across threads and round it otherwise
+    rng = random.Random(5)
+    graph = tmp_path / "k99.txt"
+    graph.write_text("".join(f"{u} {v} {rng.randint(1, 9)}\n"
+                             for u in range(9) for v in range(9, 18)))
+    code = ("import os, sys, orcurv.cli\n"
+            "code = orcurv.cli.main(sys.argv[1:])\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "sys.exit(code)\n")
+    src = str(Path(orcurv.cli.__file__).parents[1])
+    reports = []
+    for threads in ("4", "1"):
+        out = tmp_path / f"threads-{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "compute", "--input", str(graph), "--method", "qsim_pq",
+             "--edge", "0,9", "--cap", "20000000", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("option, value", [

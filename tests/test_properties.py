@@ -5,19 +5,21 @@ Derandomized and bounded, so the suite stays deterministic and quick.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import orcurv.transport
 from helpers import internal_edges, transport_flows
 from orcurv.cli import main
-from orcurv.errors import EmptyNeighborhood, OrcError
+from orcurv.errors import EmptyNeighborhood, InfiniteCost, OrcError
 from orcurv.graph import (
     INF,
     Graph,
@@ -28,7 +30,15 @@ from orcurv.graph import (
     neighborhood,
 )
 from orcurv.qpipeline import AuditTrail, build_distance_encoding, cost_rows, localize_DG
-from orcurv.transport import curvature, w1_assignment, w1_bruteforce, w1_lp
+from orcurv.transport import (
+    _lift_block,
+    _lift_entries,
+    curvature,
+    w1_assignment,
+    w1_bruteforce,
+    w1_lp,
+    w1_tree,
+)
 from reference import _basic_solutions, grid_distance_encoding, lp_vertex_oracle
 
 BOUNDED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
@@ -197,6 +207,63 @@ def test_w1_assignment_equals_bruteforce_and_lp(cost):
     assert a.cost_value == w1_lp(LocalNeighborhood.from_cost(cost, 1)).cost_value
 
 
+#: floats at the edges of the lift: zeros of both signs, the least
+#: subnormal and normal, a 2^+-1000 pair that no one 2^shift scales into
+#: float range (the entry-by-entry route), and the non-finite values
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.0 ** -1000, 2.0 ** 1000,
+               0.1, 1.0, 2.0 ** 53 + 2, math.inf, math.nan]
+float_entries = (st.floats(-1e6, 1e6) | st.sampled_from(EDGE_FLOATS)
+                 | st.floats(allow_nan=False, allow_infinity=False))
+mixed_entries = float_entries | st.integers(-5, 20) | st.fractions(max_denominator=12)
+
+
+@st.composite
+def lift_cases(draw):
+    """(p x q block, x_dists, dxy, y_dists), mostly floats: each part is
+    all floats or, now and then, mixed with ints and Fractions."""
+    def numbers(size):
+        mixed = draw(st.integers(0, 5)) == 0
+        return draw(st.lists(mixed_entries if mixed else float_entries,
+                             min_size=size, max_size=size))
+
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cost = [numbers(q) for _ in range(p)]
+    dxy = draw(st.sampled_from([0.25, 1.0, 0.1, 3, Fraction(1, 3), 2.0 ** -1000, 5e-324]))
+    return cost, numbers(p), dxy, numbers(q)
+
+
+def _or_refused(fn, *args):
+    """fn(*args), or InfiniteCost where it raises that."""
+    try:
+        return fn(*args)
+    except InfiniteCost:
+        return InfiniteCost
+
+
+@settings(BOUNDED, max_examples=300)
+@given(lift_cases())
+@example(([[0.1, 0.0], [-0.0, 3.0]], [0.5, 5e-324], 1.0, [2.0 ** 1000, 1.0]))
+@example(([[math.inf]], [1.0], 1.0, [math.nan]))
+def test_lift_is_exact_and_solves_as_the_entry_by_entry_lift(case):
+    cost, x_dists, dxy, y_dists = case
+    for rows in (cost, (x_dists, (dxy,), y_dists)):
+        got = _or_refused(_lift_block, rows)
+        assert got == _or_refused(_lift_entries, rows)
+        if got is InfiniteCost:
+            continue
+        block, den, _ = got
+        assert [len(row) for row in block] == [len(row) for row in rows]
+        assert all(Fraction(b, den) == x
+                   for brow, row in zip(block, rows) for b, x in zip(brow, row))
+    nb = LocalNeighborhood(x=0, y=1, X=tuple(range(len(cost))),
+                           Y=tuple(range(len(cost[0]))), cost=tuple(map(tuple, cost)),
+                           dxy=dxy, x_dists=tuple(x_dists), y_dists=tuple(y_dists))
+    for solve in (lambda: w1_lp(nb).cost_value, lambda: w1_tree(nb)):
+        got = _or_refused(solve)
+        with mock.patch.object(orcurv.transport, "_lift_block", _lift_entries):
+            assert _typed(got) == _typed(_or_refused(solve))
+
+
 @st.composite
 def weighted_graphs(draw):
     """A connected integer-weighted graph: a random tree plus a few chords."""
@@ -327,6 +394,10 @@ def cyclic_forests(draw):
     return Graph(n, [(label[u], label[v], w) for (u, v), w in edges.items()])
 
 
+def _fields(nb: LocalNeighborhood) -> tuple:
+    return (nb.x, nb.y, nb.X, nb.Y, nb.cost, nb.dxy, nb.x_dists, nb.y_dists)
+
+
 def _typed(v):
     """v with the type of every number in it, each float by its bits."""
     if isinstance(v, tuple):
@@ -367,4 +438,4 @@ def test_tree_neighborhood_from_adjacency_equals_the_one_from_rows(g, include_en
                     neighborhood(g, None, x, y, include_endpoints)
                 continue
             got = neighborhood(g, None, x, y, include_endpoints)
-            assert _typed(dataclasses.astuple(got)) == _typed(dataclasses.astuple(want))
+            assert _typed(_fields(got)) == _typed(_fields(want))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,50 @@ def test_star_import_and_readme_example_in_a_fresh_process():
                           env=env, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "0"
+
+
+#: one instance of each classical record type, built by keyword with
+#: every default left out, and its repr
+RECORDS = [
+    (lambda: orcurv.Graph(vertex_count=3, edges=[(1, 0, 2), (1, 2)]),
+     "Graph(vertex_count=3, edges=((0, 1, 2), (1, 2, 1)))"),
+    (lambda: orcurv.LocalNeighborhood(x=None, y=None, X=(0,), Y=(1, 2), cost=((1, 2.5),),
+                                      dxy=1),
+     "LocalNeighborhood(x=None, y=None, X=(0,), Y=(1, 2), cost=((1, 2.5),), dxy=1, "
+     "x_dists=None, y_dists=None)"),
+    (lambda: orcurv.TransportPlan(p=1, q=2, flow=((1, 1),), cost_value=0.5),
+     "TransportPlan(p=1, q=2, flow=((1, 1),), cost_value=0.5)"),
+    (lambda: orcurv.AssignmentSolution(p=2, pi=(1, 0), cost_value=3),
+     "AssignmentSolution(p=2, pi=(1, 0), cost_value=3)"),
+    (lambda: orcurv.CurvatureResult(x=0, y=1, w1=1, dxy=2, method="lp"),
+     "CurvatureResult(x=0, y=1, w1=1, dxy=2, method='lp', diagnostics=None)"),
+]
+
+
+@pytest.mark.parametrize("make, shown", RECORDS, ids=[r[1].split("(")[0] for r in RECORDS])
+def test_classical_records_compare_hash_and_refuse_assignment_by_field(make, shown):
+    a, b = make(), make()
+    assert repr(a) == shown
+    assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+    field = shown.split("(")[1].split("=")[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
+    # equality reads the type as well as the fields
+    twin = object.__new__(type("Twin", (type(a),), {}))
+    vars(twin).update(vars(a))
+    assert a != twin and twin != a
+
+
+def test_classical_records_keep_their_cached_properties():
+    g = orcurv.Graph(2, [(0, 1, 0.5)])
+    assert (g.rational, g._zero, g.neighbors(0), g.has_edge(1, 0)) == (False, 0.0, (1,), True)
+    plan = orcurv.TransportPlan(p=2, q=1, flow=((1,), (1,)), cost_value=1)
+    assert plan.gamma == ((Fraction(1, 2),), (Fraction(1, 2),)) and plan.gamma is plan.gamma
+    result = orcurv.CurvatureResult.from_w1(w1=1, dxy=2, method="tree")
+    assert (result.curvature, result.x, result.diagnostics) == (Fraction(1, 2), None, None)
 
 
 def _parameters(fn) -> list[tuple[str, str, object]]:

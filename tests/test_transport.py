@@ -20,6 +20,7 @@ from helpers import (
 )
 from orcurv.errors import InfiniteCost, MethodMismatch, NotATree, NotSquare, TooLarge
 from orcurv.graph import (
+    Graph,
     LocalNeighborhood,
     all_pairs_geodesic,
     load_graph,
@@ -28,6 +29,8 @@ from orcurv.graph import (
 )
 from orcurv.transport import (
     TransportPlan,
+    _lift_block,
+    _lift_entries,
     curvature,
     w1_assignment,
     w1_bruteforce,
@@ -277,11 +280,35 @@ def test_tree_needs_center_distances():
 def test_tree_equals_lp_on_random_trees():
     rng = random.Random(17)
     for _ in range(10):
-        g = random_tree(rng.randint(4, 60), rng, max_weight=7)
-        dg = all_pairs_geodesic(g)
-        for x, y in internal_edges(g):
-            nb = neighborhood(g, dg, x, y)
-            assert w1_tree(nb) == w1_lp(nb).cost_value
+        exact = random_tree(rng.randint(4, 60), rng, max_weight=7)
+        # the same tree in float mode, its weights quarters so that every
+        # float path sum is exact; w1_tree lifts ragged rows there
+        floats = Graph(exact.vertex_count, [(u, v, w / 4) for u, v, w in exact.edges])
+        for g, kind in ((exact, (int, Fraction)), (floats, float)):
+            dg = all_pairs_geodesic(g)
+            for x, y in internal_edges(g):
+                nb = neighborhood(g, dg, x, y)
+                w1, lp = w1_tree(nb), w1_lp(nb).cost_value
+                assert isinstance(w1, kind) and type(w1) is type(lp)
+                assert w1 == lp
+
+
+def test_finite_float_blocks_lift_without_a_ratio_per_entry(monkeypatch):
+    entries = []
+    monkeypatch.setattr(orcurv.transport, "_lift_entries",
+                        lambda cost: entries.append(cost) or _lift_entries(cost))
+    # 0.1 = 3602879701896397 / 2^55, so 2^55 is the least den of the block
+    assert _lift_block(((0.1, 0.0), (3.0,), (-0.0, 0.5, 2.0 ** 60))) == (
+        [[3602879701896397, 0], [3 * 2 ** 55], [0, 2 ** 54, 2 ** 115]], 2 ** 55, False)
+    assert _lift_block([[1.0, 3.0], [0.0, 2.0 ** 70]]) == ([[1, 3], [0, 2 ** 70]], 1, False)
+    assert entries == []
+    # only a non-finite entry or a range beyond one scale reads ratios
+    for block in ([[1.0, math.inf]], [[math.nan, 1.0]], [[1.0], [-math.inf]]):
+        with pytest.raises(InfiniteCost):
+            _lift_block(block)
+    wide = [[2.0 ** -1000, 2.0 ** 1000]]
+    assert _lift_block(wide) == ([[1, 2 ** 2000]], 2 ** 1000, False)
+    assert len(entries) == 4
 
 
 def test_tree_equals_mean_cost_identity():

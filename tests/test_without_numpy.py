@@ -1,7 +1,8 @@
-"""A classical run needs no numpy: only the qsim routes load it.
+"""A classical run needs no numpy, and no `dataclasses` or `inspect`:
+only the qsim routes load them.
 
-Each check runs a fresh interpreter. With numpy hidden
-(`sys.modules["numpy"] = None`, so that importing it raises ImportError),
+Each check runs a fresh interpreter. With the three hidden
+(`sys.modules[name] = None`, so that importing one raises ImportError),
 every classical `orc` route and the benchmark's setup calls must give
 what they give in this process, byte for byte.
 """
@@ -19,15 +20,27 @@ from orcurv.graph import all_pairs_geodesic, load_graph, verify_tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: argv[1] is "hidden" or "shown"; the rest is an `orc` command line.
-#: Once `orc` returns, stderr's last line says whether numpy was imported.
-_ORC = """
+#: the modules a classical run must not load
+HIDDEN = ("numpy", "dataclasses", "inspect")
+
+#: the statements that hide the modules named in argv[1], comma-separated
+_HIDE = """
 import sys
-if sys.argv[1] == "hidden":
-    sys.modules["numpy"] = None
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
+"""
+
+#: the modules of HIDDEN a process has loaded, as _orc's probe prints them
+_LOADED = f"""
+print("loaded:", [n for n in {HIDDEN!r} if sys.modules.get(n) is not None], file=sys.stderr)
+"""
+
+#: the rest of argv is an `orc` command line. Once `orc` returns,
+#: stderr's last line lists which of HIDDEN were loaded.
+_ORC = _HIDE + """
 import orcurv.cli
 code = orcurv.cli.main(sys.argv[2:])
-print(f"numpy imported: {sys.modules.get('numpy') is not None}", file=sys.stderr)
+""" + _LOADED + """
 sys.exit(code)
 """
 
@@ -37,6 +50,8 @@ GRAPHS = {
     # an 8-cycle: density 2/7
     "sparse-float.txt": "".join(f"{v} {(v + 1) % 8} {1.5 + v / 4}\n" for v in range(8)),
     "tree.txt": "0 1\n1 2\n2 3\n3 4\n4 5\n2 6\n6 7\n",
+    # a float tree whose weights are not dyadic, so every lift scales them
+    "tree-float.txt": "0 1 0.1\n1 2 2.7\n2 3 0.3\n3 4 1e-3\n2 5 1.25\n5 6 3.3\n",
     # K_{3,3}: every edge has p = q = 2
     "k33.txt": "".join(f"{u} {v} {u + v}\n" for u in range(3) for v in range(3, 6)),
     # K_5: density 1
@@ -50,6 +65,10 @@ CLASSICAL = {
     "lp-sparse-float": ["--input", "sparse-float.txt", "--numeric", "float",
                         "--method", "lp", "--all-edges"],
     "tree": ["--input", "tree.txt", "--method", "tree", "--all-edges"],
+    "tree-float": ["--input", "tree-float.txt", "--numeric", "float",
+                   "--method", "tree", "--all-edges"],
+    "lp-tree-float": ["--input", "tree-float.txt", "--numeric", "float",
+                      "--method", "lp", "--all-edges"],
     "assignment": ["--input", "k33.txt", "--method", "assignment", "--all-edges"],
     "brute_force": ["--input", "k33.txt", "--method", "brute_force", "--all-edges"],
     "lp-dense-float": ["--input", "dense-float.txt", "--numeric", "float",
@@ -77,11 +96,12 @@ def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
                           text=True, env=env, check=False)
 
 
-def _orc(mode: str, argv: list[str]) -> tuple[int, str | None, str]:
-    """A fresh `orc compute`'s exit code, report (None if none) and stderr."""
+def _orc(hide: str, argv: list[str]) -> tuple[int, str | None, str]:
+    """A fresh `orc compute`'s exit code, report (None if none) and stderr,
+    with the modules named in `hide` hidden."""
     out = Path("child.json")
     out.unlink(missing_ok=True)
-    done = _python(_ORC, mode, "compute", *argv, "--out", str(out))
+    done = _python(_ORC, hide, "compute", *argv, "--out", str(out))
     return done.returncode, out.read_text() if out.exists() else None, done.stderr
 
 
@@ -89,40 +109,40 @@ def _orc(mode: str, argv: list[str]) -> tuple[int, str | None, str]:
 def test_classical_route_needs_no_numpy(inputs, argv):
     assert main(["compute", *argv, "--out", "here.json"]) == 0
     here = Path("here.json").read_text()
-    for mode in ("hidden", "shown"):
-        code, report, err = _orc(mode, argv)
+    for hide in (",".join(HIDDEN), ""):
+        code, report, err = _orc(hide, argv)
         assert (code, report) == (0, here), err
-        assert err.endswith("numpy imported: False\n"), err
+        assert err.endswith("loaded: []\n"), err
 
 
 @pytest.mark.parametrize("argv", NUMPY_ROUTES.values(), ids=NUMPY_ROUTES.keys())
 def test_qsim_and_dense_float_routes_load_numpy(inputs, argv):
     # the control: the probe sees numpy where a qsim route runs it, and
     # hiding numpy stops such a run
-    code, report, err = _orc("shown", argv)
+    code, report, err = _orc("", argv)
     assert (code, report is None) == (0, False), err
-    assert err.endswith("numpy imported: True\n"), err
-    code, report, err = _orc("hidden", argv)
+    assert "'numpy'" in err.splitlines()[-1], err
+    code, report, err = _orc("numpy", argv)
     assert (code, report) == (1, None)
     assert "ModuleNotFoundError" in err and "numpy" in err.splitlines()[-1], err
 
 
 def test_importing_the_cli_loads_no_numpy():
-    done = _python("import sys, orcurv.cli; print('numpy' in sys.modules)")
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    done = _python("import sys, orcurv.cli\n" + _LOADED)
+    assert (done.returncode, done.stderr) == (0, "loaded: []\n")
 
 
 def test_benchmark_setup_calls_run_with_numpy_hidden(inputs):
     # what perfbench/child.py's setup runs before a graph's first edge
-    code = ("import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from orcurv import all_pairs_geodesic, load_graph, verify_tree\n"
-            "g = load_graph(open('exact.txt').read())\n"
-            "print(repr(all_pairs_geodesic(g, workers=1)), verify_tree(g))\n")
-    g = load_graph(GRAPHS["exact.txt"])
-    done = _python(code)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{all_pairs_geodesic(g, workers=1)!r} {verify_tree(g)}\n"
+    code = _HIDE + (
+        "from orcurv import all_pairs_geodesic, load_graph, verify_tree\n"
+        "g = load_graph(open(sys.argv[2]).read(), numeric=sys.argv[3])\n"
+        "print(repr(all_pairs_geodesic(g, workers=1)), verify_tree(g))\n")
+    for name, numeric in (("exact.txt", "rational"), ("dense-float.txt", "float")):
+        g = load_graph(GRAPHS[name], numeric=numeric)
+        done = _python(code, ",".join(HIDDEN), name, numeric)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{all_pairs_geodesic(g, workers=1)!r} {verify_tree(g)}\n"
 
 
 def test_exact_tree_compare_loads_no_numpy_random(inputs):
