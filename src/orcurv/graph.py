@@ -77,16 +77,21 @@ def _number(v, numeric: str = "rational", what: str = "weight") -> Weight:
 
 
 class _Frozen:
-    """A record of the fields named in `_fields`: equal to a record of the
-    same type with equal fields, hashed and shown by those fields, and
+    """A record of the fields its class annotates: equal to a record of
+    the same type with equal fields, hashed and shown by those fields, and
     refusing assignment with an AttributeError. A subclass's __init__
-    checks its arguments and stores the fields with `_freeze`; its
-    cached properties write the instance __dict__, as they may."""
+    checks its arguments and stores the fields by name with `_freeze`;
+    its cached properties write the instance __dict__, as they may."""
 
-    _fields: tuple[str, ...] = ()
+    _fields = ()
 
-    def _freeze(self, *values) -> None:
-        self.__dict__.update(zip(self._fields, values))
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(name for name in own if name not in cls._fields)
+
+    def _freeze(self, **fields) -> None:
+        self.__dict__.update(fields)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -118,7 +123,6 @@ class Graph(_Frozen):
     weights.
     """
 
-    _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: tuple[tuple[int, int, Weight], ...]
 
@@ -150,7 +154,7 @@ class Graph(_Frozen):
             if w <= 0:
                 raise InvalidWeight(f"weight {w!r} must be > 0")
             normalized.append((u, v, w))
-        self._freeze(vertex_count, tuple(normalized))
+        self._freeze(vertex_count=vertex_count, edges=tuple(normalized))
         self.__dict__["_edge_set"] = frozenset(seen)
 
     @property
@@ -196,7 +200,6 @@ class LocalNeighborhood(_Frozen):
     matrix. x and y are None for such synthetic instances as well.
     """
 
-    _fields = ("x", "y", "X", "Y", "cost", "dxy", "x_dists", "y_dists")
     x: int | None
     y: int | None
     X: tuple[int, ...]
@@ -217,7 +220,8 @@ class LocalNeighborhood(_Frozen):
             raise ParseError("cost matrix shape does not match |X| x |Y|")
         if not dxy > 0:
             raise InvalidWeight(f"dxy must be > 0, got {dxy!r}")
-        self._freeze(x, y, X, Y, cost, dxy, x_dists, y_dists)
+        self._freeze(x=x, y=y, X=X, Y=Y, cost=cost, dxy=dxy, x_dists=x_dists,
+                     y_dists=y_dists)
 
     @property
     def p(self) -> int:

@@ -73,7 +73,6 @@ class TransportPlan(_Frozen):
     built only when read.
     """
 
-    _fields = ("p", "q", "flow", "cost_value")
     p: int
     q: int
     flow: tuple[tuple[int, ...], ...]
@@ -91,7 +90,7 @@ class TransportPlan(_Frozen):
                 raise AssertionError(f"column {j} marginal violated")
         if any(x < 0 for row in flow for x in row):
             raise AssertionError("negative transport mass")
-        self._freeze(p, q, flow, cost_value)
+        self._freeze(p=p, q=q, flow=flow, cost_value=cost_value)
 
     @cached_property
     def gamma(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -102,7 +101,6 @@ class TransportPlan(_Frozen):
 class AssignmentSolution(_Frozen):
     """Optimal permutation for a square instance; cost_value = min / p."""
 
-    _fields = ("p", "pi", "cost_value")
     p: int
     pi: tuple[int, ...]
     cost_value: Weight
@@ -110,13 +108,12 @@ class AssignmentSolution(_Frozen):
     def __init__(self, p: int, pi: tuple[int, ...], cost_value: Weight) -> None:
         if sorted(pi) != list(range(p)):
             raise AssertionError("pi is not a permutation")
-        self._freeze(p, pi, cost_value)
+        self._freeze(p=p, pi=pi, cost_value=cost_value)
 
 
 class CurvatureResult(_Frozen):
     """Edge curvature 1 - W1/d_G(x, y), derived from w1 and dxy."""
 
-    _fields = ("x", "y", "w1", "dxy", "method", "diagnostics")
     x: int | None
     y: int | None
     w1: Weight
@@ -132,7 +129,7 @@ class CurvatureResult(_Frozen):
             raise AssertionError("dxy must be positive")
         if w1 < 0:
             raise AssertionError("w1 must be nonnegative")
-        self._freeze(x, y, w1, dxy, method, diagnostics)
+        self._freeze(x=x, y=y, w1=w1, dxy=dxy, method=method, diagnostics=diagnostics)
 
     @property
     def curvature(self) -> Weight:
@@ -160,11 +157,10 @@ def _lift_block(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int,
 
     block[i][j] / den == cost[i][j] exactly, and no entry becomes a
     Fraction. An all-int block is copied as is. An all-float block is
-    lifted in builtin passes, not one ratio per entry: an integral one
-    is read as ints, any other scaled by 2**shift, which makes its least
-    nonzero magnitude, and so every entry, an integer; then the power
-    of two those integers share is divided out. Either way the block
-    and den are the ones `_lift_entries` gives.
+    lifted in builtin passes, not one ratio per entry: it is scaled by
+    2**shift, which makes its least nonzero magnitude, and so every
+    entry, an integer; then the power of two those integers share is
+    divided out, so the block and den are the ones `_lift_entries` gives.
     Any other block, and a float block with a non-finite entry or a
     range that no one scale keeps in float range, goes entry by entry.
     rational is False when any entry is a float (or otherwise not an
@@ -174,8 +170,6 @@ def _lift_block(cost: Sequence[Sequence[Weight]]) -> tuple[list[list[int]], int,
     if types <= {int}:
         return [list(row) for row in cost], 1, True
     if types == {float}:
-        if all(map(float.is_integer, itertools.chain.from_iterable(cost))):
-            return [list(map(int, row)) for row in cost], 1, False
         try:
             least = min(map(abs, filter(None, itertools.chain.from_iterable(cost))),
                         default=1.0)
