@@ -12,12 +12,12 @@ that one number type. Disconnected pairs are encoded as a float +inf in
 either mode; downstream transport code refuses to consume infinite
 costs.
 
-Shortest paths on a tree are summed outward from each source, a vertex's
-distance being its parent's plus the weight between them; on every
-other graph, exact or float, sparse or dense, they are per-source
-Dijkstra with a binary heap. A tree's neighborhoods need no rows at
-all: every distance one reads lies on a path of at most three edges,
-and `neighborhood` sums it from the edge weights. The module needs only
+A graph is found to be a tree once, by the one traversal it caches,
+`Graph._tree`. A tree's rows are summed outward from each source along
+it; every other graph's, exact or float, sparse or dense, are per-source
+Dijkstra with a binary heap. A tree's neighborhoods read no rows: every
+distance one reads lies on a path of at most three edges, and
+`neighborhood` sums it from the edge weights. The module needs only
 the standard library, and neither `dataclasses` nor `inspect`: its
 record types, and `transport`'s, share the private base `_Frozen`.
 """
@@ -36,6 +36,7 @@ from .errors import (
     EmptyNeighborhood,
     InvalidWeight,
     NotAnEdge,
+    NotATree,
     ParseError,
     SelfLoop,
 )
@@ -180,6 +181,28 @@ class Graph(_Frozen):
             adj[v].append((u, w))
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def _tree(self) -> tuple[tuple[int, int, Weight], ...] | None:
+        """A tree's traversal from vertex 0: each other vertex after its
+        parent, as (vertex, parent, weight between them). None off a tree:
+        with other than N - 1 edges (not traversed) or a vertex not reached."""
+        n = self.vertex_count
+        if self.edge_count != n - 1:
+            return None
+        adj = self._adjacency
+        seen = [False] * n
+        seen[0] = True
+        steps = []
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v, w in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    steps.append((v, u, w))
+                    stack.append(v)
+        return tuple(steps) if len(steps) == n - 1 else None
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(v for v, _ in self._adjacency[u])
 
@@ -195,9 +218,11 @@ class LocalNeighborhood(_Frozen):
     X holds the neighbors of x excluding y, Y the neighbors of y excluding
     x, both sorted ascending. cost[i][j] is the geodesic distance from
     X[i] to Y[j] and dxy the geodesic distance between the endpoints.
-    x_dists / y_dists carry the center-to-neighbor geodesics needed by the
-    tree closed form; they are None for instances built from a bare cost
-    matrix. x and y are None for such synthetic instances as well.
+    x_dists / y_dists, of lengths p and q, carry the center-to-neighbor
+    geodesics that the tree routes read; `neighborhood` sets them only on
+    a tree, and they are None on any other graph and for instances built
+    from a bare cost matrix. x and y are None for such synthetic
+    instances.
     """
 
     x: int | None
@@ -218,6 +243,9 @@ class LocalNeighborhood(_Frozen):
             raise EmptyNeighborhood("p and q must both be at least 1")
         if len(cost) != p or any(len(row) != q for row in cost):
             raise ParseError("cost matrix shape does not match |X| x |Y|")
+        if (x_dists is not None and len(x_dists) != p
+                or y_dists is not None and len(y_dists) != q):
+            raise ParseError("x_dists / y_dists lengths do not match |X| / |Y|")
         if not dxy > 0:
             raise InvalidWeight(f"dxy must be > 0, got {dxy!r}")
         self._freeze(x=x, y=y, X=X, Y=Y, cost=cost, dxy=dxy, x_dists=x_dists,
@@ -400,48 +428,24 @@ def _dijkstra_row(adj, n: int, source: int, zero: Weight) -> tuple[Weight, ...]:
     return tuple(dist)
 
 
-def _rooted_at_0(adj, n: int, zero: Weight) -> tuple[list[int], list[int], list[Weight]]:
-    """One traversal from vertex 0: the other vertices it reaches, each
-    after its parent, and every vertex's parent and the weight between
-    them (vertex 0 and any vertex not reached keep 0 and zero)."""
-    parent = [0] * n
-    weight = [zero] * n
-    seen = [False] * n
-    seen[0] = True
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, w in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                weight[v] = w
-                order.append(v)
-                stack.append(v)
-    return order, parent, weight
-
-
-def _tree_rows(adj, n: int, zero: Weight) -> tuple[tuple[Weight, ...], ...] | None:
-    """The rows of a graph with N - 1 edges if it is a tree, else None.
+def _tree_rows(steps, n: int, zero: Weight) -> tuple[tuple[Weight, ...], ...]:
+    """The rows of a tree, from its traversal `Graph._tree`.
 
     Each source's row sets the source's ancestors, walking up to vertex
     0, then every other vertex in traversal order, each as its parent's
     distance plus the weight between them: the sum Dijkstra forms on the
     one path.
     """
-    order, parent, weight = _rooted_at_0(adj, n, zero)
-    if len(order) < n - 1:
-        return None
-    steps = [(v, parent[v], weight[v]) for v in order]
+    up = {v: (p, w) for v, p, w in steps}
     rows = []
     for s in range(n):
         dist = [None] * n
         dist[s] = zero
         u = s
         while u:
-            dist[parent[u]] = dist[u] + weight[u]
-            u = parent[u]
+            p, w = up[u]
+            dist[p] = dist[u] + w
+            u = p
         for v, p, w in steps:
             if dist[v] is None:
                 dist[v] = dist[p] + w
@@ -465,25 +469,21 @@ def all_pairs_geodesic(g: Graph, workers: int | None = None) -> tuple[tuple[Weig
     if workers not in (None, 1):
         raise ValueError(f"workers must be None or 1, got {workers!r}")
     n = g.vertex_count
-    adj = g._adjacency
-    zero = g._zero
-    rows = _tree_rows(adj, n, zero) if g.edge_count == n - 1 else None
-    if rows is None:
-        rows = tuple(_dijkstra_row(adj, n, s, zero) for s in range(n))
-    return rows
+    if g._tree is not None:
+        return _tree_rows(g._tree, n, g._zero)
+    return tuple(_dijkstra_row(g._adjacency, n, s, g._zero) for s in range(n))
 
 
 def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]] | None, x: int, y: int,
                  include_endpoints: bool = False) -> LocalNeighborhood:
     """Local (x, y) edge context with the geodesic cost block.
 
-    dg holds the rows all_pairs_geodesic(g) returns; the cost block,
-    dxy and the center-to-neighbor distances are read from them as they
-    are, so they keep the graph's number type. dg None reads them from
-    the edge weights of g, which the caller asserts is a tree
-    (`verify_tree`): each lies on the one path a-x-y-b, and is summed from
-    a outward as the rows sum it, (w(a, x) + w(x, y)) + w(y, b), with
-    w(v, v) the graph's zero.
+    On a tree (`verify_tree`) dg is not read: each distance lies on the
+    one path a-x-y-b and is summed from the edge weights, from a outward
+    as the rows sum it, (w(a, x) + w(x, y)) + w(y, b), with w(v, v) the
+    graph's zero; only a tree's neighborhood sets x_dists and y_dists.
+    Off a tree dg holds the rows all_pairs_geodesic(g) returns (None is
+    NotATree) and the cost block and dxy are read from them as they are.
 
     With include_endpoints=True, x is appended to its own neighbor list
     and y to its own (the inclusive-measure variant); masses stay uniform
@@ -491,14 +491,17 @@ def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]] | None, x: int, y: int
     """
     if not g.has_edge(x, y):
         raise NotAnEdge(f"({x}, {y}) is not an edge")
-    X = sorted(v for v in g.neighbors(x) if v != y)
-    Y = sorted(v for v in g.neighbors(y) if v != x)
+    tree = g._tree is not None
+    if not tree and dg is None:
+        raise NotATree(f"({x}, {y}): a graph that is not a tree needs its distance rows")
+    X = [v for v in g.neighbors(x) if v != y]
+    Y = [v for v in g.neighbors(y) if v != x]
     if include_endpoints:
         X = sorted(X + [x])
         Y = sorted(Y + [y])
     if not X or not Y:
         raise EmptyNeighborhood(f"p={len(X)}, q={len(Y)}: an endpoint has no other neighbor")
-    if dg is None:
+    if tree:
         wx = dict(g._adjacency[x])
         wy = dict(g._adjacency[y])
         wx[x] = wy[y] = g._zero
@@ -507,8 +510,7 @@ def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]] | None, x: int, y: int
         dxy = wx[y]
         cost = tuple(tuple((wa + dxy) + wy[b] for b in Y) for wa in x_dists)
     else:
-        x_dists = tuple(dg[x][a] for a in X)
-        y_dists = tuple(dg[y][b] for b in Y)
+        x_dists = y_dists = None
         dxy = dg[x][y]
         cost = tuple(tuple(dg[a][b] for b in Y) for a in X)
     return LocalNeighborhood(
@@ -525,5 +527,4 @@ def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]] | None, x: int, y: int
 
 def verify_tree(g: Graph) -> bool:
     """True iff g is connected and has exactly N - 1 edges."""
-    n = g.vertex_count
-    return g.edge_count == n - 1 and len(_rooted_at_0(g._adjacency, n, 0)[0]) == n - 1
+    return g._tree is not None

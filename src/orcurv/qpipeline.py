@@ -315,15 +315,15 @@ def w1_tree_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
                  audit: AuditTrail | None = None) -> CurvatureResult:
     """Tree-case pipeline: W1 from three overlap estimations.
 
-    `be` is the graph's encoding from build_distance_encoding. The
-    caller asserts that the graph is a tree. shots=None gives exact
+    `be` is the graph's encoding from build_distance_encoding, and nb a
+    neighborhood on a tree (NotATree otherwise). shots=None gives exact
     overlaps, which reproduce the closed form to float accuracy; an
     integer replaces each overlap with a Hadamard-test emulation seeded
     by `seed` (None: fresh OS entropy), and raises EstimateOutOfRange
     when the noisy d(x, y) or W1 leaves its range.
     """
     if nb.x_dists is None or nb.y_dists is None:
-        raise NotATree("tree pipeline needs a graph neighborhood, not a bare cost matrix")
+        raise NotATree("tree pipeline needs a neighborhood taken on a tree")
     x, y = nb.x, nb.y
     # exact overlaps draw nothing, so they leave numpy.random unloaded
     seeds = (None,) * 3 if shots is None else np.random.SeedSequence(seed).spawn(3)
@@ -353,8 +353,10 @@ def tree_qsim_standard_error(nb: LocalNeighborhood, be: DistanceEncoding,
     With raw unit-state overlaps v_x, v_xy, v_y the recovered W1 equals
     alpha_q * (v_x + v_xy + v_y), alpha_q = be.subnorm, so the standard
     error is alpha_q times the root sum of the three Bernoulli variances
-    4 p (1 - p) / shots.
+    4 p (1 - p) / shots. NotATree for a neighborhood not on a tree.
     """
+    if nb.x_dists is None or nb.y_dists is None:
+        raise NotATree("tree standard error needs a neighborhood taken on a tree")
     alpha_q = be.subnorm
     raw_x = sum(float(v) for v in nb.x_dists) / (alpha_q * nb.p)
     raw_y = sum(float(v) for v in nb.y_dists) / (alpha_q * nb.q)

@@ -395,10 +395,10 @@ def w1_tree(nb: LocalNeighborhood) -> Weight:
 
     Returns mean(d(x_i, x)) + d(x, y) + mean(d(y, y_j)), summed exactly
     over the distances lifted as _lift_block lifts a cost block; exact
-    iff every one of them is. The caller asserts treeness (`verify_tree`).
+    iff every one of them is. NotATree for a neighborhood not on a tree.
     """
     if nb.x_dists is None or nb.y_dists is None:
-        raise NotATree("tree closed form needs center-to-neighbor distances")
+        raise NotATree("tree closed form needs a neighborhood taken on a tree")
     (xs, (dxy,), ys), den, rational = _lift_block((nb.x_dists, (nb.dxy,), nb.y_dists))
     value = Fraction(sum(xs), den * nb.p) + Fraction(dxy, den) + Fraction(sum(ys), den * nb.q)
     return _emit(value, rational)
@@ -467,8 +467,8 @@ def curvature(nb: LocalNeighborhood, method: str = "lp") -> CurvatureResult:
     """Edge curvature via the chosen classical W1 route.
 
     method is one of "lp", "tree", "assignment", "brute_force". The
-    assignment routes refuse p != q with NotSquare; for "tree" the caller
-    asserts that the graph is a tree (`verify_tree`).
+    assignment routes refuse p != q with NotSquare, and "tree" refuses a
+    neighborhood not taken on a tree with NotATree.
     """
     if method not in CLASSICAL_METHODS:
         raise MethodMismatch(

@@ -5,16 +5,19 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 import orcurv.graph
 from helpers import bellman_ford_row, floyd_warshall_rows, random_connected_graph
+from orcurv.cli import main
 from orcurv.errors import (
     DuplicateEdge,
     EmptyNeighborhood,
     InvalidWeight,
     NotAnEdge,
+    NotATree,
     ParseError,
     SelfLoop,
 )
@@ -400,6 +403,104 @@ def test_dxy_is_geodesic_not_edge_weight():
     dg = all_pairs_geodesic(g)
     nb = neighborhood(g, dg, 0, 1)
     assert nb.dxy == 2  # shortcut through vertex 2 undercuts the direct edge
+
+
+#: graphs that are not trees, each with an edge (0, 1) whose neighborhood
+#: is not empty
+NOT_TREES = {
+    "triangle": "0 1\n1 2\n0 2\n",
+    "4-cycle": "0 1\n1 2\n2 3\n3 0\n",
+    # N - 1 edges: a triangle and the isolated vertex 3
+    "cycle-isolated": '{"n": 4, "edges": [[0, 1], [1, 2], [0, 2]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TREES))
+def test_neighborhood_without_rows_refuses_a_graph_that_is_not_a_tree(name):
+    text = NOT_TREES[name]
+    g = load_graph(text, format="json" if text.startswith("{") else "edge_list")
+    with pytest.raises(NotATree):
+        neighborhood(g, None, 0, 1)
+    # with its rows it reads them, and carries no tree distances
+    nb = neighborhood(g, all_pairs_geodesic(g), 0, 1)
+    assert (nb.dxy, nb.x_dists, nb.y_dists) == (1, None, None)
+
+
+def test_tree_neighborhood_ignores_the_rows():
+    g = load_graph("0 1 2\n1 2 3\n1 3 5\n0 4 7\n")
+    rows = tuple(tuple(-1 for _ in range(5)) for _ in range(5))
+    assert neighborhood(g, rows, 0, 1) == neighborhood(g, None, 0, 1)
+    assert neighborhood(g, None, 0, 1).cost == ((12, 14),)
+
+
+@pytest.mark.parametrize("x_dists, y_dists", [
+    ((1, 2, 3), (1,)),
+    ((), (1,)),
+    ((1,), (1, 2)),
+], ids=["x-long", "x-short", "y-long"])
+def test_neighborhood_refuses_center_distances_of_the_wrong_length(x_dists, y_dists):
+    with pytest.raises(ParseError, match="x_dists / y_dists"):
+        LocalNeighborhood(x=None, y=None, X=(0,), Y=(1,), cost=((1,),), dxy=1,
+                          x_dists=x_dists, y_dists=y_dists)
+
+
+class _ReadLog(tuple):
+    """Adjacency rows that log the index of every row read."""
+
+    def __new__(cls, rows, log):
+        self = super().__new__(cls, rows)
+        self.log = log
+        return self
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+@pytest.fixture()
+def traversals(monkeypatch):
+    """The graphs that Graph._tree traverses, once per traversal: an
+    evaluation counts when it reads the graph's adjacency."""
+    real = Graph.__dict__["_tree"].func
+    traversed = []
+
+    def spy(g):
+        adj = g._adjacency
+        log = []
+        g.__dict__["_adjacency"] = _ReadLog(adj, log)
+        try:
+            return real(g)
+        finally:
+            g.__dict__["_adjacency"] = adj
+            if log:
+                traversed.append(g)
+
+    prop = cached_property(spy)
+    prop.__set_name__(Graph, "_tree")
+    monkeypatch.setattr(Graph, "_tree", prop)
+    return traversed
+
+
+@pytest.mark.parametrize("text, count", [
+    ("0 1\n1 2\n2 3\n1 4\n", 1),
+    ('{"n": 4, "edges": [[0, 1], [1, 2], [0, 2]]}', 1),    # N - 1 edges, not a tree
+    ("0 1\n1 2\n2 3\n3 0\n", 0),
+    ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", 0),
+], ids=["tree", "cycle-isolated", "4-cycle", "K4"])
+def test_setup_sequence_traverses_once_per_graph(traversals, text, count):
+    # load_graph, all_pairs_geodesic, verify_tree: the benchmark's setup
+    g = load_graph(text, format="json" if text.startswith("{") else "edge_list")
+    all_pairs_geodesic(g, workers=1)
+    verify_tree(g)
+    assert traversals == [g] * count
+
+
+def test_tree_compare_traverses_once(traversals, tmp_path, capsys):
+    path = tmp_path / "tree.txt"
+    path.write_text("0 1\n1 2 3/2\n2 3\n1 4 2\n4 5\n")
+    assert main(["compare", "--input", str(path), "--all-edges"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 2
+    assert len(traversals) == 1
 
 
 def test_verify_tree():

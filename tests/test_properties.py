@@ -28,6 +28,7 @@ from orcurv.graph import (
     all_pairs_geodesic,
     load_graph,
     neighborhood,
+    verify_tree,
 )
 from orcurv.qpipeline import AuditTrail, build_distance_encoding, cost_rows, localize_DG
 from orcurv.transport import (
@@ -39,7 +40,7 @@ from orcurv.transport import (
     w1_lp,
     w1_tree,
 )
-from reference import _basic_solutions, grid_distance_encoding, lp_vertex_oracle
+from reference import _UnionFind, _basic_solutions, grid_distance_encoding, lp_vertex_oracle
 
 BOUNDED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -428,14 +429,46 @@ def test_n_minus_one_edges_with_a_cycle_get_dijkstra_rows(g):
 @BOUNDED
 @given(trees(), st.booleans())
 def test_tree_neighborhood_from_adjacency_equals_the_one_from_rows(g, include_endpoints):
+    # every field against the rows indexed directly, bits and type: a tree
+    # neighborhood sums its distances from the edge weights, rows or none
     dg = all_pairs_geodesic(g)
+    adjacent = {v: set() for v in range(g.vertex_count)}
+    for u, v, _ in g.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
     for u, v, _ in g.edges:
         for x, y in ((u, v), (v, u)):
-            try:
-                want = neighborhood(g, dg, x, y, include_endpoints)
-            except EmptyNeighborhood:
-                with pytest.raises(EmptyNeighborhood):
-                    neighborhood(g, None, x, y, include_endpoints)
-                continue
-            got = neighborhood(g, None, x, y, include_endpoints)
-            assert _typed(_fields(got)) == _typed(_fields(want))
+            X = sorted(adjacent[x] - {y} | ({x} if include_endpoints else set()))
+            Y = sorted(adjacent[y] - {x} | ({y} if include_endpoints else set()))
+            for rows in (None, dg):
+                if not X or not Y:
+                    with pytest.raises(EmptyNeighborhood):
+                        neighborhood(g, rows, x, y, include_endpoints)
+                    continue
+                want = (x, y, tuple(X), tuple(Y), tuple(tuple(dg[a][b] for b in Y) for a in X),
+                        dg[x][y], tuple(dg[x][a] for a in X), tuple(dg[y][b] for b in Y))
+                got = neighborhood(g, rows, x, y, include_endpoints)
+                assert _typed(_fields(got)) == _typed(want)
+
+
+@st.composite
+def forests_and_a_chord(draw):
+    """A forest on 1-12 vertices, relabelled, with or without one more
+    edge: a tree, a forest, or either plus a chord (which may join two of
+    the forest's trees into one)."""
+    n = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(n)))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n) if draw(st.booleans())}
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if free and draw(st.booleans()):
+        edges.add(draw(st.sampled_from(free)))
+    return Graph(n, [(label[u], label[v]) for u, v in sorted(edges)])
+
+
+@settings(BOUNDED, max_examples=300)
+@given(trees() | cyclic_forests() | forests_and_a_chord())
+@example(load_graph('{"n": 1, "edges": []}', format="json"))
+def test_verify_tree_against_union_find(g):
+    uf = _UnionFind(g.vertex_count)
+    acyclic = all(uf.union(u, v) for u, v, _ in g.edges)
+    assert verify_tree(g) == (acyclic and g.edge_count == g.vertex_count - 1)

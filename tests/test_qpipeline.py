@@ -253,8 +253,15 @@ def test_tree_qsim_path_fixture():
 
 def test_tree_qsim_needs_graph_neighborhood():
     nb = LocalNeighborhood.from_cost([[1, 2], [3, 4]], 1)
-    with pytest.raises(NotATree):
-        w1_tree_qsim(nb, build_distance_encoding(cost_rows(nb.cost)))
+    be = build_distance_encoding(cost_rows(nb.cost))
+    # nor one taken off a tree: on the 4-cycle the closed form would read 3, where W1 is 1
+    g = load_graph("0 1\n1 2\n2 3\n3 0")
+    dg = all_pairs_geodesic(g)
+    for nb, be in ((nb, be), (neighborhood(g, dg, 0, 1), build_distance_encoding(dg))):
+        with pytest.raises(NotATree):
+            w1_tree_qsim(nb, be)
+        with pytest.raises(NotATree):
+            tree_qsim_standard_error(nb, be, 1000)
 
 
 def test_tree_qsim_matches_closed_form():

@@ -275,6 +275,14 @@ def test_tree_star_fixture():
 def test_tree_needs_center_distances():
     with pytest.raises(NotATree):
         w1_tree(appendix_nb())
+    # a neighborhood off a tree carries none: on the 4-cycle the closed
+    # form would read 3, where W1 is 1
+    g = load_graph("0 1\n1 2\n2 3\n3 0")
+    nb = neighborhood(g, all_pairs_geodesic(g), 0, 1)
+    for route in (w1_tree, lambda nb: curvature(nb, method="tree")):
+        with pytest.raises(NotATree):
+            route(nb)
+    assert w1_lp(nb).cost_value == 1
 
 
 def test_tree_equals_lp_on_random_trees():
