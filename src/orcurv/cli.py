@@ -350,10 +350,12 @@ def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: DistanceEnc
     }
 
 
-def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
+def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list,
+                                                DistanceEncoding | None, AuditTrail | None]:
     """Read, settle, then compute the methods, each edge with its neighborhood,
-    and the distances a qsim route encodes; the graph is freed on return.
-    A classical run on a tree computes no distance rows."""
+    and a qsim route's one distance encoding, with the audit trail that
+    --trace writes; the graph and its rows are freed on return. A
+    classical run on a tree computes no distance rows."""
     source = _read_input(args)
     g = source if isinstance(source, Graph) else None
     edges = _select_edges(args, g)
@@ -363,7 +365,7 @@ def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
         pairs = [(None, source)]    # a cost-matrix fixture has no edge
     else:
         # a tree's neighborhoods read its edge weights; a qsim route's
-        # encoding reads max d over all pairs, so it keeps the rows
+        # encoding reads max d over all pairs, so it computes the rows
         dg = None if is_tree and methods[-1] not in QSIM_METHODS else all_pairs_geodesic(g)
         pairs = []
         for u, v in edges:
@@ -380,20 +382,18 @@ def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list, object]:
                 raise ConfigError(f"NotSquare: {where} has "
                                   f"p={nb.p}, q={nb.q} for method {methods[0]!r}")
     if methods[-1] not in QSIM_METHODS:
-        return methods, pairs, None
+        return methods, pairs, None, None
     from . import qpipeline
-    return methods, pairs, qpipeline.cost_rows(source.cost) if g is None else dg
+    audit = qpipeline.AuditTrail() if args.trace else None
+    be = qpipeline.build_distance_encoding(qpipeline.cost_rows(source.cost) if g is None else dg,
+                                           margin=args.margin, audit=audit)
+    return methods, pairs, be, audit
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     """compute runs one method per edge; compare runs the classical partner
     and the qsim route per edge and adds the comparison fields."""
-    methods, pairs, dist = _prepare(args)
-    audit = be = None
-    if dist is not None:    # a qsim route: the one encoding every edge of the run queries
-        from . import qpipeline
-        audit = qpipeline.AuditTrail() if args.trace else None
-        be = qpipeline.build_distance_encoding(dist, margin=args.margin, audit=audit)
+    methods, pairs, be, audit = _prepare(args)
     records = []
     for edge, nb in pairs:
         try:
@@ -499,6 +499,18 @@ def _write_file(path: str, text: str, option: str) -> None:
         raise ConfigError(f"cannot write {option} {path!r}: {exc}") from exc
 
 
+def _tell(message: str) -> None:
+    """Write an `orc:` line to stderr. A missing, closed or full stderr
+    loses the line, and changes neither the exit code nor stdout."""
+    if sys.stderr is None:    # Python's stderr when the process starts without fd 2
+        return
+    try:
+        sys.stderr.write(f"orc: {message}\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     if "numpy" not in sys.modules:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -517,16 +529,16 @@ def main(argv=None) -> int:
         _emit_report(args, report)
         return code
     except ConfigError as exc:
-        print(f"orc: config error: {exc}", file=sys.stderr)
+        _tell(f"config error: {exc}")
         return 2
     except _SolverFailure as exc:
-        print(f"orc: solver error: {exc}", file=sys.stderr)
+        _tell(f"solver error: {exc}")
         return 3
     except OrcError as exc:
-        print(f"orc: solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _tell(f"solver error: {type(exc).__name__}: {exc}")
         return 3
     finally:
-        print(f"orc: finished in {time.monotonic() - start:.3f}s", file=sys.stderr)
+        _tell(f"finished in {time.monotonic() - start:.3f}s")
 
 
 if __name__ == "__main__":

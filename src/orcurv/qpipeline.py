@@ -3,20 +3,22 @@
 Both read one distance encoding per graph: the diagonal over the N x N
 index grid of the distances (fourth powers wrapped at subnormalization
 alpha, then a fractional power c = 1/4). DistanceEncoding holds it as
-the distance rows and the scalars taken from the largest and the
-smallest nonzero distance, and computes an entry only when a stage reads
-it, so a run holds no N^2-entry array beyond the rows themselves.
+the two scalars taken from the largest and the smallest nonzero
+distance; every other distance a stage reads is already in the edge's
+LocalNeighborhood, so the encoding keeps no rows, and a stage encodes
+only the distances it reads.
 
 Case 1 (tree graphs): neighbor sums are read off as overlaps of the
-dilated encoding, each from the p, q or 1 entries its state touches,
-and the closed-form W1 is reassembled from the recovered sums.
+dilated encoding, each from the p, q or 1 entries its state touches
+(the neighborhood's x_dists, y_dists and dxy), and the closed-form W1 is
+reassembled from the recovered sums.
 
 Case 2 (p = q): the encoding is localized to the p^2 cost block (on a
 diagonal, the permutation and SWAP conjugation is a gather of those p^2
-entries), split into columns D_i, summed into the tensor sum D_P, masked
-by the permutation projector, pseudo-inverted, and fed to a power
-iteration whose dominant eigenvalue yields the minimum permutation sum,
-hence W1. The device dimension is p^p (what --cap bounds and the ledger
+entries, which the neighborhood holds), split into columns D_i, summed
+into the tensor sum D_P, masked by the permutation projector,
+pseudo-inverted, and fed to a power iteration whose dominant eigenvalue
+yields the minimum permutation sum, hence W1. The device dimension is p^p (what --cap bounds and the ledger
 records), but only the p! permutation entries that the projector keeps
 are built, the random start included. The pseudoinverse is diagonal, so
 the power iteration runs on its distinct values, with the start's weight
@@ -132,54 +134,27 @@ class AuditTrail:
 # distance encoding (shared by both cases)
 # --------------------------------------------------------------------------
 
-def _check_indices(n: int, seq: Sequence[int]) -> None:
-    """IndexOutOfRange unless seq holds distinct integers in [0, n)."""
-    if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in seq):
-        raise IndexOutOfRange(f"indices must be integers in [0, {n})")
-    if len(set(seq)) != len(seq):
-        raise IndexOutOfRange("indices must be distinct")
-
-
 @dataclass(frozen=True)
 class DistanceEncoding:
-    """The graph's distance encoding, read an entry at a time.
+    """The graph's distance encoding, by its two scalars.
 
     It stands for the diagonal over the N x N index grid whose entry
     r * N + c is op = (d(r, c)^4)^(1/4) at subnorm 2 * alpha^(1/4): the
     fourth powers wrapped at alpha, then blockenc.be_power's c = 1/4, so
-    the encoded entry is d(r, c) / subnorm. It holds the distance rows
-    `dist` and the two scalars, subnorm and ancilla_dim, that
-    build_distance_encoding takes from the two extreme distances;
-    `entries` computes only the entries a stage reads, by be_power's
-    expression, so no N^2-entry array is ever formed.
+    the encoded entry is d(r, c) / subnorm. It holds only subnorm and
+    ancilla_dim, which build_distance_encoding takes from the two
+    extreme distances; `entries` encodes the distances a stage reads.
     """
 
-    dist: Sequence[Sequence[Weight]] = field(repr=False)
     subnorm: float
     ancilla_dim: int
 
-    @property
-    def dim(self) -> int:
-        """N^2, the dimension of the encoded diagonal."""
-        return len(self.dist) ** 2
-
-    def entries(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """op at the grid entries r * N + c, shape (len(rows), len(cols)).
-
-        rows and cols must each hold distinct integers in [0, N), else
-        IndexOutOfRange. Only the gathered distances become floats.
-        """
-        n = len(self.dist)
-        _check_indices(n, rows)
-        _check_indices(n, cols)
-        d = np.array([[self.dist[r][c] for c in cols] for r in rows], dtype=np.float64)
-        return (d ** 4) ** 0.25    # be_power's |d^4|^(1/4); d^4 >= 0 already
-
-
-def _gathered(be: DistanceEncoding, op: np.ndarray) -> BlockEncoding:
-    """The entries op that a stage read from be, as an encoding with be's
-    subnorm and ancilla size."""
-    return BlockEncoding(op=op, subnorm=be.subnorm, ancilla_dim=be.ancilla_dim)
+    def entries(self, d) -> BlockEncoding:
+        """The distances d (a flat sequence, in either number type) as
+        entries of the encoding, by be_power's expression, at its subnorm
+        and ancilla size. A distance above subnorm is SubnormTooSmall."""
+        op = (np.array(d, dtype=np.float64) ** 4) ** 0.25    # be_power's |d^4|^(1/4)
+        return BlockEncoding(op=op, subnorm=self.subnorm, ancilla_dim=self.ancilla_dim)
 
 
 def _extremes(dg) -> tuple[float, float]:
@@ -215,12 +190,13 @@ def build_distance_encoding(dg, margin: float = 0.05,
     """The distance encoding over the index grid of dg, by its scalars.
 
     dg is a square grid of distances, such as the rows all_pairs_geodesic
-    returns, in either number type; the encoding keeps it and reads it on
-    demand (DistanceEncoding). The fourth powers are wrapped at
-    alpha = ((1 + margin) * max_d)^4 and the fractional power c = 1/4
-    brings the entries back to d/alpha_q, where alpha_q = 2 * alpha^(1/4)
-    is the encoding's subnorm. Zero distances (the grid diagonal) ride
-    along unchanged. Both pipelines query one encoding per graph, so
+    returns, in either number type. It is read a row at a time for its
+    largest and smallest nonzero distance, and not kept: the stages
+    encode the distances their neighborhood holds (DistanceEncoding).
+    The fourth powers are wrapped at alpha = ((1 + margin) * max_d)^4
+    and the fractional power c = 1/4 brings the entries back to
+    d/alpha_q, where alpha_q = 2 * alpha^(1/4) is the encoding's subnorm.
+    Zero distances (the grid diagonal) ride along unchanged. Both pipelines query one encoding per graph, so
     callers build it once and pass it to every edge.
 
     The largest distance and the smallest nonzero one bound every entry,
@@ -254,7 +230,7 @@ def build_distance_encoding(dg, margin: float = 0.05,
                        0.25, kappa_m)
     if audit is not None:
         audit.record("distance_encoding", ends, dim=len(dg) ** 2, kappa=kappa, alpha=alpha)
-    return DistanceEncoding(dist=dg, subnorm=ends.subnorm, ancilla_dim=ends.ancilla_dim)
+    return DistanceEncoding(subnorm=ends.subnorm, ancilla_dim=ends.ancilla_dim)
 
 
 def cost_rows(cost) -> tuple[tuple[Weight, ...], ...]:
@@ -278,24 +254,26 @@ def _grid_side(be: BlockEncoding) -> int:
     return n
 
 
-def tree_overlap_sum(be: DistanceEncoding, center: int, nbrs: Sequence[int],
+def tree_overlap_sum(be: DistanceEncoding, center: int, dists: Sequence[Weight],
                      shots: int | None = None, seed=None,
                      audit: AuditTrail | None = None) -> float:
     """Overlap encoding the neighbor-distance sum around `center`.
 
-    Prepares |i_x> (x) sum_i |nbrs[i]> with unit amplitude 1/sqrt(p),
-    reads its overlap with the dilated encoding from the p grid entries
-    it touches (be.entries, then bk.dilated_overlap on them), and
-    returns it rescaled to the (p+1) convention that the recovery
-    multiplier expects:
-    sum_i d(center, nbrs[i]) / (be.subnorm * (p + 1)). The audit trail
-    records both the unit-state overlap and the rescaled one.
+    dists holds d(center, nbrs[i]) for the p neighbors, as a tree
+    neighborhood's x_dists or y_dists do. Prepares |i_x> (x) sum_i
+    |nbrs[i]> with unit amplitude 1/sqrt(p), reads its overlap with the
+    dilated encoding from the p entries it touches (be.entries of dists,
+    then bk.dilated_overlap on them), and returns it rescaled to the
+    (p+1) convention that the recovery multiplier expects:
+    sum_i dists[i] / (be.subnorm * (p + 1)). `center` names the overlap
+    in the audit note, which records both the unit-state overlap and the
+    rescaled one.
     """
-    p = len(nbrs)
+    p = len(dists)
     if p < 1:
-        raise IndexOutOfRange("need at least one neighbor index")
-    raw = bk.dilated_overlap(_gathered(be, be.entries([center], nbrs)[0]), np.arange(p),
-                             np.full(p, 1.0 / math.sqrt(p)), shots=shots, seed=seed)
+        raise IndexOutOfRange("need at least one neighbor distance")
+    raw = bk.dilated_overlap(be.entries(dists), np.arange(p), np.full(p, 1.0 / math.sqrt(p)),
+                             shots=shots, seed=seed)
     rescaled = raw * p / (p + 1)
     if audit is not None:
         audit.note("tree_overlap", center=center, p=p,
@@ -304,19 +282,14 @@ def tree_overlap_sum(be: DistanceEncoding, center: int, nbrs: Sequence[int],
     return rescaled
 
 
-def _basis_pair_overlap(be: DistanceEncoding, ix: int, iy: int,
-                        shots: int | None = None, seed=None) -> float:
-    return bk.dilated_overlap(_gathered(be, be.entries([ix], [iy])[0]), [0], [1.0],
-                              shots=shots, seed=seed)
-
-
 def w1_tree_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
                  shots: int | None = None, seed: int | None = None,
                  audit: AuditTrail | None = None) -> CurvatureResult:
     """Tree-case pipeline: W1 from three overlap estimations.
 
     `be` is the graph's encoding from build_distance_encoding, and nb a
-    neighborhood on a tree (NotATree otherwise). shots=None gives exact
+    neighborhood on a tree (NotATree otherwise), whose x_dists, y_dists
+    and dxy the three overlaps encode. shots=None gives exact
     overlaps, which reproduce the closed form to float accuracy; an
     integer replaces each overlap with a Hadamard-test emulation seeded
     by `seed` (None: fresh OS entropy), and raises EstimateOutOfRange
@@ -328,9 +301,9 @@ def w1_tree_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
     # exact overlaps draw nothing, so they leave numpy.random unloaded
     seeds = (None,) * 3 if shots is None else np.random.SeedSequence(seed).spawn(3)
     p, q = nb.p, nb.q
-    ov_x = tree_overlap_sum(be, x, nb.X, shots=shots, seed=seeds[0], audit=audit)
-    ov_y = tree_overlap_sum(be, y, nb.Y, shots=shots, seed=seeds[1], audit=audit)
-    ov_xy = _basis_pair_overlap(be, x, y, shots=shots, seed=seeds[2])
+    ov_x = tree_overlap_sum(be, x, nb.x_dists, shots=shots, seed=seeds[0], audit=audit)
+    ov_y = tree_overlap_sum(be, y, nb.y_dists, shots=shots, seed=seeds[1], audit=audit)
+    ov_xy = bk.dilated_overlap(be.entries([nb.dxy]), [0], [1.0], shots=shots, seed=seeds[2])
     x_sum = ov_x * be.subnorm * (p + 1)
     y_sum = ov_y * be.subnorm * (q + 1)
     dxy = ov_xy * be.subnorm
@@ -372,18 +345,20 @@ def tree_qsim_standard_error(nb: LocalNeighborhood, be: DistanceEncoding,
 # case 2: p = q
 # --------------------------------------------------------------------------
 
-def localize_DG(be: DistanceEncoding, X: Sequence[int], Y: Sequence[int]) -> BlockEncoding:
+def localize_DG(be: DistanceEncoding, cost: Sequence[Sequence[Weight]]) -> BlockEncoding:
     """Localize the distance encoding to the p^2 cost block, in (j, i) order.
 
     Relabeling X and Y to 0..p-1, selecting the top-left block and
     SWAPping the registers is, on a diagonal, a gather: entry j*p + i is
-    the grid entry X[i]*n + Y[j], i.e. d(X[i], Y[j]) / alpha_q once
-    encoded. Only those p^2 entries are computed (be.entries); the
-    result is a BlockEncoding with be's subnorm and ancilla size.
+    the grid entry X[i]*n + Y[j], i.e. cost[i][j] / alpha_q once
+    encoded, with cost the neighborhood's block d(X[i], Y[j]). Only those
+    p^2 entries are encoded (be.entries); the result is a BlockEncoding
+    with be's subnorm and ancilla size.
     """
-    if len(X) != len(Y):
-        raise NotSquare(f"localization needs p = q, got p={len(X)}, q={len(Y)}")
-    return _gathered(be, be.entries(X, Y).T.ravel())
+    p, q = len(cost), len(cost[0])
+    if p != q:
+        raise NotSquare(f"localization needs p = q, got p={p}, q={q}")
+    return be.entries([d for column in zip(*cost) for d in column])
 
 
 def extract_Di(dg_local: BlockEncoding, i: int) -> BlockEncoding:
@@ -550,13 +525,15 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
 
     `be` is the encoding from build_distance_encoding over the distances
     that nb's X and Y index: the graph's geodesic rows, or
-    cost_rows(cost) for a bare cost matrix; the pipeline reads only its
-    p^2 entries at X x Y (localize_DG) and its subnorm. The power
+    cost_rows(cost) for a bare cost matrix; the pipeline encodes nb's
+    p^2 cost block (localize_DG) and reads be's subnorm. The power
     iteration starts from p! normals drawn with `seed` (None: fresh OS
     entropy), one per permutation entry; it stops once the Kato-Temple
     bound puts its Rayleigh quotient r within eps * r of the top
-    eigenvalue, given the spectral gap, see min_eigen_power. DimensionCap when p^p > dim_cap, before any stage
-    runs. A zero-cost permutation (X = Y) raises SpectrumOutOfRange.
+    eigenvalue, given the spectral gap, see min_eigen_power. DimensionCap
+    when p^p > dim_cap, before any stage runs. A zero-cost permutation
+    (X = Y) raises SpectrumOutOfRange, and a cost above be.subnorm
+    SubnormTooSmall.
     `audit` gets one record per stage, localize_DG to composite, then the
     EigenEstimate as the min_eigen_power note.
     """
@@ -566,7 +543,7 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
     dim, support = p ** p, math.factorial(p)
     if dim > dim_cap:
         raise DimensionCap(f"p^p = {dim} exceeds cap {dim_cap}")
-    local = localize_DG(be, nb.X, nb.Y)
+    local = localize_DG(be, nb.cost)
     columns = [extract_Di(local, i) for i in range(1, p + 1)]
     dp = build_DP(columns)
     pi = build_Pi(p)

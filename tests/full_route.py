@@ -137,7 +137,7 @@ def w1_pq_qsim_full(nb, be: BlockEncoding, *, seed: int | None = None, eps: floa
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
-    local = localize_DG(be, nb.X, nb.Y)
+    local = localize_DG(be, nb.cost)
     dp = build_dp_full([extract_Di(local, i) for i in range(1, p + 1)],
                        dim_cap=dim_cap)
     composite = bk.be_product(build_pi_full(p, dim_cap=dim_cap), dp)

@@ -13,11 +13,11 @@ import numpy as np
 
 import orcurv.qpipeline
 import orcurv.transport
-from orcurv.blockenc import StateVector, dilated_apply
+from orcurv.blockenc import BlockEncoding, StateVector, dilated_apply
 from orcurv.graph import Graph, LocalNeighborhood
-from orcurv.qpipeline import cost_rows, w1_pq_qsim
+from orcurv.qpipeline import DistanceEncoding, _extremes, cost_rows, w1_pq_qsim
 from orcurv.transport import CurvatureResult
-from reference import GridEncoding, chebyshev_power, grid_distance_encoding, overlap
+from reference import ApproxEncoding, chebyshev_power, overlap
 
 INF = math.inf
 
@@ -117,8 +117,18 @@ def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:
     return overlap(embedded, dilated_apply(b, phi), shots=shots, seed=seed)
 
 
+@dataclasses.dataclass(frozen=True)
+class ScaledDistanceEncoding(DistanceEncoding):
+    """A distance encoding that encodes every distance times `scale`."""
+
+    scale: float
+
+    def entries(self, d) -> BlockEncoding:
+        return super().entries(np.array(d, dtype=np.float64) * self.scale)
+
+
 def corrupt_encoding(monkeypatch, module, scale: float) -> None:
-    """Scale the distances every distance encoding `module` builds reads,
+    """Scale the distances every distance encoding `module` builds encodes,
     keeping its subnorm.
 
     Fault injection for the recovery multiplier: the encoded entries, and
@@ -128,17 +138,40 @@ def corrupt_encoding(monkeypatch, module, scale: float) -> None:
 
     def corrupted(*args, **kwargs):
         be = build(*args, **kwargs)
-        return dataclasses.replace(be, dist=[[d * scale for d in row] for row in be.dist])
+        return ScaledDistanceEncoding(subnorm=be.subnorm, ancilla_dim=be.ancilla_dim,
+                                      scale=scale)
 
     monkeypatch.setattr(module, "build_distance_encoding", corrupted)
 
 
-def chebyshev_distance_encoding(dg, margin: float = 0.05) -> GridEncoding:
+@dataclasses.dataclass(frozen=True)
+class ChebyshevDistanceEncoding(DistanceEncoding):
+    """A distance encoding whose power stage is reference.chebyshev_power:
+    entries(d) wraps the fourth powers of d at alpha and runs the
+    interpolant on [1/kappa_m, 1], so op holds the polynomial image of
+    the distances and err the interpolant's sampled sup error."""
+
+    alpha: float
+    kappa_m: float
+    err: float
+
+    def entries(self, d) -> ApproxEncoding:
+        fourth = BlockEncoding(op=np.array(d, dtype=np.float64) ** 4, subnorm=self.alpha)
+        return chebyshev_power(fourth, 0.25, self.kappa_m)
+
+
+def chebyshev_distance_encoding(dg, margin: float = 0.05) -> ChebyshevDistanceEncoding:
     """The distance encoding with its power stage run as the Chebyshev
-    interpolant at the default degree (reference.chebyshev_power): the
-    same fourth powers at the same alpha and kappa_m, so err > 0 and op
-    holds the polynomial image of the distances."""
-    return grid_distance_encoding(dg, margin, power=chebyshev_power)
+    interpolant at the default degree: the same fourth powers at the same
+    alpha and kappa_m as build_distance_encoding, so err > 0 and the
+    entries are the polynomial image of the distances."""
+    min_d, max_d = _extremes(dg)
+    alpha = ((1.0 + margin) * max_d) ** 4
+    kappa_m = alpha / min_d ** 4
+    ends = chebyshev_power(BlockEncoding(op=np.array([min_d, max_d]) ** 4, subnorm=alpha),
+                           0.25, kappa_m)
+    return ChebyshevDistanceEncoding(subnorm=ends.subnorm, ancilla_dim=ends.ancilla_dim,
+                                     alpha=alpha, kappa_m=kappa_m, err=ends.err)
 
 
 def pq_qsim_from_cost(cost, dxy, **settings) -> CurvatureResult:

@@ -11,7 +11,7 @@ the exact be_power and be_invert (which check the degree rules
 blockenc.default_power_degree and default_inverse_degree), the
 per-vector power loop (oracle of qpipeline.min_eigen_power), the N^2
 form of the distance encoding (oracle of qpipeline.DistanceEncoding and
-its entry reads) and a finiteness check on geodesics.
+the entries its stages encode) and a finiteness check on geodesics.
 
 The program's BlockEncoding holds a real diagonal only and, its stages
 being exact, no error. The Chebyshev stages and the oracle rules here
@@ -53,7 +53,7 @@ from orcurv.errors import (
     ZeroOverlap,
 )
 from orcurv.graph import INF, LocalNeighborhood, Weight
-from orcurv.qpipeline import AuditTrail, EigenEstimate, _check_indices
+from orcurv.qpipeline import AuditTrail, EigenEstimate
 from orcurv.transport import _emit, _lift_block
 
 _VERTEX_ORACLE_CAP = 9
@@ -452,28 +452,14 @@ def min_eigen_power_loop(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     )
 
 
-class GridEncoding(ApproxEncoding):
-    """The distance encoding as the N^2-entry diagonal it stands for.
-
-    op holds every grid entry, entry r * N + c at d(r, c). entries() reads
-    it the way qpipeline.DistanceEncoding.entries computes it, with the
-    same index checks, so every stage runs on either.
-    """
-
-    def entries(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        n = math.isqrt(self.dim)
-        _check_indices(n, rows)
-        _check_indices(n, cols)
-        return self.op[np.array([[r * n + c for c in cols] for r in rows], dtype=np.intp)]
-
-
 def grid_distance_encoding(dg, margin: float = 0.05, audit: AuditTrail | None = None,
-                           power=be_power) -> GridEncoding:
+                           power=be_power) -> ApproxEncoding:
     """The distance encoding over all N^2 grid entries, as the pipeline
-    built it before it read entries one by one: the grid as float64, the
-    checks over every entry, the fourth powers wrapped at
+    built it before it encoded only the distances a stage reads: the grid
+    as float64, the checks over every entry, the fourth powers wrapped at
     alpha = ((1 + margin) * max d)^4 and `power` (be_power, or
-    chebyshev_power) at c = 1/4 on the whole diagonal."""
+    chebyshev_power) at c = 1/4 on the whole diagonal. Entry r * N + c of
+    op is the encoded d(r, c)."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
     try:
@@ -501,4 +487,4 @@ def grid_distance_encoding(dg, margin: float = 0.05, audit: AuditTrail | None = 
     be = power(BlockEncoding(op=dist.ravel() ** 4, subnorm=alpha), 0.25, kappa_m)
     if audit is not None:
         audit.record("distance_encoding", be, kappa=kappa, alpha=alpha)
-    return GridEncoding(op=be.op, subnorm=be.subnorm, err=err_of(be), ancilla_dim=be.ancilla_dim)
+    return ApproxEncoding(op=be.op, subnorm=be.subnorm, err=err_of(be), ancilla_dim=be.ancilla_dim)

@@ -67,8 +67,9 @@ def test_exact_encodings_carry_no_error_field():
     # Chebyshev stages lives on reference.ApproxEncoding
     assert [f.name for f in dataclasses.fields(BlockEncoding)] == \
         ["op", "subnorm", "ancilla_dim"]
+    # the distance encoding keeps its two scalars, and no rows
     assert [f.name for f in dataclasses.fields(DistanceEncoding)] == \
-        ["dist", "subnorm", "ancilla_dim"]
+        ["subnorm", "ancilla_dim"]
 
 
 def test_wrap_diagonal():

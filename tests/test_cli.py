@@ -603,7 +603,7 @@ def test_only_qsim_routes_and_non_trees_compute_all_pairs_distances(tmp_path, ca
     assert len(apsp) == apsp_calls
 
 
-class _FullStdout(io.StringIO):
+class _FullStream(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -617,12 +617,30 @@ class _FullStdout(io.StringIO):
 def test_output_that_stdout_cannot_take_is_config_error(path4, capsys, monkeypatch, argv,
                                                         what):
     where = ["--dir", str(path4.parent)] if argv[0] == "fixture" else ["--input", str(path4)]
-    for stdout, why in ((_FullStdout(), f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
+    for stdout, why in ((_FullStream(), f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
                         (None, "it is closed")):
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main([*argv, *where]) == 2
         assert capsys.readouterr().err.splitlines()[0] == (
             f"orc: config error: cannot write {what} to stdout: {why}")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compute", "--edge", "1,2"], 0),
+    (["compute", "--edge", "1,2", "--seed", "1"], 2),
+    (["compute", "--edge", "0,1"], 3),
+], ids=["ok", "config-error", "solver-error"])
+def test_a_stderr_that_cannot_take_a_line_changes_no_exit_code(path4, capsys, monkeypatch,
+                                                               argv, code):
+    # the `orc:` lines are lost; the exit code is not, and stdout holds the
+    # report alone (print to a None stderr would have written to stdout)
+    argv = [*argv, "--input", str(path4)]
+    want, report, _ = run_cli(argv, capsys)
+    assert want == code and (report != "") == (code == 0)
+    for stderr in (_FullStream(), None):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(argv) == code
+        assert capsys.readouterr().out == report
 
 
 def test_leaf_edge_with_a_refused_option_is_config_error(path4, capsys):

@@ -300,33 +300,39 @@ WEIGHTS = {
 
 
 @st.composite
-def distance_rows(draw):
-    """(rows, reads): the distance rows a qsim run encodes and the
-    (rows, cols) index pairs its stages read from them. Either the APSP
-    rows of a connected graph, with the tree stage's reads and, where
-    p = q, localize_DG's; or a square cost matrix's cost_rows, with
-    localize_DG's."""
-    weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
-    if draw(st.booleans()):
+def encoded_runs(draw):
+    """(rows, nbs): the distance rows a qsim run encodes and the
+    neighborhoods whose distances its stages encode. Either a square cost
+    matrix's cost_rows with its one from_cost neighborhood; or the APSP
+    rows of a tree (`trees`) or of a connected graph that mostly has
+    cycles, with the neighborhood of every edge in both orientations,
+    with or without the endpoints, where it is not empty."""
+    kind = draw(st.sampled_from(["cost", "tree", "graph"]))
+    if kind == "cost":
+        weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
         p = draw(st.integers(1, 6))
         cost = draw(st.lists(st.lists(st.just(0) | weight, min_size=p, max_size=p),
                              min_size=p, max_size=p))
-        return cost_rows(cost), [(range(p), range(p, 2 * p))]
-    n = draw(st.integers(3, 10))
-    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
-    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                              max_size=8)):
-        if u != v:
-            edges.setdefault((min(u, v), max(u, v)), draw(weight))
-    g = Graph(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
+        return cost_rows(cost), [LocalNeighborhood.from_cost(cost, 1)]
+    if kind == "tree":
+        g = draw(trees())
+    else:
+        weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+        n = draw(st.integers(3, 10))
+        edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  min_size=1, max_size=8)):
+            if u != v:
+                edges.setdefault((min(u, v), max(u, v)), draw(weight))
+        g = Graph(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
     dg = all_pairs_geodesic(g)
-    reads = []
-    for x, y in internal_edges(g):
-        nb = neighborhood(g, dg, x, y)
-        reads += [([x], nb.X), ([y], nb.Y), ([x], [y])]
-        if nb.p == nb.q:
-            reads.append((nb.X, nb.Y))
-    return dg, reads
+    include_endpoints = draw(st.booleans())
+    nbs = []
+    for u, v, _ in g.edges:
+        for x, y in ((u, v), (v, u)):
+            with contextlib.suppress(EmptyNeighborhood):
+                nbs.append(neighborhood(g, dg, x, y, include_endpoints))
+    return dg, nbs
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -335,28 +341,50 @@ def _bits(a: np.ndarray) -> bytes:
 
 
 @settings(BOUNDED, max_examples=120)
-@given(distance_rows(), st.sampled_from([0.0, 0.05, 0.3]))
+@given(encoded_runs(), st.sampled_from([0.0, 0.05, 0.3]))
 def test_distance_encoding_reads_equal_the_grid_oracle(case, margin):
-    # every entry a stage reads, and the trace record, bit for bit against
-    # the N^2 grid, its fourth powers and be_power on them
-    rows, reads = case
+    # the scalars, the trace record and every distance of the grid mapped
+    # through entries(d), bit for bit against the N^2 grid, its fourth
+    # powers and be_power on them
+    rows, _ = case
     want_audit = AuditTrail()
     try:
         want = grid_distance_encoding(rows, margin, audit=want_audit)
-    except OrcError as exc:    # an all-zero cost matrix
+    except OrcError as exc:    # an all-zero cost matrix, a one-vertex tree
         with pytest.raises(type(exc)):
             build_distance_encoding(rows, margin)
         return
     audit = AuditTrail()
     be = build_distance_encoding(rows, margin, audit=audit)
     assert audit.records == want_audit.records
-    assert (be.dim, be.subnorm, be.ancilla_dim) == (want.dim, want.subnorm, want.ancilla_dim)
-    n = len(rows)
-    assert _bits(be.entries(range(n), range(n)).ravel()) == _bits(want.op)
-    for r, c in reads:
-        assert _bits(be.entries(r, c)) == _bits(want.entries(r, c))
-        if len(r) == len(c):
-            assert _bits(localize_DG(be, r, c).op) == _bits(localize_DG(want, r, c).op)
+    assert (be.subnorm, be.ancilla_dim) == (want.subnorm, want.ancilla_dim)
+    assert _bits(be.entries([d for row in rows for d in row]).op) == _bits(want.op)
+
+
+@settings(BOUNDED, max_examples=200)
+@given(encoded_runs(), st.sampled_from([0.0, 0.05, 0.3]))
+def test_stage_reads_equal_the_grid_oracle_at_the_vertex_indices(case, margin):
+    # what each stage encodes from its neighborhood (the cost block, and
+    # on a graph the centre distances and d(x, y)) against the N^2 grid at
+    # the vertex indices, bit for bit: the stages lose nothing by reading
+    # the neighborhood instead of the rows
+    rows, nbs = case
+    try:
+        grid = grid_distance_encoding(rows, margin).op.reshape(len(rows), len(rows))
+    except OrcError:    # refused alike, as the test above checks
+        return
+    be = build_distance_encoding(rows, margin)
+    for nb in nbs:
+        X, Y = list(nb.X), list(nb.Y)
+        block = grid[np.ix_(X, Y)]
+        assert _bits(be.entries([d for row in nb.cost for d in row]).op) == _bits(block.ravel())
+        if nb.p == nb.q:
+            assert _bits(localize_DG(be, nb.cost).op) == _bits(block.T.ravel())
+        if nb.x is not None:    # a graph's edge: d(x, y) is a grid entry
+            assert _bits(be.entries([nb.dxy]).op) == _bits(grid[nb.x, [nb.y]])
+        if nb.x_dists is not None:    # a tree's: the tree stage's centre distances
+            assert _bits(be.entries(nb.x_dists).op) == _bits(grid[nb.x, X])
+            assert _bits(be.entries(nb.y_dists).op) == _bits(grid[nb.y, Y])
 
 
 #: tree weights of each number type, with magnitudes 2^40 apart, so that a

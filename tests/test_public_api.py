@@ -133,9 +133,17 @@ def test_qsim_entry_points_take_only_what_they_read():
     ]
     # the p = q stages neither trace nor cap: w1_pq_qsim writes their
     # ledger and checks p^p against dim_cap once
+    # the stages take their distances from the neighborhood, not by index
     assert _parameters(orcurv.localize_DG) == [
-        ("be", "POSITIONAL_OR_KEYWORD", empty), ("X", "POSITIONAL_OR_KEYWORD", empty),
-        ("Y", "POSITIONAL_OR_KEYWORD", empty),
+        ("be", "POSITIONAL_OR_KEYWORD", empty), ("cost", "POSITIONAL_OR_KEYWORD", empty),
+    ]
+    assert _parameters(orcurv.tree_overlap_sum) == [
+        ("be", "POSITIONAL_OR_KEYWORD", empty), ("center", "POSITIONAL_OR_KEYWORD", empty),
+        ("dists", "POSITIONAL_OR_KEYWORD", empty), ("shots", "POSITIONAL_OR_KEYWORD", None),
+        ("seed", "POSITIONAL_OR_KEYWORD", None), ("audit", "POSITIONAL_OR_KEYWORD", None),
+    ]
+    assert _parameters(orcurv.qpipeline.DistanceEncoding.entries) == [
+        ("self", "POSITIONAL_OR_KEYWORD", empty), ("d", "POSITIONAL_OR_KEYWORD", empty),
     ]
     assert _parameters(orcurv.extract_Di) == [
         ("dg_local", "POSITIONAL_OR_KEYWORD", empty), ("i", "POSITIONAL_OR_KEYWORD", empty),

@@ -38,11 +38,13 @@ from orcurv.errors import (
     InfiniteDistance,
     NotATree,
     NotSquare,
+    OrcError,
     SizeMismatch,
     SpectrumOutOfRange,
+    SubnormTooSmall,
     ZeroOverlap,
 )
-from orcurv.graph import LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
+from orcurv.graph import Graph, LocalNeighborhood, all_pairs_geodesic, load_graph, neighborhood
 from orcurv.qpipeline import (
     _permutations,
     AuditTrail,
@@ -77,17 +79,16 @@ APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
 ENCODERS = {"exact": build_distance_encoding, "chebyshev": chebyshev_distance_encoding}
 
 
-def every_entry(be):
-    """All N^2 entries of a distance encoding, in grid order."""
-    n = math.isqrt(be.dim)
-    return be.entries(range(n), range(n)).ravel()
+def every_entry(be, grid):
+    """The entries of a distance encoding at every distance of the grid,
+    in grid order."""
+    return be.entries([d for row in grid for d in row]).op
 
 
 def localized_for(cost, margin=0.0):
     p = len(cost)
     be = build_distance_encoding(cost_rows(cost), margin=margin)
-    local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
-    return local, be
+    return localize_DG(be, cost), be
 
 
 # --- distance encoding -----------------------------------------------------------
@@ -96,7 +97,7 @@ def test_encoding_constant_distances():
     d = np.array([[0.0, 4.0], [4.0, 0.0]])
     audit = AuditTrail()
     be = build_distance_encoding(d, margin=0.0, audit=audit)
-    encoded = every_entry(be) / be.subnorm
+    encoded = every_entry(be, d) / be.subnorm
     nonzero = encoded[encoded != 0]
     assert np.allclose(nonzero, 0.5)
     assert audit.records[0]["kappa"] == 1.0
@@ -106,7 +107,7 @@ def test_encoding_two_values():
     d = np.array([[0.0, 1.0], [1.0, 2.0]])  # synthetic; values {1, 2}
     audit = AuditTrail()
     be = build_distance_encoding(d, margin=0.0, audit=audit)
-    encoded = every_entry(be) / be.subnorm
+    encoded = every_entry(be, d) / be.subnorm
     encoded = np.sort(np.unique(encoded[encoded != 0]))
     assert np.allclose(encoded, [0.25, 0.5])
     assert audit.records[0]["kappa"] == pytest.approx(16.0)
@@ -118,7 +119,7 @@ def test_encoding_appendix_distance_set():
     grid = cost_rows(APPENDIX_COST)
     be = build_distance_encoding(grid, margin=0.0)
     assert be.subnorm == pytest.approx(6.0)
-    op = every_entry(be)
+    op = every_entry(be, grid)
     nz = op[op != 0]
     flat = np.array(grid, dtype=float).ravel()
     assert np.allclose(op, flat, atol=1e-12)  # encoded * alpha_q == d
@@ -128,7 +129,7 @@ def test_encoding_appendix_distance_set():
 def test_encoding_margin_keeps_spectrum_interior():
     d = np.array([[0.0, 3.0], [3.0, 0.0]])
     be = build_distance_encoding(d, margin=0.05)
-    assert float(np.max(every_entry(be))) / be.subnorm < 0.5
+    assert float(np.max(every_entry(be, d))) / be.subnorm < 0.5
 
 
 def test_encoding_chebyshev_mode_reports_error():
@@ -137,8 +138,9 @@ def test_encoding_chebyshev_mode_reports_error():
     approx = chebyshev_distance_encoding(grid, margin=0.0)
     assert approx.err > 0
     assert (approx.subnorm, approx.ancilla_dim) == (exact.subnorm, exact.ancilla_dim)
-    assert float(np.max(np.abs(approx.encoded - every_entry(exact) / exact.subnorm))) \
-        <= approx.err
+    flat = [d for row in grid for d in row]
+    assert float(np.max(np.abs(approx.entries(flat).encoded
+                               - exact.entries(flat).encoded))) <= approx.err
 
 
 def test_encoding_rejects_bad_input():
@@ -153,18 +155,19 @@ def test_encoding_rejects_bad_input():
 
 
 def test_encoding_allocates_no_grid():
-    # N = 400: the encoding keeps the caller's rows and reads them a row at
-    # a time; one float64 copy of the grid alone would take 1.28 MB
+    # N = 400: the encoding reads the caller's rows a row at a time and
+    # keeps none; one float64 copy of the grid alone would take 1.28 MB
     rng = random.Random(43)
     build_distance_encoding(all_pairs_geodesic(random_connected_graph(8, 4, rng)))
     dg = all_pairs_geodesic(random_connected_graph(400, 400, rng))
+    audit = AuditTrail()
     tracemalloc.start()
     try:
-        be = build_distance_encoding(dg)
+        build_distance_encoding(dg, audit=audit)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert be.dim == 400 ** 2
+    assert audit.records[0]["dim"] == 400 ** 2
     assert peak < 64 * 1024
 
 
@@ -187,14 +190,14 @@ def test_encoding_refuses_a_non_finite_margin(margin):
 def test_overlap_sum_p1_formula():
     d = np.array([[0.0, 5.0], [5.0, 0.0]])
     be = build_distance_encoding(d, margin=0.0)
-    ov = tree_overlap_sum(be, 0, [1])
+    ov = tree_overlap_sum(be, 0, d[0, 1:])
     assert ov == pytest.approx(5.0 / (2 * be.subnorm))
 
 
 def test_overlap_sum_p2_formula():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 9.0], [2.0, 9.0, 0.0]])
     be = build_distance_encoding(d, margin=0.0)
-    ov = tree_overlap_sum(be, 0, [1, 2])
+    ov = tree_overlap_sum(be, 0, d[0, 1:])
     assert ov == pytest.approx(3.0 / (3 * be.subnorm))
 
 
@@ -205,41 +208,67 @@ def test_overlap_sum_random_recovery():
     be = build_distance_encoding(dg)
     for x, y in internal_edges(g)[:6]:
         nb = neighborhood(g, dg, x, y)
-        ov = tree_overlap_sum(be, x, nb.X)
+        ov = tree_overlap_sum(be, x, nb.x_dists)
         recovered = ov * be.subnorm * (nb.p + 1)
         assert recovered == pytest.approx(sum(float(v) for v in nb.x_dists), abs=1e-10)
 
 
 def test_tree_overlaps_match_full_vector_route():
-    # the support-only overlaps against the N^2-vector dilation they replace
+    # the support-only overlaps against the N^2-vector dilation they replace,
+    # the d(x, y) overlap read back from the recovery note
     rng = random.Random(23)
     g = random_tree(30, rng, max_weight=3)
     dg = all_pairs_geodesic(g)
     be, grid = build_distance_encoding(dg), grid_distance_encoding(dg)
     n = g.vertex_count
-    pair_overlap = orcurv.qpipeline._basis_pair_overlap
     for x, y in internal_edges(g):
         nb = neighborhood(g, dg, x, y)
         for center, nbrs in ((x, nb.X), (y, nb.Y)):
-            p = len(nbrs)
+            p, dists = len(nbrs), [dg[center][v] for v in nbrs]
             support, amps = [center * n + v for v in nbrs], np.full(p, 1 / math.sqrt(p))
             unit = full_route_overlap(grid, support, amps)
-            assert abs(tree_overlap_sum(be, center, nbrs) - unit * p / (p + 1)) <= 1e-15
+            assert abs(tree_overlap_sum(be, center, dists) - unit * p / (p + 1)) <= 1e-15
             drawn = full_route_overlap(grid, support, amps, shots=1000, seed=center)
-            assert tree_overlap_sum(be, center, nbrs, shots=1000, seed=center) == \
+            assert tree_overlap_sum(be, center, dists, shots=1000, seed=center) == \
                 drawn * p / (p + 1)
-        assert pair_overlap(be, x, y) == full_route_overlap(grid, [x * n + y], [1.0])
-        assert pair_overlap(be, x, y, shots=1000, seed=x) == \
-            full_route_overlap(grid, [x * n + y], [1.0], shots=1000, seed=x)
+        for shots in (None, 10 ** 6):
+            audit = AuditTrail()
+            w1_tree_qsim(nb, be, shots=shots, seed=x, audit=audit)
+            seed = None if shots is None else np.random.SeedSequence(x).spawn(3)[2]
+            dxy = full_route_overlap(grid, [x * n + y], [1.0], shots=shots, seed=seed)
+            assert audit.records[-1]["dxy"] == dxy * be.subnorm
 
 
-def test_overlap_sum_index_validation():
-    d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    be = build_distance_encoding(d)
-    with pytest.raises(IndexOutOfRange):
-        tree_overlap_sum(be, 5, [0])
-    with pytest.raises(IndexOutOfRange):
-        tree_overlap_sum(be, 0, [1, 1])
+def test_stages_read_no_distance_but_the_neighborhood_and_the_two_extremes():
+    # two grids that share max d and the least nonzero d and no other entry:
+    # every stage encodes the distances its neighborhood holds, so both
+    # pipelines and their trace records are bit-equal on the two encodings
+    g = load_graph("0 1\n3 1\n1 2\n2 4\n2 5")    # a tree; (1, 2) has p = q = 2
+    dg = all_pairs_geodesic(g)
+    other = [[2.5] * 6 for _ in range(6)]
+    other[0][0], other[0][1] = 1, 3    # dg's least nonzero d and its max d
+    nb = neighborhood(g, dg, 1, 2)
+    runs = []
+    for rows in (dg, other):
+        audit = AuditTrail()
+        be = build_distance_encoding(rows, audit=audit)
+        results = (w1_tree_qsim(nb, be, audit=audit),
+                   w1_tree_qsim(nb, be, shots=10 ** 4, seed=1, audit=audit),
+                   w1_pq_qsim(nb, be, seed=0, audit=audit))
+        runs.append(repr((be, results, audit.records)))    # floats by their shortest repr
+    assert runs[0] == runs[1]
+
+
+def test_a_distance_above_the_subnorm_is_refused():
+    # an encoding built from other distances than the neighborhood's: the
+    # norm check of BlockEncoding refuses the entry, whichever stage reads it
+    g = Graph(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5)])
+    nb = neighborhood(g, all_pairs_geodesic(g), 1, 2)
+    be = build_distance_encoding([[0, 1], [1, 0]], margin=0.0)
+    for run in (lambda: w1_tree_qsim(nb, be), lambda: w1_pq_qsim(nb, be, seed=0)):
+        with pytest.raises(SubnormTooSmall, match="exceeds subnorm 2.0") as info:
+            run()
+        assert isinstance(info.value, OrcError)
 
 
 def test_tree_qsim_path_fixture():
@@ -318,9 +347,8 @@ def test_localize_ji_order():
 
 def test_localize_preserves_spectrum_multiset():
     cost = [[1, 2, 5], [3, 4, 6], [7, 8, 9]]
-    grid = cost_rows(cost)
-    be = build_distance_encoding(grid, margin=0.0)
-    local = localize_DG(be, [0, 1, 2], [3, 4, 5])
+    be = build_distance_encoding(cost_rows(cost), margin=0.0)
+    local = localize_DG(be, cost)
     got = sorted(np.round(local.op, 9))
     assert got == sorted(float(v) for row in cost for v in row)
 
@@ -329,7 +357,7 @@ def test_localize_size_mismatch():
     grid = cost_rows([[1, 2], [3, 4]])
     be = build_distance_encoding(grid)
     with pytest.raises(NotSquare, match="p=1, q=2"):
-        localize_DG(be, [0], [2, 3])
+        localize_DG(be, [[1, 2]])
 
 
 GRID = [[0, 1], [1, 0]]
@@ -356,15 +384,6 @@ GRID = [[0, 1], [1, 0]]
 def test_library_refusals(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
-
-
-def test_localize_refuses_bad_indices():
-    grid = cost_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    be = build_distance_encoding(grid)
-    for X, Y in [([0, 0], [3, 4]), ([0, 1], [4, 4]), ([0, 6], [3, 4]),
-                 ([-1, 1], [3, 4]), ([0.0, 1.0], [3, 4]), ([[0, 1]], [[3, 4]])]:
-        with pytest.raises(IndexOutOfRange):
-            localize_DG(be, X, Y)
 
 
 def completion_permutation_matrix(n, targets):
@@ -401,7 +420,7 @@ def test_localize_matches_dense_permutation_conjugation():
         dist = rng.integers(1, 20, size=(n, n)).astype(float)
         np.fill_diagonal(dist, 0.0)
         be, grid = build_distance_encoding(dist), grid_distance_encoding(dist)
-        local = localize_DG(be, X, Y)
+        local = localize_DG(be, [[dist[a][b] for b in Y] for a in X])
         assert np.array_equal(local.op, localize_by_conjugation(grid, X, Y))
         assert (local.subnorm, local.ancilla_dim) == (grid.subnorm, grid.ancilla_dim)
 
@@ -410,9 +429,10 @@ def test_localize_reads_only_the_block():
     n = 300
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
     be = build_distance_encoding(dist)
+    X, Y = [3, 70, 150, 299], [0, 5, 200, 298]
     tracemalloc.start()
     try:
-        local = localize_DG(be, [3, 70, 150, 299], [0, 5, 200, 298])
+        local = localize_DG(be, [[dist[a][b] for b in Y] for a in X])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -536,7 +556,7 @@ def test_build_dp_equals_tensor_lcu_composition(power_mode):
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng, max_value=4)
         be = ENCODERS[power_mode](cost_rows(cost))
-        local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
+        local = localize_DG(be, cost)
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         assert (err_of(be) > 0) == (power_mode == "chebyshev")
         dp = build_dp_full(ds)
@@ -835,7 +855,7 @@ def test_build_dp_support_equals_full_route_at_permutations(power_mode):
     for p in range(1, 6):
         cost = random_cost_matrix(p, p, rng)
         be = ENCODERS[power_mode](cost_rows(cost))
-        local = localize_DG(be, list(range(p)), list(range(p, 2 * p)))
+        local = localize_DG(be, cost)
         ds = [extract_Di(local, i) for i in range(1, p + 1)]
         support, full = build_DP(ds), build_dp_full(ds)
         flat = permutation_indices(p)
@@ -1010,14 +1030,14 @@ def test_subnorm_ledger_stage_by_stage():
     grid = cost_rows(cost)
     audit = AuditTrail()
     be = build_distance_encoding(grid, margin=0.0, audit=audit)
-    local = localize_DG(be, [0, 1, 2], [3, 4, 5])
+    local = localize_DG(be, cost)
     ds = [extract_Di(local, i) for i in (1, 2, 3)]
     dp = build_dp_full(ds, audit=audit)
     pi = build_pi_full(3, audit=audit)
     comp = be_product(pi, dp)
 
     # encoded * subnorm reproduces the intended raw operator at each stage
-    assert np.allclose(every_entry(be), np.array(grid, dtype=float).ravel(), atol=1e-12)
+    assert np.allclose(every_entry(be, grid), np.array(grid, dtype=float).ravel(), atol=1e-12)
     assert np.allclose(local.encoded * local.subnorm, c.T.ravel(), atol=1e-12)
     for i, d_i in enumerate(ds):
         assert np.allclose(d_i.encoded * d_i.subnorm, c[:, i], atol=1e-12)
