@@ -33,6 +33,17 @@ starts before numpy is loaded. A process that loaded numpy before
 calling `main` (perfbench's traced child does, through its tracer) and
 a library call of the qsim routes keep the OpenBLAS threads they have.
 
+A run picks once how many processes it may use (`_cpus`): the CPUs of
+its affinity mask. The distance rows spread over them from _ROW_GATE
+relaxations (N * 2E) on; the edge loop of a run whose methods are all
+classical from _EDGE_GATE cells (p * q summed over the edges); the qsim
+edge loops stay in process. `spread.spread` forks the children, or
+stays in process without os.fork or with a second OS thread (a process
+that loaded a threaded BLAS first). It keeps the serial order, so the
+report is the serial one, byte for byte, and the first failing edge in
+edge order still decides exit 3 and its message. `spread`, and with it
+`pickle`, is imported only by a run that passes a gate.
+
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
 """
@@ -97,6 +108,15 @@ _QSIM_OPTIONS = {
     "--cap": (int, lambda v: v >= 1, "an integer >= 1",
               ("qsim_pq",), "has no dimension cap", DEFAULT_DIM_CAP),
 }
+
+#: the least work a run spreads over processes: for the rows, N * 2E
+#: relaxations; for a classical edge loop, the cells p * q summed over
+#: the edges. Below about 65 000 relaxations or 4 000 cells, two
+#: processes were slower than one on a 2-vCPU machine (median of 21):
+#: the fork, the child's start and pickling the results back cost more
+#: than the share they take off the parent.
+_ROW_GATE = 100_000
+_EDGE_GATE = 8_000
 
 #: options a report echoes under meta.config, each where its subcommand has it
 _ECHOED = ("command", "input", "format", "method", "qsim_method", "numeric", "all_edges",
@@ -350,12 +370,19 @@ def _comparison(args: argparse.Namespace, nb: LocalNeighborhood, be: DistanceEnc
     }
 
 
-def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list,
-                                                DistanceEncoding | None, AuditTrail | None]:
+def _cpus() -> int:
+    """The processes a run may spread its work over: the CPUs it may run
+    on. `spread.spread` itself stays in process where it may not fork."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _prepare(args: argparse.Namespace, cpus: int) -> tuple[
+        tuple[str, ...], list, DistanceEncoding | None, AuditTrail | None]:
     """Read, settle, then compute the methods, each edge with its neighborhood,
     and a qsim route's one distance encoding, with the audit trail that
     --trace writes; the graph and its rows are freed on return. A
-    classical run on a tree computes no distance rows."""
+    classical run on a tree computes no distance rows; rows of at least
+    _ROW_GATE relaxations are spread over `cpus` processes."""
     source = _read_input(args)
     g = source if isinstance(source, Graph) else None
     edges = _select_edges(args, g)
@@ -366,7 +393,9 @@ def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list,
     else:
         # a tree's neighborhoods read its edge weights; a qsim route's
         # encoding reads max d over all pairs, so it computes the rows
-        dg = None if is_tree and methods[-1] not in QSIM_METHODS else all_pairs_geodesic(g)
+        workers = cpus if g.vertex_count * 2 * g.edge_count >= _ROW_GATE else 1
+        dg = (None if is_tree and methods[-1] not in QSIM_METHODS
+              else all_pairs_geodesic(g, workers=workers))
         pairs = []
         for u, v in edges:
             try:
@@ -392,10 +421,14 @@ def _prepare(args: argparse.Namespace) -> tuple[tuple[str, ...], list,
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     """compute runs one method per edge; compare runs the classical partner
-    and the qsim route per edge and adds the comparison fields."""
-    methods, pairs, be, audit = _prepare(args)
-    records = []
-    for edge, nb in pairs:
+    and the qsim route per edge and adds the comparison fields. A run
+    whose methods are all classical spreads an edge loop of at least
+    _EDGE_GATE cells over the CPUs; qsim routes keep theirs in process."""
+    cpus = _cpus()
+    methods, pairs, be, audit = _prepare(args, cpus)
+
+    def edge_record(i: int) -> dict:
+        edge, nb = pairs[i]
         try:
             results = [_run_method(args, m, nb, be, audit) for m in methods]
         except OrcError as exc:
@@ -403,7 +436,13 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         rec = _record(nb, results[-1])
         if args.command == "compare":
             rec.update(_comparison(args, nb, be, *results))
-        records.append(rec)
+        return rec
+
+    if methods[-1] in QSIM_METHODS or sum(nb.p * nb.q for _, nb in pairs) < _EDGE_GATE:
+        records = [edge_record(i) for i in range(len(pairs))]
+    else:
+        from .spread import spread
+        records = spread(edge_record, len(pairs), cpus)
     report = {
         "meta": {"version": __version__, "config": _config_echo(args)},
         "records": records,

@@ -20,6 +20,12 @@ distance one reads lies on a path of at most three edges, and
 `neighborhood` sums it from the edge weights. The module needs only
 the standard library, and neither `dataclasses` nor `inspect`: its
 record types, and `transport`'s, share the private base `_Frozen`.
+
+`all_pairs_geodesic(g, workers=k)` computes the rows in k processes on
+a system with os.fork: `spread.spread` forks k - 1 children, each runs
+the same row code over a contiguous share of the sources and pickles
+its rows back through a pipe, so the rows are the serial ones in value,
+type and bits.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import heapq
 import json
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -299,10 +305,20 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _parse_float(text: str, what: str = "number") -> float:
+    """float(text), refusing with InvalidWeight, as `what`, a text whose
+    nonzero digits read as a float zero: 1e-400 underflows to 0.0, a value
+    the text does not hold. ValueError for text that is not a number."""
+    v = float(text)
+    if v == 0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        raise InvalidWeight(f"{what} {text!r} underflows to {v!r} in float mode")
+    return v
+
+
 def _parse_weight_token(tok: str, numeric: str) -> Weight:
     try:
         if numeric == "float":
-            w = float(tok)
+            w = _parse_float(tok, "weight")
         else:
             try:
                 w = int(tok)
@@ -383,9 +399,8 @@ def load_cost_matrix(text: str, numeric: str = "rational") -> LocalNeighborhood:
 
 def _decode(text: str, numeric: str):
     """JSON text with its decimals read in the numeric mode."""
-    parse_float = float if numeric == "float" else parse_fraction
     try:
-        return json.loads(text, parse_float=parse_float)
+        return json.loads(text, parse_float=_parse_float if numeric == "float" else parse_fraction)
     except ValueError as exc:    # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
 
@@ -428,29 +443,25 @@ def _dijkstra_row(adj, n: int, source: int, zero: Weight) -> tuple[Weight, ...]:
     return tuple(dist)
 
 
-def _tree_rows(steps, n: int, zero: Weight) -> tuple[tuple[Weight, ...], ...]:
-    """The rows of a tree, from its traversal `Graph._tree`.
+def _tree_row(steps, up: dict, n: int, s: int, zero: Weight) -> tuple[Weight, ...]:
+    """The row of source s of a tree, from its traversal `Graph._tree`
+    and `up`, each vertex's (parent, weight) in it.
 
-    Each source's row sets the source's ancestors, walking up to vertex
-    0, then every other vertex in traversal order, each as its parent's
-    distance plus the weight between them: the sum Dijkstra forms on the
-    one path.
+    The row sets the source's ancestors, walking up to vertex 0, then
+    every other vertex in traversal order, each as its parent's distance
+    plus the weight between them: the sum Dijkstra forms on the one path.
     """
-    up = {v: (p, w) for v, p, w in steps}
-    rows = []
-    for s in range(n):
-        dist = [None] * n
-        dist[s] = zero
-        u = s
-        while u:
-            p, w = up[u]
-            dist[p] = dist[u] + w
-            u = p
-        for v, p, w in steps:
-            if dist[v] is None:
-                dist[v] = dist[p] + w
-        rows.append(tuple(dist))
-    return tuple(rows)
+    dist = [None] * n
+    dist[s] = zero
+    u = s
+    while u:
+        p, w = up[u]
+        dist[p] = dist[u] + w
+        u = p
+    for v, p, w in steps:
+        if dist[v] is None:
+            dist[v] = dist[p] + w
+    return tuple(dist)
 
 
 def all_pairs_geodesic(g: Graph, workers: int | None = None) -> tuple[tuple[Weight, ...], ...]:
@@ -463,15 +474,26 @@ def all_pairs_geodesic(g: Graph, workers: int | None = None) -> tuple[tuple[Weig
     its paths from the source outward, with no heap; every other graph
     runs per-source Dijkstra. Both add the weights of a path in the same
     order, so a float row is the fixed point of float relaxation from its
-    source either way. workers may only be None or 1: the rows are
-    computed on one thread.
+    source either way. workers (None is 1) is the number of processes
+    that compute the rows: with more than one, `spread.spread` forks
+    children for contiguous shares of the sources where the process may
+    fork, and the rows are the serial ones in value, type and bits.
+    Anything but None or an int >= 1 is a ValueError.
     """
-    if workers not in (None, 1):
-        raise ValueError(f"workers must be None or 1, got {workers!r}")
-    n = g.vertex_count
+    if workers is None:
+        workers = 1
+    if not _is_index(workers) or workers < 1:
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
+    n, zero = g.vertex_count, g._zero
     if g._tree is not None:
-        return _tree_rows(g._tree, n, g._zero)
-    return tuple(_dijkstra_row(g._adjacency, n, s, g._zero) for s in range(n))
+        up = {v: (p, w) for v, p, w in g._tree}
+        row = partial(_tree_row, g._tree, up, n, zero=zero)
+    else:
+        row = partial(_dijkstra_row, g._adjacency, n, zero=zero)
+    if workers == 1:
+        return tuple(map(row, range(n)))
+    from .spread import spread
+    return tuple(spread(row, n, workers))
 
 
 def neighborhood(g: Graph, dg: Sequence[Sequence[Weight]] | None, x: int, y: int,

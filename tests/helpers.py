@@ -5,8 +5,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +23,18 @@ from orcurv.qpipeline import DistanceEncoding, _extremes, cost_rows, w1_pq_qsim
 from orcurv.transport import CurvatureResult
 from reference import ApproxEncoding, chebyshev_power, overlap
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 INF = math.inf
+
+
+def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """`python -c code argv...` in a fresh interpreter that imports
+    `orcurv` from this checkout's src/; its output is captured as text."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, check=False)
 
 
 def random_tree(n: int, rng: random.Random, max_weight: int = 1) -> Graph:

@@ -1093,6 +1093,30 @@ def test_huge_decimal_exponent_is_config_error(tmp_path, capsys, fmt, text):
     assert "exponent" in err
 
 
+@pytest.mark.parametrize("fmt, text, token", [
+    ("edge_list", "0 1 1e-400\n1 2\n", "weight '1e-400'"),
+    ("json", '{"n": 3, "edges": [[0, 1, -2.5e-999], [1, 2]]}', "number '-2.5e-999'"),
+    ("cost_matrix", '{"cost": [[1, 2]], "dxy": 1e-400}', "number '1e-400'"),
+], ids=["edge_list", "json", "cost_matrix-dxy"])
+def test_float_underflow_names_its_token(tmp_path, capsys, fmt, text, token):
+    # float("1e-400") is 0.0, a value the file does not hold
+    path = tmp_path / "tiny.in"
+    path.write_text(text)
+    edge = [] if fmt == "cost_matrix" else ["--edge", "0,1"]
+    code, out, err = run_cli(["compute", "--input", str(path), "--format", fmt,
+                              "--numeric", "float", *edge], capsys)
+    assert (code, out) == (2, "")
+    assert f"cannot parse input: {token} underflows to " in err
+    assert "must be > 0" not in err
+
+
+def test_subnormal_float_weight_is_kept_and_zero_refused_as_zero():
+    g = orcurv.graph.load_graph("0 1 1e-320\n1 2 3\n", numeric="float")
+    assert g.edges[0][2] == 1e-320 > 0
+    with pytest.raises(InvalidWeight, match="weight 0.0 must be > 0"):
+        orcurv.graph.load_graph("0 1 0e5\n", numeric="float")
+
+
 @pytest.mark.parametrize("out_format", ["json", "csv"])
 def test_result_beyond_int_digit_limit_is_written(tmp_path, capsys, out_format):
     # d(0, 3) = 10^4300 + 3 has 4301 digits, one past Python's default

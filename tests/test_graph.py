@@ -10,7 +10,7 @@ from functools import cached_property
 import pytest
 
 import orcurv.graph
-from helpers import bellman_ford_row, floyd_warshall_rows, random_connected_graph
+from helpers import bellman_ford_row, floyd_warshall_rows, fresh_python, random_connected_graph
 from orcurv.cli import main
 from orcurv.errors import (
     DuplicateEdge,
@@ -329,15 +329,67 @@ def test_decimal_exponent_limit_is_inclusive():
         load_graph(f"0 1 1e{limit + 1}\n")
 
 
+#: argv[1] is a JSON list of (numeric, edge-list text). For each graph a
+#: fresh interpreter prints its rows, computed by four processes, each
+#: number with its type and each float by its bits; then how many
+#: children it forked and whether any is left unreaped.
+_ROWS_BY_FOUR = """
+import json, os, sys
+from orcurv.graph import all_pairs_geodesic, load_graph
+
+forks = []
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+os.fork = fork
+
+def typed(v):
+    if isinstance(v, tuple):
+        return tuple(typed(x) for x in v)
+    return type(v).__name__, v.hex() if isinstance(v, float) else v
+
+for numeric, text in json.loads(sys.argv[1]):
+    print(repr(typed(all_pairs_geodesic(load_graph(text, numeric=numeric), workers=4))))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(len(forks), left)
+"""
+
+
+def _typed(v):
+    if isinstance(v, tuple):
+        return tuple(_typed(x) for x in v)
+    return type(v).__name__, v.hex() if isinstance(v, float) else v
+
+
 def test_parallel_identical():
-    # the thread pool is gone: workers=1 is the default route, and more
-    # workers are refused rather than silently run on one thread
+    # workers=4 forks three children, and the rows are the serial ones in
+    # value, type and bits: rational, float, disconnected (+inf) and a tree
     rng = random.Random(5)
-    for rational in (True, False):
-        g = random_connected_graph(30, extra=25, rng=rng, rational=rational)
-        assert all_pairs_geodesic(g, workers=1) == all_pairs_geodesic(g)
+    exact, floats = (random_connected_graph(30, extra=25, rng=rng, rational=rational)
+                     for rational in (True, False))
+    left, right = (random_connected_graph(n, extra=n, rng=rng) for n in (18, 12))
+    apart = Graph(30, [*left.edges, *((u + 18, v + 18, w) for u, v, w in right.edges)])
+    tree = Graph(30, [(rng.randrange(v), v, rng.choice((1, Fraction(3, 4), 2)))
+                      for v in range(1, 30)])
+    graphs = [exact, floats, apart, tree]
+    assert INF in all_pairs_geodesic(apart)[0] and verify_tree(tree)
+    texts = [("rational" if g.rational else "float",
+              "".join(f"{u} {v} {w!r}\n" if isinstance(w, float) else f"{u} {v} {w}\n"
+                      for u, v, w in g.edges)) for g in graphs]
+    done = fresh_python(_ROWS_BY_FOUR, json.dumps(texts))
+    assert done.returncode == 0, done.stderr
+    *rows, tail = done.stdout.splitlines()
+    assert rows == [repr(_typed(all_pairs_geodesic(g, workers=1))) for g in graphs]
+    assert tail == f"{3 * len(graphs)} False"
+    for workers in (0, -1, 1.5, True):
         with pytest.raises(ValueError, match="workers"):
-            all_pairs_geodesic(g, workers=4)
+            all_pairs_geodesic(exact, workers=workers)
 
 
 # --- neighborhoods ------------------------------------------------------------

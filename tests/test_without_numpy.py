@@ -8,17 +8,13 @@ what they give in this process, byte for byte.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import fresh_python as _python
 from orcurv.cli import main
 from orcurv.graph import all_pairs_geodesic, load_graph, verify_tree
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: the modules a classical run must not load
 HIDDEN = ("numpy", "dataclasses", "inspect")
@@ -87,13 +83,6 @@ def inputs(tmp_path, monkeypatch):
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     return tmp_path
-
-
-def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=env, check=False)
 
 
 def _orc(hide: str, argv: list[str]) -> tuple[int, str | None, str]:
