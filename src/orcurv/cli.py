@@ -33,16 +33,20 @@ starts before numpy is loaded. A process that loaded numpy before
 calling `main` (perfbench's traced child does, through its tracer) and
 a library call of the qsim routes keep the OpenBLAS threads they have.
 
-A run picks once how many processes it may use (`_cpus`): the CPUs of
-its affinity mask. The distance rows spread over them from _ROW_GATE
-relaxations (N * 2E) on; the edge loop of a run whose methods are all
-classical from _EDGE_GATE cells (p * q summed over the edges); the qsim
-edge loops stay in process. `spread.spread` forks the children, or
-stays in process without os.fork or with a second OS thread (a process
-that loaded a threaded BLAS first). It keeps the serial order, so the
-report is the serial one, byte for byte, and the first failing edge in
-edge order still decides exit 3 and its message. `spread`, and with it
-`pickle`, is imported only by a run that passes a gate.
+A run reads once how many CPUs it may use (`_cpus`): those of its
+affinity mask. Each stage then takes as many processes as give each one
+at least a gate's worth of work, and no more than those CPUs
+(`_workers`): the Dijkstra rows _ROW_GATE relaxations (N * 2E) each; the
+edge loop of a run whose methods are all classical _EDGE_GATE cells
+(p * q summed over the edges) each. A tree's rows and the `tree`
+method's edge loop stay in process, their work per entry about what
+pickling it back would cost, and so do the qsim edge loops.
+`spread.spread` forks the children, or stays in process without os.fork
+or with a second OS thread (a process that loaded a threaded BLAS
+first). It keeps the serial order, so the report is the serial one, byte
+for byte, and the first failing edge in edge order still decides exit 3
+and its message. `spread`, and with it `pickle`, is imported only by a
+run that passes a gate.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
@@ -109,14 +113,16 @@ _QSIM_OPTIONS = {
               ("qsim_pq",), "has no dimension cap", DEFAULT_DIM_CAP),
 }
 
-#: the least work a run spreads over processes: for the rows, N * 2E
-#: relaxations; for a classical edge loop, the cells p * q summed over
-#: the edges. Below about 65 000 relaxations or 4 000 cells, two
-#: processes were slower than one on a 2-vCPU machine (median of 21):
-#: the fork, the child's start and pickling the results back cost more
-#: than the share they take off the parent.
-_ROW_GATE = 100_000
-_EDGE_GATE = 8_000
+#: the least work each process of a spread stage gets: for the Dijkstra
+#: rows, N * 2E relaxations; for a classical edge loop, the cells p * q
+#: summed over the edges. Below about 65 000 relaxations or 4 000 cells in
+#: all, two processes were slower than one on a 2-vCPU machine (median
+#: of 21): the fork, the child's start and pickling the results back cost
+#: more than the share they take off the parent. So two processes start
+#: from 100 000 relaxations or 8 000 cells; more than two were not
+#: measured, and each added process brings its own gate's worth of work.
+_ROW_GATE = 50_000
+_EDGE_GATE = 4_000
 
 #: options a report echoes under meta.config, each where its subcommand has it
 _ECHOED = ("command", "input", "format", "method", "qsim_method", "numeric", "all_edges",
@@ -376,13 +382,20 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _workers(cpus: int, work: int, gate: int) -> int:
+    """The processes a stage of `work` units spreads over: at most `cpus`,
+    and few enough that each gets at least `gate` units; 1 below 2 gates."""
+    return max(1, min(cpus, work // gate))
+
+
 def _prepare(args: argparse.Namespace, cpus: int) -> tuple[
         tuple[str, ...], list, DistanceEncoding | None, AuditTrail | None]:
     """Read, settle, then compute the methods, each edge with its neighborhood,
     and a qsim route's one distance encoding, with the audit trail that
     --trace writes; the graph and its rows are freed on return. A
-    classical run on a tree computes no distance rows; rows of at least
-    _ROW_GATE relaxations are spread over `cpus` processes."""
+    classical run on a tree computes no distance rows, and a qsim run
+    computes a tree's in process; Dijkstra rows spread over up to `cpus`
+    processes, _ROW_GATE relaxations each (`_workers`)."""
     source = _read_input(args)
     g = source if isinstance(source, Graph) else None
     edges = _select_edges(args, g)
@@ -392,8 +405,10 @@ def _prepare(args: argparse.Namespace, cpus: int) -> tuple[
         pairs = [(None, source)]    # a cost-matrix fixture has no edge
     else:
         # a tree's neighborhoods read its edge weights; a qsim route's
-        # encoding reads max d over all pairs, so it computes the rows
-        workers = cpus if g.vertex_count * 2 * g.edge_count >= _ROW_GATE else 1
+        # encoding reads max d over all pairs, so it computes the rows. The
+        # gate was measured on Dijkstra rows: a tree's, one addition per
+        # entry, cost about what pickling them back would
+        workers = 1 if is_tree else _workers(cpus, g.vertex_count * 2 * g.edge_count, _ROW_GATE)
         dg = (None if is_tree and methods[-1] not in QSIM_METHODS
               else all_pairs_geodesic(g, workers=workers))
         pairs = []
@@ -422,8 +437,9 @@ def _prepare(args: argparse.Namespace, cpus: int) -> tuple[
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     """compute runs one method per edge; compare runs the classical partner
     and the qsim route per edge and adds the comparison fields. A run
-    whose methods are all classical spreads an edge loop of at least
-    _EDGE_GATE cells over the CPUs; qsim routes keep theirs in process."""
+    whose methods are all classical spreads its edge loop over up to
+    `cpus` processes, _EDGE_GATE cells each (`_workers`); the `tree` method
+    and the qsim routes keep theirs in process."""
     cpus = _cpus()
     methods, pairs, be, audit = _prepare(args, cpus)
 
@@ -438,11 +454,15 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             rec.update(_comparison(args, nb, be, *results))
         return rec
 
-    if methods[-1] in QSIM_METHODS or sum(nb.p * nb.q for _, nb in pairs) < _EDGE_GATE:
+    # the gate was measured on LP edges; a `tree` edge takes O(p + q), and
+    # two processes were slower than one from 10 000 to 476 000 cells
+    workers = 1 if methods[-1] in QSIM_METHODS or methods[-1] == "tree" else _workers(
+        cpus, sum(nb.p * nb.q for _, nb in pairs), _EDGE_GATE)
+    if workers == 1:
         records = [edge_record(i) for i in range(len(pairs))]
     else:
         from .spread import spread
-        records = spread(edge_record, len(pairs), cpus)
+        records = spread(edge_record, len(pairs), workers)
     report = {
         "meta": {"version": __version__, "config": _config_echo(args)},
         "records": records,

@@ -2,7 +2,7 @@
 
 `orc` forks only where its work passes the size gates in `cli`, which
 no input of the tests reaches. So each check runs a fresh interpreter
-that lowers the gates to 0, sets the CPU count `cli` picks, spies on
+that lowers the gates to 1, sets the CPU count `cli` picks, spies on
 `os.fork` and runs a list of `orc` command lines. Their exit codes,
 stdout and stderr must be those of the serial run in this process, byte
 for byte, and no child may be left unreaped after any of them.
@@ -16,9 +16,11 @@ from unittest import mock
 
 import pytest
 
+import orcurv.cli
 import orcurv.spread
 from helpers import fresh_python
 from orcurv.cli import main
+from orcurv.graph import all_pairs_geodesic, load_graph, neighborhood
 
 #: the modules a classical run must not load, spread or not
 HIDDEN = ("numpy", "dataclasses", "inspect")
@@ -34,7 +36,7 @@ import contextlib, errno, io, json, os, sys
 import orcurv.cli
 
 config = json.loads(sys.argv[1])
-orcurv.cli._ROW_GATE = orcurv.cli._EDGE_GATE = 0
+orcurv.cli._ROW_GATE = orcurv.cli._EDGE_GATE = 1
 orcurv.cli._cpus = lambda: config["cpus"]
 forks = []
 real_fork = os.fork
@@ -218,6 +220,49 @@ def test_parent_computes_what_no_child_sent(inputs, capsys, fork):
 def test_one_cpu_forks_nothing(inputs, capsys):
     runs = _spread_runs()[:2]
     _check(_spy(runs, cpus=1), runs, capsys, forked=False)
+
+
+def test_workers_give_each_process_a_gate():
+    assert [orcurv.cli._workers(64, work, 10) for work in (0, 19, 20, 39, 40, 10**6)] \
+        == [1, 1, 2, 3, 4, 64]
+    assert orcurv.cli._workers(1, 10**6, 10) == 1
+
+
+def test_stages_take_processes_by_their_work(inputs, monkeypatch, capsys):
+    # 64 CPUs, rows worth three gates and edges worth two: three and two
+    # processes; a tree's rows and the tree method's edges stay in process
+    # past any gate
+    stages = []
+
+    def geodesic(g, workers=None):
+        stages.append(("rows", workers))
+        return all_pairs_geodesic(g)
+
+    def serial(work, n, workers):
+        stages.append(("edges", workers))
+        return [work(i) for i in range(n)]
+
+    g = load_graph(GRAPHS["mixed.txt"])
+    dg = all_pairs_geodesic(g)
+    cells = sum(nb.p * nb.q for nb in (neighborhood(g, dg, u, v, include_endpoints=True)
+                                       for u, v, _ in g.edges))
+    monkeypatch.setattr(orcurv.cli, "all_pairs_geodesic", geodesic)
+    monkeypatch.setattr(orcurv.spread, "spread", serial)
+    monkeypatch.setattr(orcurv.cli, "_cpus", lambda: 64)
+    monkeypatch.setattr(orcurv.cli, "_ROW_GATE", g.vertex_count * 2 * g.edge_count // 3)
+    monkeypatch.setattr(orcurv.cli, "_EDGE_GATE", cells // 2)
+    assert main(["compute", "--input", "mixed.txt", "--all-edges", "--include-endpoints"]) == 0
+    assert stages == [("rows", 3), ("edges", 2)]
+    stages.clear()
+    Path("tree.txt").write_text("".join(f"{v // 2} {v} {v % 3 + 1}\n" for v in range(1, 40)))
+    monkeypatch.setattr(orcurv.cli, "_ROW_GATE", 1)
+    monkeypatch.setattr(orcurv.cli, "_EDGE_GATE", 1)
+    assert main(["compare", "--input", "tree.txt", "--all-edges"]) == 0
+    assert main(["compute", "--input", "tree.txt", "--method", "tree", "--all-edges"]) == 0
+    assert stages == [("rows", 1)]
+    assert main(["compute", "--input", "tree.txt", "--method", "lp", "--all-edges"]) == 0
+    assert stages == [("rows", 1), ("edges", 64)]
+    capsys.readouterr()
 
 
 def test_run_below_the_gates_imports_no_spread_module(inputs):
