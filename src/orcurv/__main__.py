@@ -1,5 +1,7 @@
-import sys
+"""`python -m orcurv`: the `orc` process, `cli.entry`. Importing this
+module runs nothing."""
 
-from .cli import main
+from .cli import entry
 
-sys.exit(main())
+if __name__ == "__main__":
+    entry()

@@ -50,6 +50,15 @@ run that passes a gate.
 
 Reports are byte-identical for identical configuration (including the
 seed): timing goes to stderr, never into the report.
+
+`entry` is the `orc` process: `python -m orcurv` and the `orc` script
+both call it. It runs `main` with the cyclic garbage collector off, then
+freezes the heap before `sys.exit`, so the interpreter's full
+collections at exit have nothing to scan. Reference counting still frees
+what a run drops, and a run makes no reference cycle per edge; its one
+cyclic garbage is the argparse parser. `main` itself leaves its caller's
+collector as it found it: tests, library callers and perfbench's
+children call it in process.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -65,7 +75,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .errors import ConfigError, OrcError
@@ -600,5 +610,16 @@ def main(argv=None) -> int:
         _tell(f"finished in {time.monotonic() - start:.3f}s")
 
 
+def entry() -> NoReturn:
+    """`main` as a process of its own. The collector stays off for the
+    run, and the freeze leaves the exit-time collections an empty heap;
+    `sys.exit` keeps the normal exit: atexit handlers, stream flushes and
+    the exit code, all of which os._exit would skip."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -2,11 +2,15 @@
 
 import csv
 import errno
+import gc
+import importlib
 import inspect
 import io
 import json
 import os
 import random
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +21,7 @@ import orcurv.blockenc
 import orcurv.cli
 import orcurv.graph
 import orcurv.qpipeline
-from helpers import corrupt_encoding
+from helpers import corrupt_encoding, fresh_python
 from orcurv.cli import main
 from orcurv.errors import InvalidWeight, ParseError
 from orcurv.graph import load_cost_matrix
@@ -1164,17 +1168,182 @@ def test_tree_compare_never_dilates_a_full_vector(tmp_path, capsys, monkeypatch,
     assert len(report["records"]) == 4
 
 
-def test_module_entry_point(tmp_path):
-    fixture = tmp_path / "p.txt"
-    fixture.write_text("0 1\n1 2\n2 3\n")
+def _entry_runs(tmp_path) -> list[tuple[int, list[str]]]:
+    """`orc` runs and the exit code each must give: a report, a compare out
+    of tolerance, a usage error, a configuration error, and a leaf edge's
+    empty neighborhood."""
+    path4 = tmp_path / "p.txt"
+    path4.write_text("0 1\n1 2\n2 3\n")
+    gap = tmp_path / "gap.json"    # p = 6, its start 720 entries: no threaded BLAS rounding
+    gap.write_text(json.dumps({"cost": [
+        [3, 7, 12, 7, 6, 7], [14, 9, 14, 15, 13, 10], [12, 8, 11, 11, 10, 10],
+        [11, 8, 14, 11, 14, 11], [10, 6, 11, 13, 8, 10], [16, 11, 11, 16, 13, 15]],
+        "dxy": 1}))
+    return [
+        (0, ["compute", "--input", str(path4), "--method", "tree", "--edge", "1,2"]),
+        (1, ["compare", "--input", str(gap), "--format", "cost_matrix", "--eps", "1e-3",
+             "--tol", "1e-6"]),
+        (2, []),
+        (2, ["compute", "--input", str(tmp_path / "missing.txt"), "--all-edges"]),
+        (3, ["compute", "--input", str(path4), "--edge", "0,1"]),
+    ]
+
+
+def _masked(text: str) -> str:
+    return re.sub(r"finished in \d+\.\d+s", "finished in ?s", text)
+
+
+#: runs `orcurv/__main__.py` with `cli.main` wrapped to note whether the
+#: collector is on, and writes that and the freeze count to stderr at exit
+_ENTRY_GC = """
+import atexit, gc, json, runpy, sys
+import orcurv.cli
+
+enabled = []
+real_main = orcurv.cli.main
+
+def main(argv=None):
+    enabled.append(gc.isenabled())
+    return real_main(argv)
+
+orcurv.cli.main = main
+atexit.register(lambda: sys.stderr.write(json.dumps(
+    {"enabled": enabled, "frozen": gc.get_freeze_count()}) + "\\n"))
+runpy.run_module("orcurv", run_name="__main__")
+"""
+
+
+def test_module_entry_point(tmp_path, capsys, monkeypatch):
     # the child imports orcurv from where this process did, also when only
     # pytest's `pythonpath` setting put src/ on sys.path
     src = str(Path(orcurv.cli.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "orcurv", "compute", "--input", str(fixture),
-         "--method", "tree", "--edge", "1,2"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["records"][0]["curvature"] == -2
+
+    def orc(argv, **kwargs):
+        return subprocess.run([sys.executable, "-m", "orcurv", *argv], text=True, env=env,
+                              check=False, **kwargs)
+
+    # the process gives what `main` gives in process, timing aside
+    runs = _entry_runs(tmp_path)
+    for code, argv in runs:
+        proc = orc(argv, capture_output=True)
+        expected = run_cli(argv, capsys)
+        assert expected[0] == code
+        assert (proc.returncode, proc.stdout, _masked(proc.stderr)) == \
+            (code, expected[1], _masked(expected[2]))
+    argv = runs[0][1]
+    if Path("/dev/full").exists():
+        with open("/dev/full", "w") as full:
+            proc = orc(argv, stdout=full, stderr=subprocess.PIPE)
+        assert (proc.returncode, _masked(proc.stderr)) == (2, (
+            "orc: config error: cannot write the report to stdout: "
+            "[Errno 28] No space left on device\norc: finished in ?s\n"))
+    # the process runs `main` with the collector off, and exits frozen
+    proc = fresh_python(_ENTRY_GC, *argv)
+    assert (proc.returncode, proc.stdout) == (0, run_cli(argv, capsys)[1])
+    state = json.loads(proc.stderr.splitlines()[-1])
+    assert state["enabled"] == [False] and state["frozen"] > 0
+    # `main` in process leaves the caller's collector as it was
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            assert run_cli(argv, capsys)[0] == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # importing the module runs nothing
+    proc = fresh_python("import orcurv.__main__")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    # and the `orc` script is the function `python -m orcurv` calls
+    text = (Path(src).parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^orc = "([\w.]+):(\w+)"$', text, re.M).groups()
+    called = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: called.append(name))
+    monkeypatch.delitem(sys.modules, "orcurv.__main__", raising=False)
+    runpy.run_module("orcurv", run_name="__main__")
+    assert called == [name]
+
+
+def _caterpillar() -> str:
+    # the path 0-7, each vertex of it with two leaves
+    edges = [(i, i + 1) for i in range(7)] + [(i // 2, 8 + i) for i in range(16)]
+    return "".join(f"{u} {v} {(7 * u + v) % 3 + 1}\n" for u, v in edges)
+
+
+#: the input files of the cycle check, and k and 2k edges of each
+_CYCLE_INPUTS = {
+    "k44.txt": "".join(f"{u} {v} {u + 1}/{v - 2}\n" for u in range(4) for v in range(4, 8)),
+    "mixed.txt": "".join(f"{u} {v} {(u * v) % 7 + 1}/{u % 3 + 1}\n"
+                         for u in range(14) for v in range(u + 1, 14)
+                         if (u * v + u + v) % 4 == 0 or v == u + 1),
+    "tree.txt": _caterpillar(),
+}
+_CYCLE_EDGES = {
+    "k44.txt": ["0,4", "1,5", "2,6", "3,7", "0,5", "1,6"],
+    "mixed.txt": ["0,1", "1,2", "2,3", "3,4", "4,5", "5,6"],
+    "tree.txt": ["0,1", "1,2", "2,3", "3,4", "4,5", "5,6"],
+}
+
+#: argv[1] is {"spread", "runs"}: with "spread", the gates are 1 and the
+#: CPUs 2, as in test_spread.py. Runs each `orc` command line with the
+#: collector off and collects after it; prints the counts and the forks
+_CYCLES = """
+import contextlib, gc, io, json, os, sys
+import orcurv.cli
+
+config = json.loads(sys.argv[1])
+if config["spread"]:
+    orcurv.cli._ROW_GATE = orcurv.cli._EDGE_GATE = 1
+    orcurv.cli._cpus = lambda: 2
+forks = []
+real_fork = os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = fork
+gc.disable()
+counts = []
+for argv in config["runs"]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = orcurv.cli.main(argv)
+    counts.append((code, gc.collect()))
+print(json.dumps({"counts": counts, "forks": len(forks)}))
+"""
+
+
+@pytest.mark.parametrize("argv, spread", [
+    (["compute", "--input", "mixed.txt", "--method", "lp"], False),
+    (["compute", "--input", "tree.txt", "--method", "tree"], False),
+    (["compute", "--input", "k44.txt", "--method", "assignment"], False),
+    (["compute", "--input", "k44.txt", "--method", "brute_force"], False),
+    (["compute", "--input", "tree.txt", "--method", "qsim_tree"], False),
+    (["compute", "--input", "tree.txt", "--method", "qsim_tree", "--shots", "1000"], False),
+    (["compute", "--input", "k44.txt", "--method", "qsim_pq"], False),
+    (["compare", "--input", "tree.txt"], False),
+    (["compare", "--input", "k44.txt"], False),
+    (["compute", "--input", "mixed.txt", "--method", "lp"], True),
+], ids=["lp", "tree", "assignment", "brute_force", "qsim_tree", "qsim_tree-shots", "qsim_pq",
+        "compare-qsim_tree", "compare-qsim_pq", "lp-spread"])
+def test_a_run_makes_no_reference_cycle_per_edge(tmp_path, argv, spread):
+    # `orc` runs with the collector off (`cli.entry`): a cycle made per edge
+    # would stay in memory until the process ends
+    for name, text in _CYCLE_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _CYCLE_INPUTS else a for a in argv]
+    edges = _CYCLE_EDGES[Path(argv[2]).name]
+    k, two_k = ([a for e in edges[:n] for a in ("--edge", e)] for n in (3, 6))
+    runs = [argv + k, argv + k, argv + two_k]    # the first warms up
+    proc = fresh_python(_CYCLES, json.dumps({"spread": spread, "runs": runs}))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    (_, _), (code_k, cycles_k), (code_2k, cycles_2k) = result["counts"]
+    assert (code_k, code_2k) == (0, 0)
+    assert cycles_k == cycles_2k
+    assert result["forks"] == (6 if spread else 0)
