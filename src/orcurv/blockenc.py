@@ -16,7 +16,9 @@ bookkeeping formulas:
 Every operator either pipeline encodes is diagonal in the computational
 basis, so `op` is a real 1-D vector and every rule acts entrywise. The
 overlaps read the dilated unitary through its action on a state
-(dilated_overlap, dilated_apply), never as a matrix. The tensor and
+(dilated_overlap, dilated_apply), never as a matrix. dilated_overlap
+takes one amplitude per entry, so a stage encodes just the entries its
+state touches. Both records are `graph._Frozen` ones. The tensor and
 uniform-LCU rules that qpipeline.build_DP follows, the explicit dilation
 and the full-vector overlap are kept in the tests (tests/reference.py),
 as oracles.
@@ -25,23 +27,13 @@ as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, IndexOutOfRange, SpectrumOutOfRange, SubnormTooSmall
+from .errors import DimMismatch, SpectrumOutOfRange, SubnormTooSmall
+from .graph import _Frozen
 
 _NORM_SLACK = 1e-9
-
-
-def _as_operator(m) -> np.ndarray:
-    arr = np.asarray(m)
-    if arr.ndim != 1:
-        raise DimMismatch(f"operator must be a 1-D diagonal, got ndim={arr.ndim}")
-    if np.iscomplexobj(arr):
-        raise SpectrumOutOfRange("diagonal entries must be real")
-    return arr.astype(np.float64)
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:
@@ -49,12 +41,7 @@ def _check_unit_norm(amps: np.ndarray) -> None:
         raise ValueError("state vector is not unit norm")
 
 
-def _operator_norm(op: np.ndarray) -> float:
-    return float(np.max(np.abs(op))) if op.size else 0.0
-
-
-@dataclass(frozen=True)
-class BlockEncoding:
+class BlockEncoding(_Frozen):
     """Simulated block encoding: encoded block is diag(op)/subnorm.
 
     op is the real diagonal as a 1-D float64 vector; any other shape is
@@ -65,19 +52,23 @@ class BlockEncoding:
 
     op: np.ndarray
     subnorm: float
-    ancilla_dim: int = 2
+    ancilla_dim: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "op", _as_operator(self.op))
-        object.__setattr__(self, "subnorm", float(self.subnorm))
-        if self.subnorm <= 0:
-            raise SubnormTooSmall(f"subnorm must be positive, got {self.subnorm}")
-        if self.ancilla_dim < 1:
+    def __init__(self, op, subnorm: float, ancilla_dim: int = 2) -> None:
+        op = np.asarray(op)
+        if op.ndim != 1:
+            raise DimMismatch(f"operator must be a 1-D diagonal, got ndim={op.ndim}")
+        if np.iscomplexobj(op):
+            raise SpectrumOutOfRange("diagonal entries must be real")
+        op, subnorm = op.astype(np.float64), float(subnorm)
+        if subnorm <= 0:
+            raise SubnormTooSmall(f"subnorm must be positive, got {subnorm}")
+        if ancilla_dim < 1:
             raise ValueError("ancilla_dim must be a positive integer")
-        norm = _operator_norm(self.op)
-        if norm > self.subnorm * (1 + _NORM_SLACK):
-            raise SubnormTooSmall(
-                f"operator norm {norm} exceeds subnorm {self.subnorm}")
+        norm = float(np.max(np.abs(op))) if op.size else 0.0
+        if norm > subnorm * (1 + _NORM_SLACK):
+            raise SubnormTooSmall(f"operator norm {norm} exceeds subnorm {subnorm}")
+        self._freeze(op=op, subnorm=subnorm, ancilla_dim=ancilla_dim)
 
     @property
     def dim(self) -> int:
@@ -89,16 +80,15 @@ class BlockEncoding:
         return self.op / self.subnorm
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Frozen):
     """Unit-norm complex amplitude vector."""
 
     amps: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.amps, dtype=np.complex128).ravel()
-        object.__setattr__(self, "amps", arr)
-        _check_unit_norm(arr)
+    def __init__(self, amps) -> None:
+        amps = np.asarray(amps, dtype=np.complex128).ravel()
+        _check_unit_norm(amps)
+        self._freeze(amps=amps)
 
     @property
     def dim(self) -> int:
@@ -209,31 +199,21 @@ def dilated_apply(b: BlockEncoding, phi: StateVector) -> StateVector:
     return StateVector(np.concatenate([main, garbage]))
 
 
-def dilated_overlap(b: BlockEncoding, support: Sequence[int], amps,
-                    shots: int | None = None, seed=None) -> float:
-    """Re<(phi, 0)| U_b |(phi, 0)> for a state phi living on `support`.
+def dilated_overlap(b: BlockEncoding, amps, shots: int | None = None, seed=None) -> float:
+    """Re<(phi, 0)| U_b |(phi, 0)> for the state phi = amps, one amplitude
+    per entry of b.
 
-    phi has amplitude amps[k] at index support[k] and zero elsewhere;
-    U_b is the dilated unitary of b. Only the entries b.op[support] are
-    read, so the cost is O(len(support)) at any dimension. With shots,
-    the value is replaced by the mean of `shots` Hadamard-test draws,
-    deterministic under a fixed seed. The tests check it against the
-    overlap of the embedded phi with dilated_apply(b, phi), which dilates
-    the whole vector.
+    U_b is the dilated unitary of b, applied entrywise, so the cost is
+    O(b.dim). A caller encodes only the entries its state touches. With
+    shots, the value is replaced by the mean of `shots` Hadamard-test
+    draws, deterministic under a fixed seed. The tests check it against
+    the overlap of the embedded phi with dilated_apply(b, phi).
     """
-    idx = np.asarray(support)
-    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise IndexOutOfRange("support must be a flat sequence of integer indices")
-    idx = idx.astype(np.intp)
-    if len(set(idx.tolist())) != idx.size:    # a set: np.unique costs 10x on a few indices
-        raise IndexOutOfRange("support indices must be distinct")
-    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= b.dim):
-        raise IndexOutOfRange(f"support indices must lie in [0, {b.dim})")
     phi = np.asarray(amps, dtype=np.complex128).ravel()
-    if phi.shape[0] != idx.size:
-        raise DimMismatch(f"{phi.shape[0]} amplitudes for {idx.size} support indices")
+    if phi.shape[0] != b.dim:
+        raise DimMismatch(f"{phi.shape[0]} amplitudes for an encoding of dim {b.dim}")
     _check_unit_norm(phi)
-    encoded = b.op[idx] / b.subnorm
+    encoded = b.encoded
     main = encoded * phi
     garbage = np.sqrt(np.maximum(1.0 - encoded ** 2, 0.0)) * phi
     _check_unit_norm(np.concatenate([main, garbage]))

@@ -41,6 +41,10 @@ class InfiniteCost(OrcError):
     """A cost entry is +inf (vertices in different components)."""
 
 
+class CurvatureOverflow(OrcError):
+    """A float curvature 1 - W1/d(x, y) leaves float range."""
+
+
 class NotATree(OrcError):
     """Tree-only routine invoked on a graph that is not a tree."""
 

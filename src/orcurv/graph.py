@@ -18,8 +18,9 @@ it; every other graph's, exact or float, sparse or dense, are per-source
 Dijkstra with a binary heap. A tree's neighborhoods read no rows: every
 distance one reads lies on a path of at most three edges, and
 `neighborhood` sums it from the edge weights. The module needs only
-the standard library, and neither `dataclasses` nor `inspect`: its
-record types, and `transport`'s, share the private base `_Frozen`.
+the standard library, and neither `dataclasses` nor `inspect`: every
+orcurv record type, this module's and the others', shares the private
+base `_Frozen`.
 
 `all_pairs_geodesic(g, workers=k)` computes the rows in k processes on
 a system with os.fork: `spread.spread` forks k - 1 children, each runs

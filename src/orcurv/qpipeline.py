@@ -9,9 +9,9 @@ LocalNeighborhood, so the encoding keeps no rows, and a stage encodes
 only the distances it reads.
 
 Case 1 (tree graphs): neighbor sums are read off as overlaps of the
-dilated encoding, each from the p, q or 1 entries its state touches
-(the neighborhood's x_dists, y_dists and dxy), and the closed-form W1 is
-reassembled from the recovered sums.
+dilated encoding, each over the p, q or 1 entries that encode the
+neighborhood's x_dists, y_dists or dxy, one amplitude per entry, and the
+closed-form W1 is reassembled from the recovered sums.
 
 Case 2 (p = q): the encoding is localized to the p^2 cost block (on a
 diagonal, the permutation and SWAP conjugation is a gather of those p^2
@@ -28,7 +28,8 @@ bound.
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
 optional audit trail records {stage, dim, subnorm, min_entry, max_entry}
-per stage so the ledger can be checked from outside. Only
+per stage so the ledger can be checked from outside. EigenEstimate and
+DistanceEncoding are `graph._Frozen` records; AuditTrail holds a list. Only
 build_distance_encoding and tree_overlap_sum, which hold values their
 callers cannot see, write records; w1_pq_qsim writes the p = q ledger.
 
@@ -42,7 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ from .errors import (
     SpectrumOutOfRange,
     ZeroOverlap,
 )
-from .graph import LocalNeighborhood, Weight
+from .graph import LocalNeighborhood, Weight, _Frozen
 from .transport import DEFAULT_DIM_CAP, CurvatureResult
 
 #: power iterations min_eigen_power runs before it reports converged=False
@@ -73,8 +73,7 @@ _BLOCK_ENTRIES = 2 ** 12
 _FIRST_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class EigenEstimate:
+class EigenEstimate(_Frozen):
     """Minimum-nonzero-eigenvalue estimate from the power-method stage.
 
     value is 1 / (kappa_a * r) for the last Rayleigh quotient r of the
@@ -89,29 +88,32 @@ class EigenEstimate:
     gap_proxy: float
     converged: bool
 
-    def __post_init__(self) -> None:
-        if not self.value > 0:
+    def __init__(self, value: float, iterations: int, initial_overlap: float,
+                 gap_proxy: float, converged: bool) -> None:
+        if not value > 0:
             raise AssertionError("eigenvalue estimate must be positive")
-        if self.iterations < 1:
+        if iterations < 1:
             raise AssertionError("iterations must be >= 1")
-        if not 0.0 <= self.initial_overlap <= 1.0 + 1e-12:
+        if not 0.0 <= initial_overlap <= 1.0 + 1e-12:
             raise AssertionError("initial overlap outside [0, 1]")
+        self._freeze(value=value, iterations=iterations, initial_overlap=initial_overlap,
+                     gap_proxy=gap_proxy, converged=converged)
 
     def fields(self) -> dict:
         """The estimate as report and trace fields. An infinite gap_proxy,
         which means there is no second eigenvalue, becomes None, so JSON
         writes it as null."""
-        out = asdict(self)
+        out = dict(zip(self._fields, self._values()))
         if math.isinf(self.gap_proxy):
             out["gap_proxy"] = None
         return out
 
 
-@dataclass
 class AuditTrail:
     """Collector for per-stage subnormalization records."""
 
-    records: list[dict] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.records: list[dict] = []
 
     def record(self, stage: str, be: BlockEncoding, **extra) -> None:
         encoded = be.encoded
@@ -134,8 +136,7 @@ class AuditTrail:
 # distance encoding (shared by both cases)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistanceEncoding:
+class DistanceEncoding(_Frozen):
     """The graph's distance encoding, by its two scalars.
 
     It stands for the diagonal over the N x N index grid whose entry
@@ -148,6 +149,9 @@ class DistanceEncoding:
 
     subnorm: float
     ancilla_dim: int
+
+    def __init__(self, subnorm: float, ancilla_dim: int) -> None:
+        self._freeze(subnorm=subnorm, ancilla_dim=ancilla_dim)
 
     def entries(self, d) -> BlockEncoding:
         """The distances d (a flat sequence, in either number type) as
@@ -272,7 +276,7 @@ def tree_overlap_sum(be: DistanceEncoding, center: int, dists: Sequence[Weight],
     p = len(dists)
     if p < 1:
         raise IndexOutOfRange("need at least one neighbor distance")
-    raw = bk.dilated_overlap(be.entries(dists), np.arange(p), np.full(p, 1.0 / math.sqrt(p)),
+    raw = bk.dilated_overlap(be.entries(dists), np.full(p, 1.0 / math.sqrt(p)),
                              shots=shots, seed=seed)
     rescaled = raw * p / (p + 1)
     if audit is not None:
@@ -303,7 +307,7 @@ def w1_tree_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
     p, q = nb.p, nb.q
     ov_x = tree_overlap_sum(be, x, nb.x_dists, shots=shots, seed=seeds[0], audit=audit)
     ov_y = tree_overlap_sum(be, y, nb.y_dists, shots=shots, seed=seeds[1], audit=audit)
-    ov_xy = bk.dilated_overlap(be.entries([nb.dxy]), [0], [1.0], shots=shots, seed=seeds[2])
+    ov_xy = bk.dilated_overlap(be.entries([nb.dxy]), [1.0], shots=shots, seed=seeds[2])
     x_sum = ov_x * be.subnorm * (p + 1)
     y_sum = ov_y * be.subnorm * (q + 1)
     dxy = ov_xy * be.subnorm

@@ -42,6 +42,7 @@ from operator import rshift, sub
 from typing import Sequence
 
 from .errors import (
+    CurvatureOverflow,
     InfiniteCost,
     MethodMismatch,
     NotATree,
@@ -112,7 +113,8 @@ class AssignmentSolution(_Frozen):
 
 
 class CurvatureResult(_Frozen):
-    """Edge curvature 1 - W1/d_G(x, y), derived from w1 and dxy."""
+    """Edge curvature 1 - W1/d_G(x, y), derived from w1 and dxy. A float
+    curvature that leaves float range is CurvatureOverflow."""
 
     x: int | None
     y: int | None
@@ -129,6 +131,9 @@ class CurvatureResult(_Frozen):
             raise AssertionError("dxy must be positive")
         if w1 < 0:
             raise AssertionError("w1 must be nonnegative")
+        if (isinstance(w1, float) or isinstance(dxy, float)) and not math.isfinite(1 - w1 / dxy):
+            raise CurvatureOverflow(f"1 - W1/d(x, y) with W1 = {w1!r}, d(x, y) = {dxy!r} "
+                                    "leaves float range; rational weights keep it exact")
         self._freeze(x=x, y=y, w1=w1, dxy=dxy, method=method, diagnostics=diagnostics)
 
     @property

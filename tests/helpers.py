@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 import os
 import random
@@ -123,7 +122,8 @@ def floyd_warshall_rows(g: Graph) -> list[tuple]:
 
 
 def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:
-    """The dilated_overlap oracle: embed phi in all b.dim entries and
+    """The dilated_overlap oracle: phi has amplitude amps[k] at index
+    support[k] and zero elsewhere; embed it in all b.dim entries and
     dilate the whole vector, as the tree pipeline once did per overlap."""
     raw = np.zeros(b.dim, dtype=np.complex128)
     raw[list(support)] = amps
@@ -132,11 +132,14 @@ def full_route_overlap(b, support, amps, shots=None, seed=None) -> float:
     return overlap(embedded, dilated_apply(b, phi), shots=shots, seed=seed)
 
 
-@dataclasses.dataclass(frozen=True)
 class ScaledDistanceEncoding(DistanceEncoding):
     """A distance encoding that encodes every distance times `scale`."""
 
     scale: float
+
+    def __init__(self, subnorm: float, ancilla_dim: int, scale: float) -> None:
+        super().__init__(subnorm, ancilla_dim)
+        self._freeze(scale=scale)
 
     def entries(self, d) -> BlockEncoding:
         return super().entries(np.array(d, dtype=np.float64) * self.scale)
@@ -159,7 +162,6 @@ def corrupt_encoding(monkeypatch, module, scale: float) -> None:
     monkeypatch.setattr(module, "build_distance_encoding", corrupted)
 
 
-@dataclasses.dataclass(frozen=True)
 class ChebyshevDistanceEncoding(DistanceEncoding):
     """A distance encoding whose power stage is reference.chebyshev_power:
     entries(d) wraps the fourth powers of d at alpha and runs the
@@ -169,6 +171,11 @@ class ChebyshevDistanceEncoding(DistanceEncoding):
     alpha: float
     kappa_m: float
     err: float
+
+    def __init__(self, subnorm: float, ancilla_dim: int, alpha: float, kappa_m: float,
+                 err: float) -> None:
+        super().__init__(subnorm, ancilla_dim)
+        self._freeze(alpha=alpha, kappa_m=kappa_m, err=err)
 
     def entries(self, d) -> ApproxEncoding:
         fourth = BlockEncoding(op=np.array(d, dtype=np.float64) ** 4, subnorm=self.alpha)

@@ -182,20 +182,20 @@ def lp_vertex_oracle(nb: LocalNeighborhood) -> Weight:
 # block-encoding composition rules: identity, tensor, uniform LCU, density
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ApproxEncoding(BlockEncoding):
     """A BlockEncoding with err, the deviation of its encoded block from
     the mathematical target. The Chebyshev stages grow it by a sampled
     sup error (an estimate, not a bound); the tensor and LCU rules carry
     it, and never decrease it."""
 
-    err: float = 0.0
+    err: float
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "err", float(self.err))
-        if self.err < 0:
+    def __init__(self, op, subnorm: float, ancilla_dim: int = 2, err: float = 0.0) -> None:
+        super().__init__(op, subnorm, ancilla_dim)
+        err = float(err)
+        if err < 0:
             raise ValueError("err must be nonnegative")
+        self._freeze(err=err)
 
 
 def err_of(b) -> float:

@@ -1122,6 +1122,28 @@ def test_subnormal_float_weight_is_kept_and_zero_refused_as_zero():
 
 
 @pytest.mark.parametrize("out_format", ["json", "csv"])
+@pytest.mark.parametrize("method", ["lp", "tree", "assignment"])
+def test_float_curvature_beyond_float_range_exits_3(tmp_path, capsys, method, out_format):
+    # on edge (1, 2), W1 = 2e200 and d(x, y) = 1e-200: 1 - W1/d(x, y) is -inf in floats
+    path = tmp_path / "g.txt"
+    path.write_text("0 1 1e200\n1 2 1e-200\n2 3 1e200\n")
+    argv = ["compute", "--input", str(path), "--method", method, "--edge", "1,2",
+            "--out-format", out_format]
+    code, out, err = run_cli([*argv, "--numeric", "float"], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[0] == (
+        "orc: solver error: edge (1, 2): CurvatureOverflow: 1 - W1/d(x, y) with "
+        "W1 = 2e+200, d(x, y) = 1e-200 leaves float range; rational weights keep it exact")
+    # rational weights give the exact curvature 1 - (2 * 10^200 + 10^-200) * 10^200
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    if out_format == "json":
+        assert strict_json(out)["records"][0]["curvature"] == -2 * 10 ** 400
+    else:
+        assert out.splitlines()[1].split(",")[6] == str(-2 * 10 ** 400)
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
 def test_result_beyond_int_digit_limit_is_written(tmp_path, capsys, out_format):
     # d(0, 3) = 10^4300 + 3 has 4301 digits, one past Python's default
     # int/str limit; the curvature -10^4300/3 is a Fraction of that size

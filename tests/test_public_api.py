@@ -98,6 +98,31 @@ def test_classical_records_compare_hash_and_refuse_assignment_by_field(make, sho
     assert a != twin and twin != a
 
 
+def test_simulator_records_compare_hash_and_refuse_assignment_by_field():
+    def estimate():
+        return orcurv.EigenEstimate(value=0.5, iterations=3, initial_overlap=0.25,
+                                    gap_proxy=2.0, converged=True)
+
+    def encoding():
+        return orcurv.qpipeline.DistanceEncoding(subnorm=2.0, ancilla_dim=4)
+
+    assert repr(estimate()) == ("EigenEstimate(value=0.5, iterations=3, initial_overlap=0.25, "
+                                "gap_proxy=2.0, converged=True)")
+    assert repr(encoding()) == "DistanceEncoding(subnorm=2.0, ancilla_dim=4)"
+    for make in (estimate, encoding):
+        a, b = make(), make()
+        assert a == b and a is not b and hash(a) == hash(b)
+    be = orcurv.BlockEncoding([0.5, 0.25], 1.0)
+    state = orcurv.StateVector([0.6, 0.8])
+    for record, field in ((estimate(), "value"), (encoding(), "subnorm"), (be, "op"),
+                          (be, "subnorm"), (state, "amps")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert be.subnorm == 1.0 and state.dim == 2
+
+
 def test_classical_records_keep_their_cached_properties():
     g = orcurv.Graph(2, [(0, 1, 0.5)])
     assert (g.rational, g._zero, g.neighbors(0), g.has_edge(1, 0)) == (False, 0.0, (1,), True)
@@ -141,6 +166,11 @@ def test_qsim_entry_points_take_only_what_they_read():
         ("be", "POSITIONAL_OR_KEYWORD", empty), ("center", "POSITIONAL_OR_KEYWORD", empty),
         ("dists", "POSITIONAL_OR_KEYWORD", empty), ("shots", "POSITIONAL_OR_KEYWORD", None),
         ("seed", "POSITIONAL_OR_KEYWORD", None), ("audit", "POSITIONAL_OR_KEYWORD", None),
+    ]
+    # an overlap reads one amplitude per entry of its encoding, no index
+    assert _parameters(orcurv.dilated_overlap) == [
+        ("b", "POSITIONAL_OR_KEYWORD", empty), ("amps", "POSITIONAL_OR_KEYWORD", empty),
+        ("shots", "POSITIONAL_OR_KEYWORD", None), ("seed", "POSITIONAL_OR_KEYWORD", None),
     ]
     assert _parameters(orcurv.qpipeline.DistanceEncoding.entries) == [
         ("self", "POSITIONAL_OR_KEYWORD", empty), ("d", "POSITIONAL_OR_KEYWORD", empty),

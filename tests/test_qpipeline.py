@@ -1,6 +1,5 @@
 """Quantum-pipeline simulation: stages, recovery scaling, oracles."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -536,12 +535,15 @@ def tensor_sum_by_composition(ds):
         terms.append(term)
     lcu = be_lcu(terms, [1] * p)
     a = ds[0].subnorm
-    return dataclasses.replace(lcu, op=lcu.op * a, subnorm=lcu.subnorm * a)
+    return ApproxEncoding(op=lcu.op * a, subnorm=lcu.subnorm * a,
+                          ancilla_dim=lcu.ancilla_dim, err=lcu.err)
 
 
 def restrict(be, p):
-    """be with its p^p-vector op cut to the p! permutation indices."""
-    return dataclasses.replace(be, op=be.op[permutation_indices(p)])
+    """be, an ApproxEncoding, with its p^p-vector op cut to the p!
+    permutation indices."""
+    return ApproxEncoding(op=be.op[permutation_indices(p)], subnorm=be.subnorm,
+                          ancilla_dim=be.ancilla_dim, err=be.err)
 
 
 def assert_same_encoding(got, want):
@@ -657,6 +659,13 @@ def test_min_eigen_smallest_nonzero_entry():
     assert est.converged
 
 
+def estimate_fields(est) -> dict:
+    """Every field of an EigenEstimate by name, as reports and traces write it."""
+    return {"value": est.value, "iterations": est.iterations,
+            "initial_overlap": est.initial_overlap, "gap_proxy": est.gap_proxy,
+            "converged": est.converged}
+
+
 def test_min_eigen_degenerate_converges_first_iteration():
     be = BlockEncoding([0.5, 0.5, 0.0, 0.5], 1.0)
     est = min_eigen_power(be, kappa_a=2.0 * (1 + 1e-9),
@@ -665,7 +674,7 @@ def test_min_eigen_degenerate_converges_first_iteration():
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.gap_proxy == math.inf
     # no second eigenvalue: reports and traces write the gap as null
-    assert est.fields() == {**dataclasses.asdict(est), "gap_proxy": None}
+    assert est.fields() == {**estimate_fields(est), "gap_proxy": None}
 
 
 def test_min_eigen_refuses_a_start_that_vanishes_on_the_support():
@@ -716,7 +725,7 @@ def test_min_eigen_geometric_decay_bound(monkeypatch):
 
     est = run()
     assert est.converged and est.gap_proxy == pytest.approx(2.5)
-    assert est.fields() == dataclasses.asdict(est)
+    assert est.fields() == estimate_fields(est)
     lam1 = 1.0 / (kappa * 0.2)
     rho = 1.0 / est.gap_proxy
     bound0 = lam1 / est.initial_overlap ** 2
@@ -1087,7 +1096,7 @@ def test_subnorm_ledger_stage_by_stage():
     assert by_stage["build_Pi[direct]"]["rank"] == 6
     note = dict(by_stage["min_eigen_power"])
     assert note.pop("stage") == "min_eigen_power"
-    assert note == dataclasses.asdict(res.diagnostics)
+    assert note == estimate_fields(res.diagnostics)
 
 
 def test_scale_property():

@@ -94,6 +94,10 @@ GRAPHS = {
     # 14 vertices of mixed degree, so p != q on most edges
     "mixed.txt": _mixed(lambda u, v: f"{(u * v) % 7 + 1}/{u % 3 + 1}"),
     "mixed-float.txt": _mixed(lambda u, v: repr((u * v) % 7 + 1 + 0.3 * (u % 3))),
+    # float K_{3,3} beside a path whose edge 7-8 has a float curvature of -inf
+    "overflow-float.txt": "".join(f"{u} {v} {0.5 + u + v}\n" for u in range(3)
+                                  for v in range(3, 6))
+                          + "6 7 1e200\n7 8 1e-200\n8 9 1e200\n",
     # K_{3,3} beside the two components of the edges 6-7 and 28-29
     "too-large.txt": "".join(f"{u} {v}\n" for u in range(3) for v in range(3, 6))
                      + _big_edge(6, 7, 8) + _big_edge(28, 29, 30),
@@ -204,6 +208,26 @@ def test_first_failing_edge_in_order_decides(inputs, capsys, at, first):
     assert (run["code"], run["out"]) == (3, "")
     assert run["err"] == [f"orc: solver error: edge ({first}): TooLarge: "
                           "brute force capped at p <= 9, got 10"]
+
+
+def test_curvature_overflow_exits_3_from_any_share(inputs, capsys):
+    # the overflowing edge 7-8 in the parent's share, the first child's and
+    # the second's, in both report formats
+    runs = []
+    for at in (0, 4, 9):
+        order = [f"{u},{v}" for u in range(3) for v in range(3, 6)]
+        order.insert(at, "7,8")
+        for out_format in ("json", "csv"):
+            runs.append(["compute", "--input", "overflow-float.txt", "--numeric", "float",
+                         "--method", "lp", *[arg for edge in order for arg in ("--edge", edge)],
+                         "--out-format", out_format])
+    spied = _spy(runs)
+    _check(spied, runs, capsys, forked=True)
+    for run in spied["runs"]:
+        assert (run["code"], run["out"]) == (3, "")
+        assert run["err"] == [
+            "orc: solver error: edge (7, 8): CurvatureOverflow: 1 - W1/d(x, y) with "
+            "W1 = 2e+200, d(x, y) = 1e-200 leaves float range; rational weights keep it exact"]
 
 
 @pytest.mark.parametrize("fork", ["mute", "fail"])

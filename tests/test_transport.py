@@ -18,7 +18,14 @@ from helpers import (
     to_float_nb,
     transport_flows,
 )
-from orcurv.errors import InfiniteCost, MethodMismatch, NotATree, NotSquare, TooLarge
+from orcurv.errors import (
+    CurvatureOverflow,
+    InfiniteCost,
+    MethodMismatch,
+    NotATree,
+    NotSquare,
+    TooLarge,
+)
 from orcurv.graph import (
     Graph,
     LocalNeighborhood,
@@ -28,6 +35,7 @@ from orcurv.graph import (
     verify_tree,
 )
 from orcurv.transport import (
+    CurvatureResult,
     TransportPlan,
     _lift_block,
     _lift_entries,
@@ -454,6 +462,17 @@ def test_curvature_method_mismatch():
             curvature(nb, method=method)
     with pytest.raises(MethodMismatch):
         curvature(nb, method="qsim_pq")
+
+
+def test_float_curvature_beyond_float_range_is_refused():
+    # 1 - W1/d(x, y) overflows to -inf, or is nan, which no report may carry
+    for w1, dxy in ((2e200, 1e-200), (1e308, 0.5), (math.inf, math.inf)):
+        with pytest.raises(CurvatureOverflow, match="leaves float range"):
+            CurvatureResult(x=1, y=2, w1=w1, dxy=dxy, method="lp")
+    assert CurvatureResult(x=1, y=2, w1=1e308, dxy=1.0, method="lp").curvature == 1 - 1e308
+    # rational results are exact, however large
+    big = CurvatureResult(x=1, y=2, w1=2 * 10 ** 400, dxy=Fraction(1, 10 ** 400), method="lp")
+    assert big.curvature == 1 - 2 * 10 ** 800
 
 
 def test_curvature_square_methods_agree():

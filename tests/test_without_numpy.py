@@ -1,10 +1,12 @@
-"""A classical run needs no numpy, and no `dataclasses` or `inspect`:
-only the qsim routes load them.
+"""A classical run needs no numpy, and no `dataclasses` or `inspect`. A
+qsim run loads numpy, and numpy loads `inspect`, but no orcurv module
+loads `dataclasses` or `copy`.
 
 Each check runs a fresh interpreter. With the three hidden
 (`sys.modules[name] = None`, so that importing one raises ImportError),
 every classical `orc` route and the benchmark's setup calls must give
-what they give in this process, byte for byte.
+what they give in this process, byte for byte; so must the qsim routes
+with `dataclasses` hidden.
 """
 
 import json
@@ -18,6 +20,8 @@ from orcurv.graph import all_pairs_geodesic, load_graph, verify_tree
 
 #: the modules a classical run must not load
 HIDDEN = ("numpy", "dataclasses", "inspect")
+#: the modules a qsim run must not load
+QSIM_UNLOADED = ("dataclasses", "copy")
 
 #: the statements that hide the modules named in argv[1], comma-separated
 _HIDE = """
@@ -26,17 +30,19 @@ for name in filter(None, sys.argv[1].split(",")):
     sys.modules[name] = None
 """
 
-#: the modules of HIDDEN a process has loaded, as _orc's probe prints them
+#: the modules of HIDDEN a process has loaded
 _LOADED = f"""
 print("loaded:", [n for n in {HIDDEN!r} if sys.modules.get(n) is not None], file=sys.stderr)
 """
 
-#: the rest of argv is an `orc` command line. Once `orc` returns,
-#: stderr's last line lists which of HIDDEN were loaded.
+#: argv[2] names the modules to look for, comma-separated, and the rest
+#: of argv is an `orc` command line. Once `orc` returns, stderr's last
+#: line lists which of those modules were loaded.
 _ORC = _HIDE + """
 import orcurv.cli
-code = orcurv.cli.main(sys.argv[2:])
-""" + _LOADED + """
+code = orcurv.cli.main(sys.argv[3:])
+print("loaded:", [n for n in sys.argv[2].split(",") if sys.modules.get(n) is not None],
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -76,6 +82,16 @@ NUMPY_ROUTES = {
     "qsim_tree": ["--input", "tree.txt", "--method", "qsim_tree", "--all-edges"],
 }
 
+#: `compare` runs of the qsim routes, each a command line and its trace
+#: path (None: no trace)
+QSIM = {
+    "qsim_tree": (["--input", "tree.txt", "--all-edges"], None),
+    "qsim_tree-shots": (["--input", "tree.txt", "--all-edges", "--shots", "1000",
+                         "--seed", "3"], None),
+    "qsim_pq-trace": (["--input", "k33.txt", "--all-edges", "--qsim-method", "qsim_pq",
+                       "--trace", "trace.jsonl"], "trace.jsonl"),
+}
+
 
 @pytest.fixture()
 def inputs(tmp_path, monkeypatch):
@@ -85,12 +101,13 @@ def inputs(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _orc(hide: str, argv: list[str]) -> tuple[int, str | None, str]:
-    """A fresh `orc compute`'s exit code, report (None if none) and stderr,
-    with the modules named in `hide` hidden."""
+def _orc(hide: str, argv: list[str], command: str = "compute",
+         watch: tuple[str, ...] = HIDDEN) -> tuple[int, str | None, str]:
+    """A fresh `orc command`'s exit code, report (None if none) and stderr,
+    with the modules named in `hide` hidden and those of `watch` looked for."""
     out = Path("child.json")
     out.unlink(missing_ok=True)
-    done = _python(_ORC, hide, "compute", *argv, "--out", str(out))
+    done = _python(_ORC, hide, ",".join(watch), command, *argv, "--out", str(out))
     return done.returncode, out.read_text() if out.exists() else None, done.stderr
 
 
@@ -114,6 +131,17 @@ def test_qsim_and_dense_float_routes_load_numpy(inputs, argv):
     code, report, err = _orc("numpy", argv)
     assert (code, report) == (1, None)
     assert "ModuleNotFoundError" in err and "numpy" in err.splitlines()[-1], err
+
+
+@pytest.mark.parametrize("argv, trace", QSIM.values(), ids=QSIM.keys())
+def test_qsim_route_loads_no_dataclasses(inputs, argv, trace):
+    code = main(["compare", *argv, "--out", "here.json"])
+    here = code, Path("here.json").read_text(), trace and Path(trace).read_text()
+    if trace:
+        Path(trace).unlink()
+    code, report, err = _orc("dataclasses", argv, "compare", QSIM_UNLOADED)
+    assert (code, report, trace and Path(trace).read_text()) == here, err
+    assert err.endswith("loaded: []\n"), err
 
 
 def test_importing_the_cli_loads_no_numpy():
