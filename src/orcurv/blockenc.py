@@ -213,9 +213,11 @@ def dilated_overlap(b: BlockEncoding, amps, shots: int | None = None, seed=None)
     if phi.shape[0] != b.dim:
         raise DimMismatch(f"{phi.shape[0]} amplitudes for an encoding of dim {b.dim}")
     _check_unit_norm(phi)
-    encoded = b.encoded
+    # BlockEncoding admits entries up to 1 + _NORM_SLACK in magnitude, so
+    # the dilation clips them to [-1, 1]
+    encoded = np.clip(b.encoded, -1.0, 1.0)
     main = encoded * phi
-    garbage = np.sqrt(np.maximum(1.0 - encoded ** 2, 0.0)) * phi
+    garbage = np.sqrt(1.0 - encoded ** 2) * phi
     _check_unit_norm(np.concatenate([main, garbage]))
     return _hadamard_test(float(np.vdot(phi, main).real), shots, seed)
 

@@ -25,10 +25,11 @@ per-edge solver error is prefixed with its edge here. Exit codes: 0 ok,
 A run imports `qpipeline`, and with it numpy, only when its route is a
 qsim method, and reads its names through the module at call time; a
 classical run never loads numpy. When numpy is not yet loaded, `main`
-sets OPENBLAS_NUM_THREADS=1: OpenBLAS splits a long dot product across
-threads, which changes its rounding, so a `qsim_pq` report at p >= 8
-(a p!-entry start vector) would depend on the core count, and its idle
-worker threads would spin. The pin reaches only an `orc` process that
+sets OPENBLAS_NUM_THREADS=1, so that OpenBLAS's idle worker threads do
+not spin. A `qsim_pq` report does not depend on it: the power stage's
+reductions are too short for OpenBLAS to split across threads (a p = 8
+edge was checked at 1 and 4 threads on one CPU model). The pin reaches
+only an `orc` process that
 starts before numpy is loaded. A process that loaded numpy before
 calling `main` (perfbench's traced child does, through its tracer) and
 a library call of the qsim routes keep the OpenBLAS threads they have.

@@ -402,7 +402,8 @@ def _decode(text: str, numeric: str):
     """JSON text with its decimals read in the numeric mode."""
     try:
         return json.loads(text, parse_float=_parse_float if numeric == "float" else parse_fraction)
-    except ValueError as exc:    # JSONDecodeError, or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an over-long integer, or nesting past the recursion limit
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

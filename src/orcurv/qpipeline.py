@@ -18,12 +18,13 @@ diagonal, the permutation and SWAP conjugation is a gather of those p^2
 entries, which the neighborhood holds), split into columns D_i, summed
 into the tensor sum D_P, masked by the permutation projector,
 pseudo-inverted, and fed to a power iteration whose dominant eigenvalue
-yields the minimum permutation sum, hence W1. The device dimension is p^p (what --cap bounds and the ledger
-records), but only the p! permutation entries that the projector keeps
-are built, the random start included. The pseudoinverse is diagonal, so
-the power iteration runs on its distinct values, with the start's weight
-on each, a block of iterations per array, and stops on a Kato-Temple
-bound.
+yields the minimum permutation sum, hence W1. The device dimension is
+p^p (what --cap bounds and the ledger records), but only the p!
+permutation entries that the projector keeps are built. The
+pseudoinverse is diagonal, so the power iteration runs on its distinct
+values: the random start is drawn as its weight on each, no start
+vector is formed, and the iteration takes a block of iterations per
+array and stops on a Kato-Temple bound.
 
 Subnormalization bookkeeping is exact: every stage stores the raw
 intended operator as `op` and the full divisor as `subnorm`, and an
@@ -429,49 +430,49 @@ def build_Pi(p: int) -> BlockEncoding:
     return BlockEncoding(op=np.ones(rank), subnorm=float(rank))
 
 
-def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
+def min_eigen_power(be: BlockEncoding, kappa_a: float, seed=None,
                     eps: float = 1e-10) -> EigenEstimate:
     """Minimum nonzero eigenvalue of an encoding via power method.
 
-    Forms the pseudoinverse encoding A and runs power iteration from
-    `start` (a vector of length be.dim, typically random) restricted to
-    the support and normalized. With x the unit iterate, r = x.Ax its
-    Rayleigh quotient and a2 = max(A) / gap_proxy the second eigenvalue
-    of A (0 when the gap is infinite), the iteration stops when r > a2
-    and ||Ax - r x||^2 <= eps * r * (r - a2), which by Kato-Temple gives
+    Forms the pseudoinverse encoding A and runs power iteration on the
+    support from a random unit start drawn with `seed` (None: fresh OS
+    entropy). With x the unit iterate, r = x.Ax its Rayleigh quotient
+    and a2 = max(A) / gap_proxy the second eigenvalue of A (0 when the
+    gap is infinite), the iteration stops when r > a2 and
+    ||Ax - r x||^2 <= eps * r * (r - a2), which by Kato-Temple gives
     max(A) - r <= eps * r, given the gap. Failure to converge within
     MAX_POWER_ITERATIONS is reported through converged=False, not raised.
 
-    A is diagonal, so the iterate is never formed: after k products its
-    squared weight on each distinct value v of A is w_v (v / max(A))^(2k),
-    normalized, where w_v sums the start's squared entries at v. r is the
-    mean of A under these weights, taken about max(A) once it passes
-    max(A) / 2, and ||Ax - r x||^2 their variance. A block of iterations
-    is evaluated as one array of at most _BLOCK_ENTRIES entries, and the
-    first that stops is kept; blocks start at _FIRST_BLOCK rows and
-    double. After each block, the values whose weight can no longer move
-    the stop test by 2^-60 of its bound are dropped.
+    A is diagonal, so neither the start nor the iterate is formed: after
+    k products the iterate's squared weight on each distinct value v of
+    A is w_v (v / max(A))^(2k), normalized, where w_v is the start's. A
+    normal start's squared weight on a value of multiplicity m is
+    chi^2(m), independent across values, so w_v is drawn as that, one
+    draw per distinct value; normalized, the weights are Dirichlet(m/2),
+    as those of a normalized normal start vector are. initial_overlap is
+    the root of the summed weight of the values within 1e-12 of max(A),
+    the target. r is the mean of A under these
+    weights, taken about max(A) once it passes max(A) / 2, and
+    ||Ax - r x||^2 their variance. A block of iterations is evaluated as
+    one array of at most _BLOCK_ENTRIES entries, and the first that stops
+    is kept; blocks start at _FIRST_BLOCK rows and double. After each
+    block, the values whose weight can no longer move the stop test by
+    2^-60 of its bound are dropped.
     """
     diag = be.encoded
     support = diag != 0.0
     if not np.any(support):
         raise SpectrumOutOfRange("composite has no nonzero spectrum")
     inv = bk.be_invert(be, kappa_a)
-    a = inv.encoded
+    values, counts = np.unique(inv.encoded[support], return_counts=True)
 
-    if np.shape(start) != (be.dim,):
-        raise DimMismatch(f"start vector of shape {np.shape(start)} for dimension {be.dim}")
-    x = start * support
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ZeroOverlap("start vector vanished on the support")
-    x /= norm
-
-    a_max = float(np.max(a))
-    target = a >= a_max * (1 - 1e-12)
-    gamma0 = float(np.linalg.norm(x[target]))
-    if gamma0 == 0.0:
+    a_max = float(values[-1])
+    target = values >= a_max * (1 - 1e-12)
+    weights = np.random.default_rng(seed).chisquare(counts)
+    if not np.any(weights[target]):
         raise ZeroOverlap("start vector orthogonal to the target eigenspace")
+    weights /= weights.sum()
+    gamma0 = math.sqrt(float(weights[target].sum()))
 
     nz = np.sort(diag[support])
     lam1 = float(nz[0])
@@ -479,8 +480,6 @@ def min_eigen_power(be: BlockEncoding, kappa_a: float, start: np.ndarray,
     gap_proxy = float(higher[0] / lam1) if higher.size else math.inf
     a2 = a_max / gap_proxy
 
-    values, group = np.unique(a[support], return_inverse=True)
-    weights = np.bincount(group, weights=x[support] ** 2)
     u2 = (values / a_max) ** 2
     shift = values - a_max
     # a value whose weight is below `negligible` times the top value's
@@ -531,8 +530,9 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
     that nb's X and Y index: the graph's geodesic rows, or
     cost_rows(cost) for a bare cost matrix; the pipeline encodes nb's
     p^2 cost block (localize_DG) and reads be's subnorm. The power
-    iteration starts from p! normals drawn with `seed` (None: fresh OS
-    entropy), one per permutation entry; it stops once the Kato-Temple
+    iteration starts from a normal start on the p! permutation entries,
+    drawn with `seed` (None: fresh OS entropy) as its weight on each
+    distinct eigenvalue (min_eigen_power); it stops once the Kato-Temple
     bound puts its Rayleigh quotient r within eps * r of the top
     eigenvalue, given the spectral gap, see min_eigen_power. DimensionCap
     when p^p > dim_cap, before any stage runs. A zero-cost permutation
@@ -566,8 +566,7 @@ def w1_pq_qsim(nb: LocalNeighborhood, be: DistanceEncoding, *,
             "so W1 = 0 is a zero eigenvalue, which the power stage on the "
             "pseudoinverse cannot see")
     kappa_a = (1 + 1e-9) / float(np.min(encoded))
-    start = np.random.default_rng(seed).standard_normal(support)
-    estimate = min_eigen_power(composite, kappa_a, start, eps=eps)
+    estimate = min_eigen_power(composite, kappa_a, seed, eps=eps)
     if audit is not None:
         audit.note("min_eigen_power", **estimate.fields())
     w1 = estimate.value * support * be.subnorm

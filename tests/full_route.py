@@ -131,9 +131,10 @@ def build_pi_full(p: int, route: str = "direct", dim_cap: int = DEFAULT_DIM_CAP,
 def w1_pq_qsim_full(nb, be: BlockEncoding, *, seed: int | None = None, eps: float = 1e-10,
                     dim_cap: int = DEFAULT_DIM_CAP) -> CurvatureResult:
     """The p = q pipeline on length-p^p vectors: D_P and the projector from
-    the builders above, their product, and as the start vector the
-    pipeline's seeded p! normal draw written at the permutation indices,
-    zero elsewhere, which min_eigen_power masks to the nonzero spectrum."""
+    the builders above and their product, zero off the permutations,
+    which min_eigen_power masks to the nonzero spectrum. Its distinct
+    values are those of the support route, so the same `seed` draws the
+    same start weights."""
     p = nb.p
     if p != nb.q:
         raise NotSquare(f"pipeline needs p = q, got p={nb.p}, q={nb.q}")
@@ -143,10 +144,7 @@ def w1_pq_qsim_full(nb, be: BlockEncoding, *, seed: int | None = None, eps: floa
     composite = bk.be_product(build_pi_full(p, dim_cap=dim_cap), dp)
     encoded = composite.encoded
     kappa_a = (1 + 1e-9) / float(np.min(encoded[encoded != 0.0]))
-    start = np.zeros(composite.dim)
-    start[permutation_indices(p)] = np.random.default_rng(seed).standard_normal(
-        math.factorial(p))
-    estimate = min_eigen_power(composite, kappa_a, start, eps=eps)
+    estimate = min_eigen_power(composite, kappa_a, seed, eps=eps)
     w1 = estimate.value * math.factorial(p) * be.subnorm
     return CurvatureResult.from_w1(w1=w1, dxy=float(nb.dxy), method="qsim_pq",
                                    x=nb.x, y=nb.y, diagnostics=estimate)

@@ -9,7 +9,8 @@ full-vector overlap (oracles of blockenc.dilated_apply and
 dilated_overlap), the Chebyshev stages a device would run in place of
 the exact be_power and be_invert (which check the degree rules
 blockenc.default_power_degree and default_inverse_degree), the
-per-vector power loop (oracle of qpipeline.min_eigen_power), the N^2
+per-vector power loop (oracle of qpipeline.min_eigen_power) with a
+start vector that carries the stage's seeded weights, the N^2
 form of the distance encoding (oracle of qpipeline.DistanceEncoding and
 the entries its stages encode) and a finiteness check on geodesics.
 
@@ -396,6 +397,21 @@ def chebyshev_invert(b: BlockEncoding, kappa_a: float,
     return ApproxEncoding(
         op=np.where(encoded != 0.0, poly(encoded) / kappa_a * exact.subnorm, 0.0),
         subnorm=exact.subnorm, ancilla_dim=exact.ancilla_dim, err=err_of(b) + sup / kappa_a)
+
+
+def power_start(be: BlockEncoding, kappa_a: float, seed=None) -> np.ndarray:
+    """A start vector of length be.dim for min_eigen_power_loop with the
+    weights qpipeline.min_eigen_power draws from `seed`: on the support,
+    each distinct value of the pseudoinverse gets the chi^2 draw of its
+    multiplicity as squared weight, spread evenly over its entries; off
+    the support the start is 0."""
+    support = be.encoded != 0.0
+    values, group, counts = np.unique(be_invert(be, kappa_a).encoded[support],
+                                      return_inverse=True, return_counts=True)
+    weights = np.random.default_rng(seed).chisquare(counts)
+    start = np.zeros(be.dim)
+    start[support] = np.sqrt(weights / counts)[group]
+    return start
 
 
 def min_eigen_power_loop(be: BlockEncoding, kappa_a: float, start: np.ndarray,

@@ -425,6 +425,18 @@ def test_dilated_overlap_refuses_what_the_full_route_refuses():
         dilated_overlap(b, [0.5, 0.5, 0.5, 0.5], shots=0)
 
 
+def test_dilated_overlap_clips_an_entry_within_the_norm_slack():
+    # BlockEncoding admits |entry| up to 1 + 1e-9; the dilation clips it
+    # to 1, so a unit state is not refused for the encoding's slack
+    for entry in (1.0 + 5e-10, -1.0 - 5e-10):
+        b = BlockEncoding(op=[entry], subnorm=1.0)
+        assert dilated_overlap(b, [1.0]) == math.copysign(1.0, entry)
+    b = BlockEncoding(op=[1.0 + 5e-10, 0.5], subnorm=1.0)
+    assert dilated_overlap(b, [0.6, 0.8]) == pytest.approx(0.36 + 0.64 * 0.5, abs=1e-15)
+    with pytest.raises(ValueError, match="state vector is not unit norm"):
+        dilated_overlap(b, [1.0, 1.0])
+
+
 # --- overlaps ----------------------------------------------------------------------
 
 def test_overlap_exact_cases():

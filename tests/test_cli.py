@@ -880,30 +880,55 @@ def test_unseeded_runs_are_reproducible(tmp_path, capsys):
     assert json.loads(outs[0])["meta"]["config"]["seed"] == 0
 
 
-def test_qsim_pq_report_is_the_same_on_any_openblas_thread_count(tmp_path):
-    # p = 8: the power stage's start has 8! = 40 320 entries, long enough
-    # for OpenBLAS to split its norm across threads and round it otherwise
+def run_k99_edge(tmp_path, code, threads, *extra):
+    """Run `code` in a fresh interpreter at OPENBLAS_NUM_THREADS=threads,
+    its argv a qsim_pq `compute` of edge 0,9 (p = q = 8) of K_{9,9} with
+    random weights 1-9, followed by `extra`."""
     rng = random.Random(5)
     graph = tmp_path / "k99.txt"
     graph.write_text("".join(f"{u} {v} {rng.randint(1, 9)}\n"
                              for u in range(9) for v in range(9, 18)))
+    src = str(Path(orcurv.cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", code, "compute", "--input", str(graph), "--method", "qsim_pq",
+         "--edge", "0,9", "--cap", "20000000", *extra],
+        capture_output=True, text=True, env=env)
+
+
+def test_qsim_pq_report_is_the_same_on_any_openblas_thread_count(tmp_path):
+    # `orc` pins one OpenBLAS thread when it loads numpy itself, so the
+    # environment's thread count does not reach the p = 8 run
     code = ("import os, sys, orcurv.cli\n"
             "code = orcurv.cli.main(sys.argv[1:])\n"
             "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
             "sys.exit(code)\n")
-    src = str(Path(orcurv.cli.__file__).parents[1])
     reports = []
     for threads in ("4", "1"):
         out = tmp_path / f"threads-{threads}.json"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "compute", "--input", str(graph), "--method", "qsim_pq",
-             "--edge", "0,9", "--cap", "20000000", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+        proc = run_k99_edge(tmp_path, code, threads, "--out", str(out))
         assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
         reports.append(out.read_text())
     assert reports[0] == reports[1]
+
+
+def test_qsim_pq_report_ignores_the_thread_count_of_a_loaded_numpy(tmp_path):
+    # numpy loaded before main keeps the environment's OpenBLAS threads,
+    # so no reduction that reaches the report may go through threaded BLAS
+    code = ("import os, sys, numpy, orcurv.cli\n"
+            "for seed in range(1, 10):\n"
+            "    out = os.path.join(sys.argv[-1], f'seed-{seed}.json')\n"
+            "    assert orcurv.cli.main(sys.argv[1:-1] + ['--seed', str(seed), '--out', out]) == 0\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    reports = {}
+    for threads in ("4", "1"):
+        outdir = tmp_path / f"threads-{threads}"
+        outdir.mkdir()
+        proc = run_k99_edge(tmp_path, code, threads, str(outdir))
+        assert (proc.returncode, proc.stdout) == (0, f"{threads}\n"), proc.stderr
+        reports[threads] = [(outdir / f"seed-{seed}.json").read_text() for seed in range(1, 10)]
+    assert reports["4"] == reports["1"]
 
 
 @pytest.mark.parametrize("option, value", [
@@ -1029,6 +1054,21 @@ def test_malformed_json_graph_is_config_error(tmp_path, capsys, graph, numeric):
     assert code == 2
     assert out == ""
     assert "cannot parse input" in err
+
+
+@pytest.mark.parametrize("fmt, text, extra", [
+    ("json", "[" * 200_000, ["--all-edges"]),
+    ("cost_matrix", '{"cost": ' + "[" * 200_000 + ', "dxy": 1}', ["--method", "lp"]),
+], ids=["json", "cost_matrix"])
+def test_deeply_nested_json_is_config_error(tmp_path, capsys, fmt, text, extra):
+    # nesting past the decoder's recursion limit is invalid input, not a crash
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(["compute", "--input", str(path), "--format", fmt, *extra],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot parse input: invalid JSON" in err
 
 
 @pytest.mark.parametrize("method", ["lp", "tree", "assignment", "brute_force"])
@@ -1196,7 +1236,7 @@ def _entry_runs(tmp_path) -> list[tuple[int, list[str]]]:
     empty neighborhood."""
     path4 = tmp_path / "p.txt"
     path4.write_text("0 1\n1 2\n2 3\n")
-    gap = tmp_path / "gap.json"    # p = 6, its start 720 entries: no threaded BLAS rounding
+    gap = tmp_path / "gap.json"    # p = 6, out of tolerance at --eps 1e-3
     gap.write_text(json.dumps({"cost": [
         [3, 7, 12, 7, 6, 7], [14, 9, 14, 15, 13, 10], [12, 8, 11, 11, 10, 10],
         [11, 8, 14, 11, 14, 11], [10, 6, 11, 13, 8, 10], [16, 11, 11, 16, 13, 15]],

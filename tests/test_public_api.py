@@ -182,7 +182,7 @@ def test_qsim_entry_points_take_only_what_they_read():
     assert _parameters(orcurv.build_Pi) == [("p", "POSITIONAL_OR_KEYWORD", empty)]
     assert _parameters(orcurv.min_eigen_power) == [
         ("be", "POSITIONAL_OR_KEYWORD", empty), ("kappa_a", "POSITIONAL_OR_KEYWORD", empty),
-        ("start", "POSITIONAL_OR_KEYWORD", empty), ("eps", "POSITIONAL_OR_KEYWORD", 1e-10),
+        ("seed", "POSITIONAL_OR_KEYWORD", None), ("eps", "POSITIONAL_OR_KEYWORD", 1e-10),
     ]
     # every stage `orc` runs is exact; the Chebyshev stages live in
     # tests/reference.py, so no mode, degree or power_mode keyword

@@ -69,6 +69,7 @@ from reference import (
     err_of,
     grid_distance_encoding,
     min_eigen_power_loop,
+    power_start,
 )
 
 APPENDIX_COST = [[1, 3, 3, 2], [2, 3, 3, 3], [3, 2, 2, 3]]
@@ -375,7 +376,7 @@ GRID = [[0, 1], [1, 0]]
     (lambda: build_Pi(0), SizeMismatch, "p must be >= 1"),
     (lambda: pq_qsim_from_cost([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 1, dim_cap=26),
      DimensionCap, "p^p = 27 exceeds cap 26"),
-    (lambda: min_eigen_power(BlockEncoding(np.zeros(3), 1.0), 2.0, np.ones(3)),
+    (lambda: min_eigen_power(BlockEncoding(np.zeros(3), 1.0), 2.0),
      SpectrumOutOfRange, "no nonzero spectrum"),
 ], ids=["encoding-negative-margin", "encoding-not-square", "encoding-negative-distance",
         "overlap-no-neighbors", "dp-no-columns", "dp-wrong-column-dim", "pi-p-zero",
@@ -653,8 +654,7 @@ def test_build_pi_purified_cap():
 
 def test_min_eigen_smallest_nonzero_entry():
     be = BlockEncoding([0.0, 0.5, 0.25], 1.0)
-    est = min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9),
-                          start=np.random.default_rng(0).standard_normal(be.dim))
+    est = min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), seed=0)
     assert est.value == pytest.approx(0.25, abs=1e-9)
     assert est.converged
 
@@ -668,8 +668,7 @@ def estimate_fields(est) -> dict:
 
 def test_min_eigen_degenerate_converges_first_iteration():
     be = BlockEncoding([0.5, 0.5, 0.0, 0.5], 1.0)
-    est = min_eigen_power(be, kappa_a=2.0 * (1 + 1e-9),
-                          start=np.random.default_rng(1).standard_normal(be.dim))
+    est = min_eigen_power(be, kappa_a=2.0 * (1 + 1e-9), seed=1)
     assert est.iterations == 1
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.gap_proxy == math.inf
@@ -677,19 +676,37 @@ def test_min_eigen_degenerate_converges_first_iteration():
     assert est.fields() == {**estimate_fields(est), "gap_proxy": None}
 
 
-def test_min_eigen_refuses_a_start_that_vanishes_on_the_support():
-    # the start is nonzero only where the spectrum is 0, outside the support
-    be = BlockEncoding([0.0, 0.5, 0.25], 1.0)
-    with pytest.raises(ZeroOverlap, match="vanished on the support"):
-        min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), start=np.array([3.0, 0.0, 0.0]))
+class ZeroDraws(np.random.Generator):
+    """A generator whose chi^2 draws are all 0.0, as a real draw is with
+    probability about 2^-53; default_rng passes a Generator through, so
+    min_eigen_power draws from it."""
+
+    def chisquare(self, df, size=None):
+        return np.zeros(np.shape(df))
 
 
 def test_min_eigen_refuses_a_start_orthogonal_to_the_target():
-    # the target is the smallest nonzero entry, 0.25 at index 2; the start
-    # lives on the support but only on the 0.5 entry
+    # the target is the smallest nonzero entry, 0.25 at index 2; a start
+    # with no weight on it cannot find it
     be = BlockEncoding([0.0, 0.5, 0.25], 1.0)
     with pytest.raises(ZeroOverlap, match="orthogonal to the target eigenspace"):
-        min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), start=np.array([1.0, 2.0, 0.0]))
+        min_eigen_power(be, kappa_a=4.0 * (1 + 1e-9), seed=ZeroDraws(np.random.PCG64(0)))
+
+
+def test_min_eigen_initial_overlap_follows_the_target_share():
+    # a normal start's squared weight on the target eigenspace is
+    # Beta(m/2, (n - m)/2), whose mean is the target's share m/n of the
+    # support; here m = 2 of p! = 24 permutations attain the least sum
+    cost = [[1, 1, 3, 4], [1, 1, 4, 3], [3, 4, 2, 5], [4, 3, 5, 2]]
+    local, _ = localized_for(cost)
+    comp = be_product(build_Pi(4), build_DP([extract_Di(local, i) for i in range(1, 5)]))
+    kappa_a = (1 + 1e-9) / float(np.min(comp.encoded))
+    m = int(np.count_nonzero(comp.encoded == np.min(comp.encoded)))
+    assert m == 2
+    share = np.array([min_eigen_power(comp, kappa_a, seed, eps=1e-2).initial_overlap ** 2
+                      for seed in range(2000)])
+    standard_error = share.std(ddof=1) / math.sqrt(share.size)
+    assert abs(share.mean() - m / math.factorial(4)) <= 5 * standard_error
 
 
 def test_min_eigen_matches_bruteforce_scaling():
@@ -701,16 +718,14 @@ def test_min_eigen_matches_bruteforce_scaling():
         comp = be_product(build_pi_full(3), build_dp_full(ds))
         enc = comp.encoded
         kappa = (1 + 1e-9) / float(np.min(enc[enc != 0]))
-        est = min_eigen_power(comp, kappa, eps=1e-12,
-                              start=np.random.default_rng(9).standard_normal(comp.dim))
+        est = min_eigen_power(comp, kappa, 9, eps=1e-12)
         got = est.value * math.factorial(3) * 3 * be.subnorm
         expected = 3 * float(w1_bruteforce(cost).cost_value)
         assert got == pytest.approx(expected, abs=1e-8)
-        # on the support, from the same draw gathered at the permutations
+        # on the support, from the same seed
         comp = be_product(build_Pi(3), build_DP(ds))
         assert float(np.min(comp.encoded)) == float(np.min(enc[enc != 0]))
-        start = np.random.default_rng(9).standard_normal(27)[permutation_indices(3)]
-        est = min_eigen_power(comp, kappa, eps=1e-12, start=start)
+        est = min_eigen_power(comp, kappa, 9, eps=1e-12)
         got = est.value * math.factorial(3) * 3 * be.subnorm
         assert got == pytest.approx(expected, abs=1e-8)
 
@@ -720,8 +735,7 @@ def test_min_eigen_geometric_decay_bound(monkeypatch):
     kappa = 5.0 * (1 + 1e-9)
 
     def run():
-        return min_eigen_power(be, kappa, eps=1e-13,
-                               start=np.random.default_rng(3).standard_normal(be.dim))
+        return min_eigen_power(be, kappa, 3, eps=1e-13)
 
     est = run()
     assert est.converged and est.gap_proxy == pytest.approx(2.5)
@@ -748,8 +762,7 @@ def test_min_eigen_converged_meets_the_kato_temple_bound():
     lam1 = 1.0 / (kappa * 0.2)
     eps = 1e-10
     for seed in range(5):
-        est = min_eigen_power(be, kappa, eps=eps,
-                              start=np.random.default_rng(seed).standard_normal(be.dim))
+        est = min_eigen_power(be, kappa, seed, eps=eps)
         assert est.converged and est.gap_proxy == pytest.approx(1.001)
         r = 1.0 / (kappa * est.value)
         assert lam1 - r <= eps * r + 4 * math.ulp(lam1)
@@ -913,13 +926,13 @@ def pq_qsim_peak(p, dim_cap):
 
 def test_pq_qsim_p7_allocates_no_pp_operator():
     # p^p = 823 543: the full route peaked at 150 MB; the support route
-    # holds p! = 5040 entries per stage, its start included, so it stays
-    # below one p^p float64 vector (6.28 MiB)
+    # holds p! = 5040 entries per stage, so it stays below one p^p
+    # float64 vector (6.28 MiB)
     assert pq_qsim_peak(7, DEFAULT_DIM_CAP) < 7 ** 7 * 8
 
 
 def test_pq_qsim_p8_allocates_no_pp_array():
-    # p^p = 16 777 216 is admitted by a raised cap; a p^p start alone
+    # p^p = 16 777 216 is admitted by a raised cap; one p^p vector alone
     # would take 128 MiB
     assert pq_qsim_peak(8, 10 ** 8) < 16 * 1024 * 1024
 
@@ -965,12 +978,12 @@ POWER_EPS = (1e-2, 1e-6, 1e-10, 1e-14, 2.0 ** -52)
 
 
 def power_stage_inputs(seed):
-    """(encoding, kappa_a, start) for the power stage, as w1_pq_qsim feeds
+    """(encoding, kappa_a, seed) for the power stage, as w1_pq_qsim feeds
     it: random p x p cost blocks, p = 1..6, on the p! support; for p <= 4
-    also the full route's p^p composite, zero off the permutations, with a
-    start that is not; blocks of fractions, where nearly every
-    permutation sum is distinct; and a block whose permutations all cost
-    the same, where the gap is infinite."""
+    also the full route's p^p composite, zero off the permutations;
+    blocks of fractions, where nearly every permutation sum is distinct;
+    and a block whose permutations all cost the same, where the gap is
+    infinite."""
     rng = random.Random(seed)
     costs = [random_cost_matrix(p, p, rng, max_value=rng.choice((3, 10, 40)))
              for p in range(1, 7) for _ in range(3)]
@@ -988,21 +1001,24 @@ def power_stage_inputs(seed):
             comp = be_product(pi, dp)
             enc = comp.encoded
             kappa_a = (1 + 1e-9) / float(np.min(enc[enc != 0.0]))
-            start = np.random.default_rng(rng.randrange(2 ** 32)).standard_normal(comp.dim)
-            yield comp, kappa_a, start
+            yield comp, kappa_a, rng.randrange(2 ** 32)
 
 
 def assert_same_estimate(got, want):
-    assert (got.iterations, got.converged, got.gap_proxy, got.initial_overlap) == \
-        (want.iterations, want.converged, want.gap_proxy, want.initial_overlap)
+    # the stage sums initial_overlap from per-value weights, the loop takes
+    # a vector norm
+    assert (got.iterations, got.converged, got.gap_proxy) == \
+        (want.iterations, want.converged, want.gap_proxy)
     assert abs(got.value - want.value) <= 8 * math.ulp(want.value)
+    assert abs(got.initial_overlap - want.initial_overlap) <= 4 * math.ulp(want.initial_overlap)
 
 
 @pytest.mark.parametrize("eps", POWER_EPS)
 def test_min_eigen_matches_the_per_vector_loop(eps):
     gaps = set()
-    for comp, kappa_a, start in power_stage_inputs(61):
-        got = min_eigen_power(comp, kappa_a, start, eps=eps)
+    for comp, kappa_a, seed in power_stage_inputs(61):
+        got = min_eigen_power(comp, kappa_a, seed, eps=eps)
+        start = power_start(comp, kappa_a, seed)
         assert_same_estimate(got, min_eigen_power_loop(comp, kappa_a, start, eps=eps))
         assert got.converged
         gaps.add(got.gap_proxy)
@@ -1014,20 +1030,13 @@ def test_min_eigen_matches_the_per_vector_loop_under_the_cap(monkeypatch, cap):
     # the cap cuts runs inside and at the edges of the evaluated blocks
     monkeypatch.setattr(orcurv.qpipeline, "MAX_POWER_ITERATIONS", cap)
     stopped = 0
-    for comp, kappa_a, start in power_stage_inputs(67):
-        got = min_eigen_power(comp, kappa_a, start, eps=2.0 ** -52)
+    for comp, kappa_a, seed in power_stage_inputs(67):
+        got = min_eigen_power(comp, kappa_a, seed, eps=2.0 ** -52)
+        start = power_start(comp, kappa_a, seed)
         assert_same_estimate(got, min_eigen_power_loop(comp, kappa_a, start, eps=2.0 ** -52))
         assert got.iterations <= cap
         stopped += not got.converged
     assert stopped > 0
-
-
-def test_min_eigen_start_vector():
-    be = BlockEncoding([0.5, 0.25, 1.0], 1.0)
-    kappa = 4.0 * (1 + 1e-9)
-    start = np.random.default_rng(5).standard_normal(3)
-    with pytest.raises(DimMismatch):
-        min_eigen_power(be, kappa, start=start[:2])
 
 
 # --- ledger and scaling --------------------------------------------------------------------
